@@ -10,11 +10,12 @@ import numpy as np
 from hstorsion.backends import build_complex, parse_model
 from hstorsion.cohomology import cohomology_table
 from hstorsion.metric import HermitianStructure
+from hstorsion.models import IWASAWA_TEXT, TORUS_TEXT
 from hstorsion.torsion import classify
 
 MODELS = {
-    "flat torus": "kind invariant\nn 3\n",
-    "iwasawa": "kind invariant\nn 3\nd 3 := -1 * e(1,2)\n",
+    "flat torus": TORUS_TEXT,
+    "iwasawa": IWASAWA_TEXT,
     "perturbed spectral torus": """kind spectral
 n 3
 modes axis K 1

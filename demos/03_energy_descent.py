@@ -9,19 +9,12 @@ from hstorsion.backends import build_complex, parse_model
 from hstorsion.energy import (AeppliPoint, differential, energy,
                               fd_step_sweep, gradient_descent)
 from hstorsion.metric import HermitianStructure
+from hstorsion.models import SPECTRAL_TEXT
 from hstorsion.torsion import classify
-
-TEXT = """kind spectral
-n 3
-modes axis K 1
-potential 1 0 0 0 0 0 u 2 := 0.04
-potential 0 1 0 0 0 0 u 3 := 0.03+0.02i
-potential 0 0 0 1 0 0 u 1 := 0.02i
-"""
 
 
 def main():
-    cx = build_complex(parse_model(TEXT))
+    cx = build_complex(parse_model(SPECTRAL_TEXT))
     H = HermitianStructure(cx, omega=cx.metric_form())
     point = AeppliPoint(cx, H.omega)
     f0, _ = energy(point)

@@ -12,6 +12,7 @@ from hstorsion.backends import build_complex, parse_model
 from hstorsion.deform import HypothesisError, kahler_in_class
 from hstorsion.forms import conjugate
 from hstorsion.metric import HermitianStructure
+from hstorsion.models import IWASAWA_TEXT
 
 SPECTRAL = """kind spectral
 n 3
@@ -19,8 +20,6 @@ modes axis K 1
 potential 1 0 0 0 0 0 u 2 := 0.05
 potential 0 1 0 0 0 0 u 3 := 0.02+0.03i
 """
-
-IWASAWA = "kind invariant\nn 3\nd 3 := -1 * e(1,2)\n"
 
 
 def main():
@@ -38,7 +37,7 @@ def main():
               f"positivity={kr.positivity.verdict}")
 
     print("\nIwasawa (hypothesis fails):")
-    iwa = build_complex(parse_model(IWASAWA))
+    iwa = build_complex(parse_model(IWASAWA_TEXT))
     H = HermitianStructure(iwa, omega=iwa.metric_form())
     try:
         kahler_in_class(H)

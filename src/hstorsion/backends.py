@@ -36,6 +36,8 @@ __all__ = [
     "FormComplex",
     "ModelError",
     "parse_model",
+    "parse_complex",
+    "format_complex",
     "build_complex",
 ]
 
@@ -104,7 +106,9 @@ class SpectralTorusModel:
     # dbar(u) + del(conj u), which keeps it Hermitian-symplectic
     potential_modes: dict = field(default_factory=dict)
 
-    def validate(self):
+    def validate(self, grid_line=None):
+        """Raise ModelError on a malformed mode set or a grid too coarse for
+        exact quadrature; grid_line is the source line of the grid, if any."""
         modes = {tuple(m) for m in self.mode_set}
         if any(len(m) != 2 * self.n for m in modes):
             raise ModelError(f"modes must have {2 * self.n} components")
@@ -118,7 +122,8 @@ class SpectralTorusModel:
             if g < 4 * mm + 1:
                 raise ModelError(
                     f"grid size {g} on axis {a + 1} below 4*max|m|+1 = {4 * mm + 1}; "
-                    "quadrature would not be exact for 4-factor products"
+                    "quadrature would not be exact for 4-factor products",
+                    grid_line,
                 )
 
     @staticmethod
@@ -390,31 +395,30 @@ class FormComplex:
     def basis_form(self, mode, I, J):
         return basis_form(self.catalog, mode, I, J)
 
+    def hermitian_form(self, h, mode=None) -> Form:
+        """The (1,1)-form i sum_jk h_jk e_mode dz^j ^ dzbar^k for an n x n
+        matrix h; the zero mode by default."""
+        cat = self.catalog
+        if mode is None:
+            mode = tuple([0] * len(cat.modes[0]))
+        u = zero_form(cat, 1, 1)
+        S = cat.struct_dim(1, 1)
+        start = cat.mode_pos[tuple(mode)] * S
+        # the (1,1) struct basis is (j,k) in row-major order
+        u.coeffs[start : start + S] = 1j * np.asarray(h).reshape(S)
+        return u
+
     def metric_form(self) -> Form:
         """The model's declared metric as a (1,1) form, omega = i h_jk dz^j
         ^ dzbar^k; identity metric when the model declares none."""
         n = self.n
         cat = self.catalog
-        u = zero_form(cat, 1, 1)
-        zero_mode = tuple([0] * len(cat.modes[0]))
         h0 = self.model.metric
-        if h0 is None:
-            h0 = np.eye(n, dtype=complex)
-        for j in range(n):
-            for k in range(n):
-                if h0[j, k] != 0:
-                    u.coeffs[cat.flat_index(zero_mode, (j + 1,), (k + 1,))] = (
-                        1j * h0[j, k]
-                    )
+        u = self.hermitian_form(np.eye(n, dtype=complex) if h0 is None else h0)
         for mode, mat in getattr(self.model, "metric_modes", {}).items():
             if tuple(mode) not in cat.modes:
                 raise ModelError(f"metric_mode {mode} is not in the mode set")
-            for j in range(n):
-                for k in range(n):
-                    if mat[j, k] != 0:
-                        u.coeffs[cat.flat_index(tuple(mode), (j + 1,), (k + 1,))] = (
-                            1j * mat[j, k]
-                        )
+            u = u + self.hermitian_form(mat, mode)
         pot = getattr(self.model, "potential_modes", {})
         if pot:
             v = zero_form(cat, 1, 0)
@@ -486,6 +490,17 @@ def parse_complex(text, line=None):
     return complex(re_part, im_part)
 
 
+def format_complex(z) -> str:
+    """The literal form 'a+bi' read back by parse_complex; 'a' when the
+    imaginary part is zero, and -0.0 written as 0.0."""
+    z = complex(z)
+    re = z.real + 0.0  # normalize -0.0
+    if z.imag == 0.0:
+        return repr(re)
+    sign = "+" if z.imag >= 0 else "-"
+    return f"{re!r}{sign}{abs(z.imag)!r}i"
+
+
 _TERM_RE = re.compile(
     r"^\s*(?P<coef>.+?)\s*\*\s*(?P<kind>[efg])\s*\(\s*(?P<i>\d+)\s*,\s*(?P<j>\d+)\s*\)\s*$"
 )
@@ -517,11 +532,11 @@ def parse_model(text: str):
     kind = None
     n = None
     d_phi = {}
-    mode_lines = []
+    mode_lines = []  # (mode, line)
     axis_spec = None
-    grid = None
-    metric_entries = {}  # (mode or None, i, j) -> complex
-    potential_entries = {}  # (mode, j) -> complex
+    grid = grid_ln = None
+    metric_entries = {}  # (mode or None, i, j) -> (complex, line)
+    potential_entries = {}  # (mode, j) -> (complex, line)
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -562,21 +577,23 @@ def parse_model(text: str):
                 raise ModelError("expected 'modes axis K <int>'", ln)
         elif head == "mode":
             try:
-                mode_lines.append(tuple(int(t) for t in tok[1:]))
+                mode_lines.append((tuple(int(t) for t in tok[1:]), ln))
             except ValueError:
                 raise ModelError("mode components must be integers", ln)
         elif head == "grid":
             try:
-                grid = int(tok[1])
-            except (IndexError, ValueError):
+                grid = [int(t) for t in tok[1:]]
+            except ValueError:
+                raise ModelError("grid values must be integers", ln)
+            if not grid:
                 raise ModelError("grid requires an integer", ln)
+            grid_ln = ln
         elif head == "metric":
             m = re.match(r"^metric\s+h\s+(\d+)\s+(\d+)\s*:=\s*(.*)$", line)
             if not m:
                 raise ModelError("expected 'metric h <i> <j> := <complex>'", ln)
-            metric_entries[(None, int(m.group(1)), int(m.group(2)))] = parse_complex(
-                m.group(3), ln
-            )
+            metric_entries[(None, int(m.group(1)), int(m.group(2)))] = (
+                parse_complex(m.group(3), ln), ln)
         elif head == "potential":
             m = re.match(
                 r"^potential\s+((?:-?\d+\s+)+)u\s+(\d+)\s*:=\s*(.*)$", line
@@ -586,9 +603,8 @@ def parse_model(text: str):
                     "expected 'potential <2n ints> u <j> := <complex>'", ln
                 )
             mode = tuple(int(t) for t in m.group(1).split())
-            potential_entries[(mode, int(m.group(2)))] = parse_complex(
-                m.group(3), ln
-            )
+            potential_entries[(mode, int(m.group(2)))] = (
+                parse_complex(m.group(3), ln), ln)
         elif head == "metric_mode":
             m = re.match(
                 r"^metric_mode\s+((?:-?\d+\s+)+)h\s+(\d+)\s+(\d+)\s*:=\s*(.*)$", line
@@ -598,9 +614,8 @@ def parse_model(text: str):
                     "expected 'metric_mode <2n ints> h <i> <j> := <complex>'", ln
                 )
             mode = tuple(int(t) for t in m.group(1).split())
-            metric_entries[(mode, int(m.group(2)), int(m.group(3)))] = parse_complex(
-                m.group(4), ln
-            )
+            metric_entries[(mode, int(m.group(2)), int(m.group(3)))] = (
+                parse_complex(m.group(4), ln), ln)
         else:
             raise ModelError(f"unknown directive {head!r}", ln)
     if kind is None:
@@ -609,17 +624,23 @@ def parse_model(text: str):
         raise ModelError("missing 'n' line")
 
     const_h = None
-    if any(k[0] is None for k in metric_entries):
-        const_h = np.eye(n, dtype=complex)
-        const_h[:] = 0
-        for (mk, i, j), c in metric_entries.items():
-            if mk is None:
-                if not (1 <= i <= n and 1 <= j <= n):
-                    raise ModelError(f"metric index ({i},{j}) out of range")
-                const_h[i - 1, j - 1] = c
+    metric_modes = {}
+    for (mk, i, j), (c, ln) in metric_entries.items():
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ModelError(f"metric index ({i},{j}) out of range 1..{n}", ln)
+        if mk is None:
+            if const_h is None:
+                const_h = np.zeros((n, n), dtype=complex)
+            const_h[i - 1, j - 1] = c
+        elif len(mk) != 2 * n:
+            raise ModelError(
+                f"metric_mode mode has {len(mk)} components, expected {2 * n}", ln)
+        else:
+            metric_modes.setdefault(mk, np.zeros((n, n), dtype=complex))[i - 1, j - 1] = c
 
     if kind == "invariant":
-        if mode_lines or axis_spec or grid or potential_entries:
+        if (mode_lines or axis_spec is not None or grid is not None
+                or potential_entries or metric_modes):
             raise ModelError("spectral directives in an invariant model")
         model = InvariantModel(n=n, d_phi=d_phi, metric=const_h)
         model.validate()
@@ -627,41 +648,37 @@ def parse_model(text: str):
         build_complex(model)
         return model
 
+    for mode, ln in mode_lines:
+        if len(mode) != 2 * n:
+            raise ModelError(f"mode has {len(mode)} components, expected {2 * n}", ln)
     if axis_spec is not None:
         modes = SpectralTorusModel.axis_modes(n, axis_spec)
-        maxm = axis_spec
     elif mode_lines:
-        modes = tuple(mode_lines)
-        maxm = max(max(abs(c) for c in m) for m in modes)
+        modes = tuple(mode for mode, _ in mode_lines)
     else:
         raise ModelError("spectral model needs 'modes axis K' or 'mode' lines")
+    floor = [4 * max(abs(m[a]) for m in modes) + 1 for a in range(2 * n)]
     if grid is None:
-        grid = 4 * maxm + 1
-    per_axis = []
-    for a in range(2 * n):
-        ma = max(abs(m[a]) for m in modes)
-        per_axis.append(max(grid if ma else 1, 4 * ma + 1))
-    metric_modes = {}
-    for (mk, i, j), c in metric_entries.items():
-        if mk is None:
-            continue
-        if len(mk) != 2 * n:
-            raise ModelError(f"metric_mode mode has {len(mk)} components, expected {2 * n}")
-        metric_modes.setdefault(mk, np.zeros((n, n), dtype=complex))[i - 1, j - 1] = c
+        grid = [max(floor)]
+    if len(grid) == 1:
+        # one value: that many nodes on every axis that carries modes
+        grid = [grid[0] if f > 1 else 1 for f in floor]
+    elif len(grid) != 2 * n:
+        raise ModelError(f"grid takes 1 or {2 * n} values, got {len(grid)}", grid_ln)
     potential_modes = {}
-    for (mk, j), c in potential_entries.items():
+    for (mk, j), (c, ln) in potential_entries.items():
         if len(mk) != 2 * n:
-            raise ModelError(f"potential mode has {len(mk)} components, expected {2 * n}")
+            raise ModelError(f"potential mode has {len(mk)} components, expected {2 * n}", ln)
         if not (1 <= j <= n):
-            raise ModelError(f"potential index {j} out of range")
+            raise ModelError(f"potential index {j} out of range 1..{n}", ln)
         potential_modes.setdefault(mk, np.zeros(n, dtype=complex))[j - 1] = c
     model = SpectralTorusModel(
         n=n,
         mode_set=tuple(modes),
-        grid=tuple(per_axis),
+        grid=tuple(grid),
         metric=const_h,
         metric_modes=metric_modes,
         potential_modes=potential_modes,
     )
-    model.validate()
+    model.validate(grid_line=grid_ln)
     return model

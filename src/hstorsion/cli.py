@@ -3,7 +3,8 @@ energies, run gradient flows, build Kahler candidates, sweep families and
 self-test the built-in models.
 
 Exit codes: 0 success, 1 input or validation error, 2 violated numerical
-contract (an internal cross-check such as formula-vs-oracle failed).
+contract (an internal cross-check such as formula-vs-oracle failed, or a
+numerical breakdown such as a failed factorization).
 Reports are written as a text file plus CSV files in the output directory;
 complex CSV fields use the literal form a+bi.
 """
@@ -19,28 +20,20 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .backends import ModelError, build_complex, parse_model
-from .cohomology import cohomology_table
-from .deform import (HypothesisError, family_diagnostics, kahler_in_class,
-                     parse_family)
+from .backends import build_complex, format_complex, parse_model
+from .cohomology import CohomologyMismatch, cohomology_table
+from .deform import (FamilySpec, HypothesisError, family_diagnostics,
+                     kahler_in_class, parse_family)
 from .energy import AeppliPoint, differential_riesz, energy, gradient_descent
 from .forms import conjugate
-from .metric import HermitianStructure, MetricError
+from .metric import HermitianStructure
+from .models import IWASAWA_TEXT, SPECTRAL_TEXT, TORUS_TEXT
 from .torsion import (CLASSIFY_TOL, NotHermitianSymplectic, classify,
                       torsion_form)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_CONTRACT = 2
-
-
-def format_complex(z) -> str:
-    z = complex(z)
-    re = z.real + 0.0  # normalize -0.0
-    if z.imag == 0.0:
-        return repr(re)
-    sign = "+" if z.imag >= 0 else "-"
-    return f"{re!r}{sign}{abs(z.imag)!r}i"
 
 
 def _model_hash(text: str) -> str:
@@ -118,20 +111,19 @@ def cmd_classify(args):
         rep.add("note: balanced / strongly-Gauduchon tests use a mode-"
                 "truncated omega power on this backend")
     table = cohomology_table(H)
-    want = args.bidegree or sorted(table.entries)
-    rep.add("", "p q  h_dbar  h_bc  h_aeppli")
-    rows = []
-    for (p, q) in want:
-        e = table.entries[(p, q)]
-        rep.add(f"{p} {q}  {e['dbar']:6d}  {e['bc']:4d}  {e['aeppli']:8d}")
-        rows.append({"p": p, "q": q, "h_dbar": e["dbar"], "h_bc": e["bc"],
-                     "h_aeppli": e["aeppli"]})
+    if args.bidegree:
+        for p, q in args.bidegree:
+            if (p, q) not in table.entries:
+                raise ValueError(f"bidegree {p},{q} out of range for n={H.n}")
+        table.entries = {pq: table.entries[pq] for pq in args.bidegree}
+    rep.add("", str(table))
     out = Path(args.out)
     _write_csv(out / "classify.csv",
                ["flag", "value", "residual"],
                [{"flag": k, "value": getattr(cls, k), "residual": cls.residuals[k]}
                 for k in cls.residuals])
-    _write_csv(out / "cohomology.csv", ["p", "q", "h_dbar", "h_bc", "h_aeppli"], rows)
+    _write_csv(out / "cohomology.csv", ["p", "q", "h_dbar", "h_bc", "h_aeppli"],
+               table.rows())
     rep.write(out, "classify_report.txt")
     return EXIT_OK
 
@@ -254,9 +246,7 @@ def cmd_family(args):
     text = Path(args.model).read_text()
     spec = parse_family(text)
     if args.t_samples:
-        spec.t_samples = args.t_samples
-        if not any(t == 0.0 for t in spec.t_samples):
-            raise ModelError("t samples must include 0")
+        spec = FamilySpec(spec.template_lines, args.t_samples)
     rep = Report(args, text)
     table = family_diagnostics(spec, tol=args.tol)
     rep.add(str(table))
@@ -272,16 +262,6 @@ def cmd_family(args):
 # ---------------------------------------------------------------------------
 # selftest
 # ---------------------------------------------------------------------------
-
-TORUS_TEXT = "kind invariant\nn 3\n"
-IWASAWA_TEXT = "kind invariant\nn 3\nd 3 := -1 * e(1,2)\n"
-SPECTRAL_TEXT = """kind spectral
-n 3
-modes axis K 1
-potential 1 0 0 0 0 0 u 2 := 0.04
-potential 0 1 0 0 0 0 u 3 := 0.03+0.02i
-potential 0 0 0 1 0 0 u 1 := 0.02i
-"""
 
 
 def cmd_selftest(args):
@@ -366,19 +346,20 @@ def build_parser():
                     "on finite form complexes",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    needs_model = {"classify", "torsion", "energy", "flow", "kahler", "family"}
-    for name in ["classify", "torsion", "energy", "flow", "kahler", "family",
-                 "selftest"]:
+    for name in _COMMANDS:
         p = sub.add_parser(name)
-        if name in needs_model:
+        if name != "selftest":
             p.add_argument("--model", required=True, help="model or family file")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--tol", type=float, default=CLASSIFY_TOL)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--max-iters", type=int, default=500)
-        p.add_argument("--bidegree", action="append", type=_bidegree,
-                       default=None, metavar="p,q")
-        p.add_argument("--t-samples", type=_t_list, default=None)
+        if name == "classify":
+            p.add_argument("--bidegree", action="append", type=_bidegree,
+                           metavar="p,q")
+        if name in ("flow", "selftest"):
+            p.add_argument("--max-iters", type=int, default=500)
+        if name == "family":
+            p.add_argument("--t-samples", type=_t_list)
     return parser
 
 
@@ -401,7 +382,11 @@ def run(argv=None) -> int:
         return EXIT_INPUT if e.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args)
-    except (ModelError, MetricError, FileNotFoundError, OSError, ValueError) as e:
+    except (np.linalg.LinAlgError, CohomologyMismatch) as e:
+        # numerical breakdowns; LinAlgError is a ValueError, so it goes first
+        print(f"numerical failure: {e}", file=sys.stderr)
+        return EXIT_CONTRACT
+    except (OSError, ValueError) as e:  # ModelError, MetricError, bad values
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -23,9 +23,6 @@ __all__ = [
     "laplacian_dbar",
     "green_operator",
     "harmonic_projection",
-    "OperatorBundle",
-    "assemble_laplacians",
-    "green",
     "CohomologyTable",
     "cohomology_table",
     "CohomologyMismatch",
@@ -161,58 +158,6 @@ def harmonic_projection(H: HermitianStructure, u: Form, which="bc"):
     return Form(H.complex.catalog, u.bidegree, ge.kernel_projector @ u.coeffs)
 
 
-@dataclass
-class OperatorBundle:
-    """All spectral data of the two Laplacians at one bidegree.
-
-    For each of the Bott-Chern and Dolbeault Laplacians: the assembled
-    matrix, its Green operator (pseudoinverse vanishing on the harmonic
-    space) and the G-orthogonal harmonic projector, plus the kernel cutoffs
-    used for the splits.
-    """
-
-    p: int
-    q: int
-    laplacian_bc: np.ndarray
-    laplacian_dbar: np.ndarray
-    green_bc: np.ndarray
-    green_dbar: np.ndarray
-    harmonic_bc: np.ndarray
-    harmonic_dbar: np.ndarray
-    rank_cutoff_bc: float
-    rank_cutoff_dbar: float
-
-
-def assemble_laplacians(H: HermitianStructure, p, q,
-                        rcond=KERNEL_RCOND) -> OperatorBundle:
-    """Assemble both Laplacians on Lambda^{p,q} together with their Green
-    operators and harmonic projectors."""
-    Lbc = laplacian_bc(H, p, q)
-    Ldb = laplacian_dbar(H, p, q)
-    G = H.gram(p, q)
-    ebc = gram_eig(Lbc, G, rcond)
-    edb = gram_eig(Ldb, G, rcond)
-    return OperatorBundle(
-        p=p,
-        q=q,
-        laplacian_bc=Lbc,
-        laplacian_dbar=Ldb,
-        green_bc=ebc.pinv,
-        green_dbar=edb.pinv,
-        harmonic_bc=ebc.kernel_projector,
-        harmonic_dbar=edb.kernel_projector,
-        rank_cutoff_bc=ebc.cutoff,
-        rank_cutoff_dbar=edb.cutoff,
-    )
-
-
-def green(H: HermitianStructure, gamma: Form, which="bc",
-          rcond=KERNEL_RCOND) -> Form:
-    """Apply the Green operator of the chosen Laplacian to gamma."""
-    ge = green_operator(H, gamma.p, gamma.q, which, rcond)
-    return Form(H.complex.catalog, gamma.bidegree, ge.pinv @ gamma.coeffs)
-
-
 # ---------------------------------------------------------------------------
 # dimension counts
 # ---------------------------------------------------------------------------
@@ -250,10 +195,9 @@ class CohomologyTable:
 
     def __str__(self):
         lines = ["p q  h_dbar  h_bc  h_aeppli"]
-        for (p, q), e in sorted(self.entries.items()):
-            lines.append(
-                f"{p} {q}  {e['dbar']:6d}  {e['bc']:4d}  {e['aeppli']:8d}"
-            )
+        for r in self.rows():
+            lines.append(f"{r['p']} {r['q']}  {r['h_dbar']:6d}  {r['h_bc']:4d}  "
+                         f"{r['h_aeppli']:8d}")
         return "\n".join(lines)
 
     def rows(self):

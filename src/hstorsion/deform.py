@@ -16,9 +16,8 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .backends import ModelError, build_complex, parse_model
+from .backends import ModelError, build_complex, format_complex, parse_model
 from .cohomology import (KERNEL_RCOND, gram_eig, green_operator,
                          laplacian_bc, laplacian_dbar)
 from .energy import differential_riesz
@@ -43,23 +42,6 @@ __all__ = [
 
 class HypothesisError(ValueError):
     """A solution operator was applied outside its validity hypothesis."""
-
-
-def _gram_norm(H, bd, vec):
-    return float(np.sqrt(max(0.0, (np.conj(vec) @ (H.gram(*bd) @ vec)).real)))
-
-
-def _image_distance(H, A, src_bd, dst_bd, b):
-    """(distance, argmin x) of min_x ||A x - b|| in the target Gram norm,
-    with x the minimal-source-norm minimizer."""
-    Rs = H.chol(*src_bd)
-    Rd = H.chol(*dst_bd)
-    At = Rd @ A @ scipy.linalg.solve_triangular(Rs, np.eye(A.shape[1]), lower=False)
-    bt = Rd @ b
-    y, *_ = np.linalg.lstsq(At, bt, rcond=None)
-    dist = float(np.linalg.norm(At @ y - bt))
-    x = scipy.linalg.solve_triangular(Rs, y, lower=False)
-    return dist, x
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +77,8 @@ def min_ddbar_solution(H: HermitianStructure, v: Form,
         raise HypothesisError("right-hand side must have bidegree >= (1,1)")
     cx = H.complex
     A = cx.ddbar_matrix(p - 1, q - 1)
-    dist, _ = _image_distance(H, A, (p - 1, q - 1), (p, q), v.coeffs)
-    scale = 1.0 + _gram_norm(H, (p, q), v.coeffs)
+    _, dist = H.lstsq((p - 1, q - 1), [(A, (p, q), v.coeffs)])
+    scale = 1.0 + H.norm(v)
     if dist > tol * scale:
         raise HypothesisError(
             f"right-hand side is not del-dbar-exact: relative distance "
@@ -105,9 +87,9 @@ def min_ddbar_solution(H: HermitianStructure, v: Form,
     ge = green_operator(H, p, q, "bc", rcond)
     u_c = H.ddbar_adjoint(p - 1, q - 1) @ (ge.pinv @ v.coeffs)
     u = Form(cx.catalog, Bidegree(p - 1, q - 1), u_c)
-    res = _gram_norm(H, (p, q), A @ u_c - v.coeffs) / scale
+    res = H.norm(Form(cx.catalog, v.bidegree, A @ u_c) - v) / scale
     return MinSolution(u=u, residual=res, image_distance=dist / scale,
-                       norm=_gram_norm(H, (p - 1, q - 1), u_c))
+                       norm=H.norm(u))
 
 
 @dataclass
@@ -136,8 +118,8 @@ def neumann_dbar_solution(H: HermitianStructure, rho: Form,
         raise HypothesisError("right-hand side must have dbar-degree >= 1")
     cx = H.complex
     A = cx.dbar_matrix(p, q - 1)
-    dist, _ = _image_distance(H, A, (p, q - 1), (p, q), rho.coeffs)
-    scale = 1.0 + _gram_norm(H, (p, q), rho.coeffs)
+    _, dist = H.lstsq((p, q - 1), [(A, (p, q), rho.coeffs)])
+    scale = 1.0 + H.norm(rho)
     if dist > tol * scale:
         raise HypothesisError(
             f"right-hand side is not dbar-exact: relative distance "
@@ -146,14 +128,13 @@ def neumann_dbar_solution(H: HermitianStructure, rho: Form,
     ge = green_operator(H, p, q, "dbar", rcond)
     phi_c = H.dbar_adjoint(p, q - 1) @ (ge.pinv @ rho.coeffs)
     phi = Form(cx.catalog, Bidegree(p, q - 1), phi_c)
-    res = _gram_norm(H, (p, q), A @ phi_c - rho.coeffs) / scale
+    res = H.norm(Form(cx.catalog, rho.bidegree, A @ phi_c) - rho) / scale
     # commutation: dbar* Green = Green' dbar* on the lower bidegree
     ge_low = green_operator(H, p, q - 1, "dbar", rcond)
     other = ge_low.pinv @ (H.dbar_adjoint(p, q - 1) @ rho.coeffs)
-    gap = _gram_norm(H, (p, q - 1), phi_c - other) / scale
+    gap = H.norm(phi - Form(cx.catalog, phi.bidegree, other)) / scale
     return NeumannSolution(phi=phi, residual=res, image_distance=dist / scale,
-                           commutation_gap=gap,
-                           norm=_gram_norm(H, (p, q - 1), phi_c))
+                           commutation_gap=gap, norm=H.norm(phi))
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +167,8 @@ def kahler_in_class(H: HermitianStructure, tol: float = CLASSIFY_TOL,
     guaranteed."""
     cx = H.complex
     dw = cx.apply_del(H.omega)  # (2,1)
-    A = cx.ddbar_matrix(1, 0)
-    dist, _ = _image_distance(H, A, (1, 0), (2, 1), dw.coeffs)
-    scale = 1.0 + _gram_norm(H, (2, 1), dw.coeffs)
+    _, dist = H.lstsq((1, 0), [(cx.ddbar_matrix(1, 0), (2, 1), dw.coeffs)])
+    scale = 1.0 + H.norm(dw)
     if dist > tol * scale:
         raise HypothesisError(
             f"del omega is not del-dbar-exact: relative distance "
@@ -212,7 +192,7 @@ def kahler_in_class(H: HermitianStructure, tol: float = CLASSIFY_TOL,
         d_residual=d_res,
         hypothesis_distance=dist / scale,
         positivity=pos,
-        u_norm=_gram_norm(H, (1, 0), u_c),
+        u_norm=H.norm(u),
     )
 
 
@@ -224,15 +204,6 @@ _POLY_RE = re.compile(r"poly\(\s*([^)]*)\)")
 _TSAMPLES_RE = re.compile(r"^t_samples\s*:?=?\s*(.*)$")
 
 
-def _format_complex(z: complex) -> str:
-    re_s = repr(float(z.real))
-    im = float(z.imag)
-    if im == 0.0:
-        return re_s
-    sign = "+" if im >= 0 else "-"
-    return f"{re_s}{sign}{abs(im)!r}i"
-
-
 @dataclass
 class FamilySpec:
     """A one-parameter family of models: template lines whose poly(...)
@@ -241,6 +212,10 @@ class FamilySpec:
     template_lines: list
     t_samples: list
 
+    def __post_init__(self):
+        if not any(t == 0.0 for t in self.t_samples):
+            raise ModelError("t_samples must include 0")
+
     def instantiate_text(self, t: float) -> str:
         out = []
         for line in self.template_lines:
@@ -248,7 +223,7 @@ class FamilySpec:
                 coefs = [complex(c.strip().replace("i", "j")) if ("i" in c or "j" in c)
                          else complex(float(c)) for c in m.group(1).split(",") if c.strip()]
                 val = sum(c * t**k for k, c in enumerate(coefs))
-                return _format_complex(val)
+                return format_complex(val)
             out.append(_POLY_RE.sub(sub, line))
         return "\n".join(out) + "\n"
 
@@ -273,8 +248,6 @@ def parse_family(text: str) -> FamilySpec:
         template.append(raw)
     if not t_samples:
         raise ModelError("family file needs a 't_samples' line")
-    if not any(t == 0.0 for t in t_samples):
-        raise ModelError("t_samples must include 0")
     spec = FamilySpec(template_lines=template, t_samples=t_samples)
     for t in t_samples:
         spec.model(t)  # validation side effect

@@ -25,6 +25,7 @@ __all__ = [
     "Form",
     "DegreeError",
     "merge_sign",
+    "wedge_values",
 ]
 
 
@@ -107,7 +108,20 @@ def sort_covectors_sign(holo, anti):
     return sign, I, J
 
 
-class BasisCatalog:
+class _Memo:
+    """One keyed cache per object for data derived from immutable state."""
+
+    def __init__(self):
+        self._memo = {}
+
+    def _cached(self, key, build):
+        """The value stored under key, computed by build() on first use."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+
+class BasisCatalog(_Memo):
     """Enumerated bases of every Lambda^{p,q} for a fixed dimension and mode
     set, plus the structural (mode-independent) wedge and conjugation data.
 
@@ -117,6 +131,7 @@ class BasisCatalog:
     def __init__(self, n: int, modes=((),)):
         if n < 1:
             raise DegreeError(f"complex dimension must be >= 1, got {n}")
+        super().__init__()
         self.n = n
         modes = [tuple(int(c) for c in m) for m in modes]
         if not modes:
@@ -127,9 +142,6 @@ class BasisCatalog:
         self.modes = tuple(sorted(set(modes)))
         self.mode_pos = {m: i for i, m in enumerate(self.modes)}
         self.n_modes = len(self.modes)
-        self._struct_cache = {}
-        self._wedge_cache = {}
-        self._conj_cache = {}
 
     # -- enumeration ---------------------------------------------------
 
@@ -140,15 +152,16 @@ class BasisCatalog:
     def struct_indices(self, p, q):
         """Ordered (I, J) pairs for Lambda^{p,q}, mode factored out."""
         self.check_bidegree(p, q)
-        key = (p, q)
-        if key not in self._struct_cache:
+
+        def build():
             idx = [
                 (I, J)
                 for I in combinations(range(1, self.n + 1), p)
                 for J in combinations(range(1, self.n + 1), q)
             ]
-            self._struct_cache[key] = (idx, {s: i for i, s in enumerate(idx)})
-        return self._struct_cache[key]
+            return idx, {s: i for i, s in enumerate(idx)}
+
+        return self._cached(("struct", p, q), build)
 
     def struct_dim(self, p, q):
         self.check_bidegree(p, q)
@@ -180,8 +193,8 @@ class BasisCatalog:
             raise DegreeError(
                 f"wedge degree overflow: ({bd1.p},{bd1.q})+({bd2.p},{bd2.q}) exceeds n={self.n}"
             )
-        key = (tuple(bd1), tuple(bd2))
-        if key not in self._wedge_cache:
+
+        def build():
             s1_list, _ = self.struct_indices(bd1.p, bd1.q)
             s2_list, _ = self.struct_indices(bd2.p, bd2.q)
             _, out_pos = self.struct_indices(p, q)
@@ -197,38 +210,39 @@ class BasisCatalog:
                     # move the J1 block past the I2 block
                     swap = -1 if (len(J1) * len(I2)) % 2 else 1
                     table.append((a, b, sI * sJ * swap, out_pos[(I, J)]))
-            self._wedge_cache[key] = table
-        return self._wedge_cache[key]
+            return table
+
+        return self._cached(("wedge", *bd1, *bd2), build)
 
     # -- mode arithmetic -------------------------------------------------
 
     def mode_sum_index(self):
         """Matrix S with S[i,j] = index of modes[i]+modes[j], or -1 if the sum
         leaves the mode set (Galerkin truncation)."""
-        if not hasattr(self, "_msum"):
+
+        def build():
             M = self.n_modes
             S = np.full((M, M), -1, dtype=int)
             for i, mi in enumerate(self.modes):
                 for j, mj in enumerate(self.modes):
                     s = tuple(a + b for a, b in zip(mi, mj))
                     S[i, j] = self.mode_pos.get(s, -1)
-            self._msum = S
-        return self._msum
+            return S
+
+        return self._cached("mode_sum", build)
 
     def mode_neg_index(self):
-        if not hasattr(self, "_mneg"):
-            self._mneg = np.array(
-                [self.mode_pos[tuple(-c for c in m)] for m in self.modes]
-            )
-        return self._mneg
+        return self._cached("mode_neg", lambda: np.array(
+            [self.mode_pos[tuple(-c for c in m)] for m in self.modes]
+        ))
 
     # -- conjugation -----------------------------------------------------
 
     def conj_permutation(self, p, q):
         """Real signed permutation K with conj(u) = K @ conj(u.coeffs),
         mapping Lambda^{p,q} -> Lambda^{q,p}."""
-        key = (p, q)
-        if key not in self._conj_cache:
+
+        def build():
             structs, _ = self.struct_indices(p, q)
             _, out_pos = self.struct_indices(q, p)
             sign = -1.0 if (p * q) % 2 else 1.0
@@ -240,8 +254,9 @@ class BasisCatalog:
                 mo = neg[mi]
                 for s, (I, J) in enumerate(structs):
                     K[mo * S_out + out_pos[(J, I)], mi * S_in + s] = sign
-            self._conj_cache[key] = K
-        return self._conj_cache[key]
+            return K
+
+        return self._cached(("conj", p, q), build)
 
 
 @dataclass
@@ -311,6 +326,20 @@ def basis_form(catalog: BasisCatalog, mode, I, J) -> Form:
     return u
 
 
+def wedge_values(catalog: BasisCatalog, bd1: Bidegree, bd2: Bidegree, a, b):
+    """Covector-wise wedge of coefficient arrays over the struct bases:
+    out[..., s_out] = sum of sign * a[..., s1] * b[..., s2] over
+    catalog.wedge_table(bd1, bd2), broadcasting over the leading axes (nodes,
+    modes, ...) of a and b."""
+    table = catalog.wedge_table(bd1, bd2)
+    bd = bd1 + bd2
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    out = np.zeros(shape + (catalog.struct_dim(bd.p, bd.q),), dtype=complex)
+    for s1, s2, sign, so in table:
+        out[..., so] += sign * a[..., s1] * b[..., s2]
+    return out
+
+
 def wedge(u: Form, v: Form) -> Form:
     """Wedge product with the canonical reordering sign convention.
 
@@ -320,24 +349,16 @@ def wedge(u: Form, v: Form) -> Form:
     if u.catalog is not v.catalog:
         raise ValueError("forms live over different catalogs")
     cat = u.catalog
-    bd = u.bidegree + v.bidegree  # raises via wedge_table if out of range
-    table = cat.wedge_table(u.bidegree, v.bidegree)
-    out = zero_form(cat, bd.p, bd.q)
     M = cat.n_modes
-    S1 = cat.struct_dim(u.p, u.q)
-    S2 = cat.struct_dim(v.p, v.q)
-    So = cat.struct_dim(bd.p, bd.q)
-    a = u.coeffs.reshape(M, S1)
-    b = v.coeffs.reshape(M, S2)
-    o = out.coeffs.reshape(M, So)
+    a = u.coeffs.reshape(M, 1, -1)
+    b = v.coeffs.reshape(1, M, -1)
+    prod = wedge_values(cat, u.bidegree, v.bidegree, a, b)  # (M, M, So)
     msum = cat.mode_sum_index()
     valid = msum >= 0
-    tgt = msum[valid]
-    for s1, s2, sign, so in table:
-        prod = np.outer(a[:, s1], b[:, s2])[valid]
-        np.add.at(o[:, so], tgt, sign * prod)
-    out.coeffs = o.reshape(-1)
-    return out
+    bd = u.bidegree + v.bidegree
+    out = np.zeros((M, prod.shape[-1]), dtype=complex)
+    np.add.at(out, msum[valid], prod[valid])
+    return Form(cat, bd, out.reshape(-1))
 
 
 def conjugate(u: Form) -> Form:
@@ -346,8 +367,3 @@ def conjugate(u: Form) -> Form:
     cat = u.catalog
     K = cat.conj_permutation(u.p, u.q)
     return Form(cat, Bidegree(u.q, u.p), K @ np.conj(u.coeffs))
-
-
-def enumerate_basis(n: int, p: int, q: int, scalar_modes=((),)):
-    """Ordered basis of Lambda^{p,q}; deterministic across runs."""
-    return BasisCatalog(n, scalar_modes).basis(p, q)

@@ -31,7 +31,8 @@ import numpy as np
 import scipy.linalg
 
 from .backends import FormComplex
-from .forms import Bidegree, DegreeError, Form, conjugate, wedge, zero_form
+from .forms import (Bidegree, DegreeError, Form, _Memo, conjugate, wedge,
+                    wedge_values, zero_form)
 
 __all__ = [
     "HermitianStructure",
@@ -48,75 +49,51 @@ class MetricError(ValueError):
     """Raised for non-positive metrics or incompatible inputs."""
 
 
-class HermitianStructure:
+class HermitianStructure(_Memo):
     """A positive Hermitian metric on a FormComplex.
 
     Built either from an n x n constant Hermitian matrix or from a (1,1)
     metric form living on the complex.  Immutable after construction; Gram,
-    star and adjoint matrices are cached per bidegree.
+    star, adjoint and the other derived matrices are cached per bidegree in
+    one memo.
     """
 
     def __init__(self, complex_: FormComplex, h=None, omega: Form | None = None):
+        super().__init__()
         self.complex = complex_
         self.n = complex_.n
-        cat = complex_.catalog
         if (h is None) == (omega is None):
             raise ValueError("provide exactly one of h or omega")
         if omega is None:
             h = np.asarray(h, dtype=complex)
             if h.shape != (self.n, self.n):
                 raise MetricError(f"h must be {self.n}x{self.n}")
-            omega = zero_form(cat, 1, 1)
-            zero_mode = tuple([0] * len(cat.modes[0]))
-            for j in range(self.n):
-                for k in range(self.n):
-                    omega.coeffs[cat.flat_index(zero_mode, (j + 1,), (k + 1,))] = (
-                        1j * h[j, k]
-                    )
+            omega = complex_.hermitian_form(h)
         self.omega = omega
         if (omega.p, omega.q) != (1, 1):
             raise MetricError("metric form must have bidegree (1,1)")
         reality = conjugate(omega) - omega
         if np.abs(reality.coeffs).max() > 1e-12 * max(1.0, np.abs(omega.coeffs).max()):
             raise MetricError("metric form is not real")
-        self._h_nodes = self._extract_h()
+        self._h_nodes, _ = _hermitian_coefficient_matrix(complex_, omega)
         eigs = np.linalg.eigvalsh(self._h_nodes)
         self.positivity_margin = float(eigs.min())
         if self.positivity_margin <= 0:
             raise MetricError(
                 f"metric not positive definite: min eigenvalue {self.positivity_margin:.3e}"
             )
-        self._gram = {}
-        self._chol = {}
-        self._star = {}
-        self._pairing = {}
-        self._adjoint = {}
-        self._lefschetz = {}
-        self._pgram_hat = {}
 
     # -- pointwise data ----------------------------------------------------
 
-    def _extract_h(self):
-        """h(x) at every quadrature node, shape (X, n, n)."""
-        cx = self.complex
-        vals = cx.evaluate(self.omega)  # (X, n*n) in struct order (j,k)
-        h = -1j * vals.reshape(-1, self.n, self.n)
-        h = 0.5 * (h + np.conj(np.swapaxes(h, 1, 2)))
-        return h
-
     @property
     def h_nodes(self):
+        """h(x) at every quadrature node, shape (X, n, n)."""
         return self._h_nodes
 
     def _pointwise_pairing(self, p, q):
         """Q(x) with pointwise <u,v>_omega dV_omega = v(x)^H Q(x) u(x), as an
-        (X, S, S) array over the struct basis.  dV_omega = det(h) tau."""
-        key = (p, q)
-        cached = getattr(self, "_pw_cache", None)
-        if cached is None:
-            self._pw_cache = {}
-        if key in self._pw_cache:
-            return self._pw_cache[key]
+        (X, S, S) array over the struct basis.  dV_omega = det(h) tau.
+        Read once per bidegree, by gram, so it is not kept."""
         cat = self.complex.catalog
         # <dz^j, dz^k> = (h^{-1})_{kj}; this orientation makes |omega|^2 = n
         A = np.swapaxes(np.linalg.inv(self._h_nodes), 1, 2)
@@ -150,47 +127,58 @@ class HermitianStructure:
         ).reshape(S, S, X)
         P = np.moveaxis(P, -1, 0) * detvol[:, None, None]
         # Q with v^H Q u convention: Q[a,b] = <e_b, e_a> = conj(P[a,b])
-        Q = np.conj(P)
-        self._pw_cache[key] = Q
-        return Q
+        return np.conj(P)
 
     # -- Gram matrices -------------------------------------------------------
 
     def gram(self, p, q):
         """L^2 Gram matrix G with <<u, v>> = v^H G u in the basis order."""
-        key = (p, q)
-        if key in self._gram:
-            return self._gram[key]
-        cx = self.complex
-        cat = cx.catalog
-        Q = self._pointwise_pairing(p, q)  # (X, S, S)
-        M = cat.n_modes
-        S = cat.struct_dim(p, q)
-        if cx.backend == "invariant":
-            G = Q[0]
-        else:
-            grid = cx.grid
-            X = cx.n_nodes
-            Qg = Q.reshape(*grid, S, S)
-            ax = tuple(range(len(grid)))
-            Qhat = np.fft.fftn(Qg, axes=ax) / X  # fhat(k) at lattice index k
-            modes = cat.modes
-            G = np.empty((M * S, M * S), dtype=complex)
-            for i, mi in enumerate(modes):
-                for j, mj in enumerate(modes):
-                    # <<e_j, e_i>> pairing gives G[i-block, j-block]
-                    diff = tuple((a - b) % g for a, b, g in zip(mi, mj, grid))
-                    G[i * S : (i + 1) * S, j * S : (j + 1) * S] = Qhat[diff]
-        G = 0.5 * (G + G.conj().T)
-        self._gram[key] = G
-        return G
+
+        def build():
+            cx = self.complex
+            cat = cx.catalog
+            Q = self._pointwise_pairing(p, q)  # (X, S, S)
+            M = cat.n_modes
+            S = cat.struct_dim(p, q)
+            if cx.backend == "invariant":
+                G = Q[0]
+            else:
+                grid = cx.grid
+                X = cx.n_nodes
+                Qg = Q.reshape(*grid, S, S)
+                ax = tuple(range(len(grid)))
+                Qhat = np.fft.fftn(Qg, axes=ax) / X  # fhat(k) at lattice index k
+                modes = cat.modes
+                G = np.empty((M * S, M * S), dtype=complex)
+                for i, mi in enumerate(modes):
+                    for j, mj in enumerate(modes):
+                        # <<e_j, e_i>> pairing gives G[i-block, j-block]
+                        diff = tuple((a - b) % g for a, b, g in zip(mi, mj, grid))
+                        G[i * S : (i + 1) * S, j * S : (j + 1) * S] = Qhat[diff]
+            return 0.5 * (G + G.conj().T)
+
+        return self._cached(("gram", p, q), build)
 
     def chol(self, p, q):
         """Upper-triangular R with gram = R^H R."""
-        key = (p, q)
-        if key not in self._chol:
-            self._chol[key] = scipy.linalg.cholesky(self.gram(p, q), lower=False)
-        return self._chol[key]
+        return self._cached(("chol", p, q), lambda: scipy.linalg.cholesky(
+            self.gram(p, q), lower=False))
+
+    def lstsq(self, src, blocks):
+        """Minimal-norm least squares in the Gram geometry.
+
+        blocks is a list of (A, dst, b) with A : Lambda^src -> Lambda^dst.
+        Returns (x, residual): the x of least L^2 norm among the minimizers
+        of sum ||A x - b||^2, each term measured in the Gram norm of its
+        dst, and the square root of that minimum.  Both norms are whitened
+        by the Cholesky factors, so one Euclidean lstsq solves it."""
+        Rs = self.chol(*src)
+        Rs_inv = scipy.linalg.solve_triangular(Rs, np.eye(Rs.shape[0]), lower=False)
+        At = np.vstack([self.chol(*dst) @ A @ Rs_inv for A, dst, _ in blocks])
+        bt = np.concatenate([self.chol(*dst) @ b for _, dst, b in blocks])
+        y, *_ = np.linalg.lstsq(At, bt, rcond=None)
+        x = scipy.linalg.solve_triangular(Rs, y, lower=False)
+        return x, float(np.linalg.norm(At @ y - bt))
 
     def ip(self, u: Form, v: Form) -> complex:
         """L^2_omega inner product, linear in u, antilinear in v."""
@@ -237,14 +225,8 @@ class HermitianStructure:
         vals = cx.evaluate(forms[0])
         cur_bd = forms[0].bidegree
         for f in forms[1:]:
-            fv = cx.evaluate(f)
-            table = cat.wedge_table(cur_bd, f.bidegree)
-            out_bd = cur_bd + f.bidegree
-            out = np.zeros((vals.shape[0], cat.struct_dim(out_bd.p, out_bd.q)),
-                           dtype=complex)
-            for s1, s2, sign, so in table:
-                out[:, so] += sign * vals[:, s1] * fv[:, s2]
-            vals, cur_bd = out, out_bd
+            vals = wedge_values(cat, cur_bd, f.bidegree, vals, cx.evaluate(f))
+            cur_bd = cur_bd + f.bidegree
         return complex(vals[:, 0].mean() * self._vol_unit * scale)
 
     def volume(self) -> float:
@@ -271,37 +253,31 @@ class HermitianStructure:
 
     def pairing_matrix(self, p, q):
         """B with B[i,c] = integral of e_i^{(p,q)} ^ e_c^{(n-p,n-q)}."""
-        key = (p, q)
-        if key in self._pairing:
-            return self._pairing[key]
-        cat = self.complex.catalog
-        n = self.n
-        table = cat.wedge_table(Bidegree(p, q), Bidegree(n - p, n - q))
-        M = cat.n_modes
-        S1 = cat.struct_dim(p, q)
-        S2 = cat.struct_dim(n - p, n - q)
-        neg = cat.mode_neg_index()
-        B = np.zeros((M * S1, M * S2), dtype=complex)
-        for s1, s2, sign, _ in table:
-            for mi in range(M):
-                B[mi * S1 + s1, neg[mi] * S2 + s2] = sign * self._vol_unit
-        self._pairing[key] = B
-        return B
+
+        def build():
+            cat = self.complex.catalog
+            n = self.n
+            table = cat.wedge_table(Bidegree(p, q), Bidegree(n - p, n - q))
+            M = cat.n_modes
+            S1 = cat.struct_dim(p, q)
+            S2 = cat.struct_dim(n - p, n - q)
+            neg = cat.mode_neg_index()
+            B = np.zeros((M * S1, M * S2), dtype=complex)
+            for s1, s2, sign, _ in table:
+                for mi in range(M):
+                    B[mi * S1 + s1, neg[mi] * S2 + s2] = sign * self._vol_unit
+            return B
+
+        return self._cached(("pairing", p, q), build)
 
     def star_matrix(self, p, q):
         """Matrix of the complex-linear Hodge star Lambda^{p,q} ->
         Lambda^{n-q,n-p}, defined through the discrete pairing identity
         integral(t ^ star u) = <<t, conj(u)>> for all t in Lambda^{q,p}."""
-        key = (p, q)
-        if key in self._star:
-            return self._star[key]
-        n = self.n
-        B = self.pairing_matrix(q, p)  # (q,p) x (n-q,n-p)
-        G = self.gram(q, p)
-        K = self.complex.catalog.conj_permutation(p, q)  # (p,q) -> (q,p)
-        S = np.linalg.solve(B, G.T @ K)
-        self._star[key] = S
-        return S
+        # B: (q,p) x (n-q,n-p) pairing; K: conjugation (p,q) -> (q,p)
+        return self._cached(("star", p, q), lambda: np.linalg.solve(
+            self.pairing_matrix(q, p),
+            self.gram(q, p).T @ self.complex.catalog.conj_permutation(p, q)))
 
     def hodge_star(self, u: Form) -> Form:
         S = self.star_matrix(u.p, u.q)
@@ -320,28 +296,16 @@ class HermitianStructure:
 
     def del_adjoint(self, p, q):
         """Adjoint of del : Lambda^{p,q} -> Lambda^{p+1,q} (maps back down)."""
-        key = ("del*", p, q)
-        if key not in self._adjoint:
-            self._adjoint[key] = self.adjoint_matrix(
-                self.complex.del_matrix(p, q), (p, q), (p + 1, q)
-            )
-        return self._adjoint[key]
+        return self._cached(("del*", p, q), lambda: self.adjoint_matrix(
+            self.complex.del_matrix(p, q), (p, q), (p + 1, q)))
 
     def dbar_adjoint(self, p, q):
-        key = ("dbar*", p, q)
-        if key not in self._adjoint:
-            self._adjoint[key] = self.adjoint_matrix(
-                self.complex.dbar_matrix(p, q), (p, q), (p, q + 1)
-            )
-        return self._adjoint[key]
+        return self._cached(("dbar*", p, q), lambda: self.adjoint_matrix(
+            self.complex.dbar_matrix(p, q), (p, q), (p, q + 1)))
 
     def ddbar_adjoint(self, p, q):
-        key = ("ddbar*", p, q)
-        if key not in self._adjoint:
-            self._adjoint[key] = self.adjoint_matrix(
-                self.complex.ddbar_matrix(p, q), (p, q), (p + 1, q + 1)
-            )
-        return self._adjoint[key]
+        return self._cached(("ddbar*", p, q), lambda: self.adjoint_matrix(
+            self.complex.ddbar_matrix(p, q), (p, q), (p + 1, q + 1)))
 
     def apply_del_adjoint(self, u: Form) -> Form:
         if u.p == 0:
@@ -365,16 +329,17 @@ class HermitianStructure:
 
     def lefschetz_matrix(self, p, q):
         """Matrix of L_omega = omega ^ . : Lambda^{p,q} -> Lambda^{p+1,q+1}."""
-        key = (p, q)
-        if key not in self._lefschetz:
+
+        def build():
             cat = self.complex.catalog
             cols = []
             for i in range(cat.dim(p, q)):
                 e = zero_form(cat, p, q)
                 e.coeffs[i] = 1.0
                 cols.append(wedge(self.omega, e).coeffs)
-            self._lefschetz[key] = np.array(cols).T
-        return self._lefschetz[key]
+            return np.array(cols).T
+
+        return self._cached(("lefschetz", p, q), build)
 
     def is_primitive(self, u: Form):
         """(verdict, residual): true iff ||L*_omega u|| <= 1e-10 ||u||."""
@@ -415,29 +380,22 @@ def _pairing_values(H: HermitianStructure, u: Form, alphas):
     quadrature node; alphas is a (k, n) complex array of (1,0) covectors."""
     cx = H.complex
     cat = cx.catalog
-    n = H.n
     vals = cx.evaluate(u)
     cur_bd = u.bidegree
     for a in alphas:
-        # i a ^ abar as a constant (1,1) struct coefficient array
-        c = np.zeros(cat.struct_dim(1, 1), dtype=complex)
-        _, pos = cat.struct_indices(1, 1)
-        for j in range(n):
-            for k in range(n):
-                c[pos[((j + 1,), (k + 1,))]] = 1j * a[j] * np.conj(a[k])
-        table = cat.wedge_table(cur_bd, Bidegree(1, 1))
-        out_bd = cur_bd + Bidegree(1, 1)
-        out = np.zeros((vals.shape[0], cat.struct_dim(out_bd.p, out_bd.q)), dtype=complex)
-        for s1, s2, sign, so in table:
-            out[:, so] += sign * vals[:, s1] * c[s2]
-        vals, cur_bd = out, out_bd
-    return np.real(vals[:, 0] * (1j) ** (-(n**2)))
+        # i a ^ abar as a constant (1,1) struct coefficient array, whose
+        # (j,k) struct order is the row-major order of the outer product
+        c = (1j * np.outer(a, np.conj(a))).reshape(-1)
+        vals = wedge_values(cat, cur_bd, Bidegree(1, 1), vals, c)
+        cur_bd = cur_bd + Bidegree(1, 1)
+    return np.real(vals[:, 0] * H._vol_unit)
 
 
-def _hermitian_coefficient_matrix(H: HermitianStructure, u: Form):
-    """For a (1,1)-form u = i sum c_{jk} dz^j^dzbar^k, the Hermitian matrix
-    c(x) at every node (raises if u is not real/Hermitian within tolerance)."""
-    vals = H.complex.evaluate(u).reshape(-1, H.n, H.n)
+def _hermitian_coefficient_matrix(cx: FormComplex, u: Form):
+    """For a (1,1)-form u = i sum c_{jk} dz^j^dzbar^k, the Hermitian part of
+    the matrix c(x) at every node, shape (X, n, n), and the largest
+    deviation of c(x) from it."""
+    vals = cx.evaluate(u).reshape(-1, cx.n, cx.n)
     c = -1j * vals
     herm = 0.5 * (c + np.conj(np.swapaxes(c, 1, 2)))
     dev = np.abs(c - herm).max()
@@ -449,7 +407,7 @@ def check_strong_positivity_11(H: HermitianStructure, u: Form) -> PositivityRepo
     coincide."""
     if (u.p, u.q) != (1, 1):
         raise DegreeError("strong-positivity test requires bidegree (1,1)")
-    herm, dev = _hermitian_coefficient_matrix(H, u)
+    herm, dev = _hermitian_coefficient_matrix(H.complex, u)
     scale = max(np.abs(herm).max(), 1e-300)
     if dev > 1e-9 * scale:
         return PositivityReport("refuted", witness="non-Hermitian coefficients",
@@ -492,22 +450,12 @@ def check_weak_positivity(
         rep = check_strong_positivity_11(H, u)
         return rep
     if k == 1:
-        # pairing is the Hermitian form M[j,k] = value of u ^ i dz^j ^ dzbar^k
-        M = np.empty((H.complex.n_nodes, n, n), dtype=complex)
-        cat = H.complex.catalog
-        vals = H.complex.evaluate(u)
-        _, pos = cat.struct_indices(1, 1)
-        table = cat.wedge_table(u.bidegree, Bidegree(1, 1))
-        contrib = {}
-        for s1, s2, sign, so in table:
-            contrib.setdefault(s2, []).append((s1, sign))
-        for j in range(n):
-            for kk in range(n):
-                s2 = pos[((j + 1,), (kk + 1,))]
-                acc = np.zeros(vals.shape[0], dtype=complex)
-                for s1, sign in contrib.get(s2, []):
-                    acc += sign * vals[:, s1]
-                M[:, j, kk] = 1j * acc * (1j) ** (-(n**2))
+        # pairing is the Hermitian form M[j,k] = value of u ^ i dz^j ^ dzbar^k:
+        # wedge u against every (1,1) struct basis covector at once
+        vals = H.complex.evaluate(u)[:, None, :]
+        basis = np.eye(H.complex.catalog.struct_dim(1, 1))
+        top = wedge_values(H.complex.catalog, u.bidegree, Bidegree(1, 1), vals, basis)
+        M = (1j * top[..., 0] * H._vol_unit).reshape(-1, n, n)
         M = 0.5 * (M + np.conj(np.swapaxes(M, 1, 2)))
         eigs = np.linalg.eigvalsh(M)
         lo = float(eigs.min())

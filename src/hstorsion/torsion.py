@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .cohomology import KERNEL_RCOND, green_operator
 from .forms import Bidegree, Form, conjugate
@@ -109,16 +108,8 @@ def classify(H: HermitianStructure, tol: float = CLASSIFY_TOL) -> MetricClassifi
         if db is None or db.size == 0:
             res_sg = _rel(nv, H.norm(wk))
         else:
-            resid = v.coeffs - db @ _gram_lstsq(H, db, (n, n - 2), (n, n - 1), v.coeffs)
-            res_sg = _rel(
-                np.sqrt(
-                    max(
-                        0.0,
-                        (np.conj(resid) @ (H.gram(n, n - 1) @ resid)).real,
-                    )
-                ),
-                H.norm(wk),
-            )
+            _, dist = H.lstsq((n, n - 2), [(db, (n, n - 1), v.coeffs)])
+            res_sg = _rel(dist, H.norm(wk))
 
     feas = hs_feasible(H, tol=tol)
     res_hs = feas.residual
@@ -141,16 +132,6 @@ def classify(H: HermitianStructure, tol: float = CLASSIFY_TOL) -> MetricClassifi
     )
 
 
-def _gram_lstsq(H, A, src_bd, dst_bd, b):
-    """Least-squares solve of A x = b in the Gram geometry of both spaces,
-    returning the minimal-G-norm solution."""
-    Rs = H.chol(*src_bd)
-    Rd = H.chol(*dst_bd)
-    At = Rd @ A @ scipy.linalg.solve_triangular(Rs, np.eye(A.shape[1]), lower=False)
-    y, *_ = np.linalg.lstsq(At, Rd @ b, rcond=None)
-    return scipy.linalg.solve_triangular(Rs, y, lower=False)
-
-
 # ---------------------------------------------------------------------------
 # Hermitian-symplectic feasibility (minimal-norm oracle)
 # ---------------------------------------------------------------------------
@@ -163,7 +144,6 @@ class HSFeasibility:
     feasible: bool
     residual: float  # relative joint residual of (del rho, dbar rho + del omega)
     rho_min: Form | None  # minimal-norm least-squares solution
-    min_norm: float
     tol: float
 
 
@@ -174,32 +154,18 @@ def hs_feasible(H: HermitianStructure, tol: float = CLASSIFY_TOL) -> HSFeasibili
     Feasibility holds when the joint residual (Gram norms on the target
     spaces) is at most tol relative to 1 + ||del omega||."""
     cx = H.complex
-    n = H.n
-    w = H.omega
-    dw = cx.apply_del(w)  # (2,1)
-    N20 = cx.dims(2, 0)
-    R20 = H.chol(2, 0)
-    R20inv = scipy.linalg.solve_triangular(R20, np.eye(N20), lower=False)
+    dw = cx.apply_del(H.omega)  # (2,1)
     blocks = []
-    rhs = []
-    if n >= 3:
+    if H.n >= 3:  # del rho = 0
         A1 = cx.del_matrix(2, 0)
-        blocks.append(H.chol(3, 0) @ A1 @ R20inv)
-        rhs.append(np.zeros(A1.shape[0], dtype=complex))
-    A2 = cx.dbar_matrix(2, 0)
-    blocks.append(H.chol(2, 1) @ A2 @ R20inv)
-    rhs.append(-(H.chol(2, 1) @ dw.coeffs))
-    At = np.vstack(blocks)
-    bt = np.concatenate(rhs)
-    y, *_ = np.linalg.lstsq(At, bt, rcond=None)
-    resid = float(np.linalg.norm(At @ y - bt))
-    rho = Form(cx.catalog, Bidegree(2, 0), R20inv @ y)
+        blocks.append((A1, (3, 0), np.zeros(A1.shape[0], dtype=complex)))
+    blocks.append((cx.dbar_matrix(2, 0), (2, 1), -dw.coeffs))  # dbar rho = -del omega
+    x, resid = H.lstsq((2, 0), blocks)
     rel = resid / (1.0 + H.norm(dw))
     return HSFeasibility(
         feasible=rel <= tol,
         residual=rel,
-        rho_min=rho,
-        min_norm=float(np.linalg.norm(y)),
+        rho_min=Form(cx.catalog, Bidegree(2, 0), x),
         tol=tol,
     )
 

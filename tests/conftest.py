@@ -3,20 +3,7 @@ import pytest
 
 from hstorsion.backends import build_complex, parse_model
 from hstorsion.metric import HermitianStructure
-
-TORUS_TEXT = "kind invariant\nn 3\n"
-
-IWASAWA_TEXT = "kind invariant\nn 3\nd 3 := -1 * e(1,2)\n"
-
-# flat torus plus an Aeppli-potential perturbation: Hermitian-symplectic
-# by construction (the perturbation is d-exact up to the (2,0) part)
-SPECTRAL_TEXT = """kind spectral
-n 3
-modes axis K 1
-potential 1 0 0 0 0 0 u 2 := 0.04
-potential 0 1 0 0 0 0 u 3 := 0.03+0.02i
-potential 0 0 0 1 0 0 u 1 := 0.02i
-"""
+from hstorsion.models import IWASAWA_TEXT, SPECTRAL_TEXT, TORUS_TEXT  # noqa: F401
 
 
 @pytest.fixture(scope="session")

@@ -21,7 +21,7 @@ from hstorsion.energy import (AeppliPoint, corollary_check, differential,
                               energy, fd_differential, gradient_descent)
 from hstorsion.forms import Bidegree, Form, conjugate, wedge, zero_form
 from hstorsion.metric import HermitianStructure
-from hstorsion.torsion import _gram_lstsq, torsion_form
+from hstorsion.torsion import torsion_form
 
 from conftest import (IWASAWA_TEXT, SPECTRAL_TEXT, TORUS_TEXT,
                       random_hermitian_structure)
@@ -282,7 +282,7 @@ def test_criterion_07_special_formula():
         rep = torsion_form(H)
         A = cx.del_matrix(1, 0)
         xi = Form(cx.catalog, Bidegree(1, 0),
-                  _gram_lstsq(H, A, (1, 0), (2, 0), rep.rho20.coeffs))
+                  H.lstsq((1, 0), [(A, (2, 0), rep.rho20.coeffs)])[0])
         val, pre = differential_special(H, xi)
         assert pre <= 1e-8
         general = differential(H, xi, rep.rho20)
@@ -413,7 +413,7 @@ def test_criterion_11_corollary_checker():
     rep = torsion_form(H)
     A = cx.del_matrix(1, 0)
     xi = Form(cx.catalog, Bidegree(1, 0),
-              _gram_lstsq(H, A, (1, 0), (2, 0), rep.rho20.coeffs))
+              H.lstsq((1, 0), [(A, (2, 0), rep.rho20.coeffs)])[0])
     bad = corollary_check(H, xi)
     refutes = (bad.positivity.verdict == "refuted"
                and bad.positivity.witness is not None

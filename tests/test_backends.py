@@ -117,6 +117,33 @@ def test_parse_model_errors():
     assert err.value.line is not None
 
 
+SPECTRAL_HEAD = "kind spectral\nn 3\nmodes axis K 1\n"
+
+
+@pytest.mark.parametrize("text, line", [
+    (SPECTRAL_HEAD + "metric_mode 1 0 0 0 0 0 h 0 1 := 0.1\n", 4),
+    (SPECTRAL_HEAD + "metric_mode 1 0 0 0 0 0 h 5 1 := 0.1\n", 4),
+    ("kind spectral\nn 3\nmode 0 0 0 0 0 0\nmode 1 0 0\n", 4),
+    (SPECTRAL_HEAD + "grid 7 5 5 5\n", 4),
+    (SPECTRAL_HEAD + "grid 3\n", 4),
+    (SPECTRAL_HEAD + "grid 5 5 5 3 5 5\n", 4),
+])
+def test_parse_model_rejects_with_line(text, line):
+    with pytest.raises(ModelError) as err:
+        parse_model(text)
+    assert err.value.line == line
+
+
+def test_grid_forms():
+    one = parse_model(SPECTRAL_HEAD + "grid 7\n")
+    per_axis = parse_model(SPECTRAL_HEAD + "grid 7 5 5 5 5 9\n")
+    assert one.grid == (7,) * 6
+    assert per_axis.grid == (7, 5, 5, 5, 5, 9)
+    explicit = parse_model("kind spectral\nn 3\nmode 0 0 0 0 0 0\n"
+                           "mode 1 0 0 0 0 0\nmode -1 0 0 0 0 0\ngrid 6\n")
+    assert explicit.grid == (6, 1, 1, 1, 1, 1)
+
+
 def test_potential_mode_outside_set_rejected():
     text = ("kind spectral\nn 3\nmodes axis K 1\n"
             "potential 2 0 0 0 0 0 u 1 := 0.1\n")

@@ -1,9 +1,12 @@
 import csv
 
+import numpy as np
 import pytest
 
-from hstorsion.cli import (EXIT_CONTRACT, EXIT_INPUT, EXIT_OK, format_complex,
-                           run)
+from hstorsion import cli
+from hstorsion.backends import format_complex
+from hstorsion.cli import EXIT_CONTRACT, EXIT_INPUT, EXIT_OK, run
+from hstorsion.cohomology import CohomologyMismatch
 
 from conftest import IWASAWA_TEXT, SPECTRAL_TEXT, TORUS_TEXT
 
@@ -44,6 +47,7 @@ def test_format_complex():
     assert format_complex(1.5) == "1.5"
     assert format_complex(1 + 2j) == "1.0+2.0i"
     assert format_complex(-0.5j) == "0.0-0.5i"
+    assert format_complex(complex(-0.0, 0.25)) == "0.0+0.25i"
 
 
 def test_classify_command(torus_file, tmp_path, capsys):
@@ -67,6 +71,24 @@ def test_classify_bidegree_filter(iwasawa_file, tmp_path):
     assert code == EXIT_OK
     report = (out / "classify_report.txt").read_text()
     assert "0 1" in report and "1 1" in report
+    coh = _read_csv(out / "cohomology.csv")
+    assert [(r["p"], r["q"]) for r in coh] == [("0", "1"), ("1", "1")]
+    code = run(["classify", "--model", iwasawa_file, "--out", str(out),
+                "--bidegree", "4,0"])
+    assert code == EXIT_INPUT
+
+
+@pytest.mark.parametrize("argv", [
+    ["torsion", "--bidegree", "1,1"],
+    ["classify", "--max-iters", "5"],
+    ["energy", "--t-samples", "0 1"],
+    ["family", "--bidegree", "0,1"],
+    ["kahler", "--max-iters", "5"],
+])
+def test_flag_on_wrong_subcommand(argv, torus_file, tmp_path):
+    code = run(argv[:1] + ["--model", torus_file, "--out", str(tmp_path)]
+               + argv[1:])
+    assert code == EXIT_INPUT
 
 
 def test_torsion_command(spectral_file, tmp_path):
@@ -146,6 +168,20 @@ def test_bad_model_text(tmp_path):
     bad.write_text("kind widget\nn 3\n")
     code = run(["classify", "--model", str(bad), "--out", str(tmp_path)])
     assert code == EXIT_INPUT
+
+
+@pytest.mark.parametrize("command, target, error", [
+    ("classify", "cohomology_table", CohomologyMismatch("h_bc(1,1): kernel 4 vs rank 5")),
+    ("torsion", "torsion_form", np.linalg.LinAlgError("not positive definite")),
+])
+def test_numerical_failure_exits_2(command, target, error, torus_file, tmp_path,
+                                   monkeypatch):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, target, fail)
+    code = run([command, "--model", torus_file, "--out", str(tmp_path)])
+    assert code == EXIT_CONTRACT
 
 
 def test_report_header(torus_file, tmp_path):

@@ -6,7 +6,7 @@ from hstorsion.energy import (AeppliPoint, corollary_check, differential,
                               energy, fd_differential, fd_step_sweep,
                               gradient_descent)
 from hstorsion.forms import Bidegree, Form, zero_form
-from hstorsion.torsion import torsion_form, _gram_lstsq
+from hstorsion.torsion import torsion_form
 
 
 def _xi_with_rho(H):
@@ -14,7 +14,7 @@ def _xi_with_rho(H):
     cx = H.complex
     rep = torsion_form(H)
     A = cx.del_matrix(1, 0)
-    x = _gram_lstsq(H, A, (1, 0), (2, 0), rep.rho20.coeffs)
+    x, _ = H.lstsq((1, 0), [(A, (2, 0), rep.rho20.coeffs)])
     return Form(cx.catalog, Bidegree(1, 0), x), rep
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from hstorsion.forms import (BasisCatalog, Bidegree, DegreeError, Form,
-                             basis_form, conjugate, wedge, zero_form)
+                             basis_form, conjugate, merge_sign, wedge,
+                             zero_form)
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +52,29 @@ def test_wedge_graded_anticommutativity(cat):
         sign = (-1.0) ** ((p1 + q1) * (p2 + q2))
         assert np.allclose(wedge(u, v).coeffs, sign * wedge(v, u).coeffs,
                            atol=1e-14)
+
+
+def test_wedge_matches_definition_on_modes():
+    # reference: basis element by basis element, dropping the products whose
+    # mode sum leaves the (truncated) mode set
+    modes = [(0, 0, 0, 0), (1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0),
+             (0, -1, 0, 0), (1, 1, 0, 0), (-1, -1, 0, 0)]
+    cat = BasisCatalog(2, modes)
+    rng = np.random.default_rng(8)
+    for p1, q1, p2, q2 in [(1, 0, 0, 1), (1, 1, 1, 0), (0, 1, 1, 1), (0, 0, 1, 1)]:
+        u = _random_form(cat, p1, q1, rng)
+        v = _random_form(cat, p2, q2, rng)
+        ref = np.zeros(cat.dim(p1 + p2, q1 + q2), dtype=complex)
+        for i, a in enumerate(cat.basis(p1, q1)):
+            for j, b in enumerate(cat.basis(p2, q2)):
+                mode = tuple(x + y for x, y in zip(a.mode, b.mode))
+                sI, I = merge_sign(a.holo, b.holo)
+                sJ, J = merge_sign(a.anti, b.anti)
+                if mode not in cat.mode_pos or sI == 0 or sJ == 0:
+                    continue
+                sign = sI * sJ * (-1) ** (len(a.anti) * len(b.holo))
+                ref[cat.flat_index(mode, I, J)] += sign * u.coeffs[i] * v.coeffs[j]
+        assert np.allclose(wedge(u, v).coeffs, ref, rtol=1e-14, atol=1e-14)
 
 
 def test_wedge_associativity(cat):
