@@ -13,6 +13,7 @@ the fixed basis order of forms.BasisCatalog.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from itertools import product
@@ -155,6 +156,7 @@ class FormComplex:
         self._del = {}
         self._dbar = {}
         self._eval_matrix = None
+        self._difference_weights = None
         self._build_differentials()
         self._check_complex_identities()
 
@@ -361,6 +363,36 @@ class FormComplex:
                 self._eval_matrix = np.exp(2j * np.pi * (x @ m.T))
         return self._eval_matrix
 
+    def mode_difference_weights(self):
+        """Quadrature at the differences of two modes, for the Gram matrices.
+
+        Returns (W, index).  W[r, x] = exp(-2 pi i d_r . x_node) / X over
+        the distinct differences d_r = m_i - m_j with d_r >= -d_r
+        (lexicographically), so W @ f holds the Fourier coefficients of a
+        node function f at those d_r; index[i, j] is r where m_i - m_j = d_r
+        and len(W) + r where m_i - m_j = -d_r.  The invariant backend
+        returns ([[1]], [[0]])."""
+        if self._difference_weights is None:
+            pos, rows, flipped = {}, [], []
+            for mi in self.catalog.modes:
+                for mj in self.catalog.modes:
+                    d = tuple(a - b for a, b in zip(mi, mj))
+                    rep = max(d, tuple(-c for c in d))
+                    rows.append(pos.setdefault(rep, len(pos)))
+                    flipped.append(d != rep)
+            M = self.catalog.n_modes
+            index = (np.array(rows) + len(pos) * np.array(flipped)).reshape(M, M)
+            D = np.array(list(pos), dtype=int).reshape(len(pos), -1)
+            grid = np.array(self.grid)[: D.shape[1]]  # no axes when invariant
+            # d . x in whole units of 1/L, reduced to (-L/2, L/2] before exp
+            L = math.lcm(*grid.tolist())
+            j = np.indices(tuple(grid)).reshape(len(grid), self.n_nodes)
+            r = (D * (L // grid)) @ j % L
+            r = np.where(2 * r > L, r - L, r)
+            W = np.exp(-2j * np.pi * r / L) / self.n_nodes
+            self._difference_weights = (W, index)
+        return self._difference_weights
+
     @property
     def n_nodes(self):
         return int(np.prod(self.grid))
@@ -552,6 +584,8 @@ def parse_model(text: str):
                 n = int(tok[1])
             except (IndexError, ValueError):
                 raise ModelError("n requires an integer", ln)
+            if n < 1:
+                raise ModelError(f"n must be at least 1, got {n}", ln)
         elif head == "d":
             if kind != "invariant":
                 raise ModelError("'d' lines require kind invariant (declare kind first)", ln)
@@ -571,10 +605,9 @@ def parse_model(text: str):
                     terms[key] = terms.get(key, 0) + c
             d_phi[k] = terms
         elif head == "modes":
-            if len(tok) == 4 and tok[1] == "axis" and tok[2] == "K":
-                axis_spec = int(tok[3])
-            else:
+            if not re.fullmatch(r"modes\s+axis\s+K\s+-?\d+", line):
                 raise ModelError("expected 'modes axis K <int>'", ln)
+            axis_spec = int(tok[3])
         elif head == "mode":
             try:
                 mode_lines.append((tuple(int(t) for t in tok[1:]), ln))
@@ -651,6 +684,8 @@ def parse_model(text: str):
     for mode, ln in mode_lines:
         if len(mode) != 2 * n:
             raise ModelError(f"mode has {len(mode)} components, expected {2 * n}", ln)
+        if axis_spec is not None:
+            raise ModelError("'mode' lines cannot be combined with 'modes axis K'", ln)
     if axis_spec is not None:
         modes = SpectralTorusModel.axis_modes(n, axis_spec)
     elif mode_lines:

@@ -57,16 +57,16 @@ class GramEig:
     separation_ok: bool
 
 
-def gram_eig(M, G, rcond=KERNEL_RCOND) -> GramEig:
+def gram_eig(M, R, rcond=KERNEL_RCOND) -> GramEig:
     """Diagonalize a G-self-adjoint positive semidefinite matrix M.
 
-    G must be Hermitian positive definite.  Conjugating by the Cholesky
-    factor of G turns M into an honest Hermitian matrix, so eigh applies."""
+    R is the upper Cholesky factor of the Hermitian positive definite G,
+    G = R^H R, as HermitianStructure.chol returns it.  Conjugating by R
+    turns M into an honest Hermitian matrix, so eigh applies."""
     N = M.shape[0]
     if N == 0:
         z = np.zeros((0, 0))
         return GramEig(z, z, np.zeros(0), 0, 0.0, True)
-    R = scipy.linalg.cholesky(G, lower=False)
     Rinv = scipy.linalg.solve_triangular(R, np.eye(N), lower=False)
     Mt = R @ M @ Rinv
     Mt = 0.5 * (Mt + Mt.conj().T)
@@ -148,7 +148,7 @@ def green_operator(H: HermitianStructure, p, q, which="bc", rcond=KERNEL_RCOND):
     """GramEig bundle for the chosen Laplacian on Lambda^{p,q}; its pinv is
     the Green operator (inverse off the harmonic space, zero on it)."""
     L = _LAPLACIANS[which](H, p, q)
-    return gram_eig(L, H.gram(p, q), rcond)
+    return gram_eig(L, H.chol(p, q), rcond)
 
 
 def harmonic_projection(H: HermitianStructure, u: Form, which="bc"):
@@ -232,7 +232,7 @@ def cohomology_table(H: HermitianStructure, rcond=KERNEL_RCOND) -> CohomologyTab
             h_dbar_rank = _stack_kernel_dim([db], N, rcond) - (
                 _rank(db_in, rcond) if db_in is not None else 0
             )
-            h_dbar_ker = gram_eig(laplacian_dbar(H, p, q), H.gram(p, q), rcond).kernel_dim
+            h_dbar_ker = gram_eig(laplacian_dbar(H, p, q), H.chol(p, q), rcond).kernel_dim
             table.cross_checks.append(("dbar", p, q, h_dbar_ker, h_dbar_rank))
             if h_dbar_ker != h_dbar_rank:
                 raise CohomologyMismatch(
@@ -242,7 +242,7 @@ def cohomology_table(H: HermitianStructure, rcond=KERNEL_RCOND) -> CohomologyTab
             h_bc_rank = _stack_kernel_dim([d, db], N, rcond) - (
                 _rank(dd_in, rcond) if dd_in is not None else 0
             )
-            h_bc_ker = gram_eig(laplacian_bc(H, p, q), H.gram(p, q), rcond).kernel_dim
+            h_bc_ker = gram_eig(laplacian_bc(H, p, q), H.chol(p, q), rcond).kernel_dim
             table.cross_checks.append(("bc", p, q, h_bc_ker, h_bc_rank))
             if h_bc_ker != h_bc_rank:
                 raise CohomologyMismatch(

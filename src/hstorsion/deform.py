@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backends import ModelError, build_complex, format_complex, parse_model
+from .backends import (ModelError, build_complex, format_complex, parse_complex,
+                       parse_model)
 from .cohomology import (KERNEL_RCOND, gram_eig, green_operator,
                          laplacian_bc, laplacian_dbar)
 from .energy import differential_riesz
@@ -204,6 +205,11 @@ _POLY_RE = re.compile(r"poly\(\s*([^)]*)\)")
 _TSAMPLES_RE = re.compile(r"^t_samples\s*:?=?\s*(.*)$")
 
 
+def _poly_coefficients(args, line=None):
+    """The complex literals c0, c1, ... of 'poly(c0, c1, ...)'."""
+    return [parse_complex(c, line) for c in args.split(",")]
+
+
 @dataclass
 class FamilySpec:
     """A one-parameter family of models: template lines whose poly(...)
@@ -220,8 +226,7 @@ class FamilySpec:
         out = []
         for line in self.template_lines:
             def sub(m):
-                coefs = [complex(c.strip().replace("i", "j")) if ("i" in c or "j" in c)
-                         else complex(float(c)) for c in m.group(1).split(",") if c.strip()]
+                coefs = _poly_coefficients(m.group(1))
                 val = sum(c * t**k for k, c in enumerate(coefs))
                 return format_complex(val)
             out.append(_POLY_RE.sub(sub, line))
@@ -245,6 +250,8 @@ def parse_family(text: str) -> FamilySpec:
             except ValueError:
                 raise ModelError("t_samples must be a list of reals", ln)
             continue
+        for m in _POLY_RE.finditer(raw):
+            _poly_coefficients(m.group(1), ln)
         template.append(raw)
     if not t_samples:
         raise ModelError("family file needs a 't_samples' line")
@@ -290,7 +297,7 @@ def _dims_row(H):
         ("h_dbar_02", (0, 2), "dbar"),
     ]:
         L = laplacian_bc(H, p, q) if which == "bc" else laplacian_dbar(H, p, q)
-        out[label] = gram_eig(L, H.gram(p, q)).kernel_dim
+        out[label] = gram_eig(L, H.chol(p, q)).kernel_dim
     return out
 
 

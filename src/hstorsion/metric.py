@@ -90,71 +90,74 @@ class HermitianStructure(_Memo):
         """h(x) at every quadrature node, shape (X, n, n)."""
         return self._h_nodes
 
+    def _inverse_and_volume(self):
+        """A = h^{-T} and det h (real) at every node, once per metric."""
+        return self._cached("_inverse_and_volume", lambda: (
+            np.ascontiguousarray(np.swapaxes(np.linalg.inv(self._h_nodes), 1, 2)),
+            np.real(np.linalg.det(self._h_nodes))))
+
+    def _compound(self, k):
+        """The k-th compound of A = h^{-T} at every node, shape (X, C, C):
+        C[x, a, b] = det A(x)[I_a, I_b] over the k-subsets I_a of range(n)
+        in lexicographic order.  Shared by the holomorphic (k = p) and the
+        antiholomorphic (k = q) factor of every bidegree."""
+
+        def build():
+            A, deth = self._inverse_and_volume()
+            n = self.n
+            if k == 0:
+                return np.ones((len(A), 1, 1), dtype=complex)
+            if k == 1:
+                return A
+            if k == n:
+                return np.asarray(1.0 / deth, dtype=complex)[:, None, None]
+            if k == n - 1:
+                # Jacobi's complementary minors: the a-th (n-1)-subset omits
+                # c_a, and det (h^{-1})[K, I] = (-1)^(i+k) h[i, k] / det h
+                # for K, I omitting k, i
+                c = np.arange(n - 1, -1, -1)
+                sign = (-1.0) ** (c[:, None] + c[None, :])
+                return self._h_nodes[:, c[:, None], c[None, :]] * (
+                    sign / deth[:, None, None])
+            idx = np.array(list(combinations(range(n), k)))
+            return np.linalg.det(A[:, idx[:, None, :, None], idx[None, :, None, :]])
+
+        return self._cached(("_compound", k), build)
+
     def _pointwise_pairing(self, p, q):
-        """Q(x) with pointwise <u,v>_omega dV_omega = v(x)^H Q(x) u(x), as an
-        (X, S, S) array over the struct basis.  dV_omega = det(h) tau.
-        Read once per bidegree, by gram, so it is not kept."""
-        cat = self.complex.catalog
-        # <dz^j, dz^k> = (h^{-1})_{kj}; this orientation makes |omega|^2 = n
-        A = np.swapaxes(np.linalg.inv(self._h_nodes), 1, 2)
-        detvol = np.real(np.linalg.det(self._h_nodes))
-        structs, _ = cat.struct_indices(p, q)
-        S = len(structs)
-        X = A.shape[0]
-        holo = list(combinations(range(self.n), p))
-        anti = list(combinations(range(self.n), q))
-
-        def minor_dets(idx_list, mat):
-            k = len(idx_list[0]) if idx_list else 0
-            out = np.empty((len(idx_list), len(idx_list), X), dtype=complex)
-            for a, Ia in enumerate(idx_list):
-                for b, Ib in enumerate(idx_list):
-                    if k == 0:
-                        out[a, b] = 1.0
-                    else:
-                        rows = np.array(Ia)[:, None]
-                        cols = np.array(Ib)[None, :]
-                        out[a, b] = np.linalg.det(mat[:, rows, cols])
-            return out
-
-        Mh = minor_dets(holo, A)  # (nh, nh, X): det A[I,K]
-        Ma = minor_dets(anti, A)
-        # P[(I,J),(K,L)] = det(A[I,K]) * conj(det(A[J,L])) * det h
-        nh, na = len(holo), len(anti)
-        P = (
-            Mh[:, None, :, None, :]
-            * np.conj(Ma)[None, :, None, :, :]
-        ).reshape(S, S, X)
-        P = np.moveaxis(P, -1, 0) * detvol[:, None, None]
-        # Q with v^H Q u convention: Q[a,b] = <e_b, e_a> = conj(P[a,b])
-        return np.conj(P)
+        """Q(x) with pointwise <u,v>_omega dV_omega = v(x)^H Q(x) u(x) over
+        the struct basis, dV_omega = det(h) tau, as an (X, S*S) array whose
+        columns run over Q[(I,J),(K,L)] in the order (I, K, J, L).  Read
+        once per bidegree, by gram, so it is not kept."""
+        # <dz^j, dz^k> = (h^{-1})_{kj}; this orientation makes |omega|^2 = n.
+        # Q[(I,J),(K,L)] = conj(det A[I,K]) * det A[J,L] * det h
+        _, deth = self._inverse_and_volume()
+        X = len(deth)
+        Ch = np.conj(self._compound(p)).reshape(X, -1, 1)
+        Ca = (self._compound(q) * deth[:, None, None]).reshape(X, 1, -1)
+        return (Ch * Ca).reshape(X, -1)
 
     # -- Gram matrices -------------------------------------------------------
 
     def gram(self, p, q):
-        """L^2 Gram matrix G with <<u, v>> = v^H G u in the basis order."""
+        """L^2 Gram matrix G with <<u, v>> = v^H G u in the basis order.
+
+        The (i, j) mode block is the grid Fourier coefficient of Q at
+        m_i - m_j, exact for the 4 max|m| + 1 grid; one product with the
+        complex's mode-difference weights computes all of them."""
 
         def build():
-            cx = self.complex
-            cat = cx.catalog
-            Q = self._pointwise_pairing(p, q)  # (X, S, S)
-            M = cat.n_modes
-            S = cat.struct_dim(p, q)
-            if cx.backend == "invariant":
-                G = Q[0]
-            else:
-                grid = cx.grid
-                X = cx.n_nodes
-                Qg = Q.reshape(*grid, S, S)
-                ax = tuple(range(len(grid)))
-                Qhat = np.fft.fftn(Qg, axes=ax) / X  # fhat(k) at lattice index k
-                modes = cat.modes
-                G = np.empty((M * S, M * S), dtype=complex)
-                for i, mi in enumerate(modes):
-                    for j, mj in enumerate(modes):
-                        # <<e_j, e_i>> pairing gives G[i-block, j-block]
-                        diff = tuple((a - b) % g for a, b, g in zip(mi, mj, grid))
-                        G[i * S : (i + 1) * S, j * S : (j + 1) * S] = Qhat[diff]
+            cat = self.complex.catalog
+            nh, na = math.comb(self.n, p), math.comb(self.n, q)
+            S = nh * na
+            W, index = self.complex.mode_difference_weights()
+            half = (W @ self._pointwise_pairing(p, q)).reshape(-1, nh, nh, na, na)
+            half = half.transpose(0, 1, 3, 2, 4).reshape(-1, S, S)
+            # Q(x) is Hermitian, so its coefficient at -d is the conjugate
+            # transpose of the one at d
+            table = np.concatenate([half, half.conj().transpose(0, 2, 1)])
+            MS = cat.n_modes * S
+            G = table[index].transpose(0, 2, 1, 3).reshape(MS, MS)
             return 0.5 * (G + G.conj().T)
 
         return self._cached(("gram", p, q), build)

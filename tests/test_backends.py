@@ -127,6 +127,10 @@ SPECTRAL_HEAD = "kind spectral\nn 3\nmodes axis K 1\n"
     (SPECTRAL_HEAD + "grid 7 5 5 5\n", 4),
     (SPECTRAL_HEAD + "grid 3\n", 4),
     (SPECTRAL_HEAD + "grid 5 5 5 3 5 5\n", 4),
+    (SPECTRAL_HEAD + "mode 1 0 0 0 0 0\nmode -1 0 0 0 0 0\n", 4),
+    ("kind spectral\nn 3\nmodes axis K x\n", 3),
+    ("kind invariant\nn 0\n", 2),
+    ("kind spectral\nn -1\nmodes axis K 1\n", 2),
 ])
 def test_parse_model_rejects_with_line(text, line):
     with pytest.raises(ModelError) as err:

@@ -1,8 +1,13 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hstorsion
 from hstorsion import cli
 from hstorsion.backends import format_complex
 from hstorsion.cli import EXIT_CONTRACT, EXIT_INPUT, EXIT_OK, run
@@ -192,3 +197,14 @@ def test_report_header(torus_file, tmp_path):
     assert head[1] == "command: classify"
     assert head[3].startswith("model_hash: ")
     assert len(head[3].split()[-1]) == 12
+
+
+def test_python_m_hstorsion(torus_file, tmp_path):
+    src = str(Path(hstorsion.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "hstorsion", "classify", "--model", torus_file,
+         "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert (tmp_path / "out" / "classify_report.txt").exists()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hstorsion.backends import build_complex, parse_model
+from hstorsion.backends import ModelError, build_complex, parse_model
 from hstorsion.deform import (FamilySpec, HypothesisError, family_diagnostics,
                               kahler_in_class, min_ddbar_solution,
                               neumann_dbar_solution, parse_family)
@@ -96,6 +96,13 @@ def test_parse_family_and_instantiate():
 def test_parse_family_requires_zero_sample():
     with pytest.raises(Exception):
         parse_family(FAMILY_TEXT.replace("0 0.5 1", "0.5 1"))
+
+
+@pytest.mark.parametrize("bad", ["poly(0, x)", "poly(0,, -1)", "poly(0, 1j)"])
+def test_parse_family_bad_coefficient_has_line(bad):
+    with pytest.raises(ModelError) as err:
+        parse_family(FAMILY_TEXT.replace("poly(0, -1)", bad))
+    assert err.value.line == 3
 
 
 def test_family_flags_dimension_jump():

@@ -1,12 +1,61 @@
+import gc
+import weakref
+from itertools import combinations
+
 import numpy as np
 import pytest
 
+from hstorsion.backends import build_complex, parse_model
 from hstorsion.forms import conjugate, wedge, zero_form
 from hstorsion.metric import (HermitianStructure, MetricError,
                               check_strong_positivity_11,
                               check_weak_positivity)
 
 from conftest import random_hermitian_structure
+
+N2K2_TEXT = """kind spectral
+n 2
+modes axis K 2
+potential 2 0 0 0 u 2 := 0.05
+potential 0 2 0 0 u 1 := 0.03+0.01i
+potential 0 0 -2 0 u 2 := 0.02i
+"""
+
+
+@pytest.fixture(scope="module")
+def n2k2_H():
+    cx = build_complex(parse_model(N2K2_TEXT))
+    return HermitianStructure(cx, omega=cx.metric_form())
+
+
+def _bidegrees(H):
+    return [(p, q) for p in range(H.n + 1) for q in range(H.n + 1)]
+
+
+def _minors(A, k):
+    """det A(x)[I, K] over the k-subsets I, K of range(n), shape (X, C, C)."""
+    idx = [list(I) for I in combinations(range(A.shape[-1]), k)]
+    out = [[np.linalg.det(A[:, I][:, :, K]) if k else np.ones(len(A)) for K in idx]
+           for I in idx]
+    return np.array(out).transpose(2, 0, 1)
+
+
+def _reference_gram(H, p, q):
+    """Spectral Gram matrix the direct way: minors of h^{-T} by determinants,
+    the full-grid FFT of the pointwise pairing, one mode block at a time."""
+    cx, cat = H.complex, H.complex.catalog
+    A = np.swapaxes(np.linalg.inv(H.h_nodes), 1, 2)
+    deth = np.real(np.linalg.det(H.h_nodes))
+    S, M, grid = cat.struct_dim(p, q), cat.n_modes, cx.grid
+    Q = np.einsum("xab,xcd,x->xacbd", np.conj(_minors(A, p)), _minors(A, q), deth)
+    axes = tuple(range(len(grid)))
+    Qhat = np.fft.fftn(Q.reshape(*grid, S, S), axes=axes) / cx.n_nodes
+    G = np.empty((M * S, M * S), dtype=complex)
+    for i, mi in enumerate(cat.modes):
+        for j, mj in enumerate(cat.modes):
+            diff = tuple((a - b) % g for a, b, g in zip(mi, mj, grid))
+            G[i * S:(i + 1) * S, j * S:(j + 1) * S] = Qhat[diff]
+    return 0.5 * (G + G.conj().T)
 
 
 def test_gram_hermitian_positive(iwasawa_cx, rng):
@@ -16,6 +65,50 @@ def test_gram_hermitian_positive(iwasawa_cx, rng):
         assert np.allclose(G, G.conj().T, atol=1e-12)
         w = np.linalg.eigvalsh(G)
         assert w.min() > 0
+
+
+@pytest.mark.parametrize("name", ["spectral_H", "n2k2_H"])
+def test_gram_matches_fft_reference(name, request):
+    H = request.getfixturevalue(name)
+    for p, q in _bidegrees(H):
+        G, ref = H.gram(p, q), _reference_gram(H, p, q)
+        assert np.abs(G - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("name", ["spectral_H", "n2k2_H"])
+def test_gram_conjugation_invariant(name, request):
+    # <<conj u, conj v>> = conj <<u, v>>, so G(q,p) = K conj(G(p,q)) K^T
+    H = request.getfixturevalue(name)
+    for p, q in _bidegrees(H):
+        K = H.complex.catalog.conj_permutation(p, q)
+        G, Gc = H.gram(q, p), K @ np.conj(H.gram(p, q)) @ K.T
+        assert np.abs(G - Gc).max() <= 1e-13 * np.abs(G).max()
+
+
+def test_compound_inverse_identity(spectral_H, rng):
+    # Cauchy-Binet: compound_k(h^{-1}) compound_k(h) = I at every node; the
+    # invariant n = 4 metric reaches the general minors (k = 2)
+    cx4 = build_complex(parse_model("kind invariant\nn 4\n"))
+    for H in (spectral_H, random_hermitian_structure(cx4, rng)):
+        for k in range(H.n + 1):
+            inv_k = np.swapaxes(H._compound(k), 1, 2)  # compound of A^T = h^{-1}
+            prod = inv_k @ _minors(H.h_nodes, k)
+            assert np.abs(prod - np.eye(prod.shape[-1])).max() <= 1e-12
+
+
+def test_difference_weights_belong_to_their_complex():
+    flat = "kind spectral\nn 2\nmodes axis K 1\n"
+    cxs = [build_complex(parse_model(flat + f"grid {g}\n")) for g in (5, 7)]
+    tables = [cx.mode_difference_weights()[0] for cx in cxs]
+    for cx, W in zip(cxs, tables):
+        assert W.shape == (21, cx.n_nodes)  # zero and one of each +-d: 1 + 40 / 2
+        assert cx.mode_difference_weights()[0] is W
+        G = HermitianStructure(cx, h=np.eye(2)).gram(1, 1)
+        assert np.abs(G - np.eye(len(G))).max() <= 1e-14
+    ref = weakref.ref(tables[0])
+    del cxs, tables, cx, W
+    gc.collect()
+    assert ref() is None
 
 
 def test_norm_of_omega(spectral_H):
