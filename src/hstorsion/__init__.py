@@ -1,18 +1,17 @@
 """Numerical operator calculus for Hermitian-symplectic torsion forms.
 
 The package works on finite-dimensional bigraded complexes of (p,q)-forms
-with two backends (invariant Lie-algebra models and spectral torus
-truncations), and provides metric structures, Bott-Chern / Dolbeault
-cohomology, torsion forms of Hermitian-symplectic metrics, the associated
-energy functional with its gradient flow, and Kahler deformation tools.
+on Fourier-truncated tori (an invariant Lie-algebra model is the torus with
+no axes), and provides metric structures, Bott-Chern / Dolbeault cohomology,
+torsion forms of Hermitian-symplectic metrics, the associated energy
+functional with its gradient flow, and Kahler deformation tools.
 """
 
 from .forms import Bidegree, DegreeError, Form, conjugate, wedge, zero_form
 from .backends import (
     FormComplex,
-    InvariantModel,
+    Model,
     ModelError,
-    SpectralTorusModel,
     build_complex,
     parse_model,
 )
@@ -34,9 +33,8 @@ __all__ = [
     "wedge",
     "zero_form",
     "FormComplex",
-    "InvariantModel",
+    "Model",
     "ModelError",
-    "SpectralTorusModel",
     "build_complex",
     "parse_model",
     "HermitianStructure",

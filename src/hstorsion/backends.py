@@ -1,14 +1,12 @@
 """Concrete finite-dimensional form complexes and the model-file parser.
 
-Two backends:
-
-* invariant -- left-invariant forms on a complex Lie-algebra model given by
-  the differentials of the (1,0) coframe generators;
-* spectral  -- Fourier-truncated forms on the complex torus with unit periods
-  in every real coordinate, z_j = x_j + i x_{n+j}.
-
-Both expose the matrices of d-split operators del and delbar per bidegree in
-the fixed basis order of forms.BasisCatalog.
+Every model is a Fourier-truncated torus with unit periods in its axes,
+z_j = x_j + i x_{n+j}, whose (1,0) coframe generators may carry structure
+constants.  A spectral model has 2n axes and no structure constants; a
+Lie-algebra (invariant) model is the torus with no axes: one mode, one
+quadrature node, and left-invariant forms.  One assembly gives del and
+delbar per bidegree in the fixed basis order of forms.BasisCatalog, and the
+CLI writes every basis row of a form, zero or not.
 """
 
 from __future__ import annotations
@@ -23,17 +21,15 @@ import numpy as np
 from .forms import (
     BasisCatalog,
     Bidegree,
-    DegreeError,
     Form,
+    _Memo,
     basis_form,
     conjugate,
-    sort_covectors_sign,
     zero_form,
 )
 
 __all__ = [
-    "InvariantModel",
-    "SpectralTorusModel",
+    "Model",
     "FormComplex",
     "ModelError",
     "parse_model",
@@ -43,6 +39,7 @@ __all__ = [
 ]
 
 STRUCTURE_TOL = 1e-12
+_HOLO, _ANTI = Bidegree(1, 0), Bidegree(0, 1)  # the bidegrees of dz^j, dzbar^j
 
 
 class ModelError(ValueError):
@@ -61,20 +58,34 @@ class ModelError(ValueError):
 
 
 @dataclass
-class InvariantModel:
-    """Complex Lie-algebra model: d of each (1,0) generator phi^k expressed in
-    the canonical 2-form basis.
+class Model:
+    """A finite model of a compact complex manifold: Fourier-truncated forms
+    on a torus with unit periods in its axes, z_j = x_j + i x_{n+j}, whose
+    (1,0) coframe generators phi^k may have non-zero differentials.
 
-    d_phi[k] maps a 2-form label to its coefficient; labels are
-    ("e", i, j) = phi^i ^ phi^j, ("f", i, j) = phi^i ^ phibar^j,
-    ("g", i, j) = phibar^i ^ phibar^j  (i < j for e/g).
+    A Lie-algebra model is the torus with no axes: mode set ((),), grid (),
+    one formal node.  A spectral model has 2n axes and no structure
+    constants.  d_phi[k] maps a 2-form label to the coefficient of d phi^k;
+    labels are ("e", i, j) = phi^i ^ phi^j (i < j), ("f", i, j) = phi^i ^
+    phibar^j and ("g", i, j) = phibar^i ^ phibar^j (i < j), which must
+    vanish (integrability).
     """
 
     n: int
     d_phi: dict = field(default_factory=dict)
-    metric: np.ndarray | None = None
+    mode_set: tuple = ((),)
+    grid: tuple = ()  # quadrature nodes per axis
+    metric: np.ndarray | None = None  # constant part, n x n Hermitian
+    metric_modes: dict = field(default_factory=dict)  # mode -> n x n coeff matrix
+    # (1,0) potential u, mode -> length-n vector; the metric gains
+    # dbar(u) + del(conj u), which keeps it Hermitian-symplectic
+    potential_modes: dict = field(default_factory=dict)
 
-    def validate(self):
+    def validate(self, grid_line=None):
+        """Raise ModelError on malformed structure constants, a malformed
+        mode set or a grid too coarse for exact quadrature; grid_line is the
+        source line of the grid, if any.  d^2 = 0 is checked on the
+        assembled complex."""
         for k, terms in self.d_phi.items():
             if not (1 <= k <= self.n):
                 raise ModelError(f"generator index {k} out of range 1..{self.n}")
@@ -85,201 +96,114 @@ class InvariantModel:
                     raise ModelError(f"index out of range in {kind}({i},{j})")
                 if kind in ("e", "g") and i >= j:
                     raise ModelError(f"{kind}({i},{j}) requires i < j")
-                if kind == "g" and abs(c) > STRUCTURE_TOL:
+                if kind == "g" and c != 0:
                     raise ModelError(
                         f"d phi^{k} has a (0,2) component {kind}({i},{j}); "
                         "complex structure is not integrable"
                     )
-        # d^2 = 0 is checked on the assembled complex in build_complex
-
-
-@dataclass
-class SpectralTorusModel:
-    """Fourier truncation on the torus: finite symmetric mode set in Z^{2n}
-    and a per-axis quadrature node count."""
-
-    n: int
-    mode_set: tuple
-    grid: tuple
-    metric: np.ndarray | None = None  # constant part, n x n Hermitian
-    metric_modes: dict = field(default_factory=dict)  # mode -> n x n coeff matrix
-    # (1,0) potential u, mode -> length-n vector; the metric gains
-    # dbar(u) + del(conj u), which keeps it Hermitian-symplectic
-    potential_modes: dict = field(default_factory=dict)
-
-    def validate(self, grid_line=None):
-        """Raise ModelError on a malformed mode set or a grid too coarse for
-        exact quadrature; grid_line is the source line of the grid, if any."""
+        axes = len(self.grid)
         modes = {tuple(m) for m in self.mode_set}
-        if any(len(m) != 2 * self.n for m in modes):
-            raise ModelError(f"modes must have {2 * self.n} components")
-        if tuple([0] * (2 * self.n)) not in modes:
+        if axes not in (0, 2 * self.n) or any(len(m) != axes for m in modes):
+            raise ModelError(f"modes and grid must have 0 or {2 * self.n} axes")
+        if (0,) * axes not in modes:
             raise ModelError("mode set must contain the zero mode")
         for m in modes:
             if tuple(-c for c in m) not in modes:
                 raise ModelError(f"mode set not symmetric: missing -{m}")
-        maxm = [max(abs(m[a]) for m in modes) for a in range(2 * self.n)]
-        for a, (g, mm) in enumerate(zip(self.grid, maxm)):
-            if g < 4 * mm + 1:
+        for a, g in enumerate(self.grid):
+            floor = 4 * max(abs(m[a]) for m in modes) + 1
+            if g < floor:
                 raise ModelError(
-                    f"grid size {g} on axis {a + 1} below 4*max|m|+1 = {4 * mm + 1}; "
+                    f"grid size {g} on axis {a + 1} below 4*max|m|+1 = {floor}; "
                     "quadrature would not be exact for 4-factor products",
                     grid_line,
                 )
 
-    @staticmethod
-    def axis_modes(n, K):
-        """The zero mode and +-K e_a for every lattice axis a."""
-        z = [0] * (2 * n)
-        modes = [tuple(z)]
-        for a in range(2 * n):
-            for s in (K, -K):
-                m = list(z)
-                m[a] = s
-                modes.append(tuple(m))
-        return tuple(modes)
 
-
-class FormComplex:
+class FormComplex(_Memo):
     """A finite bigraded complex with del and delbar matrices per bidegree.
 
-    Immutable after construction.  For the spectral backend it also carries
-    the quadrature grid, node plane-wave matrix and weights used by every
-    metric-dependent computation downstream.
+    Immutable after construction.  It also carries the quadrature grid,
+    node plane-wave matrix and weights used by every metric-dependent
+    computation downstream; a model with no axes has one node.
     """
 
-    def __init__(self, catalog: BasisCatalog, backend: str, model):
-        self.catalog = catalog
-        self.n = catalog.n
-        self.backend = backend
+    def __init__(self, model: Model):
+        super().__init__()
+        self.catalog = BasisCatalog(model.n, model.mode_set)
+        self.n = model.n
         self.model = model
         self._del = {}
         self._dbar = {}
-        self._eval_matrix = None
-        self._difference_weights = None
-        self._build_differentials()
+        self._assemble()
         self._check_complex_identities()
 
     # -- assembly -------------------------------------------------------
 
-    def _d_generator_forms(self):
-        """d phi^k and d phibar^k as (2,0)+(1,1) / (1,1)+(0,2) coefficient
-        dictionaries over covector words, invariant backend only."""
-        model = self.model
-        dz = {}  # k -> list of (coef, holo_tuple, anti_tuple)
+    def _leibniz_terms(self):
+        """The structure-constant part of d, as d = sum_k d phi^k ^ iota_k
+        + d phibar^k ^ iotabar_k with d phibar^k = conj(d phi^k), where
+        iota_k removes phi^k.  Returns, per bidegree step (1,0) (del) and
+        (0,1) (dbar), the list of (c, word, (bd, k)): c times the wedge by
+        the covectors of word, a tuple of (bidegree, index) in wedge order,
+        after removing covector k of bidegree bd."""
+        cat, zero = self.catalog, self.catalog.zero_mode
+        terms = {_HOLO: [], _ANTI: []}
         for k in range(1, self.n + 1):
-            terms = []
-            for (kind, i, j), c in model.d_phi.get(k, {}).items():
-                if abs(c) <= 0:
-                    continue
+            d_phi = [zero_form(cat, 2, 0), zero_form(cat, 1, 1)]
+            for (kind, i, j), c in self.model.d_phi.get(k, {}).items():
+                # validate admits only zero (0,2) terms g(i,j)
                 if kind == "e":
-                    terms.append((c, (i, j), ()))
+                    d_phi[0].coeffs[cat.flat_index(zero, (i, j), ())] += c
                 elif kind == "f":
-                    terms.append((c, (i,), (j,)))
-                else:
-                    terms.append((c, (), (i, j)))
-            dz[k] = terms
-        return dz
+                    d_phi[1].coeffs[cat.flat_index(zero, (i,), (j,))] += c
+            for bd, gen in ((_HOLO, d_phi), (_ANTI, map(conjugate, d_phi))):
+                for u in gen:
+                    structs, _ = cat.struct_indices(u.p, u.q)
+                    values = u.coeffs.reshape(cat.n_modes, -1)[cat.mode_pos[zero]]
+                    terms[Bidegree(u.p - bd.p, u.q - bd.q)] += [
+                        (c, tuple((_HOLO, i) for i in I) + tuple((_ANTI, j) for j in J),
+                         (bd, k))
+                        for (I, J), c in zip(structs, values) if c != 0]
+        return terms
 
-    def _build_differentials(self):
-        n = self.n
-        for p in range(n + 1):
-            for q in range(n + 1):
-                dim = self.catalog.dim(p, q)
-                dpq = (
-                    np.zeros((self.catalog.dim(p + 1, q), dim), dtype=complex)
-                    if p < n
-                    else np.zeros((0, dim), dtype=complex)
-                )
-                dbpq = (
-                    np.zeros((self.catalog.dim(p, q + 1), dim), dtype=complex)
-                    if q < n
-                    else np.zeros((0, dim), dtype=complex)
-                )
-                self._del[(p, q)] = dpq
-                self._dbar[(p, q)] = dbpq
-        if self.backend == "invariant":
-            self._fill_invariant()
-        else:
-            self._fill_spectral()
+    def _assemble(self):
+        """del and dbar on every Lambda^{p,q}, one mode block at a time.
 
-    def _fill_invariant(self):
-        n = self.n
-        dz = self._d_generator_forms()
-        # d phibar^k = conjugate of d phi^k
-        dzbar = {
-            k: [(np.conj(c), J, I) for (c, I, J) in terms]
-            for k, terms in dz.items()
-        }
-        for p in range(n + 1):
-            for q in range(n + 1):
-                structs, _ = self.catalog.struct_indices(p, q)
-                for col, (I, J) in enumerate(structs):
-                    word = [("h", i) for i in I] + [("a", j) for j in J]
-                    for pos, (typ, lbl) in enumerate(word):
-                        gen_terms = dz[lbl] if typ == "h" else dzbar[lbl]
-                        rest = word[:pos] + word[pos + 1 :]
-                        rest_h = tuple(l for t, l in rest if t == "h")
-                        rest_a = tuple(l for t, l in rest if t == "a")
-                        parity = -1 if pos % 2 else 1
-                        for c, gh, ga in gen_terms:
-                            # (d gen) ^ rest, with d gen in front
-                            s, Ho, Ao = sort_covectors_sign(
-                                tuple(gh) + rest_h, tuple(ga) + rest_a
-                            )
-                            if s == 0:
-                                continue
-                            # move the anti part of d gen past rest's holo part
-                            swap = -1 if (len(ga) * len(rest_h)) % 2 else 1
-                            coef = parity * swap * s * c
-                            po, qo = len(Ho), len(Ao)
-                            if po > n or qo > n:
-                                continue
-                            row = self.catalog.flat_index((), Ho, Ao, po, qo)
-                            if (po, qo) == (p + 1, q):
-                                self._del[(p, q)][row, col] += coef
-                            elif (po, qo) == (p, q + 1):
-                                self._dbar[(p, q)][row, col] += coef
-                            else:
-                                raise ModelError(
-                                    "differential leaves the (p+1,q)/(p,q+1) "
-                                    "bidegrees; model is not integrable"
-                                )
-
-    def _fill_spectral(self):
-        n = self.n
-        modes = np.array(self.catalog.modes)  # (M, 2n)
-        # d e_m = e_m * sum_j [ pi*i*(m_j - i m_{n+j}) dz^j
-        #                     + pi*i*(m_j + i m_{n+j}) dzbar^j ]
-        c_del = np.pi * 1j * (modes[:, :n] - 1j * modes[:, n:])  # (M, n)
-        c_dbar = np.pi * 1j * (modes[:, :n] + 1j * modes[:, n:])
-        for p in range(n + 1):
-            for q in range(n + 1):
-                structs, _ = self.catalog.struct_indices(p, q)
-                S = self.catalog.struct_dim(p, q)
-                for col_s, (I, J) in enumerate(structs):
-                    for j in range(1, n + 1):
-                        # dz^j ^ phi^I ^ phibar^J
-                        if j not in I and p + 1 <= n:
-                            s, Ho, Ao = sort_covectors_sign((j,) + I, J)
-                            So = self.catalog.struct_dim(p + 1, q)
-                            _, pos = self.catalog.struct_indices(p + 1, q)
-                            r = pos[(Ho, Ao)]
-                            for mi in range(len(modes)):
-                                self._del[(p, q)][mi * So + r, mi * S + col_s] += (
-                                    s * c_del[mi, j - 1]
-                                )
-                        # dzbar^j ^ phi^I ^ phibar^J: move past the p holos
-                        if j not in J and q + 1 <= n:
-                            s, Ho, Ao = sort_covectors_sign(I, (j,) + J)
-                            swap = -1 if p % 2 else 1
-                            So = self.catalog.struct_dim(p, q + 1)
-                            _, pos = self.catalog.struct_indices(p, q + 1)
-                            r = pos[(Ho, Ao)]
-                            for mi in range(len(modes)):
-                                self._dbar[(p, q)][mi * So + r, mi * S + col_s] += (
-                                    swap * s * c_dbar[mi, j - 1]
-                                )
+        On e_m phi^I ^ phibar^J each is the sum of a mode part, the symbol
+        pi i (m_j - i m_{n+j}) (del) or pi i (m_j + i m_{n+j}) (dbar) times
+        dz^j ^ (dzbar^j ^), which vanishes when there are no axes, and the
+        mode-independent Leibniz part of the structure constants."""
+        cat, n, M = self.catalog, self.n, self.catalog.n_modes
+        # a mode with no axes is the zero vector, whose symbol vanishes
+        m = np.zeros((M, 2 * n))
+        m[:, : len(cat.modes[0])] = cat.modes
+        steps = {_HOLO: (self._del, np.pi * 1j * (m[:, :n] - 1j * m[:, n:])),
+                 _ANTI: (self._dbar, np.pi * 1j * (m[:, :n] + 1j * m[:, n:]))}
+        leibniz = self._leibniz_terms()
+        ar = np.arange(M)
+        for p, q in product(range(n + 1), repeat=2):
+            S = cat.struct_dim(p, q)
+            for step, (mats, symbol) in steps.items():
+                if p + step.p > n or q + step.q > n:
+                    mats[(p, q)] = np.zeros((0, M * S), dtype=complex)
+                    continue
+                So = cat.struct_dim(p + step.p, q + step.q)
+                block = np.zeros((M, So, S), dtype=complex)
+                block += np.einsum("mj,jrs->mrs", symbol, cat.covector_wedge(step, p, q))
+                for c, word, (bd, k) in leibniz[step]:
+                    lo = (p - bd.p, q - bd.q)
+                    if min(lo) < 0:
+                        continue
+                    # removing a covector is the transpose of wedging by it
+                    mat = cat.covector_wedge(bd, *lo)[k - 1].T
+                    for w, j in reversed(word):
+                        mat = cat.covector_wedge(w, *lo)[j - 1] @ mat
+                        lo = (lo[0] + w.p, lo[1] + w.q)
+                    block += c * mat
+                out = np.zeros((M, So, M, S), dtype=complex)
+                out[ar, :, ar, :] = block
+                mats[(p, q)] = out.reshape(M * So, M * S)
 
     def _check_complex_identities(self):
         for p in range(self.n + 1):
@@ -334,34 +258,26 @@ class FormComplex:
         """(del u, delbar u); d u is their sum."""
         return self.apply_del(u), self.apply_dbar(u)
 
-    # -- quadrature / evaluation (spectral) -------------------------------
+    # -- quadrature / evaluation -------------------------------------------
 
     @property
     def grid(self):
-        if self.backend != "spectral":
-            return (1,)
         return tuple(self.model.grid)
 
+    def _node_indices(self):
+        """Integer node coordinates j, shape (axes, X); node x = j / grid."""
+        return np.indices(self.grid).reshape(len(self.grid), self.n_nodes)
+
     def nodes(self):
-        """Quadrature node coordinates, shape (X, 2n); invariant backend has
-        the single formal node."""
-        if self.backend != "spectral":
-            return np.zeros((1, 0))
-        axes = [np.arange(g) / g for g in self.grid]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        """Quadrature node coordinates, shape (X, axes); with no axes, the
+        one formal node has no coordinates."""
+        return np.ascontiguousarray(self._node_indices().T / np.array(self.grid))
 
     def eval_matrix(self):
-        """Plane-wave matrix E with E[x, m] = exp(2 pi i m . x_node); the
-        invariant backend returns [[1]]."""
-        if self._eval_matrix is None:
-            if self.backend != "spectral":
-                self._eval_matrix = np.ones((1, 1), dtype=complex)
-            else:
-                x = self.nodes()
-                m = np.array(self.catalog.modes)
-                self._eval_matrix = np.exp(2j * np.pi * (x @ m.T))
-        return self._eval_matrix
+        """Plane-wave matrix E with E[x, m] = exp(2 pi i m . x_node); [[1]]
+        when there are no axes."""
+        return self._cached("eval", lambda: np.exp(
+            2j * np.pi * (self.nodes() @ np.array(self.catalog.modes).T)))
 
     def mode_difference_weights(self):
         """Quadrature at the differences of two modes, for the Gram matrices.
@@ -370,9 +286,10 @@ class FormComplex:
         the distinct differences d_r = m_i - m_j with d_r >= -d_r
         (lexicographically), so W @ f holds the Fourier coefficients of a
         node function f at those d_r; index[i, j] is r where m_i - m_j = d_r
-        and len(W) + r where m_i - m_j = -d_r.  The invariant backend
-        returns ([[1]], [[0]])."""
-        if self._difference_weights is None:
+        and len(W) + r where m_i - m_j = -d_r.  With no axes this is
+        ([[1]], [[0]])."""
+
+        def build():
             pos, rows, flipped = {}, [], []
             for mi in self.catalog.modes:
                 for mj in self.catalog.modes:
@@ -383,15 +300,14 @@ class FormComplex:
             M = self.catalog.n_modes
             index = (np.array(rows) + len(pos) * np.array(flipped)).reshape(M, M)
             D = np.array(list(pos), dtype=int).reshape(len(pos), -1)
-            grid = np.array(self.grid)[: D.shape[1]]  # no axes when invariant
+            grid = np.array(self.grid, dtype=int)
             # d . x in whole units of 1/L, reduced to (-L/2, L/2] before exp
-            L = math.lcm(*grid.tolist())
-            j = np.indices(tuple(grid)).reshape(len(grid), self.n_nodes)
-            r = (D * (L // grid)) @ j % L
+            L = math.lcm(*self.grid)
+            r = (D * (L // grid)) @ self._node_indices() % L
             r = np.where(2 * r > L, r - L, r)
-            W = np.exp(-2j * np.pi * r / L) / self.n_nodes
-            self._difference_weights = (W, index)
-        return self._difference_weights
+            return np.exp(-2j * np.pi * r / L) / self.n_nodes, index
+
+        return self._cached("difference_weights", build)
 
     @property
     def n_nodes(self):
@@ -406,17 +322,13 @@ class FormComplex:
     def mode_coefficients(self, values):
         """Inverse of evaluate: exact Fourier coefficients on the grid for
         the in-set modes.  values has shape (X, S)."""
-        if self.backend != "spectral":
-            return np.asarray(values).reshape(-1)
         grid = self.grid
         S = values.shape[1]
         v = np.asarray(values, dtype=complex).reshape(*grid, S)
-        ax = tuple(range(len(grid)))
-        chat = np.fft.fftn(v, axes=ax) / self.n_nodes
+        chat = np.fft.fftn(v, axes=tuple(range(len(grid)))) / self.n_nodes
         out = np.empty((self.catalog.n_modes, S), dtype=complex)
         for i, m in enumerate(self.catalog.modes):
-            idx = tuple(mi % g for mi, g in zip(m, grid))
-            out[i] = chat[idx]
+            out[i] = chat[tuple(mi % g for mi, g in zip(m, grid))]
         return out.reshape(-1)
 
     # -- helpers -----------------------------------------------------------
@@ -431,8 +343,7 @@ class FormComplex:
         """The (1,1)-form i sum_jk h_jk e_mode dz^j ^ dzbar^k for an n x n
         matrix h; the zero mode by default."""
         cat = self.catalog
-        if mode is None:
-            mode = tuple([0] * len(cat.modes[0]))
+        mode = cat.zero_mode if mode is None else mode
         u = zero_form(cat, 1, 1)
         S = cat.struct_dim(1, 1)
         start = cat.mode_pos[tuple(mode)] * S
@@ -447,11 +358,11 @@ class FormComplex:
         cat = self.catalog
         h0 = self.model.metric
         u = self.hermitian_form(np.eye(n, dtype=complex) if h0 is None else h0)
-        for mode, mat in getattr(self.model, "metric_modes", {}).items():
+        for mode, mat in self.model.metric_modes.items():
             if tuple(mode) not in cat.modes:
                 raise ModelError(f"metric_mode {mode} is not in the mode set")
             u = u + self.hermitian_form(mat, mode)
-        pot = getattr(self.model, "potential_modes", {})
+        pot = self.model.potential_modes
         if pot:
             v = zero_form(cat, 1, 0)
             for mode, vec in pot.items():
@@ -473,16 +384,10 @@ class FormComplex:
         return u
 
 
-def build_complex(model) -> FormComplex:
+def build_complex(model: Model) -> FormComplex:
     """Assemble the validated model into a FormComplex."""
     model.validate()
-    if isinstance(model, InvariantModel):
-        return FormComplex(BasisCatalog(model.n, ((),)), "invariant", model)
-    if isinstance(model, SpectralTorusModel):
-        return FormComplex(
-            BasisCatalog(model.n, model.mode_set), "spectral", model
-        )
-    raise TypeError(f"unknown model type {type(model)!r}")
+    return FormComplex(model)
 
 
 # ---------------------------------------------------------------------------
@@ -675,10 +580,10 @@ def parse_model(text: str):
         if (mode_lines or axis_spec is not None or grid is not None
                 or potential_entries or metric_modes):
             raise ModelError("spectral directives in an invariant model")
-        model = InvariantModel(n=n, d_phi=d_phi, metric=const_h)
+        model = Model(n=n, d_phi=d_phi, metric=const_h)
         model.validate()
-        # d^2 = 0 and integrability checked by assembling once
-        build_complex(model)
+        if any(d_phi.values()):
+            build_complex(model)  # d^2 = 0 is checked by assembling once
         return model
 
     for mode, ln in mode_lines:
@@ -687,9 +592,12 @@ def parse_model(text: str):
         if axis_spec is not None:
             raise ModelError("'mode' lines cannot be combined with 'modes axis K'", ln)
     if axis_spec is not None:
-        modes = SpectralTorusModel.axis_modes(n, axis_spec)
+        # the zero mode and +-K e_a for every lattice axis a
+        modes = [(0,) * (2 * n)] + [
+            tuple(s if b == a else 0 for b in range(2 * n))
+            for a in range(2 * n) for s in (axis_spec, -axis_spec)]
     elif mode_lines:
-        modes = tuple(mode for mode, _ in mode_lines)
+        modes = [mode for mode, _ in mode_lines]
     else:
         raise ModelError("spectral model needs 'modes axis K' or 'mode' lines")
     floor = [4 * max(abs(m[a]) for m in modes) + 1 for a in range(2 * n)]
@@ -707,13 +615,7 @@ def parse_model(text: str):
         if not (1 <= j <= n):
             raise ModelError(f"potential index {j} out of range 1..{n}", ln)
         potential_modes.setdefault(mk, np.zeros(n, dtype=complex))[j - 1] = c
-    model = SpectralTorusModel(
-        n=n,
-        mode_set=tuple(modes),
-        grid=tuple(grid),
-        metric=const_h,
-        metric_modes=metric_modes,
-        potential_modes=potential_modes,
-    )
+    model = Model(n=n, mode_set=tuple(modes), grid=tuple(grid), metric=const_h,
+                  metric_modes=metric_modes, potential_modes=potential_modes)
     model.validate(grid_line=grid_ln)
     return model

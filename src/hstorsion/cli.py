@@ -75,26 +75,18 @@ def _write_csv(path: Path, fieldnames, rows):
 
 def _load(args):
     text = Path(args.model).read_text()
-    model = parse_model(text)
-    cx = build_complex(model)
-    H = HermitianStructure(cx, omega=cx.metric_form())
-    return text, cx, H
+    cx = build_complex(parse_model(text))
+    return text, HermitianStructure(cx, omega=cx.metric_form())
 
 
-def _form_rows(cx, u):
-    rows = []
-    for i, b in enumerate(cx.catalog.basis(u.p, u.q)):
-        if u.coeffs[i] != 0:
-            rows.append(
-                {
-                    "index": i,
-                    "mode": " ".join(map(str, b.mode)),
-                    "holo": " ".join(map(str, b.holo)),
-                    "anti": " ".join(map(str, b.anti)),
-                    "value": format_complex(u.coeffs[i]),
-                }
-            )
-    return rows
+def _write_form(path: Path, u):
+    """One row per basis element of u's bidegree, zero coefficients included,
+    so the row set does not depend on rounding."""
+    _write_csv(path, ["index", "mode", "holo", "anti", "value"], [
+        {"index": i, "mode": " ".join(map(str, b.mode)),
+         "holo": " ".join(map(str, b.holo)), "anti": " ".join(map(str, b.anti)),
+         "value": format_complex(c)}
+        for i, (b, c) in enumerate(zip(u.catalog.basis(u.p, u.q), u.coeffs))])
 
 
 # ---------------------------------------------------------------------------
@@ -103,13 +95,13 @@ def _form_rows(cx, u):
 
 
 def cmd_classify(args):
-    text, cx, H = _load(args)
+    text, H = _load(args)
     rep = Report(args, text)
     cls = classify(H, tol=args.tol)
     rep.add(str(cls))
     if cls.truncated_power:
         rep.add("note: balanced / strongly-Gauduchon tests use a mode-"
-                "truncated omega power on this backend")
+                "truncated omega power")
     table = cohomology_table(H)
     if args.bidegree:
         for p, q in args.bidegree:
@@ -129,7 +121,7 @@ def cmd_classify(args):
 
 
 def cmd_torsion(args):
-    text, cx, H = _load(args)
+    text, H = _load(args)
     rep = Report(args, text)
     try:
         tr = torsion_form(H, tol=args.tol)
@@ -143,9 +135,7 @@ def cmd_torsion(args):
         f"minimality gap vs oracle: {tr.minimality_gap:.3e}",
     )
     out = Path(args.out)
-    _write_csv(out / "torsion.csv",
-               ["index", "mode", "holo", "anti", "value"],
-               _form_rows(cx, tr.rho))
+    _write_form(out / "torsion.csv", tr.rho)
     rep.write(out, "torsion_report.txt")
     if tr.closedness_residual > 1e-8 or tr.minimality_gap > 1e-6:
         rep.add("contract violation: torsion certification exceeded tolerance")
@@ -155,7 +145,7 @@ def cmd_torsion(args):
 
 
 def cmd_energy(args):
-    text, cx, H = _load(args)
+    text, H = _load(args)
     rep = Report(args, text)
     try:
         f, tr = energy(H, tol=args.tol)
@@ -180,9 +170,9 @@ def cmd_energy(args):
 
 
 def cmd_flow(args):
-    text, cx, H = _load(args)
+    text, H = _load(args)
     rep = Report(args, text)
-    point = AeppliPoint(cx, H.omega)
+    point = AeppliPoint(H.complex, H.omega)
     try:
         res = gradient_descent(point, max_iters=args.max_iters, tol=args.tol)
     except NotHermitianSymplectic as e:
@@ -200,9 +190,7 @@ def cmd_flow(args):
     _write_csv(out / "flow.csv",
                ["iter", "energy", "grad_norm", "step", "margin", "d_residual"],
                res.history)
-    _write_csv(out / "flow_potential.csv",
-               ["index", "mode", "holo", "anti", "value"],
-               _form_rows(cx, res.point.u))
+    _write_form(out / "flow_potential.csv", res.point.u)
     rep.write(out, "flow_report.txt")
     es = [row["energy"] for row in res.history]
     if any(b > a + 1e-12 for a, b in zip(es, es[1:])):
@@ -213,7 +201,7 @@ def cmd_flow(args):
 
 
 def cmd_kahler(args):
-    text, cx, H = _load(args)
+    text, H = _load(args)
     rep = Report(args, text)
     try:
         kr = kahler_in_class(H, tol=args.tol)
@@ -228,12 +216,8 @@ def cmd_kahler(args):
         f"positivity: {kr.positivity}",
     )
     out = Path(args.out)
-    _write_csv(out / "kahler_potential.csv",
-               ["index", "mode", "holo", "anti", "value"],
-               _form_rows(cx, kr.u_min))
-    _write_csv(out / "kahler_metric.csv",
-               ["index", "mode", "holo", "anti", "value"],
-               _form_rows(cx, kr.omega_tilde))
+    _write_form(out / "kahler_potential.csv", kr.u_min)
+    _write_form(out / "kahler_metric.csv", kr.omega_tilde)
     rep.write(out, "kahler_report.txt")
     if kr.d_residual > 1e-8:
         rep.add("contract violation: candidate not d-closed despite hypothesis")

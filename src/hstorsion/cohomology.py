@@ -232,7 +232,7 @@ def cohomology_table(H: HermitianStructure, rcond=KERNEL_RCOND) -> CohomologyTab
             h_dbar_rank = _stack_kernel_dim([db], N, rcond) - (
                 _rank(db_in, rcond) if db_in is not None else 0
             )
-            h_dbar_ker = gram_eig(laplacian_dbar(H, p, q), H.chol(p, q), rcond).kernel_dim
+            h_dbar_ker = green_operator(H, p, q, "dbar", rcond).kernel_dim
             table.cross_checks.append(("dbar", p, q, h_dbar_ker, h_dbar_rank))
             if h_dbar_ker != h_dbar_rank:
                 raise CohomologyMismatch(
@@ -242,7 +242,7 @@ def cohomology_table(H: HermitianStructure, rcond=KERNEL_RCOND) -> CohomologyTab
             h_bc_rank = _stack_kernel_dim([d, db], N, rcond) - (
                 _rank(dd_in, rcond) if dd_in is not None else 0
             )
-            h_bc_ker = gram_eig(laplacian_bc(H, p, q), H.chol(p, q), rcond).kernel_dim
+            h_bc_ker = green_operator(H, p, q, "bc", rcond).kernel_dim
             table.cross_checks.append(("bc", p, q, h_bc_ker, h_bc_rank))
             if h_bc_ker != h_bc_rank:
                 raise CohomologyMismatch(

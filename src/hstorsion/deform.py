@@ -19,8 +19,7 @@ import numpy as np
 
 from .backends import (ModelError, build_complex, format_complex, parse_complex,
                        parse_model)
-from .cohomology import (KERNEL_RCOND, gram_eig, green_operator,
-                         laplacian_bc, laplacian_dbar)
+from .cohomology import KERNEL_RCOND, green_operator
 from .energy import differential_riesz
 from .forms import Bidegree, Form, conjugate
 from .metric import HermitianStructure, MetricError, check_strong_positivity_11
@@ -289,16 +288,11 @@ class FamilyTable:
 
 
 def _dims_row(H):
-    out = {}
-    for label, (p, q), which in [
-        ("h_bc_02", (0, 2), "bc"),
-        ("h_bc_21", (2, 1), "bc"),
-        ("h_dbar_01", (0, 1), "dbar"),
-        ("h_dbar_02", (0, 2), "dbar"),
-    ]:
-        L = laplacian_bc(H, p, q) if which == "bc" else laplacian_dbar(H, p, q)
-        out[label] = gram_eig(L, H.chol(p, q)).kernel_dim
-    return out
+    return {label: green_operator(H, p, q, which).kernel_dim
+            for label, (p, q), which in [("h_bc_02", (0, 2), "bc"),
+                                         ("h_bc_21", (2, 1), "bc"),
+                                         ("h_dbar_01", (0, 1), "dbar"),
+                                         ("h_dbar_02", (0, 2), "dbar")]}
 
 
 def family_diagnostics(spec: FamilySpec, tol: float = CLASSIFY_TOL,

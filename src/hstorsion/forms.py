@@ -4,10 +4,10 @@ A (p,q)-form is a complex coefficient vector over basis elements
 
     e_mode * dz^{i_1} ^ ... ^ dz^{i_p} ^ dzbar^{j_1} ^ ... ^ dzbar^{j_q}
 
-with strictly increasing multi-indices I, J in {1..n} and a backend-dependent
-scalar mode label (the unit label () for invariant complexes, an integer
-lattice vector for the Fourier torus).  The basis order is lexicographic on
-(mode, I, J) and every operator matrix in the package is expressed in it.
+with strictly increasing multi-indices I, J in {1..n} and a mode label, an
+integer lattice vector with one entry per torus axis (the empty label () when
+there are no axes).  The basis order is lexicographic on (mode, I, J) and
+every operator matrix in the package is expressed in it.
 """
 
 from __future__ import annotations
@@ -81,33 +81,6 @@ def merge_sign(a: tuple, b: tuple):
     return (-1 if inversions % 2 else 1), merged
 
 
-def sort_covectors_sign(holo, anti):
-    """Canonicalize an arbitrary covector word (holo list, anti list given in
-    wedge order as one sequence holo+anti already split by type is NOT assumed;
-    inputs are the holo labels and anti labels in their current wedge order,
-    with all holo factors standing before all anti factors).
-
-    Returns (sign, I, J) or (0, None, None) if a covector repeats.
-    """
-    sign = 1
-    for seq in (holo, anti):
-        arr = list(seq)
-        # insertion sort, tracking parity; lists are tiny
-        for i in range(1, len(arr)):
-            j = i
-            while j > 0 and arr[j - 1] > arr[j]:
-                arr[j - 1], arr[j] = arr[j], arr[j - 1]
-                sign = -sign
-                j -= 1
-        if any(arr[i] == arr[i + 1] for i in range(len(arr) - 1)):
-            return 0, None, None
-        if seq is holo:
-            I = tuple(arr)
-        else:
-            J = tuple(arr)
-    return sign, I, J
-
-
 class _Memo:
     """One keyed cache per object for data derived from immutable state."""
 
@@ -142,6 +115,7 @@ class BasisCatalog(_Memo):
         self.modes = tuple(sorted(set(modes)))
         self.mode_pos = {m: i for i, m in enumerate(self.modes)}
         self.n_modes = len(self.modes)
+        self.zero_mode = (0,) * len(self.modes[0])
 
     # -- enumeration ---------------------------------------------------
 
@@ -213,6 +187,27 @@ class BasisCatalog(_Memo):
             return table
 
         return self._cached(("wedge", *bd1, *bd2), build)
+
+    def covector_wedge(self, bd: Bidegree, p, q):
+        """(n, S_out, S) array whose j-th slice is the signed 0/1 matrix of
+        the left wedge by dz^{j+1} (bd = (1,0)) or dzbar^{j+1} (bd = (0,1))
+        on the struct basis of Lambda^{p,q}."""
+
+        def build():
+            # the wedge acts on one factor of the I-major (I, J) order
+            r, s = (p, 0) if bd.p else (0, q)
+            T = np.zeros((self.n, self.struct_dim(r + bd.p, s + bd.q),
+                          self.struct_dim(r, s)))
+            for s1, s2, sign, so in self.wedge_table(bd, Bidegree(r, s)):
+                T[s1, so, s2] = sign
+            shape = (self.n, self.struct_dim(p + bd.p, q + bd.q), self.struct_dim(p, q))
+            if bd.p:
+                return np.einsum("jab,cd->jacbd", T, np.eye(comb(self.n, q))).reshape(shape)
+            # dzbar^j moves past the p factors dz
+            return (-1) ** p * np.einsum("ab,jcd->jacbd", np.eye(comb(self.n, p)),
+                                         T).reshape(shape)
+
+        return self._cached(("covector", *bd, p, q), build)
 
     # -- mode arithmetic -------------------------------------------------
 

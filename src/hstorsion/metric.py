@@ -207,8 +207,7 @@ class HermitianStructure(_Memo):
         if (u.p, u.q) != (self.n, self.n):
             raise DegreeError("integrate_top requires an (n,n)-form")
         cat = self.complex.catalog
-        zero_mode = tuple([0] * len(cat.modes[0]))
-        c0 = u.coeffs[cat.flat_index(zero_mode, tuple(range(1, self.n + 1)),
+        c0 = u.coeffs[cat.flat_index(cat.zero_mode, tuple(range(1, self.n + 1)),
                                      tuple(range(1, self.n + 1)))]
         return complex(c0 * self._vol_unit)
 
@@ -244,8 +243,7 @@ class HermitianStructure(_Memo):
         cat = self.complex.catalog
         if k == 0:
             u = zero_form(cat, 0, 0)
-            zero_mode = tuple([0] * len(cat.modes[0]))
-            u.coeffs[cat.flat_index(zero_mode, (), ())] = 1.0
+            u.coeffs[cat.flat_index(cat.zero_mode, (), ())] = 1.0
             return u
         u = self.omega
         for _ in range(k - 1):
@@ -415,18 +413,24 @@ def check_strong_positivity_11(H: HermitianStructure, u: Form) -> PositivityRepo
     if dev > 1e-9 * scale:
         return PositivityReport("refuted", witness="non-Hermitian coefficients",
                                 margin=-dev, certified=True)
-    eigs = np.linalg.eigvalsh(herm)
+    return _eigenvalue_verdict(herm)
+
+
+def _eigenvalue_verdict(M):
+    """Certified verdict on Hermitian matrices M, shape (X, n, n), from the
+    smallest eigenvalue over every node, with tolerance 1e-12 times the
+    largest entry; a refutation carries (node, eigenvector of that
+    eigenvalue)."""
+    eigs = np.linalg.eigvalsh(M)
     lo = float(eigs.min())
-    tol = 1e-12 * scale
+    tol = 1e-12 * max(np.abs(M).max(), 1e-300)
     if lo > tol:
         return PositivityReport("positive", margin=lo, certified=True)
     if lo >= -tol:
         return PositivityReport("semi-positive", margin=lo, certified=True)
-    # witness: eigenvector of the most negative eigenvalue at its node
     node = int(np.argmin(eigs.min(axis=-1)))
-    w, v = np.linalg.eigh(herm[node])
-    alpha = v[:, 0]
-    return PositivityReport("refuted", witness=(node, alpha), margin=lo, certified=True)
+    _, v = np.linalg.eigh(M[node])
+    return PositivityReport("refuted", witness=(node, v[:, 0]), margin=lo, certified=True)
 
 
 def check_weak_positivity(
@@ -450,8 +454,7 @@ def check_weak_positivity(
         verdict = "positive" if lo > 0 else ("semi-positive" if lo >= -1e-12 else "refuted")
         return PositivityReport(verdict, margin=lo, certified=True)
     if p == 1:
-        rep = check_strong_positivity_11(H, u)
-        return rep
+        return check_strong_positivity_11(H, u)
     if k == 1:
         # pairing is the Hermitian form M[j,k] = value of u ^ i dz^j ^ dzbar^k:
         # wedge u against every (1,1) struct basis covector at once
@@ -460,18 +463,7 @@ def check_weak_positivity(
         top = wedge_values(H.complex.catalog, u.bidegree, Bidegree(1, 1), vals, basis)
         M = (1j * top[..., 0] * H._vol_unit).reshape(-1, n, n)
         M = 0.5 * (M + np.conj(np.swapaxes(M, 1, 2)))
-        eigs = np.linalg.eigvalsh(M)
-        lo = float(eigs.min())
-        scale = max(np.abs(M).max(), 1e-300)
-        tol = 1e-12 * scale
-        if lo > tol:
-            return PositivityReport("positive", margin=lo, certified=True)
-        if lo >= -tol:
-            return PositivityReport("semi-positive", margin=lo, certified=True)
-        node = int(np.argmin(eigs.min(axis=-1)))
-        w, v = np.linalg.eigh(M[node])
-        return PositivityReport("refuted", witness=(node, v[:, 0]), margin=lo,
-                                certified=True)
+        return _eigenvalue_verdict(M)
 
     # middle bidegrees: deterministic low-discrepancy sampling
     from scipy.stats import qmc

@@ -53,8 +53,8 @@ class MetricClassification:
 
     Residuals are relative (scaled by 1 + the norm of the quantity tested);
     a flag is True when its residual is at most tol.  The balanced and
-    strongly-Gauduchon tests use omega^{n-1}; on a spectral backend that
-    power is mode-truncated, which the `truncated_power` flag records.
+    strongly-Gauduchon tests use omega^{n-1}; on a complex with more than one
+    mode that power is mode-truncated, which the `truncated_power` flag records.
     """
 
     tol: float
@@ -94,7 +94,7 @@ def classify(H: HermitianStructure, tol: float = CLASSIFY_TOL) -> MetricClassifi
     res_skt = _rel(H.norm(ddbar_w), scale)
 
     wk = H.omega_power(n - 1)
-    truncated = cx.backend == "spectral" and n - 1 >= 2
+    truncated = cx.catalog.n_modes > 1 and n - 1 >= 2
     dwk_p, dwk_q = cx.d_full(wk)
     res_balanced = _rel(H.norm(dwk_p) + H.norm(dwk_q), H.norm(wk))
 

@@ -32,30 +32,49 @@ def test_d_squared_zero(text):
     assert _complex_identities(cx) <= 1e-12
 
 
+F_TERM_TEXT = "kind invariant\nn 3\nd 3 := 1 * e(1,2) + 0.5+0.25i * f(1,1)\n"
+
+
 def test_leibniz_rule():
-    # invariant backend only: the spectral wedge is a Galerkin projection,
+    # models with no axes only: the spectral wedge is a Galerkin projection,
     # so the rule holds there only up to mode truncation
-    cx = build_complex(parse_model(IWASAWA_TEXT))
     rng = np.random.default_rng(0)
-    for (p1, q1, p2, q2) in [(1, 0, 0, 1), (1, 0, 1, 1), (0, 1, 1, 0)]:
-        u = cx.random_form(p1, q1, rng)
-        v = cx.random_form(p2, q2, rng)
-        deg = p1 + q1
-        lhs = cx.apply_del(wedge(u, v))
-        rhs = wedge(cx.apply_del(u), v) + (-1.0) ** deg * wedge(u, cx.apply_del(v))
-        assert np.allclose(lhs.coeffs, rhs.coeffs, atol=1e-12)
-        lhs = cx.apply_dbar(wedge(u, v))
-        rhs = wedge(cx.apply_dbar(u), v) + (-1.0) ** deg * wedge(u, cx.apply_dbar(v))
-        assert np.allclose(lhs.coeffs, rhs.coeffs, atol=1e-12)
+    for cx in [build_complex(parse_model(t)) for t in (IWASAWA_TEXT, F_TERM_TEXT)]:
+        for (p1, q1, p2, q2) in [(1, 0, 0, 1), (1, 0, 1, 1), (0, 1, 1, 0)]:
+            u = cx.random_form(p1, q1, rng)
+            v = cx.random_form(p2, q2, rng)
+            deg = p1 + q1
+            lhs = cx.apply_del(wedge(u, v))
+            rhs = wedge(cx.apply_del(u), v) + (-1.0) ** deg * wedge(u, cx.apply_del(v))
+            assert np.allclose(lhs.coeffs, rhs.coeffs, atol=1e-12)
+            lhs = cx.apply_dbar(wedge(u, v))
+            rhs = wedge(cx.apply_dbar(u), v) + (-1.0) ** deg * wedge(u, cx.apply_dbar(v))
+            assert np.allclose(lhs.coeffs, rhs.coeffs, atol=1e-12)
 
 
-def test_conjugation_intertwines_del_dbar(spectral_cx):
-    cx = spectral_cx
+@pytest.mark.parametrize("text", [
+    TORUS_TEXT, IWASAWA_TEXT, SPECTRAL_TEXT,
+    "kind invariant\nn 3\nd 3 := 1 * f(1,1)\n",
+    F_TERM_TEXT,
+], ids=["torus", "iwasawa", "spectral", "f11", "e12_f11"])
+def test_conjugation_intertwines_del_dbar(text):
+    # d is real: conj(del u) = dbar(conj u) at every bidegree
+    cx = build_complex(parse_model(text))
     rng = np.random.default_rng(1)
-    u = cx.random_form(1, 1, rng)
-    lhs = conjugate(cx.apply_del(u))
-    rhs = cx.apply_dbar(conjugate(u))
-    assert np.allclose(lhs.coeffs, rhs.coeffs, atol=1e-12)
+    for p in range(cx.n + 1):
+        for q in range(cx.n + 1):
+            u = cx.random_form(p, q, rng)
+            lhs = conjugate(cx.apply_del(u))
+            rhs = cx.apply_dbar(conjugate(u))
+            assert np.allclose(lhs.coeffs, rhs.coeffs, atol=1e-12), (p, q)
+
+
+def test_lie_algebra_model_is_the_torus_with_no_axes(iwasawa_cx):
+    assert iwasawa_cx.model.mode_set == ((),) and iwasawa_cx.grid == ()
+    assert iwasawa_cx.n_nodes == 1 and iwasawa_cx.nodes().shape == (1, 0)
+    assert np.array_equal(iwasawa_cx.eval_matrix(), [[1.0]])
+    W, index = iwasawa_cx.mode_difference_weights()
+    assert np.array_equal(W, [[1.0]]) and np.array_equal(index, [[0]])
 
 
 def test_iwasawa_structure_equation(iwasawa_cx):

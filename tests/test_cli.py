@@ -96,12 +96,14 @@ def test_flag_on_wrong_subcommand(argv, torus_file, tmp_path):
     assert code == EXIT_INPUT
 
 
-def test_torsion_command(spectral_file, tmp_path):
+def test_torsion_command(spectral_file, spectral_cx, tmp_path):
     out = tmp_path / "out"
     code = run(["torsion", "--model", spectral_file, "--out", str(out)])
     assert code == EXIT_OK
     rows = _read_csv(out / "torsion.csv")
     assert rows and all("i" in r["value"] or "." in r["value"] for r in rows)
+    # every basis row, zero or not
+    assert [int(r["index"]) for r in rows] == list(range(spectral_cx.dims(2, 0)))
 
 
 def test_torsion_rejects_non_hs(iwasawa_file, tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hstorsion.backends import build_complex, parse_model
 from hstorsion.forms import conjugate
 from hstorsion.metric import HermitianStructure
 from hstorsion.torsion import (NotHermitianSymplectic, classify, hs_feasible,
@@ -31,6 +32,12 @@ def test_spectral_perturbed_flags(spectral_H):
     assert cls.skt  # Aeppli-potential metrics satisfy del dbar omega = 0
     assert cls.hermitian_symplectic
     assert cls.truncated_power
+
+
+def test_single_mode_power_is_not_truncated():
+    # with the zero mode alone there is nothing for omega^{n-1} to lose
+    cx = build_complex(parse_model("kind spectral\nn 3\nmodes axis K 0\n"))
+    assert not classify(HermitianStructure(cx, omega=cx.metric_form())).truncated_power
 
 
 def test_hs_feasibility_residuals(spectral_H, iwasawa_H):
