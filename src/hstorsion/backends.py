@@ -150,6 +150,8 @@ class FormComplex(_Memo):
         cat, zero = self.catalog, self.catalog.zero_mode
         terms = {_HOLO: [], _ANTI: []}
         for k in range(1, self.n + 1):
+            if not self.model.d_phi.get(k):
+                continue  # d phi^k = 0; (2,0)-forms need n >= 2
             d_phi = [zero_form(cat, 2, 0), zero_form(cat, 1, 1)]
             for (kind, i, j), c in self.model.d_phi.get(k, {}).items():
                 # validate admits only zero (0,2) terms g(i,j)

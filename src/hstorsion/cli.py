@@ -109,6 +109,10 @@ def cmd_classify(args):
                 raise ValueError(f"bidegree {p},{q} out of range for n={H.n}")
         table.entries = {pq: table.entries[pq] for pq in args.bidegree}
     rep.add("", str(table))
+    for which, p, q in table.unreliable:
+        if (p, q) in table.entries:
+            rep.add(f"unreliable kernel split: {which} Laplacian at ({p},{q}) "
+                    "has an eigenvalue within 100x of the cutoff")
     out = Path(args.out)
     _write_csv(out / "classify.csv",
                ["flag", "value", "residual"],
@@ -235,7 +239,8 @@ def cmd_family(args):
     table = family_diagnostics(spec, tol=args.tol)
     rep.add(str(table))
     if table.flagged:
-        rep.add(f"flagged samples (dimension jump or infeasible): {table.flagged}")
+        rep.add("flagged samples (dimension jump, unreliable kernel split or "
+                f"infeasible): {table.flagged}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     table.to_csv(out / "family.csv")

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .forms import Bidegree, Form
 from .metric import HermitianStructure
@@ -57,17 +56,17 @@ class GramEig:
     separation_ok: bool
 
 
-def gram_eig(M, R, rcond=KERNEL_RCOND) -> GramEig:
+def gram_eig(M, R, Rinv, rcond=KERNEL_RCOND) -> GramEig:
     """Diagonalize a G-self-adjoint positive semidefinite matrix M.
 
     R is the upper Cholesky factor of the Hermitian positive definite G,
-    G = R^H R, as HermitianStructure.chol returns it.  Conjugating by R
-    turns M into an honest Hermitian matrix, so eigh applies."""
+    G = R^H R, and Rinv its inverse, as HermitianStructure.chol and
+    chol_inv return them.  Conjugating by R turns M into an honest
+    Hermitian matrix, so eigh applies."""
     N = M.shape[0]
     if N == 0:
         z = np.zeros((0, 0))
         return GramEig(z, z, np.zeros(0), 0, 0.0, True)
-    Rinv = scipy.linalg.solve_triangular(R, np.eye(N), lower=False)
     Mt = R @ M @ Rinv
     Mt = 0.5 * (Mt + Mt.conj().T)
     w, V = np.linalg.eigh(Mt)
@@ -148,7 +147,7 @@ def green_operator(H: HermitianStructure, p, q, which="bc", rcond=KERNEL_RCOND):
     """GramEig bundle for the chosen Laplacian on Lambda^{p,q}; its pinv is
     the Green operator (inverse off the harmonic space, zero on it)."""
     L = _LAPLACIANS[which](H, p, q)
-    return gram_eig(L, H.chol(p, q), rcond)
+    return gram_eig(L, H.chol(p, q), H.chol_inv(p, q), rcond)
 
 
 def harmonic_projection(H: HermitianStructure, u: Form, which="bc"):
@@ -186,12 +185,15 @@ class CohomologyTable:
 
     entries[(p,q)] = {"dbar": .., "bc": .., "aeppli": ..}; the cross_checks
     list records (name, p, q, kernel_count, rank_count) for every comparison
-    performed (all pairs must agree or construction raises).
+    performed (all pairs must agree or construction raises); unreliable
+    lists the (name, p, q) whose kernel split has an eigenvalue within a
+    factor 100 of the cutoff (GramEig.separation_ok is False).
     """
 
     n: int
     entries: dict = field(default_factory=dict)
     cross_checks: list = field(default_factory=list)
+    unreliable: list = field(default_factory=list)
 
     def __str__(self):
         lines = ["p q  h_dbar  h_bc  h_aeppli"]
@@ -208,6 +210,15 @@ class CohomologyTable:
 
 class CohomologyMismatch(RuntimeError):
     """Kernel-count and quotient-rank dimension computations disagree."""
+
+
+def _kernel_dim(table, H, p, q, which, rcond):
+    """Harmonic-space dimension of the chosen Laplacian, recording an
+    unreliable kernel split in the table."""
+    ge = green_operator(H, p, q, which, rcond)
+    if not ge.separation_ok:
+        table.unreliable.append((which, p, q))
+    return ge.kernel_dim
 
 
 def cohomology_table(H: HermitianStructure, rcond=KERNEL_RCOND) -> CohomologyTable:
@@ -232,7 +243,7 @@ def cohomology_table(H: HermitianStructure, rcond=KERNEL_RCOND) -> CohomologyTab
             h_dbar_rank = _stack_kernel_dim([db], N, rcond) - (
                 _rank(db_in, rcond) if db_in is not None else 0
             )
-            h_dbar_ker = green_operator(H, p, q, "dbar", rcond).kernel_dim
+            h_dbar_ker = _kernel_dim(table, H, p, q, "dbar", rcond)
             table.cross_checks.append(("dbar", p, q, h_dbar_ker, h_dbar_rank))
             if h_dbar_ker != h_dbar_rank:
                 raise CohomologyMismatch(
@@ -242,7 +253,7 @@ def cohomology_table(H: HermitianStructure, rcond=KERNEL_RCOND) -> CohomologyTab
             h_bc_rank = _stack_kernel_dim([d, db], N, rcond) - (
                 _rank(dd_in, rcond) if dd_in is not None else 0
             )
-            h_bc_ker = green_operator(H, p, q, "bc", rcond).kernel_dim
+            h_bc_ker = _kernel_dim(table, H, p, q, "bc", rcond)
             table.cross_checks.append(("bc", p, q, h_bc_ker, h_bc_rank))
             if h_bc_ker != h_bc_rank:
                 raise CohomologyMismatch(

@@ -265,7 +265,7 @@ class FamilyTable:
     """Per-sample diagnostics; rows are aligned to the t grid."""
 
     rows: list = field(default_factory=list)
-    flagged: list = field(default_factory=list)  # t values with dim jumps
+    flagged: list = field(default_factory=list)  # t values of flagged rows
 
     FIELDS = [
         "t", "feasible", "h_bc_02", "h_bc_21", "h_dbar_01", "h_dbar_02",
@@ -288,11 +288,17 @@ class FamilyTable:
 
 
 def _dims_row(H):
-    return {label: green_operator(H, p, q, which).kernel_dim
-            for label, (p, q), which in [("h_bc_02", (0, 2), "bc"),
-                                         ("h_bc_21", (2, 1), "bc"),
-                                         ("h_dbar_01", (0, 1), "dbar"),
-                                         ("h_dbar_02", (0, 2), "dbar")]}
+    """The four dimension columns, and whether every kernel split behind
+    them is reliable (GramEig.separation_ok)."""
+    row, reliable = {}, True
+    for label, (p, q), which in [("h_bc_02", (0, 2), "bc"),
+                                 ("h_bc_21", (2, 1), "bc"),
+                                 ("h_dbar_01", (0, 1), "dbar"),
+                                 ("h_dbar_02", (0, 2), "dbar")]:
+        ge = green_operator(H, p, q, which)
+        row[label] = ge.kernel_dim
+        reliable = reliable and ge.separation_ok
+    return row, reliable
 
 
 def family_diagnostics(spec: FamilySpec, tol: float = CLASSIFY_TOL,
@@ -306,9 +312,10 @@ def family_diagnostics(spec: FamilySpec, tol: float = CLASSIFY_TOL,
 
     Rows whose dimension counts differ from the t=0 row are flagged (the
     constant-dimension hypothesis of the deformation propositions fails
-    there); infeasible metrics are flagged as well and their torsion
-    columns left empty.  With flow_first, each sample's metric is first
-    driven to a critical point of the energy before being measured."""
+    there); rows with an unreliable kernel split and infeasible metrics are
+    flagged as well, the latter with their torsion columns left empty.
+    With flow_first, each sample's metric is first driven to a critical
+    point of the energy before being measured."""
     table = FamilyTable()
     samples = sorted(spec.t_samples, key=lambda t: (t != 0.0, abs(t), t))
     base_dims = None
@@ -325,10 +332,11 @@ def family_diagnostics(spec: FamilySpec, tol: float = CLASSIFY_TOL,
                                    **(flow_kwargs or {}))
             H = res.point.structure()
         row = {"t": t}
-        row.update(_dims_row(H))
+        dims, reliable = _dims_row(H)
+        row.update(dims)
         feas = hs_feasible(H, tol=tol)
         row["feasible"] = feas.feasible
-        flagged = False
+        flagged = not reliable
         if base_dims is None:
             base_dims = {k: row[k] for k in
                          ("h_bc_02", "h_bc_21", "h_dbar_01", "h_dbar_02")}

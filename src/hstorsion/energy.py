@@ -26,7 +26,7 @@ import numpy as np
 
 from .forms import Bidegree, Form, conjugate, zero_form
 from .metric import HermitianStructure, MetricError
-from .torsion import CLASSIFY_TOL, TorsionReport, torsion_form
+from .torsion import CLASSIFY_TOL, min_norm_torsion, torsion_form
 
 __all__ = [
     "AeppliPoint",
@@ -290,6 +290,11 @@ def gradient_descent(
     potential parametrization by construction.  Armijo backtracking halves
     the step until sufficient decrease holds and the realized metric keeps a
     positivity margin above positivity_frac times the initial margin.
+
+    A trial is judged by the energy of the minimal-norm solution of the
+    closedness system alone; the start point and every accepted trial get
+    the full torsion_form certificate, and their energy, torsion form and
+    history row come from it.
     """
     t0 = time.monotonic()
     cx = point0.complex
@@ -336,13 +341,14 @@ def gradient_descent(
             except MetricError:
                 step *= 0.5
                 continue
-            if Ht.positivity_margin <= floor:
+            if not Ht.positive_above(floor):
                 step *= 0.5
                 continue
             blocked_only = False
-            ft, rept = energy(Ht, tol=tol)
+            ft = Ht.norm(min_norm_torsion(Ht, tol=tol)) ** 2
             if ft <= f - armijo * step * slope:
-                point, H, f, rep = trial, Ht, ft, rept
+                point, H = trial, Ht
+                f, rep = energy(H, tol=tol)
                 accepted = True
                 break
             step *= 0.5

@@ -23,6 +23,7 @@ at the discrete level.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -47,6 +48,43 @@ PRIMITIVE_TOL = 1e-10
 
 class MetricError(ValueError):
     """Raised for non-positive metrics or incompatible inputs."""
+
+
+@functools.lru_cache(maxsize=None)
+def _laplace_tables(n):
+    """For k = 1..n, the index tables of the Laplace expansion of the k x k
+    minors of an n x n matrix along the first row of each row subset, over
+    the k-subsets in lexicographic order: first[a] = I_a[0], rest[a] the
+    index of I_a minus I_a[0], cols[b, j] = K_b[j], and cofactor[b, j] the
+    index of K_b minus K_b[j] among the (k-1)-subsets."""
+    subsets = [list(combinations(range(n), k)) for k in range(n + 1)]
+    tables = []
+    for k in range(1, n + 1):
+        below = {s: i for i, s in enumerate(subsets[k - 1])}
+        rows = subsets[k]
+        tables.append((
+            np.array([I[0] for I in rows]),
+            np.array([below[I[1:]] for I in rows]),
+            np.array(rows),
+            np.array([[below[K[:j] + K[j + 1:]] for j in range(k)] for K in rows]),
+        ))
+    return tables
+
+
+def _minors(h):
+    """det h(x)[I, K] for the k-subsets I, K of range(n) in lexicographic
+    order, for k = 0..n, of h with shape (X, n, n): a list of (X, C, C)
+    arrays.  Each size comes from the one below by Laplace expansion along
+    the first row of I; det h is the n-minor."""
+    n = h.shape[-1]
+    sign = (-1.0) ** np.arange(n)
+    minors = [np.ones((len(h), 1, 1), dtype=complex)]
+    for k, (first, rest, cols, cofactor) in enumerate(_laplace_tables(n), start=1):
+        # sum_j (-1)^j h[I_0, K_j] det h[I \ I_0, K \ K_j]
+        terms = (h[:, first[:, None, None], cols[None]]
+                 * minors[-1][:, rest[:, None, None], cofactor[None]])
+        minors.append(terms @ sign[:k])
+    return minors
 
 
 class HermitianStructure(_Memo):
@@ -76,9 +114,7 @@ class HermitianStructure(_Memo):
         if np.abs(reality.coeffs).max() > 1e-12 * max(1.0, np.abs(omega.coeffs).max()):
             raise MetricError("metric form is not real")
         self._h_nodes, _ = _hermitian_coefficient_matrix(complex_, omega)
-        eigs = np.linalg.eigvalsh(self._h_nodes)
-        self.positivity_margin = float(eigs.min())
-        if self.positivity_margin <= 0:
+        if not self.positive_above(0.0):
             raise MetricError(
                 f"metric not positive definite: min eigenvalue {self.positivity_margin:.3e}"
             )
@@ -90,39 +126,44 @@ class HermitianStructure(_Memo):
         """h(x) at every quadrature node, shape (X, n, n)."""
         return self._h_nodes
 
-    def _inverse_and_volume(self):
-        """A = h^{-T} and det h (real) at every node, once per metric."""
-        return self._cached("_inverse_and_volume", lambda: (
-            np.ascontiguousarray(np.swapaxes(np.linalg.inv(self._h_nodes), 1, 2)),
-            np.real(np.linalg.det(self._h_nodes))))
+    def positive_above(self, c) -> bool:
+        """True when h(x) - c I is positive definite at every node, decided
+        by one batched Cholesky factorization."""
+        try:
+            np.linalg.cholesky(self._h_nodes - c * np.eye(self.n))
+        except np.linalg.LinAlgError:
+            return False
+        return True
 
-    def _compound(self, k):
-        """The k-th compound of A = h^{-T} at every node, shape (X, C, C):
+    @property
+    def positivity_margin(self) -> float:
+        """The smallest eigenvalue of h(x) over the nodes, computed when
+        first read."""
+        return self._cached("positivity_margin", lambda: float(
+            np.linalg.eigvalsh(self._h_nodes).min()))
+
+    def _compounds(self):
+        """The compounds of A = h^{-T} and det h (real) at every node, once
+        per metric: a list whose k-th entry, shape (X, C, C), is
         C[x, a, b] = det A(x)[I_a, I_b] over the k-subsets I_a of range(n)
-        in lexicographic order.  Shared by the holomorphic (k = p) and the
-        antiholomorphic (k = q) factor of every bidegree."""
+        in lexicographic order, shared by the holomorphic (k = p) and the
+        antiholomorphic (k = q) factor of every bidegree.  By Jacobi's
+        complementary minors, det A[I, K] = (-1)^(sum I + sum K)
+        det h[I^c, K^c] / det h, and the complements of the k-subsets are
+        the (n-k)-subsets in reverse order."""
 
         def build():
-            A, deth = self._inverse_and_volume()
             n = self.n
-            if k == 0:
-                return np.ones((len(A), 1, 1), dtype=complex)
-            if k == 1:
-                return A
-            if k == n:
-                return np.asarray(1.0 / deth, dtype=complex)[:, None, None]
-            if k == n - 1:
-                # Jacobi's complementary minors: the a-th (n-1)-subset omits
-                # c_a, and det (h^{-1})[K, I] = (-1)^(i+k) h[i, k] / det h
-                # for K, I omitting k, i
-                c = np.arange(n - 1, -1, -1)
-                sign = (-1.0) ** (c[:, None] + c[None, :])
-                return self._h_nodes[:, c[:, None], c[None, :]] * (
-                    sign / deth[:, None, None])
-            idx = np.array(list(combinations(range(n), k)))
-            return np.linalg.det(A[:, idx[:, None, :, None], idx[None, :, None, :]])
+            minors = _minors(self._h_nodes)
+            deth = np.real(minors[n][:, 0, 0])
+            compounds = []
+            for k in range(n + 1):
+                sign = np.array([(-1.0) ** sum(I) for I in combinations(range(n), k)])
+                compounds.append(minors[n - k][:, ::-1, ::-1]
+                                 * (np.outer(sign, sign) / deth[:, None, None]))
+            return compounds, deth
 
-        return self._cached(("_compound", k), build)
+        return self._cached("_compounds", build)
 
     def _pointwise_pairing(self, p, q):
         """Q(x) with pointwise <u,v>_omega dV_omega = v(x)^H Q(x) u(x) over
@@ -131,10 +172,10 @@ class HermitianStructure(_Memo):
         once per bidegree, by gram, so it is not kept."""
         # <dz^j, dz^k> = (h^{-1})_{kj}; this orientation makes |omega|^2 = n.
         # Q[(I,J),(K,L)] = conj(det A[I,K]) * det A[J,L] * det h
-        _, deth = self._inverse_and_volume()
+        compounds, deth = self._compounds()
         X = len(deth)
-        Ch = np.conj(self._compound(p)).reshape(X, -1, 1)
-        Ca = (self._compound(q) * deth[:, None, None]).reshape(X, 1, -1)
+        Ch = np.conj(compounds[p]).reshape(X, -1, 1)
+        Ca = (compounds[q] * deth[:, None, None]).reshape(X, 1, -1)
         return (Ch * Ca).reshape(X, -1)
 
     # -- Gram matrices -------------------------------------------------------
@@ -144,10 +185,15 @@ class HermitianStructure(_Memo):
 
         The (i, j) mode block is the grid Fourier coefficient of Q at
         m_i - m_j, exact for the 4 max|m| + 1 grid; one product with the
-        complex's mode-difference weights computes all of them."""
+        complex's mode-difference weights computes all of them.  For p > q
+        the matrix is the conjugate of gram(q, p) under conjugation."""
 
         def build():
             cat = self.complex.catalog
+            if p > q:
+                # <<conj u, conj v>> = conj <<u, v>>
+                K = cat.conj_permutation(q, p)
+                return K @ np.conj(self.gram(q, p)) @ K.T
             nh, na = math.comb(self.n, p), math.comb(self.n, q)
             S = nh * na
             W, index = self.complex.mode_difference_weights()
@@ -167,6 +213,15 @@ class HermitianStructure(_Memo):
         return self._cached(("chol", p, q), lambda: scipy.linalg.cholesky(
             self.gram(p, q), lower=False))
 
+    def chol_inv(self, p, q):
+        """R^{-1} for the Cholesky factor R = chol(p, q)."""
+
+        def build():
+            R = self.chol(p, q)
+            return scipy.linalg.solve_triangular(R, np.eye(R.shape[0]), lower=False)
+
+        return self._cached(("chol_inv", p, q), build)
+
     def lstsq(self, src, blocks):
         """Minimal-norm least squares in the Gram geometry.
 
@@ -175,12 +230,11 @@ class HermitianStructure(_Memo):
         of sum ||A x - b||^2, each term measured in the Gram norm of its
         dst, and the square root of that minimum.  Both norms are whitened
         by the Cholesky factors, so one Euclidean lstsq solves it."""
-        Rs = self.chol(*src)
-        Rs_inv = scipy.linalg.solve_triangular(Rs, np.eye(Rs.shape[0]), lower=False)
+        Rs_inv = self.chol_inv(*src)
         At = np.vstack([self.chol(*dst) @ A @ Rs_inv for A, dst, _ in blocks])
         bt = np.concatenate([self.chol(*dst) @ b for _, dst, b in blocks])
         y, *_ = np.linalg.lstsq(At, bt, rcond=None)
-        x = scipy.linalg.solve_triangular(Rs, y, lower=False)
+        x = scipy.linalg.solve_triangular(self.chol(*src), y, lower=False)
         return x, float(np.linalg.norm(At @ y - bt))
 
     def ip(self, u: Form, v: Form) -> complex:

@@ -30,6 +30,7 @@ __all__ = [
     "classify",
     "HSFeasibility",
     "hs_feasible",
+    "min_norm_torsion",
     "TorsionReport",
     "torsion_form",
     "NotHermitianSymplectic",
@@ -170,6 +171,20 @@ def hs_feasible(H: HermitianStructure, tol: float = CLASSIFY_TOL) -> HSFeasibili
     )
 
 
+def min_norm_torsion(H: HermitianStructure, tol: float = CLASSIFY_TOL) -> Form:
+    """The minimal-norm solution of the closedness system (the oracle of
+    torsion_form, without its certificate).
+
+    Raises NotHermitianSymplectic when the system is infeasible at
+    tolerance tol."""
+    feas = hs_feasible(H, tol=tol)
+    if not feas.feasible:
+        raise NotHermitianSymplectic(
+            f"closedness system infeasible: relative residual {feas.residual:.3e}"
+        )
+    return feas.rho_min
+
+
 # ---------------------------------------------------------------------------
 # torsion form
 # ---------------------------------------------------------------------------
@@ -210,11 +225,7 @@ def torsion_form(H: HermitianStructure, tol: float = CLASSIFY_TOL,
 
     Raises NotHermitianSymplectic when the closedness system is infeasible
     at tolerance tol."""
-    feas = hs_feasible(H, tol=tol)
-    if not feas.feasible:
-        raise NotHermitianSymplectic(
-            f"closedness system infeasible: relative residual {feas.residual:.3e}"
-        )
+    rho_min = min_norm_torsion(H, tol=tol)
     cx = H.complex
     w = H.omega
     dw = cx.apply_del(w)  # (2,1)
@@ -229,8 +240,7 @@ def torsion_form(H: HermitianStructure, tol: float = CLASSIFY_TOL,
     res_constraint = H.norm(cx.apply_dbar(rho) + dw) / scale
     res_closed = H.norm(cx.apply_del(rho)) / scale if H.n >= 3 else 0.0
 
-    gap_vec = rho - feas.rho_min
-    gap = H.norm(gap_vec) / (1.0 + H.norm(feas.rho_min))
+    gap = H.norm(rho - rho_min) / (1.0 + H.norm(rho_min))
     return TorsionReport(
         rho20=rho,
         rho02=conjugate(rho),

@@ -11,7 +11,7 @@ import hstorsion
 from hstorsion import cli
 from hstorsion.backends import format_complex
 from hstorsion.cli import EXIT_CONTRACT, EXIT_INPUT, EXIT_OK, run
-from hstorsion.cohomology import CohomologyMismatch
+from hstorsion.cohomology import CohomologyMismatch, cohomology_table
 
 from conftest import IWASAWA_TEXT, SPECTRAL_TEXT, TORUS_TEXT
 
@@ -81,6 +81,33 @@ def test_classify_bidegree_filter(iwasawa_file, tmp_path):
     code = run(["classify", "--model", iwasawa_file, "--out", str(out),
                 "--bidegree", "4,0"])
     assert code == EXIT_INPUT
+
+
+def test_classify_reports_unreliable_kernel_split(iwasawa_file, tmp_path,
+                                                   monkeypatch):
+    # rcond 0.1 puts the Iwasawa Laplacians' eigenvalue 1 within 100x of the
+    # cutoff; classify writes one line per unreliable split it shows
+    out = tmp_path / "out"
+    assert run(["classify", "--model", iwasawa_file, "--out", str(out)]) == EXIT_OK
+    assert "unreliable" not in (out / "classify_report.txt").read_text()
+    tables = []
+
+    def table(H):
+        tables.append(cohomology_table(H, rcond=0.1))
+        return tables[-1]
+
+    monkeypatch.setattr(cli, "cohomology_table", table)
+    code = run(["classify", "--model", iwasawa_file, "--out", str(out),
+                "--bidegree", "0,1", "--bidegree", "0,0"])
+    assert code == EXIT_OK
+    lines = [line for line in (out / "classify_report.txt").read_text().splitlines()
+             if line.startswith("unreliable kernel split")]
+    assert lines == [
+        "unreliable kernel split: dbar Laplacian at (0,1) has an eigenvalue "
+        "within 100x of the cutoff",
+        "unreliable kernel split: bc Laplacian at (0,1) has an eigenvalue "
+        "within 100x of the cutoff"]
+    assert len(tables[0].unreliable) > len(lines)
 
 
 @pytest.mark.parametrize("argv", [

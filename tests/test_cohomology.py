@@ -18,7 +18,8 @@ def test_gram_eig_basic(rng):
     G = A @ A.conj().T + N * np.eye(N)
     B = rng.standard_normal((N, 3)) + 1j * rng.standard_normal((N, 3))
     M = np.linalg.solve(G, B @ B.conj().T)  # G-self-adjoint PSD, rank 3
-    eig = gram_eig(M, scipy.linalg.cholesky(G, lower=False))
+    R = scipy.linalg.cholesky(G, lower=False)
+    eig = gram_eig(M, R, np.linalg.inv(R))
     assert eig.kernel_dim == N - 3
     # pinv inverts on the image: M pinv M = M
     assert np.allclose(M @ eig.pinv @ M, M, atol=1e-10)
@@ -73,9 +74,12 @@ def test_green_form_wrapper(iwasawa_H, rng):
     H = iwasawa_H
     g = H.complex.random_form(2, 0, rng)
     out = green_operator(H, 2, 0, "bc").pinv @ g.coeffs
-    eig = gram_eig(laplacian_bc(H, 2, 0),
-                   scipy.linalg.cholesky(H.gram(2, 0), lower=False))
+    R = scipy.linalg.cholesky(H.gram(2, 0), lower=False)
+    eig = gram_eig(laplacian_bc(H, 2, 0), R, np.linalg.inv(R))
     assert np.allclose(out, eig.pinv @ g.coeffs)
+    # the memoized factor and inverse are the ones passed to gram_eig
+    assert np.allclose(H.chol(2, 0), R)
+    assert np.abs(H.chol_inv(2, 0) @ H.chol(2, 0) - np.eye(len(R))).max() <= 1e-12
 
 
 def test_operator_bundle(iwasawa_H):
@@ -149,3 +153,20 @@ def test_green_dbar_commutation(iwasawa_cx, rng):
         type(g)(H.complex.catalog, g.bidegree, e_here.pinv @ v.coeffs))
     rhs = e_down.pinv @ H.apply_dbar_adjoint(v).coeffs
     assert np.linalg.norm(lhs.coeffs - rhs) <= 1e-8 * (1 + np.linalg.norm(rhs))
+
+
+def test_unreliable_kernel_split_recorded(iwasawa_H):
+    # on the standard Iwasawa metric every nonzero Laplacian eigenvalue is
+    # 1, 2 or 3; with rcond = 0.1 the cutoff is 0.1 * max(1, top eigenvalue),
+    # so the eigenvalue 1 sits within 100x of it wherever the Laplacian is
+    # nonzero, while the kernel counts stay right
+    H = iwasawa_H
+    n = H.n
+    assert cohomology_table(H).unreliable == []
+    table = cohomology_table(H, rcond=0.1)
+    expected = {(which, p, q) for which in ("dbar", "bc")
+                for p in range(n + 1) for q in range(n + 1)
+                if green_operator(H, p, q, which).eigenvalues.max() > 0.5}
+    assert expected and set(table.unreliable) == expected
+    assert len(table.unreliable) == len(expected)
+    assert table.entries == cohomology_table(H).entries

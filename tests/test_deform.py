@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from hstorsion import deform
 from hstorsion.backends import ModelError, build_complex, parse_model
+from hstorsion.cohomology import green_operator
 from hstorsion.deform import (FamilySpec, HypothesisError, family_diagnostics,
                               kahler_in_class, min_ddbar_solution,
                               neumann_dbar_solution, parse_family)
@@ -131,3 +135,21 @@ def test_family_csv_roundtrip(tmp_path):
     text = out.read_text().splitlines()
     assert text[0].split(",")[:2] == ["t", "feasible"]
     assert len(text) == 1 + len(table.rows)
+
+
+def test_family_flags_unreliable_kernel_split(monkeypatch):
+    # the t = 0 sample is the flat torus, feasible and unflagged; a kernel
+    # split reported unreliable by the dimension columns flags it
+    spec = parse_family(FAMILY_TEXT)
+    spec = FamilySpec(spec.template_lines, [0.0])
+    assert not family_diagnostics(spec).flagged
+
+    def unreliable(H, p, q, which="bc", rcond=deform.KERNEL_RCOND):
+        ge = green_operator(H, p, q, which, rcond)
+        if (p, q, which) == (0, 1, "dbar"):
+            ge = dataclasses.replace(ge, separation_ok=False)
+        return ge
+
+    monkeypatch.setattr(deform, "green_operator", unreliable)
+    table = family_diagnostics(spec)
+    assert table.flagged == [0.0] and table.rows[0]["flagged"]

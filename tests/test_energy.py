@@ -6,7 +6,7 @@ from hstorsion.energy import (AeppliPoint, corollary_check, differential,
                               energy, fd_differential, fd_step_sweep,
                               gradient_descent)
 from hstorsion.forms import Bidegree, Form, zero_form
-from hstorsion.torsion import torsion_form
+from hstorsion.torsion import min_norm_torsion, torsion_form
 
 
 def _xi_with_rho(H):
@@ -100,9 +100,13 @@ def test_corollary_derives_kahler(torus_H, torus_cx):
     assert rep.rho_norm <= 1e-10
 
 
-def test_gradient_descent_monotone_and_converges(spectral_cx, spectral_H):
-    pt = AeppliPoint(spectral_cx, spectral_H.omega)
-    res = gradient_descent(pt, max_iters=100)
+@pytest.fixture(scope="module")
+def spectral_flow(spectral_cx, spectral_H):
+    return gradient_descent(AeppliPoint(spectral_cx, spectral_H.omega), max_iters=100)
+
+
+def test_gradient_descent_monotone_and_converges(spectral_flow):
+    res = spectral_flow
     assert res.status == "converged"
     assert res.energy <= 1e-6
     assert res.d_residual <= 1e-4
@@ -117,3 +121,25 @@ def test_gradient_descent_stays_at_kahler(torus_cx, torus_H):
     res = gradient_descent(pt, max_iters=5)
     assert res.status == "converged"
     assert np.abs(res.point.u.coeffs).max() <= 1e-12
+
+
+def test_gradient_descent_history_is_certified(spectral_cx, spectral_flow):
+    # trials are judged by the min-norm oracle alone, the history by the
+    # certified formula: both energies agree at every accepted iterate, and
+    # the line search takes the steps it took when every trial ran the full
+    # torsion_form
+    res = spectral_flow
+    assert [row["step"] for row in res.history] == [1.0] + [0.0625] * 8
+    for row in res.history:
+        u = Form(spectral_cx.catalog, Bidegree(1, 0), row["potential"])
+        H = AeppliPoint(spectral_cx, res.point.omega0, u).structure()
+        f = H.norm(min_norm_torsion(H)) ** 2
+        assert abs(f - row["energy"]) <= 1e-12 * row["energy"]
+
+
+def test_gradient_descent_positivity_floor_blocks(spectral_cx, spectral_H):
+    # a floor of twice the initial margin rejects every trial on positivity
+    pt = AeppliPoint(spectral_cx, spectral_H.omega)
+    res = gradient_descent(pt, max_iters=5, positivity_frac=2.0)
+    assert res.status == "positivity_blocked"
+    assert len(res.history) == 2 and np.abs(res.point.u.coeffs).max() == 0.0

@@ -8,6 +8,7 @@ import pytest
 from hstorsion.backends import build_complex, parse_model
 from hstorsion.forms import conjugate, wedge, zero_form
 from hstorsion.metric import (HermitianStructure, MetricError,
+                              _hermitian_coefficient_matrix,
                               check_strong_positivity_11,
                               check_weak_positivity)
 
@@ -77,21 +78,27 @@ def test_gram_matches_fft_reference(name, request):
 
 @pytest.mark.parametrize("name", ["spectral_H", "n2k2_H"])
 def test_gram_conjugation_invariant(name, request):
-    # <<conj u, conj v>> = conj <<u, v>>, so G(q,p) = K conj(G(p,q)) K^T
+    # <<conj u, conj v>> = conj <<u, v>>, so G(q,p) = K conj(G(p,q)) K^T;
+    # checked on the determinant + fftn reference, which computes every
+    # bidegree on its own (gram derives the p > q ones this way)
     H = request.getfixturevalue(name)
     for p, q in _bidegrees(H):
         K = H.complex.catalog.conj_permutation(p, q)
-        G, Gc = H.gram(q, p), K @ np.conj(H.gram(p, q)) @ K.T
+        G, Gc = _reference_gram(H, q, p), K @ np.conj(_reference_gram(H, p, q)) @ K.T
         assert np.abs(G - Gc).max() <= 1e-13 * np.abs(G).max()
 
 
 def test_compound_inverse_identity(spectral_H, rng):
     # Cauchy-Binet: compound_k(h^{-1}) compound_k(h) = I at every node; the
-    # invariant n = 4 metric reaches the general minors (k = 2)
-    cx4 = build_complex(parse_model("kind invariant\nn 4\n"))
-    for H in (spectral_H, random_hermitian_structure(cx4, rng)):
+    # invariant n = 4 metric reaches the general minors (k = 2), n = 1 and
+    # n = 2 the edge sizes of the Laplace and Jacobi tables
+    metrics = [spectral_H]
+    for n in (1, 2, 4):
+        cx = build_complex(parse_model(f"kind invariant\nn {n}\n"))
+        metrics.append(random_hermitian_structure(cx, rng))
+    for H in metrics:
         for k in range(H.n + 1):
-            inv_k = np.swapaxes(H._compound(k), 1, 2)  # compound of A^T = h^{-1}
+            inv_k = np.swapaxes(H._compounds()[0][k], 1, 2)  # compound of A^T = h^{-1}
             prod = inv_k @ _minors(H.h_nodes, k)
             assert np.abs(prod - np.eye(prod.shape[-1])).max() <= 1e-12
 
@@ -212,6 +219,38 @@ def test_non_positive_metric_rejected(torus_cx):
     h = np.diag([1.0, 1.0, -0.5]).astype(complex)
     with pytest.raises(MetricError):
         HermitianStructure(torus_cx, h=h)
+
+
+def test_singular_metric_rejected(torus_cx):
+    with pytest.raises(MetricError):
+        HermitianStructure(torus_cx, h=np.diag([1.0, 1.0, 0.0]))
+
+
+def test_metric_indefinite_at_one_node_rejected(spectral_cx):
+    # h(x) = (1 - s f(x)) I with f = sum of cos(2 pi x_a) over the 6 real
+    # axes: f = 6 only at the node x = 0 and at most 5 + cos(2 pi / 5)
+    # elsewhere, so with 1/6 < s < 1/5.31 h is indefinite at one node of 5^6
+    cx = spectral_cx
+    cat = cx.catalog
+    s = 1.0 / 5.7
+    omega = cx.hermitian_form(np.eye(cx.n))
+    for m in cat.modes:
+        if sum(map(abs, m)) == 1:
+            for j in range(1, cx.n + 1):
+                omega.coeffs[cat.flat_index(m, (j,), (j,))] = -0.5 * s * (
+                    omega.coeffs[cat.flat_index(cat.zero_mode, (j,), (j,))])
+    h, _ = _hermitian_coefficient_matrix(cx, omega)
+    bad = np.linalg.eigvalsh(h).min(axis=1) <= 0
+    assert bad.sum() == 1 and len(bad) == 5**6
+    with pytest.raises(MetricError, match="min eigenvalue"):
+        HermitianStructure(cx, omega=omega)
+
+
+def test_positivity_margin_and_positive_above(spectral_H):
+    H = spectral_H
+    margin = H.positivity_margin
+    assert margin == np.linalg.eigvalsh(H.h_nodes).min()
+    assert H.positive_above(0.99 * margin) and not H.positive_above(1.01 * margin)
 
 
 def test_non_hermitian_metric_rejected(torus_cx):
