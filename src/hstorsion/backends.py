@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import re
+import weakref
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -25,6 +26,7 @@ from .forms import (
     _Memo,
     basis_form,
     conjugate,
+    wedge,
     zero_form,
 )
 
@@ -40,6 +42,10 @@ __all__ = [
 
 STRUCTURE_TOL = 1e-12
 _HOLO, _ANTI = Bidegree(1, 0), Bidegree(0, 1)  # the bidegrees of dz^j, dzbar^j
+
+# (modes, grid) -> the memo of the quadrature tables that depend only on them,
+# held by every live complex on that lattice and freed with the last one
+_LATTICES = weakref.WeakValueDictionary()
 
 
 class ModelError(ValueError):
@@ -125,7 +131,9 @@ class FormComplex(_Memo):
 
     Immutable after construction.  It also carries the quadrature grid,
     node plane-wave matrix and weights used by every metric-dependent
-    computation downstream; a model with no axes has one node.
+    computation downstream; a model with no axes has one node.  The
+    plane-wave matrix and weights are shared with every live complex on the
+    same (modes, grid).
     """
 
     def __init__(self, model: Model):
@@ -133,6 +141,10 @@ class FormComplex(_Memo):
         self.catalog = BasisCatalog(model.n, model.mode_set)
         self.n = model.n
         self.model = model
+        key = (self.catalog.modes, self.grid)
+        self._lattice = _LATTICES.get(key)
+        if self._lattice is None:
+            self._lattice = _LATTICES[key] = _Memo()
         self._del = {}
         self._dbar = {}
         self._assemble()
@@ -150,15 +162,7 @@ class FormComplex(_Memo):
         cat, zero = self.catalog, self.catalog.zero_mode
         terms = {_HOLO: [], _ANTI: []}
         for k in range(1, self.n + 1):
-            if not self.model.d_phi.get(k):
-                continue  # d phi^k = 0; (2,0)-forms need n >= 2
-            d_phi = [zero_form(cat, 2, 0), zero_form(cat, 1, 1)]
-            for (kind, i, j), c in self.model.d_phi.get(k, {}).items():
-                # validate admits only zero (0,2) terms g(i,j)
-                if kind == "e":
-                    d_phi[0].coeffs[cat.flat_index(zero, (i, j), ())] += c
-                elif kind == "f":
-                    d_phi[1].coeffs[cat.flat_index(zero, (i,), (j,))] += c
+            d_phi = _d_phi_forms(cat, self.model.d_phi.get(k, {}))
             for bd, gen in ((_HOLO, d_phi), (_ANTI, map(conjugate, d_phi))):
                 for u in gen:
                     structs, _ = cat.struct_indices(u.p, u.q)
@@ -278,7 +282,7 @@ class FormComplex(_Memo):
     def eval_matrix(self):
         """Plane-wave matrix E with E[x, m] = exp(2 pi i m . x_node); [[1]]
         when there are no axes."""
-        return self._cached("eval", lambda: np.exp(
+        return self._lattice._cached("eval", lambda: np.exp(
             2j * np.pi * (self.nodes() @ np.array(self.catalog.modes).T)))
 
     def mode_difference_weights(self):
@@ -309,7 +313,7 @@ class FormComplex(_Memo):
             r = np.where(2 * r > L, r - L, r)
             return np.exp(-2j * np.pi * r / L) / self.n_nodes, index
 
-        return self._cached("difference_weights", build)
+        return self._lattice._cached("difference_weights", build)
 
     @property
     def n_nodes(self):
@@ -384,6 +388,42 @@ class FormComplex(_Memo):
         if real:
             u = 0.5 * (u + conjugate(u)) if p == q else u
         return u
+
+
+def _d_phi_forms(cat: BasisCatalog, terms):
+    """d phi^k on the zero mode as its (2,0) part (n >= 2) and (1,1) part,
+    from its terms; validate admits only zero (0,2) terms g(i,j)."""
+    zero = cat.zero_mode
+    d_phi = [zero_form(cat, 2, 0)] if cat.n >= 2 else []
+    d_phi.append(zero_form(cat, 1, 1))
+    for (kind, i, j), c in terms.items():
+        if kind == "e":
+            d_phi[0].coeffs[cat.flat_index(zero, (i, j), ())] += c
+        elif kind == "f":
+            d_phi[-1].coeffs[cat.flat_index(zero, (i,), (j,))] += c
+    return d_phi
+
+
+def _d_squared(model: Model):
+    """k -> the largest coefficient of d(d phi^k), by the Leibniz rule
+    d(a ^ b) = da ^ b - a ^ db on every term a ^ b of d phi^k.  d^2 is a
+    derivation, so it vanishes on every form exactly when it vanishes on
+    every phi^k (and so on every conj(phi^k))."""
+    cat = BasisCatalog(model.n)  # no axes: its one mode is ()
+    d = {k: _d_phi_forms(cat, terms) for k, terms in model.d_phi.items()}
+    out = {}
+    for k, terms in model.d_phi.items():
+        parts = {}
+        for (kind, i, j), c in terms.items():  # a g(i,j) term is zero
+            a, anti = basis_form(cat, (), (i,), ()), kind == "f"
+            b = basis_form(cat, (), *(((), (j,)) if anti else ((j,), ())))
+            db = [conjugate(v) if anti else v for v in d.get(j, [])]
+            for x, y, s in [(u, b, c) for u in d.get(i, [])] + [(a, v, -c) for v in db]:
+                bd = x.bidegree + y.bidegree
+                if max(bd) <= model.n:  # a wedge past degree n is zero
+                    parts[bd] = parts.get(bd, 0) + s * wedge(x, y).coeffs
+        out[k] = max((np.abs(v).max() for v in parts.values()), default=0.0)
+    return out
 
 
 def build_complex(model: Model) -> FormComplex:
@@ -471,6 +511,7 @@ def parse_model(text: str):
     kind = None
     n = None
     d_phi = {}
+    d_lines = {}  # k -> line of 'd k :='
     mode_lines = []  # (mode, line)
     axis_spec = None
     grid = grid_ln = None
@@ -510,7 +551,7 @@ def parse_model(text: str):
                     c = parse_complex(tm.group("coef"), ln)
                     key = (tm.group("kind"), int(tm.group("i")), int(tm.group("j")))
                     terms[key] = terms.get(key, 0) + c
-            d_phi[k] = terms
+            d_phi[k], d_lines[k] = terms, ln
         elif head == "modes":
             if not re.fullmatch(r"modes\s+axis\s+K\s+-?\d+", line):
                 raise ModelError("expected 'modes axis K <int>'", ln)
@@ -584,8 +625,10 @@ def parse_model(text: str):
             raise ModelError("spectral directives in an invariant model")
         model = Model(n=n, d_phi=d_phi, metric=const_h)
         model.validate()
-        if any(d_phi.values()):
-            build_complex(model)  # d^2 = 0 is checked by assembling once
+        scale = max((abs(c) for t in d_phi.values() for c in t.values()), default=0.0)
+        for k, r in sorted(_d_squared(model).items(), key=lambda kr: d_lines[kr[0]]):
+            if r > STRUCTURE_TOL * max(1.0, scale):
+                raise ModelError(f"d(d phi^{k}) != 0: {r:.2e}", d_lines[k])
         return model
 
     for mode, ln in mode_lines:

@@ -3,16 +3,19 @@
 Laplacians are assembled from the structure operators and their Gram
 adjoints; kernels, Green operators and harmonic projectors come from a
 Gram-aware eigendecomposition.  Dimension counts are always computed two
-independent ways (harmonic kernel vs quotient ranks) and must agree.
+independent ways (harmonic kernel vs quotient ranks) and must agree.  The
+quotient ranks depend only on the complex and are counted once per complex;
+the spectral data of a Laplacian is computed once per metric.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forms import Bidegree, Form
+from .forms import Form
 from .metric import HermitianStructure
 
 __all__ = [
@@ -39,21 +42,39 @@ KERNEL_RCOND = 1e-10
 class GramEig:
     """Spectral data of a G-self-adjoint PSD operator M.
 
-    pinv: the pseudoinverse vanishing on ker M (the Green operator),
-    kernel_projector: G-orthogonal projector onto ker M,
     eigenvalues: ascending, real,
     kernel_dim: count of eigenvalues below cutoff,
     cutoff: absolute kernel threshold used,
     separation_ok: False when some eigenvalue sits within a factor 100 of
-        the cutoff, signalling an unreliable kernel split.
+        the cutoff, signalling an unreliable kernel split,
+    vectors: orthonormal eigenvectors V of R M R^{-1}, for G = R^H R,
+    R, Rinv: the Cholesky factor of G and its inverse.
+
+    pinv (the pseudoinverse vanishing on ker M, the Green operator) and
+    kernel_projector (the G-orthogonal projector onto ker M) are formed
+    when first read.
     """
 
-    pinv: np.ndarray
-    kernel_projector: np.ndarray
     eigenvalues: np.ndarray
     kernel_dim: int
     cutoff: float
     separation_ok: bool
+    vectors: np.ndarray
+    R: np.ndarray
+    Rinv: np.ndarray
+
+    @functools.cached_property
+    def pinv(self):
+        w, V = self.eigenvalues, self.vectors
+        nonzero = ~(w < self.cutoff)
+        winv = np.zeros_like(w)
+        winv[nonzero] = 1.0 / w[nonzero]
+        return self.Rinv @ (V * winv) @ V.conj().T @ self.R
+
+    @functools.cached_property
+    def kernel_projector(self):
+        Vk = self.vectors[:, self.eigenvalues < self.cutoff]
+        return self.Rinv @ Vk @ Vk.conj().T @ self.R
 
 
 def gram_eig(M, R, Rinv, rcond=KERNEL_RCOND) -> GramEig:
@@ -63,28 +84,14 @@ def gram_eig(M, R, Rinv, rcond=KERNEL_RCOND) -> GramEig:
     G = R^H R, and Rinv its inverse, as HermitianStructure.chol and
     chol_inv return them.  Conjugating by R turns M into an honest
     Hermitian matrix, so eigh applies."""
-    N = M.shape[0]
-    if N == 0:
-        z = np.zeros((0, 0))
-        return GramEig(z, z, np.zeros(0), 0, 0.0, True)
     Mt = R @ M @ Rinv
     Mt = 0.5 * (Mt + Mt.conj().T)
     w, V = np.linalg.eigh(Mt)
     scale = max(float(w[-1]), 1.0) if len(w) else 1.0
     cutoff = rcond * scale
-    kernel = w < cutoff
-    kdim = int(kernel.sum())
-    nonzero = ~kernel
-    sep = True
-    band = np.abs(w) > 0
-    near = (np.abs(w) > cutoff / 100) & (np.abs(w) < cutoff * 100) & band
-    if near.any():
-        sep = False
-    winv = np.zeros_like(w)
-    winv[nonzero] = 1.0 / w[nonzero]
-    pinv = Rinv @ (V * winv) @ V.conj().T @ R
-    proj = Rinv @ V[:, kernel] @ V[:, kernel].conj().T @ R
-    return GramEig(pinv, proj, w, kdim, cutoff, sep)
+    kdim = int((w < cutoff).sum())
+    near = (np.abs(w) > cutoff / 100) & (np.abs(w) < cutoff * 100) & (np.abs(w) > 0)
+    return GramEig(w, kdim, cutoff, not near.any(), V, R, Rinv)
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +152,10 @@ _LAPLACIANS = {"bc": laplacian_bc, "dbar": laplacian_dbar}
 
 def green_operator(H: HermitianStructure, p, q, which="bc", rcond=KERNEL_RCOND):
     """GramEig bundle for the chosen Laplacian on Lambda^{p,q}; its pinv is
-    the Green operator (inverse off the harmonic space, zero on it)."""
-    L = _LAPLACIANS[which](H, p, q)
-    return gram_eig(L, H.chol(p, q), H.chol_inv(p, q), rcond)
+    the Green operator (inverse off the harmonic space, zero on it).
+    Computed once per metric and key."""
+    return H._cached(("green", p, q, which, rcond), lambda: gram_eig(
+        _LAPLACIANS[which](H, p, q), H.chol(p, q), H.chol_inv(p, q), rcond))
 
 
 def harmonic_projection(H: HermitianStructure, u: Form, which="bc"):
@@ -163,7 +171,7 @@ def harmonic_projection(H: HermitianStructure, u: Form, which="bc"):
 
 
 def _rank(A, rcond=KERNEL_RCOND):
-    if A.size == 0:
+    if A is None or A.size == 0:
         return 0
     s = np.linalg.svd(A, compute_uv=False)
     if len(s) == 0 or s[0] == 0:
@@ -221,28 +229,42 @@ def _kernel_dim(table, H, p, q, which, rcond):
     return ge.kernel_dim
 
 
+def _quotient_dims(cx, p, q, rcond):
+    """(h_dbar, h_bc, h_aeppli) at (p,q) as quotient ranks of the complex's
+    operators, counted once per complex and rcond: dim ker dbar - rank dbar,
+    dim ker[del; dbar] - rank del dbar, and dim ker(del dbar) -
+    rank[del | dbar]."""
+
+    def build():
+        n = cx.n
+        N = cx.dims(p, q)
+        db = cx.dbar_matrix(p, q) if q + 1 <= n else None
+        d_in = cx.del_matrix(p - 1, q) if p >= 1 else None
+        db_in = cx.dbar_matrix(p, q - 1) if q >= 1 else None
+        dd_in = cx.ddbar_matrix(p - 1, q - 1) if (p >= 1 and q >= 1) else None
+        dd = cx.ddbar_matrix(p, q) if (p + 1 <= n and q + 1 <= n) else None
+        d = cx.del_matrix(p, q) if p + 1 <= n else None
+        h_dbar = _stack_kernel_dim([db], N, rcond) - _rank(db_in, rcond)
+        h_bc = _stack_kernel_dim([d, db], N, rcond) - _rank(dd_in, rcond)
+        im = [m for m in (d_in, db_in) if m is not None and m.size]
+        im_rank = _rank(np.hstack(im), rcond) if im else 0
+        return h_dbar, h_bc, _stack_kernel_dim([dd], N, rcond) - im_rank
+
+    return cx._cached(("quotient_dims", p, q, rcond), build)
+
+
 def cohomology_table(H: HermitianStructure, rcond=KERNEL_RCOND) -> CohomologyTable:
     """Dolbeault, Bott-Chern and Aeppli dimensions at every bidegree.
 
-    h_dbar and h_bc are computed both as harmonic-kernel counts and as
-    quotient ranks; a disagreement raises CohomologyMismatch.  h_aeppli uses
-    the quotient formula dim ker(del dbar) - rank[del | dbar]."""
-    cx = H.complex
+    h_dbar and h_bc are computed both as harmonic-kernel counts of this
+    metric and as quotient ranks of the complex; a disagreement raises
+    CohomologyMismatch.  h_aeppli uses the quotient formula
+    dim ker(del dbar) - rank[del | dbar]."""
     n = H.n
     table = CohomologyTable(n=n)
     for p in range(n + 1):
         for q in range(n + 1):
-            N = cx.dims(p, q)
-            db = cx.dbar_matrix(p, q) if q + 1 <= n else None
-            d_in = cx.del_matrix(p - 1, q) if p >= 1 else None
-            db_in = cx.dbar_matrix(p, q - 1) if q >= 1 else None
-            dd_in = cx.ddbar_matrix(p - 1, q - 1) if (p >= 1 and q >= 1) else None
-            dd = cx.ddbar_matrix(p, q) if (p + 1 <= n and q + 1 <= n) else None
-            d = cx.del_matrix(p, q) if p + 1 <= n else None
-
-            h_dbar_rank = _stack_kernel_dim([db], N, rcond) - (
-                _rank(db_in, rcond) if db_in is not None else 0
-            )
+            h_dbar_rank, h_bc_rank, h_aeppli = _quotient_dims(H.complex, p, q, rcond)
             h_dbar_ker = _kernel_dim(table, H, p, q, "dbar", rcond)
             table.cross_checks.append(("dbar", p, q, h_dbar_ker, h_dbar_rank))
             if h_dbar_ker != h_dbar_rank:
@@ -250,19 +272,12 @@ def cohomology_table(H: HermitianStructure, rcond=KERNEL_RCOND) -> CohomologyTab
                     f"h_dbar({p},{q}): kernel {h_dbar_ker} vs rank {h_dbar_rank}"
                 )
 
-            h_bc_rank = _stack_kernel_dim([d, db], N, rcond) - (
-                _rank(dd_in, rcond) if dd_in is not None else 0
-            )
             h_bc_ker = _kernel_dim(table, H, p, q, "bc", rcond)
             table.cross_checks.append(("bc", p, q, h_bc_ker, h_bc_rank))
             if h_bc_ker != h_bc_rank:
                 raise CohomologyMismatch(
                     f"h_bc({p},{q}): kernel {h_bc_ker} vs rank {h_bc_rank}"
                 )
-
-            im = [m for m in (d_in, db_in) if m is not None and m.size]
-            im_rank = _rank(np.hstack(im), rcond) if im else 0
-            h_aeppli = _stack_kernel_dim([dd], N, rcond) - im_rank
 
             table.entries[(p, q)] = {
                 "dbar": h_dbar_ker,

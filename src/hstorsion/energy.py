@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .forms import Bidegree, Form, conjugate, zero_form
-from .metric import HermitianStructure, MetricError
+from .metric import HermitianStructure, MetricError, check_weak_positivity
 from .torsion import CLASSIFY_TOL, min_norm_torsion, torsion_form
 
 __all__ = [
@@ -190,19 +190,15 @@ class CorollaryReport:
 
 
 def corollary_check(target, xi: Form, tol: float = CLASSIFY_TOL,
-                    vanish_tol: float = 1e-8,
-                    samples: int = 256, seed: int = 0) -> CorollaryReport:
+                    vanish_tol: float = 1e-8) -> CorollaryReport:
     """Check the hypotheses and conclusion of the criticality corollary at
     a point whose torsion form is rho = del xi."""
-    from .metric import check_weak_positivity
-
     H = _structure(target)
     value, _ = differential_special(H, xi, tol=tol)
     _, rep = energy(H, tol=tol)
     rho = rep.rho20
     wedge_term = value - 2.0 * rep.norm**2
-    pos = check_weak_positivity(H, H.complex.apply_dbar(xi), samples=samples,
-                                seed=seed)
+    pos = check_weak_positivity(H, H.complex.apply_dbar(xi))
     scale = 1.0 + rep.norm**2
     vanishes = abs(value) <= vanish_tol * scale
     semi = pos.verdict in ("positive", "semi-positive")

@@ -12,6 +12,7 @@ every operator matrix in the package is expressed in it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -94,11 +95,19 @@ class _Memo:
         return self._memo[key]
 
 
+@functools.lru_cache(maxsize=None)
+def _dimension_memo(n):
+    """The memo of the tables that depend only on n (struct bases, wedge
+    tables, covector wedges), shared by every catalog of dimension n."""
+    return _Memo()
+
+
 class BasisCatalog(_Memo):
     """Enumerated bases of every Lambda^{p,q} for a fixed dimension and mode
     set, plus the structural (mode-independent) wedge and conjugation data.
 
-    Immutable after construction; all tables are cached.
+    Immutable after construction; all tables are cached, those that do not
+    involve the modes once per n.
     """
 
     def __init__(self, n: int, modes=((),)):
@@ -116,6 +125,7 @@ class BasisCatalog(_Memo):
         self.mode_pos = {m: i for i, m in enumerate(self.modes)}
         self.n_modes = len(self.modes)
         self.zero_mode = (0,) * len(self.modes[0])
+        self._per_n = _dimension_memo(n)
 
     # -- enumeration ---------------------------------------------------
 
@@ -135,7 +145,7 @@ class BasisCatalog(_Memo):
             ]
             return idx, {s: i for i, s in enumerate(idx)}
 
-        return self._cached(("struct", p, q), build)
+        return self._per_n._cached(("struct", p, q), build)
 
     def struct_dim(self, p, q):
         self.check_bidegree(p, q)
@@ -186,7 +196,7 @@ class BasisCatalog(_Memo):
                     table.append((a, b, sI * sJ * swap, out_pos[(I, J)]))
             return table
 
-        return self._cached(("wedge", *bd1, *bd2), build)
+        return self._per_n._cached(("wedge", *bd1, *bd2), build)
 
     def covector_wedge(self, bd: Bidegree, p, q):
         """(n, S_out, S) array whose j-th slice is the signed 0/1 matrix of
@@ -207,7 +217,7 @@ class BasisCatalog(_Memo):
             return (-1) ** p * np.einsum("ab,jcd->jacbd", np.eye(comb(self.n, p)),
                                          T).reshape(shape)
 
-        return self._cached(("covector", *bd, p, q), build)
+        return self._per_n._cached(("covector", *bd, p, q), build)
 
     # -- mode arithmetic -------------------------------------------------
 
@@ -279,9 +289,6 @@ class Form:
     def q(self):
         return self.bidegree.q
 
-    def copy(self):
-        return Form(self.catalog, self.bidegree, self.coeffs.copy())
-
     def __add__(self, other: "Form") -> "Form":
         self._check_compatible(other)
         return Form(self.catalog, self.bidegree, self.coeffs + other.coeffs)
@@ -305,9 +312,6 @@ class Form:
             raise DegreeError(
                 f"bidegree mismatch {tuple(self.bidegree)} vs {tuple(other.bidegree)}"
             )
-
-    def coeff_norm(self):
-        return float(np.linalg.norm(self.coeffs))
 
 
 def zero_form(catalog: BasisCatalog, p: int, q: int) -> Form:

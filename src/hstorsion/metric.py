@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -256,15 +256,6 @@ class HermitianStructure(_Memo):
         # unit-volume model: tau = i^{n^2} e_vol integrates to 1
         return (1j) ** (-(self.n**2))
 
-    def integrate_top(self, u: Form) -> complex:
-        """Integral of an (n,n)-form."""
-        if (u.p, u.q) != (self.n, self.n):
-            raise DegreeError("integrate_top requires an (n,n)-form")
-        cat = self.complex.catalog
-        c0 = u.coeffs[cat.flat_index(cat.zero_mode, tuple(range(1, self.n + 1)),
-                                     tuple(range(1, self.n + 1)))]
-        return complex(c0 * self._vol_unit)
-
     def integrate_product(self, forms, scale=1.0) -> complex:
         """Exact integral of scale * f_1 ^ ... ^ f_k without intermediate
         Galerkin truncation: pointwise wedge on the quadrature grid.
@@ -430,22 +421,6 @@ class PositivityReport:
         )
 
 
-def _pairing_values(H: HermitianStructure, u: Form, alphas):
-    """Pointwise value of u ^ i a_1 ^ abar_1 ^ ... relative to tau at every
-    quadrature node; alphas is a (k, n) complex array of (1,0) covectors."""
-    cx = H.complex
-    cat = cx.catalog
-    vals = cx.evaluate(u)
-    cur_bd = u.bidegree
-    for a in alphas:
-        # i a ^ abar as a constant (1,1) struct coefficient array, whose
-        # (j,k) struct order is the row-major order of the outer product
-        c = (1j * np.outer(a, np.conj(a))).reshape(-1)
-        vals = wedge_values(cat, cur_bd, Bidegree(1, 1), vals, c)
-        cur_bd = cur_bd + Bidegree(1, 1)
-    return np.real(vals[:, 0] * H._vol_unit)
-
-
 def _hermitian_coefficient_matrix(cx: FormComplex, u: Form):
     """For a (1,1)-form u = i sum c_{jk} dz^j^dzbar^k, the Hermitian part of
     the matrix c(x) at every node, shape (X, n, n), and the largest
@@ -487,23 +462,20 @@ def _eigenvalue_verdict(M):
     return PositivityReport("refuted", witness=(node, v[:, 0]), margin=lo, certified=True)
 
 
-def check_weak_positivity(
-    H: HermitianStructure, u: Form, samples: int = 512, seed: int = 0
-) -> PositivityReport:
+def check_weak_positivity(H: HermitianStructure, u: Form) -> PositivityReport:
     """Weak positivity of a (p,p)-form by pairing against decomposable
-    positive (n-p,n-p)-forms.
-
-    Refutation is sound (a witness pairing is strictly negative); positive /
-    semi-positive verdicts are sampling-grade except in bidegrees (1,1) and
-    (n-1,n-1), where an exact eigenvalue certificate decides.
+    positive (n-p,n-p)-forms, decided by an exact certificate in the
+    bidegrees (0,0), (1,1), (n-1,n-1) and (n,n); any other bidegree raises
+    DegreeError.
     """
     n = H.n
     p = u.p
     if u.p != u.q:
         raise DegreeError("weak-positivity test requires a (p,p)-form")
     k = n - p
-    if p == 0:
-        vals = np.real(H.complex.evaluate(u)[:, 0])
+    if p == 0 or k == 0:
+        # a function, or a function times e_vol = i^{-n^2} tau
+        vals = np.real(H.complex.evaluate(u)[:, 0] * (H._vol_unit if p else 1.0))
         lo = float(vals.min())
         verdict = "positive" if lo > 0 else ("semi-positive" if lo >= -1e-12 else "refuted")
         return PositivityReport(verdict, margin=lo, certified=True)
@@ -518,39 +490,4 @@ def check_weak_positivity(
         M = (1j * top[..., 0] * H._vol_unit).reshape(-1, n, n)
         M = 0.5 * (M + np.conj(np.swapaxes(M, 1, 2)))
         return _eigenvalue_verdict(M)
-
-    # middle bidegrees: deterministic low-discrepancy sampling
-    from scipy.stats import qmc
-
-    scale_u = max(np.abs(u.coeffs).max(), 1e-300)
-    worst = (np.inf, None)
-    count = 0
-    # coordinate-axis tuples first
-    for axes in combinations(range(n), k):
-        alphas = np.eye(n, dtype=complex)[list(axes)]
-        vals = _pairing_values(H, u, alphas)
-        count += 1
-        lo = float(vals.min())
-        if lo < worst[0]:
-            worst = (lo, alphas)
-    sampler = qmc.Halton(d=2 * n * k, scramble=True, seed=seed)
-    pts = sampler.random(samples)
-    for row in pts:
-        z = (2 * row - 1).reshape(k, 2 * n)
-        alphas = z[:, :n] + 1j * z[:, n:]
-        nrm = np.linalg.norm(alphas, axis=1, keepdims=True)
-        nrm[nrm == 0] = 1.0
-        alphas = alphas / nrm
-        vals = _pairing_values(H, u, alphas)
-        count += 1
-        lo = float(vals.min())
-        if lo < worst[0]:
-            worst = (lo, alphas)
-    lo = worst[0]
-    tol = 1e-12 * scale_u
-    if lo < -tol:
-        return PositivityReport("refuted", witness=worst[1], margin=lo,
-                                samples_used=count)
-    if lo > 1e-9 * scale_u:
-        return PositivityReport("positive", margin=lo, samples_used=count)
-    return PositivityReport("semi-positive", margin=lo, samples_used=count)
+    raise DegreeError(f"no weak-positivity certificate in bidegree ({p},{p}) for n={n}")

@@ -153,22 +153,27 @@ def hs_feasible(H: HermitianStructure, tol: float = CLASSIFY_TOL) -> HSFeasibili
     picking the minimal L^2_omega-norm solution.
 
     Feasibility holds when the joint residual (Gram norms on the target
-    spaces) is at most tol relative to 1 + ||del omega||."""
-    cx = H.complex
-    dw = cx.apply_del(H.omega)  # (2,1)
-    blocks = []
-    if H.n >= 3:  # del rho = 0
-        A1 = cx.del_matrix(2, 0)
-        blocks.append((A1, (3, 0), np.zeros(A1.shape[0], dtype=complex)))
-    blocks.append((cx.dbar_matrix(2, 0), (2, 1), -dw.coeffs))  # dbar rho = -del omega
-    x, resid = H.lstsq((2, 0), blocks)
-    rel = resid / (1.0 + H.norm(dw))
-    return HSFeasibility(
-        feasible=rel <= tol,
-        residual=rel,
-        rho_min=Form(cx.catalog, Bidegree(2, 0), x),
-        tol=tol,
-    )
+    spaces) is at most tol relative to 1 + ||del omega||.  Solved once per
+    metric and tol."""
+
+    def build():
+        cx = H.complex
+        dw = cx.apply_del(H.omega)  # (2,1)
+        blocks = []
+        if H.n >= 3:  # del rho = 0
+            A1 = cx.del_matrix(2, 0)
+            blocks.append((A1, (3, 0), np.zeros(A1.shape[0], dtype=complex)))
+        blocks.append((cx.dbar_matrix(2, 0), (2, 1), -dw.coeffs))  # dbar rho = -del omega
+        x, resid = H.lstsq((2, 0), blocks)
+        rel = resid / (1.0 + H.norm(dw))
+        return HSFeasibility(
+            feasible=rel <= tol,
+            residual=rel,
+            rho_min=Form(cx.catalog, Bidegree(2, 0), x),
+            tol=tol,
+        )
+
+    return H._cached(("hs_feasible", tol), build)
 
 
 def min_norm_torsion(H: HermitianStructure, tol: float = CLASSIFY_TOL) -> Form:

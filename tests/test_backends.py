@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from hstorsion.backends import ModelError, build_complex, parse_model
-from hstorsion.forms import conjugate, wedge
+from hstorsion.backends import (FormComplex, ModelError, build_complex,
+                                parse_model)
+from hstorsion.forms import Bidegree, BasisCatalog, conjugate, wedge
 
 from conftest import IWASAWA_TEXT, SPECTRAL_TEXT, TORUS_TEXT
 
@@ -150,6 +151,9 @@ SPECTRAL_HEAD = "kind spectral\nn 3\nmodes axis K 1\n"
     ("kind spectral\nn 3\nmodes axis K x\n", 3),
     ("kind invariant\nn 0\n", 2),
     ("kind spectral\nn -1\nmodes axis K 1\n", 2),
+    # d(d phi^3) = -phi^1 ^ phi^2 ^ phi^3: the line of 'd 3 :=' is reported
+    ("kind invariant\nn 3\nd 3 := 1 * e(1,2)\nd 1 := 1 * e(1,3)\n", 3),
+    ("kind invariant\nn 3\nd 1 := 1 * e(1,3)\nd 3 := 1 * f(1,2)\n", 4),
 ])
 def test_parse_model_rejects_with_line(text, line):
     with pytest.raises(ModelError) as err:
@@ -173,3 +177,39 @@ def test_potential_mode_outside_set_rejected():
     cx = build_complex(parse_model(text))
     with pytest.raises(ModelError):
         cx.metric_form()
+
+
+def test_parse_and_build_assemble_once(monkeypatch):
+    # parse_model checks d^2 = 0 on the generators; only build_complex
+    # assembles the complex, and still checks d^2 = 0 on every bidegree
+    calls = []
+    assemble = FormComplex._assemble
+    monkeypatch.setattr(FormComplex, "_assemble",
+                        lambda self: calls.append(1) or assemble(self))
+    for _ in range(3):
+        build_complex(parse_model(IWASAWA_TEXT))
+    assert len(calls) == 3
+
+
+def test_complexes_on_one_lattice_share_the_quadrature_tables():
+    flat = "kind spectral\nn 2\nmodes axis K 1\n"
+    a, b = (build_complex(parse_model(flat + "grid 5\n")) for _ in range(2))
+    c = build_complex(parse_model(flat + "grid 7\n"))
+    assert a.mode_difference_weights()[0] is b.mode_difference_weights()[0]
+    assert a.eval_matrix() is b.eval_matrix()
+    assert c.mode_difference_weights()[0] is not a.mode_difference_weights()[0]
+    assert c.mode_difference_weights()[0].shape == (21, 7 ** 4)
+
+
+def test_catalogs_of_one_dimension_share_the_structural_tables():
+    # struct bases, wedge tables and covector wedges depend only on n; the
+    # tables that involve the modes stay on each catalog
+    a = BasisCatalog(3)
+    b = BasisCatalog(3, [(0,) * 6, (1,) + (0,) * 5, (-1,) + (0,) * 5])
+    one = Bidegree(1, 0)
+    assert a.struct_indices(1, 1) is b.struct_indices(1, 1)
+    assert a.wedge_table(one, Bidegree(1, 1)) is b.wedge_table(one, Bidegree(1, 1))
+    assert a.covector_wedge(one, 1, 1) is b.covector_wedge(one, 1, 1)
+    assert a.conj_permutation(1, 0).shape == (3, 3)
+    assert b.conj_permutation(1, 0).shape == (9, 9)
+    assert BasisCatalog(2).struct_indices(1, 1) is not a.struct_indices(1, 1)

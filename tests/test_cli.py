@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import hstorsion
-from hstorsion import cli
+from hstorsion import cli, cohomology
 from hstorsion.backends import format_complex
 from hstorsion.cli import EXIT_CONTRACT, EXIT_INPUT, EXIT_OK, run
 from hstorsion.cohomology import CohomologyMismatch, cohomology_table
@@ -237,3 +237,26 @@ def test_python_m_hstorsion(torus_file, tmp_path):
         timeout=120)
     assert proc.returncode == EXIT_OK, proc.stderr
     assert (tmp_path / "out" / "classify_report.txt").exists()
+
+
+def test_family_runs_five_laplacians_per_sample(tmp_path, monkeypatch):
+    # the dimension columns take the Bott-Chern Laplacians at (0,2), (2,1)
+    # and the Dolbeault ones at (0,1), (0,2); the torsion form adds the
+    # Bott-Chern (2,0); the Neumann and Kahler solves reuse (0,2), (0,1)
+    # and (2,1) from the metric's memo
+    calls = []
+    for which, lap in list(cohomology._LAPLACIANS.items()):
+        monkeypatch.setitem(cohomology._LAPLACIANS, which,
+                            lambda H, p, q, which=which, lap=lap:
+                            calls.append((H, p, q, which)) or lap(H, p, q))
+    path = tmp_path / "family.model"
+    path.write_text("kind invariant\nn 2\nmetric h 1 1 := poly(1, 0.5)\n"
+                    "metric h 2 2 := 1\nt_samples := 0 0.5 1\n")
+    assert run(["family", "--model", str(path), "--out", str(tmp_path)]) == EXIT_OK
+    with open(tmp_path / "family.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3
+    assert all(r["flagged"] == "False" and r["beta_residual"] != ""
+               and r["kahler_d_residual"] != "" for r in rows)
+    assert len(calls) == 5 * 3
+    assert len({(id(H), p, q, w) for H, p, q, w in calls}) == len(calls)

@@ -1,15 +1,19 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from hstorsion.cohomology import (cohomology_table, gram_eig, green_operator,
+from hstorsion import cohomology
+from hstorsion.backends import build_complex, parse_model
+from hstorsion.cohomology import (CohomologyMismatch, cohomology_table,
+                                  gram_eig, green_operator,
                                   harmonic_projection, laplacian_bc,
                                   laplacian_dbar)
 from hstorsion.forms import conjugate
 
-from conftest import random_hermitian_structure
+from conftest import IWASAWA_TEXT, random_hermitian_structure
 
 
 def test_gram_eig_basic(rng):
@@ -170,3 +174,56 @@ def test_unreliable_kernel_split_recorded(iwasawa_H):
     assert expected and set(table.unreliable) == expected
     assert len(table.unreliable) == len(expected)
     assert table.entries == cohomology_table(H).entries
+
+
+def test_quotient_ranks_counted_once_per_complex(monkeypatch, rng):
+    cx = build_complex(parse_model(IWASAWA_TEXT))
+    calls = []
+    rank = cohomology._rank
+    monkeypatch.setattr(cohomology, "_rank",
+                        lambda *a: calls.append(1) or rank(*a))
+    first = cohomology_table(random_hermitian_structure(cx, rng))
+    counted = len(calls)
+    assert counted > 0
+    second = cohomology_table(random_hermitian_structure(cx, rng))
+    assert len(calls) == counted
+    # every metric still compares its own kernel counts with the ranks
+    assert second.entries == first.entries
+    assert len(second.cross_checks) == 2 * (cx.n + 1) ** 2
+    assert all(a == b for _, _, _, a, b in second.cross_checks)
+
+
+def test_kernel_count_off_by_one_still_raises(monkeypatch, rng):
+    cx = build_complex(parse_model(IWASAWA_TEXT))
+    cohomology_table(random_hermitian_structure(cx, rng))  # ranks now cached
+
+    def off_by_one(H, p, q, which="bc", rcond=cohomology.KERNEL_RCOND):
+        ge = green_operator(H, p, q, which, rcond)
+        if (p, q, which) == (1, 1, "bc"):
+            ge = dataclasses.replace(ge, kernel_dim=ge.kernel_dim + 1)
+        return ge
+
+    monkeypatch.setattr(cohomology, "green_operator", off_by_one)
+    with pytest.raises(CohomologyMismatch, match=r"h_bc\(1,1\)"):
+        cohomology_table(random_hermitian_structure(cx, rng))
+
+
+def test_green_operator_once_per_metric_and_key(iwasawa_cx, rng):
+    H = random_hermitian_structure(iwasawa_cx, rng)
+    ge = green_operator(H, 2, 0, "bc")
+    assert green_operator(H, 2, 0, "bc") is ge
+    assert green_operator(H, 2, 0, "bc", rcond=1e-8) is not ge
+    assert green_operator(H, 2, 0, "dbar") is not ge
+    other = random_hermitian_structure(iwasawa_cx, rng)
+    assert green_operator(other, 2, 0, "bc") is not ge
+
+
+def test_gram_eig_forms_pinv_and_projector_when_read(iwasawa_cx, rng):
+    # the table reads only kernel counts and separation flags
+    H = random_hermitian_structure(iwasawa_cx, rng)
+    cohomology_table(H)
+    ge = green_operator(H, 1, 1, "bc")
+    assert "pinv" not in vars(ge) and "kernel_projector" not in vars(ge)
+    P = ge.kernel_projector
+    assert ge.kernel_projector is P and np.allclose(P @ P, P, atol=1e-10)
+    assert np.allclose(ge.pinv @ laplacian_bc(H, 1, 1) @ P, 0.0, atol=1e-10)

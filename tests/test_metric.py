@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hstorsion.backends import build_complex, parse_model
-from hstorsion.forms import conjugate, wedge, zero_form
+from hstorsion.forms import DegreeError, conjugate, wedge, zero_form
 from hstorsion.metric import (HermitianStructure, MetricError,
                               _hermitian_coefficient_matrix,
                               check_strong_positivity_11,
@@ -275,3 +275,16 @@ def test_weak_positivity_omega_power(torus_H):
     zero = zero_form(torus_H.complex.catalog, 2, 2)
     rep0 = check_weak_positivity(torus_H, zero)
     assert rep0.verdict != "refuted"
+
+
+def test_weak_positivity_is_certified_or_refused():
+    # exact certificates in (0,0), (1,1), (n-1,n-1) and (n,n); a middle
+    # bidegree (here (2,2) on n = 4) has none and raises
+    cx = build_complex(parse_model("kind invariant\nn 4\n"))
+    H = HermitianStructure(cx, h=np.eye(4))
+    for k in (0, 1, 3, 4):
+        rep = check_weak_positivity(H, H.omega_power(k))
+        assert rep.verdict == "positive" and rep.certified, k
+    assert check_weak_positivity(H, -H.omega_power(4)).verdict == "refuted"
+    with pytest.raises(DegreeError):
+        check_weak_positivity(H, H.omega_power(2))

@@ -5,7 +5,7 @@ from hstorsion.backends import build_complex, parse_model
 from hstorsion.forms import conjugate
 from hstorsion.metric import HermitianStructure
 from hstorsion.torsion import (NotHermitianSymplectic, classify, hs_feasible,
-                               torsion_form)
+                               min_norm_torsion, torsion_form)
 
 
 def test_flat_torus_all_flags(torus_H):
@@ -102,3 +102,12 @@ def test_torsion_scales_linearly_in_small_perturbations(spectral_cx):
         norms.append(torsion_form(Ht).norm)
     ratio = norms[0] / norms[1]
     assert abs(ratio - 2.0) <= 0.1
+
+
+def test_closedness_system_solved_once_per_metric_and_tol(spectral_cx):
+    H = HermitianStructure(spectral_cx, omega=spectral_cx.metric_form())
+    feas = hs_feasible(H)
+    assert hs_feasible(H) is feas
+    assert min_norm_torsion(H) is feas.rho_min
+    assert hs_feasible(H, tol=1e-6) is not feas
+    assert hs_feasible(HermitianStructure(spectral_cx, h=np.eye(3))) is not feas
