@@ -87,26 +87,26 @@ class Model:
     # dbar(u) + del(conj u), which keeps it Hermitian-symplectic
     potential_modes: dict = field(default_factory=dict)
 
-    def validate(self, grid_line=None):
+    def validate(self, grid_line=None, d_lines=None):
         """Raise ModelError on malformed structure constants, a malformed
         mode set or a grid too coarse for exact quadrature; grid_line is the
-        source line of the grid, if any.  d^2 = 0 is checked on the
-        assembled complex."""
+        source line of the grid and d_lines maps k to the line of d phi^k,
+        where known.  d^2 = 0 is checked on the assembled complex."""
         for k, terms in self.d_phi.items():
+            line = (d_lines or {}).get(k)
             if not (1 <= k <= self.n):
-                raise ModelError(f"generator index {k} out of range 1..{self.n}")
+                raise ModelError(f"generator index {k} out of range 1..{self.n}", line)
             for (kind, i, j), c in terms.items():
                 if kind not in ("e", "f", "g"):
-                    raise ModelError(f"unknown 2-form label {kind}")
+                    raise ModelError(f"unknown 2-form label {kind}", line)
                 if not (1 <= i <= self.n and 1 <= j <= self.n):
-                    raise ModelError(f"index out of range in {kind}({i},{j})")
+                    raise ModelError(f"index out of range in {kind}({i},{j})", line)
                 if kind in ("e", "g") and i >= j:
-                    raise ModelError(f"{kind}({i},{j}) requires i < j")
+                    raise ModelError(f"{kind}({i},{j}) requires i < j", line)
                 if kind == "g" and c != 0:
                     raise ModelError(
                         f"d phi^{k} has a (0,2) component {kind}({i},{j}); "
-                        "complex structure is not integrable"
-                    )
+                        "complex structure is not integrable", line)
         axes = len(self.grid)
         modes = {tuple(m) for m in self.mode_set}
         if axes not in (0, 2 * self.n) or any(len(m) != axes for m in modes):
@@ -286,32 +286,40 @@ class FormComplex(_Memo):
             2j * np.pi * (self.nodes() @ np.array(self.catalog.modes).T)))
 
     def mode_difference_weights(self):
-        """Quadrature at the differences of two modes, for the Gram matrices.
+        """Quadrature at the differences of two modes, for the Gram matrices,
+        factored over the first axis.
 
-        Returns (W, index).  W[r, x] = exp(-2 pi i d_r . x_node) / X over
-        the distinct differences d_r = m_i - m_j with d_r >= -d_r
-        (lexicographically), so W @ f holds the Fourier coefficients of a
-        node function f at those d_r; index[i, j] is r where m_i - m_j = d_r
-        and len(W) + r where m_i - m_j = -d_r.  With no axes this is
-        ([[1]], [[0]])."""
+        Returns (phases, weights, index).  The distinct differences
+        d = m_i - m_j with d >= -d (lexicographically) are grouped by their
+        first component k_g, and within a group are d_r = (k_g, d'_r):
+        phases[g, x_1] = exp(-2 pi i k_g x_1 / g_1) and
+        weights[g][r, x'] = exp(-2 pi i d'_r . x') / X over the other axes,
+        so the Fourier coefficient of a node function f at d_r is
+        weights[g][r] @ (sum_x1 phases[g, x_1] f(x_1, .)).  index[i, j] is
+        r, counted through the groups in order, where m_i - m_j = d_r and
+        R + r where m_i - m_j = -d_r, R being the number of rows.  With no
+        axes there is one node on a first axis of one point: ([[1]],
+        ([[1]],), [[0]])."""
 
         def build():
-            pos, rows, flipped = {}, [], []
-            for mi in self.catalog.modes:
-                for mj in self.catalog.modes:
-                    d = tuple(a - b for a, b in zip(mi, mj))
-                    rep = max(d, tuple(-c for c in d))
-                    rows.append(pos.setdefault(rep, len(pos)))
-                    flipped.append(d != rep)
-            M = self.catalog.n_modes
-            index = (np.array(rows) + len(pos) * np.array(flipped)).reshape(M, M)
-            D = np.array(list(pos), dtype=int).reshape(len(pos), -1)
-            grid = np.array(self.grid, dtype=int)
-            # d . x in whole units of 1/L, reduced to (-L/2, L/2] before exp
-            L = math.lcm(*self.grid)
-            r = (D * (L // grid)) @ self._node_indices() % L
-            r = np.where(2 * r > L, r - L, r)
-            return np.exp(-2j * np.pi * r / L) / self.n_nodes, index
+            modes = self.catalog.modes
+            diffs = [tuple(a - b for a, b in zip(mi, mj)) for mi in modes for mj in modes]
+            reps = [max(d, tuple(-c for c in d)) for d in diffs]
+            # in lexicographic order, so grouped by first component (>= 0)
+            rows = sorted(set(reps))
+            at = {d: r for r, d in enumerate(rows)}
+            index = np.reshape([at[rep] + len(rows) * (d != rep)
+                                for d, rep in zip(diffs, reps)], (len(modes),) * 2)
+            grid = np.array(self.grid or (1,), dtype=int)
+            D = np.zeros((len(rows), len(grid)), dtype=int)
+            D[:, : len(self.grid)] = np.reshape(rows, (len(rows), -1))
+            first, starts = np.unique(D[:, 0], return_index=True)
+            phases = _unit_phases(np.outer(first, np.arange(grid[0])), grid[0])
+            # d' . x' in whole units of 1/L at the nodes x' of the other axes
+            L = math.lcm(*grid[1:])
+            others = np.indices(grid[1:]).reshape(len(grid) - 1, self.n_nodes // grid[0])
+            W = _unit_phases((D[:, 1:] * (L // grid[1:])) @ others, L) / self.n_nodes
+            return phases, tuple(np.split(W, starts[1:])), index
 
         return self._lattice._cached("difference_weights", build)
 
@@ -388,6 +396,13 @@ class FormComplex(_Memo):
         if real:
             u = 0.5 * (u + conjugate(u)) if p == q else u
         return u
+
+
+def _unit_phases(r, L):
+    """exp(-2 pi i r / L) for integer r, with r reduced to (-L/2, L/2]
+    first, so the phase of a whole period is exactly 1."""
+    r = np.asarray(r) % L
+    return np.exp(-2j * np.pi * np.where(2 * r > L, r - L, r) / L)
 
 
 def _d_phi_forms(cat: BasisCatalog, terms):
@@ -624,7 +639,7 @@ def parse_model(text: str):
                 or potential_entries or metric_modes):
             raise ModelError("spectral directives in an invariant model")
         model = Model(n=n, d_phi=d_phi, metric=const_h)
-        model.validate()
+        model.validate(d_lines=d_lines)
         scale = max((abs(c) for t in d_phi.values() for c in t.values()), default=0.0)
         for k, r in sorted(_d_squared(model).items(), key=lambda kr: d_lines[kr[0]]):
             if r > STRUCTURE_TOL * max(1.0, scale):

@@ -87,6 +87,42 @@ def _minors(h):
     return minors
 
 
+def _positive_above(M, c) -> bool:
+    """True when M(x) - c I is positive definite for every Hermitian M(x)
+    of M, shape (X, n, n), decided by one batched Cholesky factorization."""
+    try:
+        np.linalg.cholesky(M - c * np.eye(M.shape[-1]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _smallest_eigenvalue(M):
+    """(lo, node): the smallest eigenvalue of the Hermitian matrices M(x),
+    shape (X, n, n), and the first node among those searched where it is
+    attained.
+
+    eigvalsh runs only on a candidate set of nodes, the 64 whose smallest
+    diagonal entry (an upper bound of the smallest eigenvalue) is least,
+    and gives lo.  One batched Cholesky factorization of
+    M(x) - (lo - delta) I, with delta = 1e-13 max|M|, then proves that no
+    node lies below lo - delta.  Until it does, the candidate set grows
+    eightfold; once it covers every node, lo is the minimum over all of
+    them."""
+    estimate = np.real(np.diagonal(M, axis1=1, axis2=2)).min(axis=1)
+    delta = 1e-13 * np.abs(M).max()
+    size = 64
+    while True:
+        size = min(size, len(M))
+        nodes = np.sort(np.argpartition(estimate, size - 1)[:size])
+        eigs = np.linalg.eigvalsh(M[nodes]).min(axis=1)
+        best = int(np.argmin(eigs))
+        lo, node = float(eigs[best]), int(nodes[best])
+        if size == len(M) or _positive_above(M, lo - delta):
+            return lo, node
+        size *= 8
+
+
 class HermitianStructure(_Memo):
     """A positive Hermitian metric on a FormComplex.
 
@@ -113,7 +149,9 @@ class HermitianStructure(_Memo):
         reality = conjugate(omega) - omega
         if np.abs(reality.coeffs).max() > 1e-12 * max(1.0, np.abs(omega.coeffs).max()):
             raise MetricError("metric form is not real")
-        self._h_nodes, _ = _hermitian_coefficient_matrix(complex_, omega)
+        # h(x) and how far the coefficient matrices of omega are from
+        # Hermitian, which check_strong_positivity_11 reads for omega itself
+        self._h_nodes, self._deviation = _hermitian_coefficient_matrix(complex_, omega)
         if not self.positive_above(0.0):
             raise MetricError(
                 f"metric not positive definite: min eigenvalue {self.positivity_margin:.3e}"
@@ -129,18 +167,20 @@ class HermitianStructure(_Memo):
     def positive_above(self, c) -> bool:
         """True when h(x) - c I is positive definite at every node, decided
         by one batched Cholesky factorization."""
-        try:
-            np.linalg.cholesky(self._h_nodes - c * np.eye(self.n))
-        except np.linalg.LinAlgError:
-            return False
-        return True
+        return _positive_above(self._h_nodes, c)
+
+    def _smallest_eigenvalue(self):
+        """(margin, node) of _smallest_eigenvalue(h), computed when first
+        read."""
+        return self._cached("smallest_eigenvalue",
+                            lambda: _smallest_eigenvalue(self._h_nodes))
 
     @property
     def positivity_margin(self) -> float:
         """The smallest eigenvalue of h(x) over the nodes, computed when
-        first read."""
-        return self._cached("positivity_margin", lambda: float(
-            np.linalg.eigvalsh(self._h_nodes).min()))
+        first read; no node lies more than 1e-13 max|h| below it (see
+        _smallest_eigenvalue)."""
+        return self._smallest_eigenvalue()[0]
 
     def _compounds(self):
         """The compounds of A = h^{-T} and det h (real) at every node, once
@@ -165,18 +205,26 @@ class HermitianStructure(_Memo):
 
         return self._cached("_compounds", build)
 
-    def _pointwise_pairing(self, p, q):
-        """Q(x) with pointwise <u,v>_omega dV_omega = v(x)^H Q(x) u(x) over
-        the struct basis, dV_omega = det(h) tau, as an (X, S*S) array whose
-        columns run over Q[(I,J),(K,L)] in the order (I, K, J, L).  Read
-        once per bidegree, by gram, so it is not kept."""
+    def _first_axis_pairing(self, p, q, phases):
+        """The pointwise pairing Q(x), with <u,v>_omega dV_omega =
+        v(x)^H Q(x) u(x) over the struct basis and dV_omega = det(h) tau,
+        summed over the first axis against each first-axis phase of the
+        complex's mode-difference weights: P[x', g] = sum_x1 phases[g, x_1]
+        Q(x_1, x') at the nodes x' of the other axes, shape
+        (X / g_1, groups, S*S), with columns over Q[(I,J),(K,L)] in the
+        order (I, K, J, L).  One batched product per x' contracts x_1, so
+        Q(x) itself is never formed."""
         # <dz^j, dz^k> = (h^{-1})_{kj}; this orientation makes |omega|^2 = n.
         # Q[(I,J),(K,L)] = conj(det A[I,K]) * det A[J,L] * det h
         compounds, deth = self._compounds()
-        X = len(deth)
-        Ch = np.conj(compounds[p]).reshape(X, -1, 1)
-        Ca = (compounds[q] * deth[:, None, None]).reshape(X, 1, -1)
-        return (Ch * Ca).reshape(X, -1)
+        groups, g1 = phases.shape
+        X1 = len(deth) // g1
+        # conj(det A[I,K]) times each phase, viewed as (x', g, (I, K), x_1)
+        Ch = phases[:, :, None, None] * np.conj(compounds[p]).reshape(g1, X1, -1)
+        Ch = Ch.transpose(2, 0, 3, 1)
+        # det A[J,L] det h, viewed as (x', 1, x_1, (J, L))
+        Ca = (compounds[q] * deth[:, None, None]).reshape(g1, X1, 1, -1)
+        return (Ch @ Ca.transpose(1, 2, 0, 3)).reshape(X1, groups, -1)
 
     # -- Gram matrices -------------------------------------------------------
 
@@ -184,8 +232,10 @@ class HermitianStructure(_Memo):
         """L^2 Gram matrix G with <<u, v>> = v^H G u in the basis order.
 
         The (i, j) mode block is the grid Fourier coefficient of Q at
-        m_i - m_j, exact for the 4 max|m| + 1 grid; one product with the
-        complex's mode-difference weights computes all of them.  For p > q
+        m_i - m_j, exact for the 4 max|m| + 1 grid.  The quadrature factors
+        over the first axis: Q is summed against each first-axis phase,
+        then one product per group of differences with the complex's
+        weights over the other axes gives their coefficients.  For p > q
         the matrix is the conjugate of gram(q, p) under conjugation."""
 
         def build():
@@ -196,9 +246,11 @@ class HermitianStructure(_Memo):
                 return K @ np.conj(self.gram(q, p)) @ K.T
             nh, na = math.comb(self.n, p), math.comb(self.n, q)
             S = nh * na
-            W, index = self.complex.mode_difference_weights()
-            half = (W @ self._pointwise_pairing(p, q)).reshape(-1, nh, nh, na, na)
-            half = half.transpose(0, 1, 3, 2, 4).reshape(-1, S, S)
+            phases, weights, index = self.complex.mode_difference_weights()
+            P = self._first_axis_pairing(p, q, phases)
+            half = np.concatenate([W @ P[:, g] for g, W in enumerate(weights)])
+            half = half.reshape(-1, nh, nh, na, na).transpose(0, 1, 3, 2, 4)
+            half = half.reshape(-1, S, S)
             # Q(x) is Hermitian, so its coefficient at -d is the conjugate
             # transpose of the one at d
             table = np.concatenate([half, half.conj().transpose(0, 2, 1)])
@@ -434,30 +486,33 @@ def _hermitian_coefficient_matrix(cx: FormComplex, u: Form):
 
 def check_strong_positivity_11(H: HermitianStructure, u: Form) -> PositivityReport:
     """Exact eigenvalue test for (1,1)-forms, where strong and weak positivity
-    coincide."""
+    coincide.  For u = H.omega itself it reads H's node matrices and its
+    smallest eigenvalue instead of evaluating u again."""
     if (u.p, u.q) != (1, 1):
         raise DegreeError("strong-positivity test requires bidegree (1,1)")
-    herm, dev = _hermitian_coefficient_matrix(H.complex, u)
+    if u is H.omega:
+        herm, dev, smallest = H.h_nodes, H._deviation, H._smallest_eigenvalue()
+    else:
+        herm, dev = _hermitian_coefficient_matrix(H.complex, u)
+        smallest = None
     scale = max(np.abs(herm).max(), 1e-300)
     if dev > 1e-9 * scale:
         return PositivityReport("refuted", witness="non-Hermitian coefficients",
                                 margin=-dev, certified=True)
-    return _eigenvalue_verdict(herm)
+    return _eigenvalue_verdict(herm, smallest)
 
 
-def _eigenvalue_verdict(M):
+def _eigenvalue_verdict(M, smallest=None):
     """Certified verdict on Hermitian matrices M, shape (X, n, n), from the
-    smallest eigenvalue over every node, with tolerance 1e-12 times the
-    largest entry; a refutation carries (node, eigenvector of that
-    eigenvalue)."""
-    eigs = np.linalg.eigvalsh(M)
-    lo = float(eigs.min())
+    smallest eigenvalue over every node (_smallest_eigenvalue(M) unless
+    given as smallest), with tolerance 1e-12 times the largest entry; a
+    refutation carries (node, eigenvector of that eigenvalue)."""
+    lo, node = smallest or _smallest_eigenvalue(M)
     tol = 1e-12 * max(np.abs(M).max(), 1e-300)
     if lo > tol:
         return PositivityReport("positive", margin=lo, certified=True)
     if lo >= -tol:
         return PositivityReport("semi-positive", margin=lo, certified=True)
-    node = int(np.argmin(eigs.min(axis=-1)))
     _, v = np.linalg.eigh(M[node])
     return PositivityReport("refuted", witness=(node, v[:, 0]), margin=lo, certified=True)
 

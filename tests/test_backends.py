@@ -74,8 +74,10 @@ def test_lie_algebra_model_is_the_torus_with_no_axes(iwasawa_cx):
     assert iwasawa_cx.model.mode_set == ((),) and iwasawa_cx.grid == ()
     assert iwasawa_cx.n_nodes == 1 and iwasawa_cx.nodes().shape == (1, 0)
     assert np.array_equal(iwasawa_cx.eval_matrix(), [[1.0]])
-    W, index = iwasawa_cx.mode_difference_weights()
-    assert np.array_equal(W, [[1.0]]) and np.array_equal(index, [[0]])
+    # one first-axis phase, one group of weights, one node
+    phases, weights, index = iwasawa_cx.mode_difference_weights()
+    assert np.array_equal(phases, [[1.0]]) and len(weights) == 1
+    assert np.array_equal(weights[0], [[1.0]]) and np.array_equal(index, [[0]])
 
 
 def test_iwasawa_structure_equation(iwasawa_cx):
@@ -154,6 +156,11 @@ SPECTRAL_HEAD = "kind spectral\nn 3\nmodes axis K 1\n"
     # d(d phi^3) = -phi^1 ^ phi^2 ^ phi^3: the line of 'd 3 :=' is reported
     ("kind invariant\nn 3\nd 3 := 1 * e(1,2)\nd 1 := 1 * e(1,3)\n", 3),
     ("kind invariant\nn 3\nd 1 := 1 * e(1,3)\nd 3 := 1 * f(1,2)\n", 4),
+    # malformed structure constants name the line of their 'd k :=' too
+    ("kind invariant\nn 3\nd 5 := 1 * e(1,2)\n", 3),
+    ("kind invariant\nn 3\nd 1 := 0\nd 3 := 1 * e(2,1)\n", 4),
+    ("kind invariant\nn 3\nd 3 := 1 * g(1,2)\n", 3),
+    ("kind invariant\nn 3\nd 3 := 1 * e(1,2)\nd 2 := 1 * e(1,7)\n", 4),
 ])
 def test_parse_model_rejects_with_line(text, line):
     with pytest.raises(ModelError) as err:
@@ -195,10 +202,12 @@ def test_complexes_on_one_lattice_share_the_quadrature_tables():
     flat = "kind spectral\nn 2\nmodes axis K 1\n"
     a, b = (build_complex(parse_model(flat + "grid 5\n")) for _ in range(2))
     c = build_complex(parse_model(flat + "grid 7\n"))
-    assert a.mode_difference_weights()[0] is b.mode_difference_weights()[0]
+    assert a.mode_difference_weights() is b.mode_difference_weights()
     assert a.eval_matrix() is b.eval_matrix()
-    assert c.mode_difference_weights()[0] is not a.mode_difference_weights()[0]
-    assert c.mode_difference_weights()[0].shape == (21, 7 ** 4)
+    assert c.mode_difference_weights() is not a.mode_difference_weights()
+    phases, weights, _ = c.mode_difference_weights()
+    assert phases.shape == (3, 7)  # first components 0, 1, 2 on 7 nodes
+    assert [W.shape for W in weights] == [(13, 7 ** 3), (7, 7 ** 3), (1, 7 ** 3)]
 
 
 def test_catalogs_of_one_dimension_share_the_structural_tables():

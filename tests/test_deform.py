@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hstorsion import deform
+from hstorsion import deform, metric
 from hstorsion.backends import ModelError, build_complex, parse_model
 from hstorsion.cohomology import green_operator
 from hstorsion.deform import (FamilySpec, HypothesisError, family_diagnostics,
@@ -78,6 +78,23 @@ def test_kahler_in_class_spectral(spectral_H):
     u = kr.u_min
     rebuilt = cx.apply_del(conjugate(u)) + cx.apply_dbar(u)
     assert spectral_H.norm(diff - rebuilt) <= 1e-10
+
+
+def test_kahler_in_class_evaluates_the_candidate_once(spectral_H, monkeypatch):
+    # HermitianStructure evaluates the candidate at the nodes; its
+    # positivity verdict reads those node matrices and the metric's own
+    # smallest eigenvalue instead of evaluating and diagonalizing again
+    evals, smallest = [], []
+    evaluate, eig = metric._hermitian_coefficient_matrix, metric._smallest_eigenvalue
+    monkeypatch.setattr(metric, "_hermitian_coefficient_matrix",
+                        lambda *a: evals.append(1) or evaluate(*a))
+    monkeypatch.setattr(metric, "_smallest_eigenvalue",
+                        lambda *a: smallest.append(1) or eig(*a))
+    kr = kahler_in_class(spectral_H)
+    assert len(evals) == 1 and len(smallest) == 1
+    assert kr.positivity.verdict == "positive"
+    h, _ = evaluate(spectral_H.complex, kr.omega_tilde)
+    assert kr.positivity.margin == np.linalg.eigvalsh(h).min()
 
 
 def test_kahler_in_class_refuses_iwasawa(iwasawa_H):

@@ -1,12 +1,22 @@
+import cmath
+
 import numpy as np
 import pytest
 
+from hstorsion.backends import build_complex, format_complex, parse_model
+from hstorsion.cohomology import cohomology_table
 from hstorsion.energy import (AeppliPoint, corollary_check, differential,
                               differential_riesz, differential_special,
                               energy, fd_differential, fd_step_sweep,
                               gradient_descent)
 from hstorsion.forms import Bidegree, Form, zero_form
+from hstorsion.metric import HermitianStructure
 from hstorsion.torsion import min_norm_torsion, torsion_form
+
+# (mode, j, c): the potential terms c e_mode dz^j of a spectral n = 2 model
+# with modes axis K 2, on the axes x_1, x_2, y_1, y_2 (z_j = x_j + i y_j)
+N2K2_POTENTIAL = [((2, 0, 0, 0), 2, 0.05), ((0, 2, 0, 0), 1, 0.03 + 0.01j),
+                  ((0, 0, -2, 0), 2, 0.02j)]
 
 
 def _xi_with_rho(H):
@@ -143,3 +153,62 @@ def test_gradient_descent_positivity_floor_blocks(spectral_cx, spectral_H):
     res = gradient_descent(pt, max_iters=5, positivity_frac=2.0)
     assert res.status == "positivity_blocked"
     assert len(res.history) == 2 and np.abs(res.point.u.coeffs).max() == 0.0
+
+
+def _n2_invariants(K, potential, grid=""):
+    """(F, torsion norm, cohomology dimensions, Gram matrix per bidegree)
+    of the flat spectral n = 2 torus with modes axis K moved by the given
+    potential terms, on the default grid or on `grid g`.  On n = 2 the
+    (2,0) Gram, in which F is measured, is the same for every metric
+    (|dz^1 ^ dz^2|^2 dV is constant), so it is the Grams of the other
+    bidegrees that see the quadrature."""
+    text = f"kind spectral\nn 2\nmodes axis K {K}\n{grid}" + "".join(
+        f"potential {' '.join(map(str, m))} u {j} := {format_complex(c)}\n"
+        for m, j, c in potential)
+    cx = build_complex(parse_model(text))
+    H = HermitianStructure(cx, omega=cx.metric_form())
+    f, rep = energy(H)
+    dims = {pq: (e["dbar"], e["bc"], e["aeppli"])
+            for pq, e in cohomology_table(H).entries.items()}
+    return f, rep.norm, dims, {(p, q): H.gram(p, q) for p in range(3) for q in range(3)}
+
+
+def test_energy_invariant_under_a_grid_isometry():
+    # z_1 -> i z_1 pulls e_m back to e_(m_3, m_2, -m_1, m_4) and dz^1 to
+    # i dz^1, which moves the potential on axis 1 to axis 3 and the one on
+    # axis 3 to axis 1; then a translation by grid steps s of the 9-node
+    # grid multiplies the coefficient of e_m by exp(2 pi i m . s / 9).  Both
+    # map the quadrature grid to itself and act on every basis by a unitary
+    # matrix, so neither the numbers nor the Gram spectra may change.
+    moved = [((m[2], m[1], -m[0], m[3]), j, c * (1j if j == 1 else 1))
+             for m, j, c in N2K2_POTENTIAL]
+    steps = (1, 0, 3, 2)
+    moved = [(m, j, c * cmath.exp(2j * cmath.pi * np.dot(m, steps) / 9))
+             for m, j, c in moved]
+    f, norm, dims, grams = _n2_invariants(2, N2K2_POTENTIAL)
+    f2, norm2, dims2, grams2 = _n2_invariants(2, moved)
+    assert f > 0.1
+    assert abs(f2 - f) <= 1e-12 * f and abs(norm2 - norm) <= 1e-12 * norm
+    assert dims2 == dims
+    for pq, G in grams.items():
+        w, w2 = np.linalg.eigvalsh(G), np.linalg.eigvalsh(grams2[pq])
+        assert np.abs(w2 - w).max() <= 1e-12 * w.max(), pq
+
+
+def test_energy_invariant_under_the_doubling_cover():
+    # modes axis K 2 holds {0, +-2 e_a}.  With the potential's modes
+    # doubled and its coefficients halved, h(x) of the K = 2 model is
+    # h(2 x) of the K = 1 model: its pullback by the doubling map of every
+    # axis, a covering of degree 4^n, divided by 4.  F(lambda omega) =
+    # lambda^n F(omega), so the energies agree.  On 9 nodes per axis the
+    # doubling map permutes the nodes, so the Fourier coefficient of the
+    # pointwise pairing at 2 d of the K = 2 model is the one at d of the
+    # K = 1 model on the same grid, and the Grams agree entry by entry.
+    base = [(tuple(a // 2 for a in m), j, 2 * c) for m, j, c in N2K2_POTENTIAL]
+    f, norm, dims, _ = _n2_invariants(1, base)
+    f2, norm2, dims2, grams2 = _n2_invariants(2, N2K2_POTENTIAL)
+    assert abs(f2 - f) <= 1e-12 * f and abs(norm2 - norm) <= 1e-12 * norm
+    assert dims2 == dims
+    grams = _n2_invariants(1, base, grid="grid 9\n")[3]
+    for pq, G in grams.items():
+        assert np.abs(grams2[pq] - G).max() <= 1e-12 * np.abs(G).max(), pq

@@ -5,6 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from hstorsion import metric
 from hstorsion.backends import build_complex, parse_model
 from hstorsion.forms import DegreeError, conjugate, wedge, zero_form
 from hstorsion.metric import (HermitianStructure, MetricError,
@@ -23,9 +24,26 @@ potential 0 0 -2 0 u 2 := 0.02i
 """
 
 
+# a first axis with more nodes than the others
+GRID7_TEXT = """kind spectral
+n 2
+modes axis K 1
+grid 7 5 5 5
+potential 1 0 0 0 u 2 := 0.05
+potential 0 1 0 0 u 1 := 0.03+0.01i
+potential 0 0 -1 0 u 2 := 0.02i
+"""
+
+
 @pytest.fixture(scope="module")
 def n2k2_H():
     cx = build_complex(parse_model(N2K2_TEXT))
+    return HermitianStructure(cx, omega=cx.metric_form())
+
+
+@pytest.fixture(scope="module")
+def grid7_H():
+    cx = build_complex(parse_model(GRID7_TEXT))
     return HermitianStructure(cx, omega=cx.metric_form())
 
 
@@ -68,7 +86,7 @@ def test_gram_hermitian_positive(iwasawa_cx, rng):
         assert w.min() > 0
 
 
-@pytest.mark.parametrize("name", ["spectral_H", "n2k2_H"])
+@pytest.mark.parametrize("name", ["spectral_H", "n2k2_H", "grid7_H"])
 def test_gram_matches_fft_reference(name, request):
     H = request.getfixturevalue(name)
     for p, q in _bidegrees(H):
@@ -106,16 +124,20 @@ def test_compound_inverse_identity(spectral_H, rng):
 def test_difference_weights_belong_to_their_complex():
     flat = "kind spectral\nn 2\nmodes axis K 1\n"
     cxs = [build_complex(parse_model(flat + f"grid {g}\n")) for g in (5, 7)]
-    tables = [cx.mode_difference_weights()[0] for cx in cxs]
-    for cx, W in zip(cxs, tables):
-        assert W.shape == (21, cx.n_nodes)  # zero and one of each +-d: 1 + 40 / 2
-        assert cx.mode_difference_weights()[0] is W
+    tables = [cx.mode_difference_weights() for cx in cxs]
+    for cx, table in zip(cxs, tables):
+        phases, weights, _ = table
+        # zero and one of each +-d, 1 + 40 / 2, by first component 0, 1, 2
+        g = cx.grid[0]
+        assert phases.shape == (3, g)
+        assert [W.shape for W in weights] == [(k, cx.n_nodes // g) for k in (13, 7, 1)]
+        assert cx.mode_difference_weights() is table
         G = HermitianStructure(cx, h=np.eye(2)).gram(1, 1)
         assert np.abs(G - np.eye(len(G))).max() <= 1e-14
-    ref = weakref.ref(tables[0])
-    del cxs, tables, cx, W
+    refs = [weakref.ref(tables[0][0]), weakref.ref(tables[0][1][0])]
+    del cxs, tables, cx, table, phases, weights
     gc.collect()
-    assert ref() is None
+    assert all(ref() is None for ref in refs)
 
 
 def test_norm_of_omega(spectral_H):
@@ -251,6 +273,62 @@ def test_positivity_margin_and_positive_above(spectral_H):
     margin = H.positivity_margin
     assert margin == np.linalg.eigvalsh(H.h_nodes).min()
     assert H.positive_above(0.99 * margin) and not H.positive_above(1.01 * margin)
+
+
+def _late_argmin_metric(cx):
+    """On n = 2: h(x) = (1.3 + 0.3 f) I + (0.4 + 0.4 f) J, J the swap, with
+    f the mean of cos(2 pi x_a) over the axes.  Its smallest eigenvalue
+    0.9 - 0.1 f is least at the node x = 0, where the diagonal, and so the
+    estimate that ranks the candidate nodes, is largest."""
+    I, J = np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])
+    omega = cx.hermitian_form(1.3 * I + 0.4 * J)
+    for m in cx.catalog.modes:
+        if any(m):
+            omega = omega + cx.hermitian_form((0.3 * I + 0.4 * J) / 8, m)
+    return omega
+
+
+@pytest.fixture(scope="module")
+def late_argmin_H():
+    cx = build_complex(parse_model("kind spectral\nn 2\nmodes axis K 1\n"))
+    return HermitianStructure(cx, omega=_late_argmin_metric(cx))
+
+
+def test_smallest_eigenvalue_grows_past_a_late_argmin(late_argmin_H, monkeypatch):
+    H, h = late_argmin_H, late_argmin_H.h_nodes
+    eigs = np.linalg.eigvalsh(h)
+    diagonal = np.real(np.diagonal(h, axis1=1, axis2=2)).min(axis=1)
+    assert np.argmax(diagonal) == 0 == np.argmin(eigs.min(axis=1))
+    proofs = []
+    positive_above = metric._positive_above
+    monkeypatch.setattr(metric, "_positive_above",
+                        lambda *a: proofs.append(positive_above(*a)) or proofs[-1])
+    assert H.positivity_margin == eigs.min()
+    assert H._smallest_eigenvalue()[1] == 0
+    # refuted with 64 and with 512 candidates; then all 625 nodes are read
+    assert proofs == [False, False] and len(h) == 625
+
+
+def test_refutation_names_the_node_and_eigenvector_of_eigvalsh(late_argmin_H):
+    # h(x) - 0.85 I is indefinite wherever f > 1/2, and least at x = 0
+    H = late_argmin_H
+    u = H.omega - H.complex.hermitian_form(0.85 * np.eye(2))
+    h, _ = _hermitian_coefficient_matrix(H.complex, u)
+    eigs = np.linalg.eigvalsh(h)
+    node = int(np.argmin(eigs.min(axis=1)))
+    rep = check_strong_positivity_11(H, u)
+    assert rep.verdict == "refuted" and rep.margin == eigs.min()
+    assert rep.witness[0] == node == 0
+    assert np.array_equal(rep.witness[1], np.linalg.eigh(h[node])[1][:, 0])
+
+
+def test_smallest_eigenvalue_at_one_node(iwasawa_cx, rng):
+    H = random_hermitian_structure(iwasawa_cx, rng)
+    assert H.positivity_margin == np.linalg.eigvalsh(H.h_nodes).min()
+    rep = check_strong_positivity_11(H, -1.0 * H.omega)
+    assert rep.verdict == "refuted" and rep.witness[0] == 0
+    assert rep.margin == np.linalg.eigvalsh(-H.h_nodes).min()
+    assert np.array_equal(rep.witness[1], np.linalg.eigh(-H.h_nodes[0])[1][:, 0])
 
 
 def test_non_hermitian_metric_rejected(torus_cx):
