@@ -52,48 +52,82 @@ class MetricError(ValueError):
 
 @functools.lru_cache(maxsize=None)
 def _laplace_tables(n):
-    """For k = 1..n, the index tables of the Laplace expansion of the k x k
+    """For k = 2..n, the index tables of the Laplace expansion of the k x k
     minors of an n x n matrix along the first row of each row subset, over
-    the k-subsets in lexicographic order: first[a] = I_a[0], rest[a] the
-    index of I_a minus I_a[0], cols[b, j] = K_b[j], and cofactor[b, j] the
-    index of K_b minus K_b[j] among the (k-1)-subsets."""
+    the k-subsets I_a, K_b in lexicographic order: entry[a, b, j] is the
+    flat index of (I_a[0], K_b[j]) among the n x n entries, and
+    cofactor[a, b, j] the flat index of (I_a minus I_a[0], K_b minus K_b[j])
+    among the pairs of (k-1)-subsets."""
     subsets = [list(combinations(range(n), k)) for k in range(n + 1)]
     tables = []
-    for k in range(1, n + 1):
+    for k in range(2, n + 1):
         below = {s: i for i, s in enumerate(subsets[k - 1])}
-        rows = subsets[k]
-        tables.append((
-            np.array([I[0] for I in rows]),
-            np.array([below[I[1:]] for I in rows]),
-            np.array(rows),
-            np.array([[below[K[:j] + K[j + 1:]] for j in range(k)] for K in rows]),
-        ))
+        C = len(below)
+        pairs = np.array([
+            [[(I[0] * n + K[j], below[I[1:]] * C + below[K[:j] + K[j + 1:]])
+              for j in range(k)] for K in subsets[k]] for I in subsets[k]])
+        tables.append((pairs[..., 0], pairs[..., 1]))
     return tables
+
+
+@functools.lru_cache(maxsize=None)
+def _jacobi_signs(n):
+    """For k = 0..n, the (C, C) matrix of signs (-1)^(sum I + sum K) over
+    the k-subsets I, K of range(n) in lexicographic order: the signs of
+    Jacobi's complementary minors."""
+    signs = []
+    for k in range(n + 1):
+        sign = np.array([(-1.0) ** sum(I) for I in combinations(range(n), k)])
+        signs.append(np.outer(sign, sign))
+    return signs
 
 
 def _minors(h):
     """det h(x)[I, K] for the k-subsets I, K of range(n) in lexicographic
-    order, for k = 0..n, of h with shape (X, n, n): a list of (X, C, C)
-    arrays.  Each size comes from the one below by Laplace expansion along
-    the first row of I; det h is the n-minor."""
-    n = h.shape[-1]
+    order, for k = 0..n, of h with shape (X, n, n): a list of (C, C, X)
+    arrays, each minor's values over the nodes one contiguous row.  Each
+    size comes from the one below by Laplace expansion along the first row
+    of I, on h read as (n, n, X) rows (a view when h is node-contiguous,
+    as h_nodes is); det h is the n-minor."""
+    n, X = h.shape[-1], len(h)
+    rows = np.ascontiguousarray(h.transpose(1, 2, 0))
     sign = (-1.0) ** np.arange(n)
-    minors = [np.ones((len(h), 1, 1), dtype=complex)]
-    for k, (first, rest, cols, cofactor) in enumerate(_laplace_tables(n), start=1):
+    # the 1-minors are the entries of h
+    minors = [np.ones((1, 1, X), dtype=complex), rows]
+    for k, (entry, cofactor) in enumerate(_laplace_tables(n), start=2):
         # sum_j (-1)^j h[I_0, K_j] det h[I \ I_0, K \ K_j]
-        terms = (h[:, first[:, None, None], cols[None]]
-                 * minors[-1][:, rest[:, None, None], cofactor[None]])
-        minors.append(terms @ sign[:k])
+        terms = rows.reshape(-1, X)[entry]
+        terms *= minors[-1].reshape(-1, X)[cofactor]
+        minors.append(np.matmul(sign[:k], terms))
     return minors
 
 
 def _positive_above(M, c) -> bool:
     """True when M(x) - c I is positive definite for every Hermitian M(x)
-    of M, shape (X, n, n), decided by one batched Cholesky factorization."""
-    try:
-        np.linalg.cholesky(M - c * np.eye(M.shape[-1]))
-    except np.linalg.LinAlgError:
-        return False
+    of M, shape (X, n, n), decided by one Cholesky factorization swept
+    across the nodes: each step is one array operation on all X nodes,
+    read from rows of M that are contiguous when M is node-contiguous.
+
+    Column j of the factor L is M[j:, j] - sum_{k<j} L[j:, k] conj(L[j, k]);
+    its head, less c, is the pivot d_j = Re M_jj - c - sum_k |L_jk|^2, and
+    the rest is scaled by 1 / sqrt(d_j).  M - c I is positive definite
+    exactly when every pivot is > 0; a NaN pivot fails.  Like LAPACK's
+    zpotrf it reads only the lower triangle and the real diagonal, and
+    stops at the first column with a pivot that is not positive."""
+    n = M.shape[-1]
+    rows = M.transpose(1, 2, 0)
+    L = np.empty((n, n, len(M)), dtype=complex)
+    for j in range(n):
+        col = rows[j:, j]
+        if j:
+            col = np.subtract(col, np.add.reduce(L[j:, :j] * L[j, :j].conj(), axis=1),
+                              out=L[j:, j])
+        # the pivot head - c is > 0 exactly when head > c; NaN is neither
+        head = col[0].real
+        if not np.minimum.reduce(head) > c:
+            return False
+        if j + 1 < n:
+            np.multiply(col[1:], 1 / np.sqrt(head - c), out=L[j + 1:, j])
     return True
 
 
@@ -104,11 +138,11 @@ def _smallest_eigenvalue(M):
 
     eigvalsh runs only on a candidate set of nodes, the 64 whose smallest
     diagonal entry (an upper bound of the smallest eigenvalue) is least,
-    and gives lo.  One batched Cholesky factorization of
-    M(x) - (lo - delta) I, with delta = 1e-13 max|M|, then proves that no
-    node lies below lo - delta.  Until it does, the candidate set grows
-    eightfold; once it covers every node, lo is the minimum over all of
-    them."""
+    and gives lo.  One Cholesky factorization of M(x) - (lo - delta) I
+    swept across the nodes (_positive_above), with delta = 1e-13 max|M|,
+    then proves that no node lies below lo - delta.  Until it does, the
+    candidate set grows eightfold; once it covers every node, lo is the
+    minimum over all of them."""
     estimate = np.real(np.diagonal(M, axis1=1, axis2=2)).min(axis=1)
     delta = 1e-13 * np.abs(M).max()
     size = 64
@@ -161,12 +195,14 @@ class HermitianStructure(_Memo):
 
     @property
     def h_nodes(self):
-        """h(x) at every quadrature node, shape (X, n, n)."""
+        """h(x) at every quadrature node, shape (X, n, n), stored
+        node-contiguous (a view of an (n, n, X) array)."""
         return self._h_nodes
 
     def positive_above(self, c) -> bool:
         """True when h(x) - c I is positive definite at every node, decided
-        by one batched Cholesky factorization."""
+        by one Cholesky factorization swept across the nodes, each step one
+        operation on whole rows of node values (see _positive_above)."""
         return _positive_above(self._h_nodes, c)
 
     def _smallest_eigenvalue(self):
@@ -190,17 +226,22 @@ class HermitianStructure(_Memo):
         antiholomorphic (k = q) factor of every bidegree.  By Jacobi's
         complementary minors, det A[I, K] = (-1)^(sum I + sum K)
         det h[I^c, K^c] / det h, and the complements of the k-subsets are
-        the (n-k)-subsets in reverse order."""
+        the (n-k)-subsets in reverse order.  The minors come node-contiguous,
+        (C, C, X), and the signs from the per-n _jacobi_signs(n); each
+        compound is written (X, C, C), the layout _first_axis_pairing
+        reshapes."""
 
         def build():
             n = self.n
             minors = _minors(self._h_nodes)
-            deth = np.real(minors[n][:, 0, 0])
+            deth = np.real(minors[n][0, 0])
             compounds = []
-            for k in range(n + 1):
-                sign = np.array([(-1.0) ** sum(I) for I in combinations(range(n), k)])
-                compounds.append(minors[n - k][:, ::-1, ::-1]
-                                 * (np.outer(sign, sign) / deth[:, None, None]))
+            for k, sign in enumerate(_jacobi_signs(n)):
+                # written through a (C, C, X) view of the (X, C, C) array
+                compound = np.empty((len(deth),) + sign.shape, dtype=complex)
+                np.multiply(minors[n - k][::-1, ::-1], sign[:, :, None] / deth,
+                            out=compound.transpose(1, 2, 0))
+                compounds.append(compound)
             return compounds, deth
 
         return self._cached("_compounds", build)
@@ -476,12 +517,21 @@ class PositivityReport:
 def _hermitian_coefficient_matrix(cx: FormComplex, u: Form):
     """For a (1,1)-form u = i sum c_{jk} dz^j^dzbar^k, the Hermitian part of
     the matrix c(x) at every node, shape (X, n, n), and the largest
-    deviation of c(x) from it."""
-    vals = cx.evaluate(u).reshape(-1, cx.n, cx.n)
-    c = -1j * vals
-    herm = 0.5 * (c + np.conj(np.swapaxes(c, 1, 2)))
-    dev = np.abs(c - herm).max()
-    return herm, float(dev)
+    deviation of c(x) from it.  The matrices are stored node-contiguous:
+    the array is a view of one with shape (n, n, X), so each entry's values
+    over the nodes form one contiguous row."""
+    n = cx.n
+    vals = cx.evaluate(u)
+    c = np.empty((n, n, len(vals)), dtype=complex)
+    np.multiply(-1j, vals.T.reshape(n, n, -1), out=c)
+    del vals
+    # in place, so that the only arrays of this size alive together are c
+    # and herm
+    herm = np.conj(c.transpose(1, 0, 2), out=np.empty_like(c))
+    herm += c
+    herm *= 0.5
+    c -= herm
+    return herm.transpose(2, 0, 1), float(np.abs(c).max())
 
 
 def check_strong_positivity_11(H: HermitianStructure, u: Form) -> PositivityReport:

@@ -12,8 +12,18 @@ from hstorsion.cohomology import (CohomologyMismatch, cohomology_table,
                                   harmonic_projection, laplacian_bc,
                                   laplacian_dbar)
 from hstorsion.forms import conjugate
+from hstorsion.metric import HermitianStructure
 
-from conftest import IWASAWA_TEXT, random_hermitian_structure
+from conftest import IWASAWA_TEXT, TORUS_TEXT, random_hermitian_structure
+
+# a metric that varies over the spectral n = 2, K = 1 torus
+SPECTRAL_N2_TEXT = """kind spectral
+n 2
+modes axis K 1
+potential 1 0 0 0 u 2 := 0.05
+potential 0 1 0 0 u 1 := 0.03+0.01i
+potential 0 0 -1 0 u 2 := 0.02i
+"""
 
 
 def test_gram_eig_basic(rng):
@@ -135,6 +145,30 @@ def test_bc_pq_symmetry(iwasawa_H):
     for p in range(n + 1):
         for q in range(n + 1):
             assert table.entries[(p, q)]["bc"] == table.entries[(q, p)]["bc"]
+
+
+@pytest.mark.parametrize("text", [TORUS_TEXT, IWASAWA_TEXT, SPECTRAL_N2_TEXT],
+                         ids=["torus", "iwasawa", "spectral-n2"])
+def test_serre_duality(text):
+    # h_dbar^{p,q} = h_dbar^{n-p,n-q} on a compact complex manifold (Serre,
+    # Un theoreme de dualite, Comment. Math. Helv. 29 (1955)); on Iwasawa
+    # it is not the (p,q) <-> (q,p) symmetry, since h^{1,0} = 3, h^{0,1} = 2
+    cx = build_complex(parse_model(text))
+    H = HermitianStructure(cx, omega=cx.metric_form())
+    entries = cohomology_table(H).entries
+    n = H.n
+    for p in range(n + 1):
+        for q in range(n + 1):
+            assert entries[(p, q)]["dbar"] == entries[(n - p, n - q)]["dbar"]
+
+
+def test_dimensions_do_not_depend_on_the_metric(iwasawa_H, rng):
+    # the dimensions are invariants of the complex: every metric's harmonic
+    # kernel counts give the same table
+    reference = cohomology_table(iwasawa_H).entries
+    for _ in range(3):
+        H = random_hermitian_structure(iwasawa_H.complex, rng, amp=1.0)
+        assert cohomology_table(H).entries == reference
 
 
 def test_cross_checks_recorded(iwasawa_H):

@@ -275,6 +275,112 @@ def test_positivity_margin_and_positive_above(spectral_H):
     assert H.positive_above(0.99 * margin) and not H.positive_above(1.01 * margin)
 
 
+def _lapack_positive_above(M, c):
+    try:
+        np.linalg.cholesky(M - c * np.eye(M.shape[-1]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _node_contiguous(M):
+    """The matrices M(x) stored as h_nodes stores them: a view of (n, n, X)."""
+    return np.ascontiguousarray(M.transpose(1, 2, 0)).transpose(2, 0, 1)
+
+
+def _positive_batch(rng, X, n):
+    A = rng.standard_normal((X, n, n)) + 1j * rng.standard_normal((X, n, n))
+    return A @ A.conj().transpose(0, 2, 1) / n + 0.1 * np.eye(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("X", [1, 5**6])
+def test_positive_above_decides_as_lapack_cholesky(n, X, rng):
+    M = _positive_batch(rng, X, n)
+    lo = np.linalg.eigvalsh(M).min()
+    # c = 0 and shifts on both sides of the smallest eigenvalue
+    decisions = []
+    for c in (0.0, -1.0, 0.5 * lo, 0.999 * lo, 1.001 * lo, 2.0 * lo):
+        expected = _lapack_positive_above(M, c)
+        assert metric._positive_above(M, c) == expected
+        assert metric._positive_above(_node_contiguous(M), c) == expected
+        decisions.append(expected)
+    assert decisions == [True] * 4 + [False] * 2
+
+
+@pytest.mark.parametrize("column", [0, 1, 2])
+@pytest.mark.parametrize("node", [0, 4321, 5**6 - 1])
+def test_positive_above_finds_one_indefinite_node(column, node, rng):
+    # one node whose factorization first fails at the given column, under
+    # a unitary change of basis that keeps the leading columns positive
+    M = _positive_batch(rng, 5**6, 3)
+    d = np.array([1.0, 2.0, 3.0])
+    d[column] = -1e-3
+    Q, _ = np.linalg.qr(np.eye(3) + 0.01 * rng.standard_normal((3, 3)))
+    M[node] = (Q * d) @ Q.T
+    for c in (0.0, 1e-6):
+        assert not _lapack_positive_above(M, c)
+        assert not metric._positive_above(M, c)
+        assert not metric._positive_above(_node_contiguous(M), c)
+    M[node] = (Q * np.abs(d)) @ Q.T
+    assert _lapack_positive_above(M, 0.0) and metric._positive_above(M, 0.0)
+
+
+@pytest.mark.parametrize("c", [0.0, 0.5])
+@pytest.mark.parametrize("column", [1, 2])
+def test_positive_above_refuses_a_zero_pivot(column, c, rng):
+    # a singular positive semidefinite node: the pivot of the given column
+    # is exactly (1 + c) - c - 1 * 1 = 0, in the middle or the last column
+    M = _node_contiguous(_positive_batch(rng, 5**6, 3))
+    block = np.eye(3)
+    block[column - 1:column + 1, column - 1:column + 1] = 1.0
+    M[777] = block + c * np.eye(3)
+    assert not _lapack_positive_above(M, c)
+    assert not metric._positive_above(M, c)
+    assert metric._positive_above(M, c - 1e-3) == _lapack_positive_above(M, c - 1e-3)
+
+
+@pytest.mark.parametrize("entry", [(1, 1), (2, 0), (2, 1)])
+def test_positive_above_refuses_nan(entry, rng):
+    # np.linalg.cholesky returns a factor of NaNs here instead of raising,
+    # so the sweep's refusal is checked on its own
+    M = _node_contiguous(_positive_batch(rng, 5**6, 3))
+    M[99][entry] = np.nan
+    M[99][entry[::-1]] = np.nan
+    assert not metric._positive_above(M, 0.0)
+
+
+def test_positive_above_reads_the_lower_triangle(rng):
+    # as zpotrf does: the strict upper triangle is never read
+    M = _positive_batch(rng, 5**6, 3)
+    lo = np.linalg.eigvalsh(M).min()
+    iu = np.triu_indices(3, 1)
+    M[:, iu[0], iu[1]] = 1e300
+    for c in (0.5 * lo, 1.001 * lo):
+        assert metric._positive_above(M, c) == _lapack_positive_above(M, c)
+    assert metric._positive_above(M, 0.5 * lo)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_minors_are_determinants_of_submatrices(n, rng):
+    # every k x k minor at every node, in the (C, C, X) layout
+    h = rng.standard_normal((200, n, n)) + 1j * rng.standard_normal((200, n, n))
+    for A in (h, _node_contiguous(h)):
+        minors = metric._minors(A)
+        assert len(minors) == n + 1
+        for k in range(n + 1):
+            ref = _minors(h, k).transpose(1, 2, 0)
+            assert minors[k].shape == ref.shape
+            assert np.abs(minors[k] - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_minors_of_the_spectral_metric(spectral_H):
+    h = spectral_H.h_nodes
+    for k, minor in enumerate(metric._minors(h)):
+        ref = _minors(h, k).transpose(1, 2, 0)
+        assert np.abs(minor - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def _late_argmin_metric(cx):
     """On n = 2: h(x) = (1.3 + 0.3 f) I + (0.4 + 0.4 f) J, J the swap, with
     f the mean of cos(2 pi x_a) over the axes.  Its smallest eigenvalue
