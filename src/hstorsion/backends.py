@@ -130,10 +130,10 @@ class FormComplex(_Memo):
     """A finite bigraded complex with del and delbar matrices per bidegree.
 
     Immutable after construction.  It also carries the quadrature grid,
-    node plane-wave matrix and weights used by every metric-dependent
-    computation downstream; a model with no axes has one node.  The
-    plane-wave matrix and weights are shared with every live complex on the
-    same (modes, grid).
+    the node plane-wave matrix and the grid transform used by every
+    metric-dependent computation downstream; a model with no axes has one
+    node.  Their tables are shared with every live complex on the same
+    (modes, grid).
     """
 
     def __init__(self, model: Model):
@@ -270,14 +270,11 @@ class FormComplex(_Memo):
     def grid(self):
         return tuple(self.model.grid)
 
-    def _node_indices(self):
-        """Integer node coordinates j, shape (axes, X); node x = j / grid."""
-        return np.indices(self.grid).reshape(len(self.grid), self.n_nodes)
-
     def nodes(self):
         """Quadrature node coordinates, shape (X, axes); with no axes, the
         one formal node has no coordinates."""
-        return np.ascontiguousarray(self._node_indices().T / np.array(self.grid))
+        j = np.indices(self.grid).reshape(len(self.grid), self.n_nodes)
+        return np.ascontiguousarray(j.T / np.array(self.grid))
 
     def eval_matrix(self):
         """Plane-wave matrix E with E[x, m] = exp(2 pi i m . x_node); [[1]]
@@ -285,43 +282,73 @@ class FormComplex(_Memo):
         return self._lattice._cached("eval", lambda: np.exp(
             2j * np.pi * (self.nodes() @ np.array(self.catalog.modes).T)))
 
-    def mode_difference_weights(self):
-        """Quadrature at the differences of two modes, for the Gram matrices,
-        factored over the first axis.
+    def _flat_frequency(self, k):
+        """The flat grid index of integer frequencies k, shape (..., axes)."""
+        strides = [math.prod(self.grid[a + 1:]) for a in range(len(self.grid))]
+        return (k % np.array(self.grid, dtype=int)) @ np.array(strides, dtype=int)
 
-        Returns (phases, weights, index).  The distinct differences
-        d = m_i - m_j with d >= -d (lexicographically) are grouped by their
-        first component k_g, and within a group are d_r = (k_g, d'_r):
-        phases[g, x_1] = exp(-2 pi i k_g x_1 / g_1) and
-        weights[g][r, x'] = exp(-2 pi i d'_r . x') / X over the other axes,
-        so the Fourier coefficient of a node function f at d_r is
-        weights[g][r] @ (sum_x1 phases[g, x_1] f(x_1, .)).  index[i, j] is
-        r, counted through the groups in order, where m_i - m_j = d_r and
-        R + r where m_i - m_j = -d_r, R being the number of rows.  With no
-        axes there is one node on a first axis of one point: ([[1]],
-        ([[1]],), [[0]])."""
+    def mode_differences(self):
+        """(rows, index): the distinct mode differences d = m_i - m_j with
+        d >= -d (lexicographically) as rows, shape (R, axes), in
+        lexicographic order; index[i, j] is r where m_i - m_j = rows[r] and
+        R + r where it is -rows[r]."""
 
         def build():
             modes = self.catalog.modes
             diffs = [tuple(a - b for a, b in zip(mi, mj)) for mi in modes for mj in modes]
             reps = [max(d, tuple(-c for c in d)) for d in diffs]
-            # in lexicographic order, so grouped by first component (>= 0)
             rows = sorted(set(reps))
             at = {d: r for r, d in enumerate(rows)}
             index = np.reshape([at[rep] + len(rows) * (d != rep)
                                 for d, rep in zip(diffs, reps)], (len(modes),) * 2)
-            grid = np.array(self.grid or (1,), dtype=int)
-            D = np.zeros((len(rows), len(grid)), dtype=int)
-            D[:, : len(self.grid)] = np.reshape(rows, (len(rows), -1))
-            first, starts = np.unique(D[:, 0], return_index=True)
-            phases = _unit_phases(np.outer(first, np.arange(grid[0])), grid[0])
-            # d' . x' in whole units of 1/L at the nodes x' of the other axes
-            L = math.lcm(*grid[1:])
-            others = np.indices(grid[1:]).reshape(len(grid) - 1, self.n_nodes // grid[0])
-            W = _unit_phases((D[:, 1:] * (L // grid[1:])) @ others, L) / self.n_nodes
-            return phases, tuple(np.split(W, starts[1:])), index
+            return np.array(rows, dtype=int).reshape(len(rows), len(self.grid)), index
 
-        return self._lattice._cached("difference_weights", build)
+        return self._lattice._cached("differences", build)
+
+    def frequencies(self, j):
+        """(k, steps, neg, shifts): S_j, the j-fold sums of modes mod the
+        grid, each once (sums that alias are one frequency), as rows k in
+        flat order, where a polynomial of degree j in h(x) has its grid
+        spectrum; the plan of grid_transform; k[neg] = -k; and the position
+        shifts[i][r, s] of d_r - s, for the rows d_r of mode_differences()
+        and the s of S_i, i <= j - 2."""
+
+        def build():
+            axes, grid = len(self.grid), np.array(self.grid, dtype=int)
+            modes = np.array(self.catalog.modes, dtype=int).reshape(self.catalog.n_modes, axes)
+            k = np.zeros((1, axes), dtype=int)
+            for _ in range(j):
+                k = (k[:, None] + modes).reshape(len(k) * len(modes), axes)
+                k = k[np.unique(self._flat_frequency(k), return_index=True)[1]] % grid
+            # per axis from the last, the suffixes (k_a, ..., k_last) of the
+            # set: each is k_a and the position of the rest the step before
+            steps, at, count = [], np.zeros(len(k), dtype=int), 1
+            for a in reversed(range(axes)):
+                _, first, after = np.unique(k[:, a] * count + at, return_index=True,
+                                            return_inverse=True)
+                x = np.arange(grid[a])
+                steps.append((_unit_phases(np.outer(x, x), grid[a]), at[first], k[first, a]))
+                at, count = after.reshape(-1), len(first)
+            flat, rows = self._flat_frequency(k), self.mode_differences()[0][:, None]
+            shifts = [np.searchsorted(flat, self._flat_frequency(rows - self.frequencies(i)[0]))
+                      for i in range(j - 1)]
+            return k, steps, np.searchsorted(flat, self._flat_frequency(-k)), shifts
+
+        return self._lattice._cached(("frequencies", j), build)
+
+    def grid_transform(self, values, frequencies):
+        """sum_x values[f, x] exp(-2 pi i k . x), shape (F, |S|), for values
+        of shape (F, X) at the k of frequencies(j): per axis from the last,
+        one product with its DFT matrix (phases reduced exactly in
+        integers), then a gather of the set's suffixes (k_a, ..., k_last),
+        so a small set costs little.  With no axes it is the identity."""
+        F = len(values)
+        out = values.reshape(F, 1, -1)
+        for phases, rest, k in frequencies[1]:
+            g = len(phases)
+            out = (out.reshape(-1, g) @ phases).reshape(F, out.shape[1], -1, g)
+            out = out.transpose(0, 1, 3, 2)[:, rest, k]
+        return out.reshape(F, -1)
 
     @property
     def n_nodes(self):
@@ -335,15 +362,11 @@ class FormComplex(_Memo):
 
     def mode_coefficients(self, values):
         """Inverse of evaluate: exact Fourier coefficients on the grid for
-        the in-set modes.  values has shape (X, S)."""
-        grid = self.grid
-        S = values.shape[1]
-        v = np.asarray(values, dtype=complex).reshape(*grid, S)
-        chat = np.fft.fftn(v, axes=tuple(range(len(grid)))) / self.n_nodes
-        out = np.empty((self.catalog.n_modes, S), dtype=complex)
-        for i, m in enumerate(self.catalog.modes):
-            out[i] = chat[tuple(mi % g for mi, g in zip(m, grid))]
-        return out.reshape(-1)
+        the in-set modes, which are frequencies(1).  values has shape (X, S)."""
+        k = self.frequencies(1)
+        modes = np.array(self.catalog.modes, dtype=int).reshape(len(k[0]), len(self.grid))
+        at = np.searchsorted(self._flat_frequency(k[0]), self._flat_frequency(modes))
+        return (self.grid_transform(values.T, k)[:, at].T / self.n_nodes).reshape(-1)
 
     # -- helpers -----------------------------------------------------------
 

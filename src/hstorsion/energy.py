@@ -304,22 +304,18 @@ def gradient_descent(
     history = []
     status = "max_iters"
     step = step0
+
+    def row(it, grad_norm):
+        return {"iter": it, "energy": f, "grad_norm": grad_norm, "step": step,
+                "margin": H.positivity_margin, "d_residual": _d_residual(H),
+                "potential": point.u.coeffs.copy()}
+
     for it in range(max_iters):
         c = differential_riesz(H, rep.rho20)
         g = np.linalg.solve(G0, c)
         slope = float(np.real(np.conj(c) @ g))  # = |g|^2 in base Gram
         gnorm = math.sqrt(max(slope, 0.0))
-        history.append(
-            {
-                "iter": it,
-                "energy": f,
-                "grad_norm": gnorm,
-                "step": step,
-                "margin": H.positivity_margin,
-                "d_residual": _d_residual(H),
-                "potential": point.u.coeffs.copy(),
-            }
-        )
+        history.append(row(it, gnorm))
         if f <= f_tol and history[-1]["d_residual"] <= d_tol:
             status = "converged"
             break
@@ -355,22 +351,6 @@ def gradient_descent(
         status = "max_iters"
     if f <= f_tol and _d_residual(H) <= d_tol:
         status = "converged"
-    history.append(
-        {
-            "iter": len(history),
-            "energy": f,
-            "grad_norm": history[-1]["grad_norm"] if history else 0.0,
-            "step": step,
-            "margin": H.positivity_margin,
-            "d_residual": _d_residual(H),
-            "potential": point.u.coeffs.copy(),
-        }
-    )
-    return FlowResult(
-        status=status,
-        point=point,
-        energy=f,
-        d_residual=_d_residual(H),
-        history=history,
-        elapsed=time.monotonic() - t0,
-    )
+    history.append(row(len(history), history[-1]["grad_norm"] if history else 0.0))
+    return FlowResult(status=status, point=point, energy=f, d_residual=_d_residual(H),
+                      history=history, elapsed=time.monotonic() - t0)

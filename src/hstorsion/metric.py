@@ -71,15 +71,24 @@ def _laplace_tables(n):
 
 
 @functools.lru_cache(maxsize=None)
-def _jacobi_signs(n):
-    """For k = 0..n, the (C, C) matrix of signs (-1)^(sum I + sum K) over
-    the k-subsets I, K of range(n) in lexicographic order: the signs of
-    Jacobi's complementary minors."""
-    signs = []
+def _jacobi_tables(n):
+    """For k = 0..n, over the C x C entries (a, b), flattened, of the
+    k-subsets I_a of range(n) in lexicographic order: the row of
+    det h[I_a^c, I_b^c] among the flat (n-k)-minors (the complements are
+    the (n-k)-subsets in reverse order) and the sign
+    (-1)^(sum I_a + sum I_b) of Jacobi's complementary minors; the entries
+    with a <= b, the position among them of each entry's (min, max), and
+    the entries with a > b."""
+    tables = []
     for k in range(n + 1):
         sign = np.array([(-1.0) ** sum(I) for I in combinations(range(n), k)])
-        signs.append(np.outer(sign, sign))
-    return signs
+        C = len(sign)
+        a, b = np.divmod(np.arange(C * C), C)
+        upper = np.flatnonzero(a <= b)
+        tables.append(((C - 1 - a) * C + C - 1 - b, (sign[a] * sign[b])[:, None], upper,
+                       np.searchsorted(upper, np.minimum(a, b) * C + np.maximum(a, b)),
+                       np.flatnonzero(a > b)))
+    return tables
 
 
 def _minors(h):
@@ -100,6 +109,16 @@ def _minors(h):
         terms *= minors[-1].reshape(-1, X)[cofactor]
         minors.append(np.matmul(sign[:k], terms))
     return minors
+
+
+def _complementary_minors(minors, k, entries=slice(None)):
+    """N_k = C_k det h, C_k the k-th compound of A = h^{-T}, as rows over
+    the flattened C x C entries (a, b), or over the given entries, from
+    the minors of h by Jacobi: det A[I, K] det h =
+    (-1)^(sum I + sum K) det h[I^c, K^c] (see _jacobi_tables)."""
+    n = len(minors) - 1
+    rows, sign = _jacobi_tables(n)[k][:2]
+    return minors[n - k].reshape(len(rows), -1)[rows[entries]] * sign[entries]
 
 
 def _positive_above(M, c) -> bool:
@@ -218,66 +237,39 @@ class HermitianStructure(_Memo):
         _smallest_eigenvalue)."""
         return self._smallest_eigenvalue()[0]
 
-    def _compounds(self):
-        """The compounds of A = h^{-T} and det h (real) at every node, once
-        per metric: a list whose k-th entry, shape (X, C, C), is
-        C[x, a, b] = det A(x)[I_a, I_b] over the k-subsets I_a of range(n)
-        in lexicographic order, shared by the holomorphic (k = p) and the
-        antiholomorphic (k = q) factor of every bidegree.  By Jacobi's
-        complementary minors, det A[I, K] = (-1)^(sum I + sum K)
-        det h[I^c, K^c] / det h, and the complements of the k-subsets are
-        the (n-k)-subsets in reverse order.  The minors come node-contiguous,
-        (C, C, X), and the signs from the per-n _jacobi_signs(n); each
-        compound is written (X, C, C), the layout _first_axis_pairing
-        reshapes."""
+    def _spectrum(self, k, compound):
+        """The Fourier coefficients (1 / X) sum_x f(x) exp(-2 pi i s . x),
+        shape (C * C, |S|), once per metric, of f = N_k, a polynomial of
+        degree n - k in h(x), at all s of frequencies(n - k), or with
+        compound of f = conj(C_k) at the s of frequencies(n - k + 2) that
+        a Gram (k, q) reads.  f(x) is Hermitian: the entry (b, a) at s is
+        the conjugate of (a, b) at -s, so only (a, b) is transformed."""
 
         def build():
-            n = self.n
-            minors = _minors(self._h_nodes)
-            deth = np.real(minors[n][0, 0])
-            compounds = []
-            for k, sign in enumerate(_jacobi_signs(n)):
-                # written through a (C, C, X) view of the (X, C, C) array
-                compound = np.empty((len(deth),) + sign.shape, dtype=complex)
-                np.multiply(minors[n - k][::-1, ::-1], sign[:, :, None] / deth,
-                            out=compound.transpose(1, 2, 0))
-                compounds.append(compound)
-            return compounds, deth
+            minors = self._cached("minors", lambda: _minors(self._h_nodes))
+            _, _, upper, expand, lower = _jacobi_tables(self.n)[k]
+            frequencies = self.complex.frequencies(self.n - k + 2 * compound)
+            values = _complementary_minors(minors, k, upper)
+            if compound:
+                values = np.conj(values, out=values)
+                values /= np.real(minors[self.n][0, 0])
+            transform = self.complex.grid_transform(values, frequencies)
+            spectrum = (transform / values.shape[1])[expand]
+            spectrum[lower] = np.conj(spectrum[lower][:, frequencies[2]])
+            return spectrum
 
-        return self._cached("_compounds", build)
-
-    def _first_axis_pairing(self, p, q, phases):
-        """The pointwise pairing Q(x), with <u,v>_omega dV_omega =
-        v(x)^H Q(x) u(x) over the struct basis and dV_omega = det(h) tau,
-        summed over the first axis against each first-axis phase of the
-        complex's mode-difference weights: P[x', g] = sum_x1 phases[g, x_1]
-        Q(x_1, x') at the nodes x' of the other axes, shape
-        (X / g_1, groups, S*S), with columns over Q[(I,J),(K,L)] in the
-        order (I, K, J, L).  One batched product per x' contracts x_1, so
-        Q(x) itself is never formed."""
-        # <dz^j, dz^k> = (h^{-1})_{kj}; this orientation makes |omega|^2 = n.
-        # Q[(I,J),(K,L)] = conj(det A[I,K]) * det A[J,L] * det h
-        compounds, deth = self._compounds()
-        groups, g1 = phases.shape
-        X1 = len(deth) // g1
-        # conj(det A[I,K]) times each phase, viewed as (x', g, (I, K), x_1)
-        Ch = phases[:, :, None, None] * np.conj(compounds[p]).reshape(g1, X1, -1)
-        Ch = Ch.transpose(2, 0, 3, 1)
-        # det A[J,L] det h, viewed as (x', 1, x_1, (J, L))
-        Ca = (compounds[q] * deth[:, None, None]).reshape(g1, X1, 1, -1)
-        return (Ch @ Ca.transpose(1, 2, 0, 3)).reshape(X1, groups, -1)
+        return self._cached(("spectrum", k, compound), build)
 
     # -- Gram matrices -------------------------------------------------------
 
     def gram(self, p, q):
         """L^2 Gram matrix G with <<u, v>> = v^H G u in the basis order.
 
-        The (i, j) mode block is the grid Fourier coefficient of Q at
-        m_i - m_j, exact for the 4 max|m| + 1 grid.  The quadrature factors
-        over the first axis: Q is summed against each first-axis phase,
-        then one product per group of differences with the complex's
-        weights over the other axes gives their coefficients.  For p > q
-        the matrix is the conjugate of gram(q, p) under conjugation."""
+        The (i, j) mode block is the grid Fourier coefficient at m_i - m_j
+        of the pointwise pairing Q(x) = conj(C_p(x)) (x) N_q(x), exact for
+        the 4 max|m| + 1 grid: by the discrete convolution theorem, the sum
+        of N_q^(m) (x) conj(C_p)^(m_i - m_j - m) over the few m where
+        N_q^(m) != 0.  For p > q it is gram(q, p) under conjugation."""
 
         def build():
             cat = self.complex.catalog
@@ -287,11 +279,14 @@ class HermitianStructure(_Memo):
                 return K @ np.conj(self.gram(q, p)) @ K.T
             nh, na = math.comb(self.n, p), math.comb(self.n, q)
             S = nh * na
-            phases, weights, index = self.complex.mode_difference_weights()
-            P = self._first_axis_pairing(p, q, phases)
-            half = np.concatenate([W @ P[:, g] for g, W in enumerate(weights)])
-            half = half.reshape(-1, nh, nh, na, na).transpose(0, 1, 3, 2, 4)
-            half = half.reshape(-1, S, S)
+            _, index = self.complex.mode_differences()
+            shifts = self.complex.frequencies(self.n - p + 2)[3][self.n - q]
+            # <dz^j, dz^k> = (h^{-1})_{kj}; this orientation makes |omega|^2 = n.
+            # Q[(I,J),(K,L)] = conj(C_p[I,K]) * N_q[J,L]; its coefficient at
+            # the row d_r is sum_s N_q^(s) conj(C_p)^(d_r - s)
+            N = self._spectrum(q, False)
+            half = self._spectrum(p, True)[:, shifts].reshape(-1, N.shape[1]) @ N.T
+            half = half.reshape(nh, nh, -1, na, na).transpose(2, 0, 3, 1, 4).reshape(-1, S, S)
             # Q(x) is Hermitian, so its coefficient at -d is the conjugate
             # transpose of the one at d
             table = np.concatenate([half, half.conj().transpose(0, 2, 1)])

@@ -74,10 +74,16 @@ def test_lie_algebra_model_is_the_torus_with_no_axes(iwasawa_cx):
     assert iwasawa_cx.model.mode_set == ((),) and iwasawa_cx.grid == ()
     assert iwasawa_cx.n_nodes == 1 and iwasawa_cx.nodes().shape == (1, 0)
     assert np.array_equal(iwasawa_cx.eval_matrix(), [[1.0]])
-    # one first-axis phase, one group of weights, one node
-    phases, weights, index = iwasawa_cx.mode_difference_weights()
-    assert np.array_equal(phases, [[1.0]]) and len(weights) == 1
-    assert np.array_equal(weights[0], [[1.0]]) and np.array_equal(index, [[0]])
+    # one difference, and every frequency set is the one frequency with no
+    # components, on which the grid transform has no steps: the identity
+    rows, index = iwasawa_cx.mode_differences()
+    assert rows.shape == (1, 0) and np.array_equal(index, [[0]])
+    for j in range(6):
+        k, steps, neg, shifts = iwasawa_cx.frequencies(j)
+        assert k.shape == (1, 0) and steps == [] and np.array_equal(neg, [0])
+        assert len(shifts) == max(j - 1, 0) and all(np.array_equal(s, [[0]]) for s in shifts)
+    values = np.array([[2.0 - 1j], [3.0]])
+    assert np.array_equal(iwasawa_cx.grid_transform(values, iwasawa_cx.frequencies(1)), values)
 
 
 def test_iwasawa_structure_equation(iwasawa_cx):
@@ -202,12 +208,45 @@ def test_complexes_on_one_lattice_share_the_quadrature_tables():
     flat = "kind spectral\nn 2\nmodes axis K 1\n"
     a, b = (build_complex(parse_model(flat + "grid 5\n")) for _ in range(2))
     c = build_complex(parse_model(flat + "grid 7\n"))
-    assert a.mode_difference_weights() is b.mode_difference_weights()
-    assert a.eval_matrix() is b.eval_matrix()
-    assert c.mode_difference_weights() is not a.mode_difference_weights()
-    phases, weights, _ = c.mode_difference_weights()
-    assert phases.shape == (3, 7)  # first components 0, 1, 2 on 7 nodes
-    assert [W.shape for W in weights] == [(13, 7 ** 3), (7, 7 ** 3), (1, 7 ** 3)]
+    for table in ("mode_differences", "eval_matrix"):
+        assert getattr(a, table)() is getattr(b, table)()
+        assert getattr(c, table)() is not getattr(a, table)()
+    assert a.frequencies(2) is b.frequencies(2)
+    assert c.frequencies(2) is not a.frequencies(2)
+    # zero and one of each +-d: 1 + 40 / 2 rows
+    assert c.mode_differences()[0].shape == (21, 4)
+    # the 2-fold sums of the modes fit both grids; the 3- and 4-fold sums
+    # (components up to 4) alias on 5 nodes, not on 7
+    assert [len(a.frequencies(j)[0]) for j in range(5)] == [1, 9, 41, 121, 257]
+    assert [len(c.frequencies(j)[0]) for j in range(5)] == [1, 9, 41, 129, 313]
+    # one DFT matrix per axis, from the last, each step keeping the suffixes
+    # (k_a, ..., k_4) of the 9 modes 0, +-e_a: 3, 5, 7 and 9 of them
+    steps = c.frequencies(1)[1]
+    assert [phases.shape for phases, _, _ in steps] == [(7, 7)] * 4
+    assert [len(rest) for _, rest, _ in steps] == [3, 5, 7, 9]
+
+
+@pytest.mark.parametrize("text", [
+    "kind spectral\nn 2\nmodes axis K 1\ngrid 7 5 5 6\n",
+    "kind spectral\nn 3\nmodes axis K 1\n",
+], ids=["grid7556", "n3k1"])
+def test_grid_transform_is_the_dft_at_each_frequency_set(text):
+    cx = build_complex(parse_model(text))
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal((2, cx.n_nodes)) + 1j * rng.standard_normal((2, cx.n_nodes))
+    axes = tuple(range(1, len(cx.grid) + 1))
+    full = np.fft.fftn(values.reshape(2, *cx.grid), axes=axes).reshape(2, -1)
+    for j in range(cx.n + 3):
+        k, _, neg, shifts = cx.frequencies(j)
+        flat = np.ravel_multi_index(tuple(k.T), cx.grid)
+        assert np.all(np.diff(flat) > 0) and np.array_equal(k[neg] % cx.grid, -k % cx.grid)
+        # d_r - s for the sums s of each smaller set, at its shifts
+        rows = cx.mode_differences()[0]
+        for i, at in enumerate(shifts):
+            diffs = (rows[:, None] - cx.frequencies(i)[0]) % cx.grid
+            assert np.array_equal(k[at], diffs)
+        out = cx.grid_transform(values, cx.frequencies(j))
+        assert np.abs(out - full[:, flat]).max() <= 1e-13 * np.abs(full).max()
 
 
 def test_catalogs_of_one_dimension_share_the_structural_tables():

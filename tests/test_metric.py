@@ -36,6 +36,23 @@ potential 0 0 -1 0 u 2 := 0.02i
 
 
 @pytest.fixture(scope="module")
+def random13_H(spectral_cx):
+    # a random potential metric on all 13 modes of n = 3, K = 1: its det h
+    # reaches the 3-fold sums of the modes, whose components +-3 alias to
+    # -+2 on the 5-node grid
+    rng = np.random.default_rng(5)
+    v = 0.005 * spectral_cx.random_form(1, 0, rng)
+    omega = (spectral_cx.metric_form() + spectral_cx.apply_dbar(v)
+             + spectral_cx.apply_del(conjugate(v)))
+    return HermitianStructure(spectral_cx, omega=omega)
+
+
+@pytest.fixture(scope="module")
+def random_iwasawa_H(iwasawa_cx):
+    return random_hermitian_structure(iwasawa_cx, np.random.default_rng(6))
+
+
+@pytest.fixture(scope="module")
 def n2k2_H():
     cx = build_complex(parse_model(N2K2_TEXT))
     return HermitianStructure(cx, omega=cx.metric_form())
@@ -86,12 +103,25 @@ def test_gram_hermitian_positive(iwasawa_cx, rng):
         assert w.min() > 0
 
 
-@pytest.mark.parametrize("name", ["spectral_H", "n2k2_H", "grid7_H"])
+@pytest.mark.parametrize("name", ["spectral_H", "n2k2_H", "grid7_H", "random13_H",
+                                  "random_iwasawa_H"])
 def test_gram_matches_fft_reference(name, request):
+    # every bidegree, (0,0) and (n,n) included, against the full-grid FFT of
+    # Q(x): random13_H's det h has sums of modes that alias on the grid,
+    # grid7_H has unequal per-axis grids, and Iwasawa has no axes
     H = request.getfixturevalue(name)
     for p, q in _bidegrees(H):
         G, ref = H.gram(p, q), _reference_gram(H, p, q)
         assert np.abs(G - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_sums_of_modes_alias_on_the_grid(spectral_cx):
+    # the 3-fold sums of the 13 modes take 377 values, and 12 pairs of them
+    # (+-3 e_a against -+2 e_a) are one frequency on 5 nodes; the Gram
+    # contraction must count each frequency once (random13_H above)
+    modes = spectral_cx.catalog.modes
+    sums = {tuple(map(sum, zip(a, b, c))) for a in modes for b in modes for c in modes}
+    assert len(sums) == 377 and len(spectral_cx.frequencies(3)[0]) == 365
 
 
 @pytest.mark.parametrize("name", ["spectral_H", "n2k2_H"])
@@ -115,27 +145,28 @@ def test_compound_inverse_identity(spectral_H, rng):
         cx = build_complex(parse_model(f"kind invariant\nn {n}\n"))
         metrics.append(random_hermitian_structure(cx, rng))
     for H in metrics:
+        minors = metric._minors(H.h_nodes)
+        deth = np.real(minors[H.n][0, 0])
         for k in range(H.n + 1):
-            inv_k = np.swapaxes(H._compounds()[0][k], 1, 2)  # compound of A^T = h^{-1}
-            prod = inv_k @ _minors(H.h_nodes, k)
+            # the compound of A^T = h^{-1}, from Jacobi's complementary minors
+            C = len(_minors(H.h_nodes[:1], k)[0])
+            compound = metric._complementary_minors(minors, k).reshape(C, C, -1) / deth
+            prod = compound.transpose(2, 1, 0) @ _minors(H.h_nodes, k)
             assert np.abs(prod - np.eye(prod.shape[-1])).max() <= 1e-12
 
 
 def test_difference_weights_belong_to_their_complex():
+    # the quadrature tables of a lattice live as long as its complexes, and
+    # the flat metric's Gram(1,1) is the identity on both grids
     flat = "kind spectral\nn 2\nmodes axis K 1\n"
     cxs = [build_complex(parse_model(flat + f"grid {g}\n")) for g in (5, 7)]
-    tables = [cx.mode_difference_weights() for cx in cxs]
-    for cx, table in zip(cxs, tables):
-        phases, weights, _ = table
-        # zero and one of each +-d, 1 + 40 / 2, by first component 0, 1, 2
-        g = cx.grid[0]
-        assert phases.shape == (3, g)
-        assert [W.shape for W in weights] == [(k, cx.n_nodes // g) for k in (13, 7, 1)]
-        assert cx.mode_difference_weights() is table
+    for cx in cxs:
         G = HermitianStructure(cx, h=np.eye(2)).gram(1, 1)
         assert np.abs(G - np.eye(len(G))).max() <= 1e-14
-    refs = [weakref.ref(tables[0][0]), weakref.ref(tables[0][1][0])]
-    del cxs, tables, cx, table, phases, weights
+    tables = [cxs[0].mode_differences(), cxs[0].frequencies(2), cxs[0].frequencies(4)]
+    refs = [weakref.ref(tables[0][0]), weakref.ref(tables[1][0]),
+            weakref.ref(tables[2][1][0][0]), weakref.ref(tables[2][3][1])]
+    del cxs, tables, cx, G
     gc.collect()
     assert all(ref() is None for ref in refs)
 
