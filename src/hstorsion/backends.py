@@ -87,13 +87,16 @@ class Model:
     # dbar(u) + del(conj u), which keeps it Hermitian-symplectic
     potential_modes: dict = field(default_factory=dict)
 
-    def validate(self, grid_line=None, d_lines=None):
+    def validate(self, lines=None):
         """Raise ModelError on malformed structure constants, a malformed
-        mode set or a grid too coarse for exact quadrature; grid_line is the
-        source line of the grid and d_lines maps k to the line of d phi^k,
-        where known.  d^2 = 0 is checked on the assembled complex."""
+        mode set, a grid too coarse for exact quadrature, or a metric or
+        potential coefficient on a mode outside the mode set.  lines maps
+        what a directive declared to its source line, where known: k for
+        d phi^k, "grid", and ("metric", m) or ("potential", m) for a
+        coefficient on mode m.  d^2 = 0 is checked on the assembled complex."""
+        lines = lines or {}
         for k, terms in self.d_phi.items():
-            line = (d_lines or {}).get(k)
+            line = lines.get(k)
             if not (1 <= k <= self.n):
                 raise ModelError(f"generator index {k} out of range 1..{self.n}", line)
             for (kind, i, j), c in terms.items():
@@ -122,8 +125,14 @@ class Model:
                 raise ModelError(
                     f"grid size {g} on axis {a + 1} below 4*max|m|+1 = {floor}; "
                     "quadrature would not be exact for 4-factor products",
-                    grid_line,
+                    lines.get("grid"),
                 )
+        for kind, declared in (("metric", self.metric_modes),
+                               ("potential", self.potential_modes)):
+            for m in declared:
+                if tuple(m) not in modes:
+                    raise ModelError(f"{kind} mode {tuple(m)} is not in the mode set",
+                                     lines.get((kind, tuple(m))))
 
 
 class FormComplex(_Memo):
@@ -396,15 +405,11 @@ class FormComplex(_Memo):
         h0 = self.model.metric
         u = self.hermitian_form(np.eye(n, dtype=complex) if h0 is None else h0)
         for mode, mat in self.model.metric_modes.items():
-            if tuple(mode) not in cat.modes:
-                raise ModelError(f"metric_mode {mode} is not in the mode set")
             u = u + self.hermitian_form(mat, mode)
         pot = self.model.potential_modes
         if pot:
             v = zero_form(cat, 1, 0)
             for mode, vec in pot.items():
-                if tuple(mode) not in cat.modes:
-                    raise ModelError(f"potential mode {mode} is not in the mode set")
                 for j in range(n):
                     if vec[j] != 0:
                         v.coeffs[cat.flat_index(tuple(mode), (j + 1,), ())] = vec[j]
@@ -543,16 +548,33 @@ def _split_terms(rhs):
     return parts
 
 
+def _check_hermitian(entries, zero):
+    """Raise ModelError, naming the entry's line, unless h_{-m}[k,j] =
+    conj(h_m[j,k]) for every declared entry, within the reality tolerance of
+    HermitianStructure; the constant part (mode None) adds to mode zero."""
+    h, where = {}, {}
+    for (m, j, k), (c, ln) in sorted(entries.items(), key=lambda e: e[1][1]):
+        key = (zero if m is None else m, j, k)
+        h[key] = h.get(key, 0) + c
+        where.setdefault(key, ln)
+    tol = 1e-12 * max([1.0] + [abs(c) for c in h.values()])
+    for (m, j, k), ln in where.items():
+        neg = tuple(-a for a in m)
+        if abs(h[m, j, k] - np.conj(h.get((neg, k, j), 0))) > tol:
+            raise ModelError(f"metric is not Hermitian: h {j} {k} on mode {m} is "
+                             f"not the conjugate of h {k} {j} on mode {neg}", ln)
+
+
 def parse_model(text: str):
     """Parse the line-oriented model grammar; see the package README for the
     full syntax.  Raises ModelError with line information."""
     kind = None
     n = None
     d_phi = {}
-    d_lines = {}  # k -> line of 'd k :='
+    lines = {}  # what a directive declared -> its line, see Model.validate
     mode_lines = []  # (mode, line)
     axis_spec = None
-    grid = grid_ln = None
+    grid = None
     metric_entries = {}  # (mode or None, i, j) -> (complex, line)
     potential_entries = {}  # (mode, j) -> (complex, line)
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -589,7 +611,7 @@ def parse_model(text: str):
                     c = parse_complex(tm.group("coef"), ln)
                     key = (tm.group("kind"), int(tm.group("i")), int(tm.group("j")))
                     terms[key] = terms.get(key, 0) + c
-            d_phi[k], d_lines[k] = terms, ln
+            d_phi[k], lines[k] = terms, ln
         elif head == "modes":
             if not re.fullmatch(r"modes\s+axis\s+K\s+-?\d+", line):
                 raise ModelError("expected 'modes axis K <int>'", ln)
@@ -606,7 +628,7 @@ def parse_model(text: str):
                 raise ModelError("grid values must be integers", ln)
             if not grid:
                 raise ModelError("grid requires an integer", ln)
-            grid_ln = ln
+            lines["grid"] = ln
         elif head == "metric":
             m = re.match(r"^metric\s+h\s+(\d+)\s+(\d+)\s*:=\s*(.*)$", line)
             if not m:
@@ -656,17 +678,19 @@ def parse_model(text: str):
                 f"metric_mode mode has {len(mk)} components, expected {2 * n}", ln)
         else:
             metric_modes.setdefault(mk, np.zeros((n, n), dtype=complex))[i - 1, j - 1] = c
+            lines.setdefault(("metric", mk), ln)
 
     if kind == "invariant":
         if (mode_lines or axis_spec is not None or grid is not None
                 or potential_entries or metric_modes):
             raise ModelError("spectral directives in an invariant model")
         model = Model(n=n, d_phi=d_phi, metric=const_h)
-        model.validate(d_lines=d_lines)
+        model.validate(lines)
+        _check_hermitian(metric_entries, ())
         scale = max((abs(c) for t in d_phi.values() for c in t.values()), default=0.0)
-        for k, r in sorted(_d_squared(model).items(), key=lambda kr: d_lines[kr[0]]):
+        for k, r in sorted(_d_squared(model).items(), key=lambda kr: lines[kr[0]]):
             if r > STRUCTURE_TOL * max(1.0, scale):
-                raise ModelError(f"d(d phi^{k}) != 0: {r:.2e}", d_lines[k])
+                raise ModelError(f"d(d phi^{k}) != 0: {r:.2e}", lines[k])
         return model
 
     for mode, ln in mode_lines:
@@ -690,7 +714,7 @@ def parse_model(text: str):
         # one value: that many nodes on every axis that carries modes
         grid = [grid[0] if f > 1 else 1 for f in floor]
     elif len(grid) != 2 * n:
-        raise ModelError(f"grid takes 1 or {2 * n} values, got {len(grid)}", grid_ln)
+        raise ModelError(f"grid takes 1 or {2 * n} values, got {len(grid)}", lines["grid"])
     potential_modes = {}
     for (mk, j), (c, ln) in potential_entries.items():
         if len(mk) != 2 * n:
@@ -698,7 +722,9 @@ def parse_model(text: str):
         if not (1 <= j <= n):
             raise ModelError(f"potential index {j} out of range 1..{n}", ln)
         potential_modes.setdefault(mk, np.zeros(n, dtype=complex))[j - 1] = c
+        lines.setdefault(("potential", mk), ln)
     model = Model(n=n, mode_set=tuple(modes), grid=tuple(grid), metric=const_h,
                   metric_modes=metric_modes, potential_modes=potential_modes)
-    model.validate(grid_line=grid_ln)
+    model.validate(lines)
+    _check_hermitian(metric_entries, (0,) * (2 * n))
     return model

@@ -22,8 +22,8 @@ import numpy as np
 from . import __version__
 from .backends import build_complex, format_complex, parse_model
 from .cohomology import CohomologyMismatch, cohomology_table
-from .deform import (FamilySpec, HypothesisError, family_diagnostics,
-                     kahler_in_class, parse_family)
+from .deform import (FamilySpec, FamilyTable, HypothesisError,
+                     family_diagnostics, kahler_in_class, parse_family)
 from .energy import AeppliPoint, differential_riesz, energy, gradient_descent
 from .forms import conjugate
 from .metric import HermitianStructure
@@ -73,10 +73,14 @@ def _write_csv(path: Path, fieldnames, rows):
             w.writerow({k: row[k] for k in fieldnames if k in row})
 
 
-def _load(args):
-    text = Path(args.model).read_text()
+def _load(text):
     cx = build_complex(parse_model(text))
-    return text, HermitianStructure(cx, omega=cx.metric_form())
+    return HermitianStructure(cx, omega=cx.metric_form())
+
+
+def _violation(rep, what):
+    rep.add(f"contract violation: {what}")
+    return EXIT_CONTRACT
 
 
 def _write_form(path: Path, u):
@@ -94,9 +98,8 @@ def _write_form(path: Path, u):
 # ---------------------------------------------------------------------------
 
 
-def cmd_classify(args):
-    text, H = _load(args)
-    rep = Report(args, text)
+def cmd_classify(args, text, rep):
+    H = _load(text)
     cls = classify(H, tol=args.tol)
     rep.add(str(cls))
     if cls.truncated_power:
@@ -120,43 +123,25 @@ def cmd_classify(args):
                 for k in cls.residuals])
     _write_csv(out / "cohomology.csv", ["p", "q", "h_dbar", "h_bc", "h_aeppli"],
                table.rows())
-    rep.write(out, "classify_report.txt")
     return EXIT_OK
 
 
-def cmd_torsion(args):
-    text, H = _load(args)
-    rep = Report(args, text)
-    try:
-        tr = torsion_form(H, tol=args.tol)
-    except NotHermitianSymplectic as e:
-        rep.add(f"not Hermitian-symplectic: {e}")
-        rep.write(Path(args.out), "torsion_report.txt")
-        return EXIT_INPUT
+def cmd_torsion(args, text, rep):
+    tr = torsion_form(_load(text), tol=args.tol)
     rep.add(
         f"torsion norm: {tr.norm:.12e}",
         f"closedness residual: {tr.closedness_residual:.3e}",
         f"minimality gap vs oracle: {tr.minimality_gap:.3e}",
     )
-    out = Path(args.out)
-    _write_form(out / "torsion.csv", tr.rho)
-    rep.write(out, "torsion_report.txt")
+    _write_form(Path(args.out) / "torsion.csv", tr.rho20)
     if tr.closedness_residual > 1e-8 or tr.minimality_gap > 1e-6:
-        rep.add("contract violation: torsion certification exceeded tolerance")
-        rep.write(out, "torsion_report.txt")
-        return EXIT_CONTRACT
+        return _violation(rep, "torsion certification exceeded tolerance")
     return EXIT_OK
 
 
-def cmd_energy(args):
-    text, H = _load(args)
-    rep = Report(args, text)
-    try:
-        f, tr = energy(H, tol=args.tol)
-    except NotHermitianSymplectic as e:
-        rep.add(f"not Hermitian-symplectic: {e}")
-        rep.write(Path(args.out), "energy_report.txt")
-        return EXIT_INPUT
+def cmd_energy(args, text, rep):
+    H = _load(text)
+    f, tr = energy(H, tol=args.tol)
     c = differential_riesz(H, tr.rho20)
     G = H.gram(1, 0)
     gnorm = float(np.sqrt(max(np.real(np.conj(c) @ np.linalg.solve(G, c)), 0.0)))
@@ -165,24 +150,16 @@ def cmd_energy(args):
         f"torsion norm: {tr.norm:.12e}",
         f"differential norm: {gnorm:.6e}",
     )
-    out = Path(args.out)
-    _write_csv(out / "energy.csv",
+    _write_csv(Path(args.out) / "energy.csv",
                ["energy", "torsion_norm", "differential_norm"],
                [{"energy": f, "torsion_norm": tr.norm, "differential_norm": gnorm}])
-    rep.write(out, "energy_report.txt")
     return EXIT_OK
 
 
-def cmd_flow(args):
-    text, H = _load(args)
-    rep = Report(args, text)
-    point = AeppliPoint(H.complex, H.omega)
-    try:
-        res = gradient_descent(point, max_iters=args.max_iters, tol=args.tol)
-    except NotHermitianSymplectic as e:
-        rep.add(f"not Hermitian-symplectic: {e}")
-        rep.write(Path(args.out), "flow_report.txt")
-        return EXIT_INPUT
+def cmd_flow(args, text, rep):
+    cx = build_complex(parse_model(text))
+    res = gradient_descent(AeppliPoint(cx, cx.metric_form()),
+                           max_iters=args.max_iters, tol=args.tol)
     rep.add(
         f"status: {res.status}",
         f"final energy: {res.energy:.6e}",
@@ -195,24 +172,14 @@ def cmd_flow(args):
                ["iter", "energy", "grad_norm", "step", "margin", "d_residual"],
                res.history)
     _write_form(out / "flow_potential.csv", res.point.u)
-    rep.write(out, "flow_report.txt")
     es = [row["energy"] for row in res.history]
     if any(b > a + 1e-12 for a, b in zip(es, es[1:])):
-        rep.add("contract violation: energy increased along accepted steps")
-        rep.write(out, "flow_report.txt")
-        return EXIT_CONTRACT
+        return _violation(rep, "energy increased along accepted steps")
     return EXIT_OK
 
 
-def cmd_kahler(args):
-    text, H = _load(args)
-    rep = Report(args, text)
-    try:
-        kr = kahler_in_class(H, tol=args.tol)
-    except HypothesisError as e:
-        rep.add(f"hypothesis failure: {e}")
-        rep.write(Path(args.out), "kahler_report.txt")
-        return EXIT_INPUT
+def cmd_kahler(args, text, rep):
+    kr = kahler_in_class(_load(text), tol=args.tol)
     rep.add(
         f"|u_min|: {kr.u_norm:.6e}",
         f"d residual of candidate: {kr.d_residual:.3e}",
@@ -222,29 +189,21 @@ def cmd_kahler(args):
     out = Path(args.out)
     _write_form(out / "kahler_potential.csv", kr.u_min)
     _write_form(out / "kahler_metric.csv", kr.omega_tilde)
-    rep.write(out, "kahler_report.txt")
     if kr.d_residual > 1e-8:
-        rep.add("contract violation: candidate not d-closed despite hypothesis")
-        rep.write(out, "kahler_report.txt")
-        return EXIT_CONTRACT
+        return _violation(rep, "candidate not d-closed despite hypothesis")
     return EXIT_OK
 
 
-def cmd_family(args):
-    text = Path(args.model).read_text()
+def cmd_family(args, text, rep):
     spec = parse_family(text)
     if args.t_samples:
         spec = FamilySpec(spec.template_lines, args.t_samples)
-    rep = Report(args, text)
     table = family_diagnostics(spec, tol=args.tol)
     rep.add(str(table))
     if table.flagged:
         rep.add("flagged samples (dimension jump, unreliable kernel split or "
                 f"infeasible): {table.flagged}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    table.to_csv(out / "family.csv")
-    rep.write(out, "family_report.txt")
+    _write_csv(Path(args.out) / "family.csv", FamilyTable.FIELDS, table.rows)
     return EXIT_OK
 
 
@@ -253,8 +212,7 @@ def cmd_family(args):
 # ---------------------------------------------------------------------------
 
 
-def cmd_selftest(args):
-    rep = Report(args)
+def cmd_selftest(args, text, rep):
     checks = []
 
     def check(name, fn):
@@ -266,8 +224,7 @@ def cmd_selftest(args):
         rep.add(f"{'PASS' if ok else 'FAIL'}  {name}  {info}")
 
     def torus_classify():
-        cx = build_complex(parse_model(TORUS_TEXT))
-        H = HermitianStructure(cx, omega=cx.metric_form())
+        H = _load(TORUS_TEXT)
         cls = classify(H)
         ok = all([cls.kahler, cls.skt, cls.balanced, cls.strongly_gauduchon,
                   cls.hermitian_symplectic])
@@ -276,8 +233,7 @@ def cmd_selftest(args):
         return ok, f"torsion norm {tr.norm:.1e}"
 
     def iwasawa_flags():
-        cx = build_complex(parse_model(IWASAWA_TEXT))
-        H = HermitianStructure(cx, omega=cx.metric_form())
+        H = _load(IWASAWA_TEXT)
         cls = classify(H)
         ok = (cls.balanced and not cls.skt and not cls.kahler
               and not cls.hermitian_symplectic)
@@ -287,11 +243,10 @@ def cmd_selftest(args):
         cx = build_complex(parse_model(SPECTRAL_TEXT))
         rng = np.random.default_rng(args.seed)
         u = 0.01 * cx.random_form(1, 0, rng)
-        w = cx.metric_form() + cx.apply_dbar(u) + cx.apply_del(conjugate(u))
-        H = HermitianStructure(cx, omega=w)
-        tr = torsion_form(H)
+        point = AeppliPoint(cx, cx.metric_form() + cx.apply_dbar(u)
+                            + cx.apply_del(conjugate(u)))
+        tr = torsion_form(point.structure())
         ok = tr.closedness_residual <= 1e-8 and tr.minimality_gap <= 1e-6
-        point = AeppliPoint(cx, w)
         res = gradient_descent(point, max_iters=args.max_iters)
         ok = ok and res.status == "converged"
         return ok, (f"gap {tr.minimality_gap:.1e}, flow {res.status} "
@@ -301,10 +256,8 @@ def cmd_selftest(args):
     check("iwasawa: balanced, non-SKT, not H-s", iwasawa_flags)
     check("perturbed spectral torus: torsion + flow", spectral_pipeline)
 
-    out = Path(args.out)
-    _write_csv(out / "selftest.csv", ["name", "passed", "info"],
+    _write_csv(Path(args.out) / "selftest.csv", ["name", "passed", "info"],
                [{"name": n, "passed": ok, "info": info} for n, ok, info in checks])
-    rep.write(out, "selftest_report.txt")
     return EXIT_OK if all(ok for _, ok, _ in checks) else EXIT_CONTRACT
 
 
@@ -364,13 +317,29 @@ _COMMANDS = {
 
 
 def run(argv=None) -> int:
+    """Parse argv, run the command and write its report.
+
+    A metric that is not Hermitian-symplectic, or a failed hypothesis of a
+    solution operator, is a refusal: its reason is the report's last line
+    and the exit code is 1, from any command."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_INPUT if e.code not in (0, None) else 0
     try:
-        return _COMMANDS[args.command](args)
+        text = Path(args.model).read_text() if args.command != "selftest" else None
+        rep = Report(args, text)
+        try:
+            code = _COMMANDS[args.command](args, text, rep)
+        except NotHermitianSymplectic as e:
+            rep.add(f"not Hermitian-symplectic: {e}")
+            code = EXIT_INPUT
+        except HypothesisError as e:
+            rep.add(f"hypothesis failure: {e}")
+            code = EXIT_INPUT
+        rep.write(Path(args.out), f"{args.command}_report.txt")
+        return code
     except (np.linalg.LinAlgError, CohomologyMismatch) as e:
         # numerical breakdowns; LinAlgError is a ValueError, so it goes first
         print(f"numerical failure: {e}", file=sys.stderr)

@@ -11,7 +11,6 @@ sample is instantiated, validated and measured independently.
 
 from __future__ import annotations
 
-import csv
 import re
 from dataclasses import dataclass, field
 
@@ -19,8 +18,8 @@ import numpy as np
 
 from .backends import (ModelError, build_complex, format_complex, parse_complex,
                        parse_model)
-from .cohomology import KERNEL_RCOND, green_operator
-from .energy import differential_riesz
+from .cohomology import green_operator
+from .energy import AeppliPoint, differential_riesz, gradient_descent
 from .forms import Bidegree, Form, conjugate
 from .metric import HermitianStructure, MetricError, check_strong_positivity_11
 from .torsion import CLASSIFY_TOL, hs_feasible, torsion_form
@@ -65,31 +64,39 @@ class MinSolution:
     norm: float
 
 
+def _green_solve(H: HermitianStructure, v: Form, src, which: str, tol: float):
+    """The minimal-norm solution x of D x = v for D = del dbar (which "bc")
+    or dbar (which "dbar") on Lambda^src, by x = D* Green v, after checking
+    that v lies in the image of D (relative distance <= tol).
+
+    Returns (x, residual, image_distance, scale) with residual and distance
+    relative to scale = 1 + ||v||."""
+    cx = H.complex
+    A = cx.ddbar_matrix(*src) if which == "bc" else cx.dbar_matrix(*src)
+    _, dist = H.lstsq(src, [(A, (v.p, v.q), v.coeffs)])
+    scale = 1.0 + H.norm(v)
+    if dist > tol * scale:
+        raise HypothesisError(
+            f"right-hand side is not {'del-dbar' if which == 'bc' else 'dbar'}-exact: "
+            f"relative distance {dist / scale:.3e}"
+        )
+    adjoint = H.ddbar_adjoint(*src) if which == "bc" else H.dbar_adjoint(*src)
+    x_c = adjoint @ (green_operator(H, v.p, v.q, which).pinv @ v.coeffs)
+    x = Form(cx.catalog, Bidegree(*src), x_c)
+    res = H.norm(Form(cx.catalog, v.bidegree, A @ x_c) - v) / scale
+    return x, res, dist / scale, scale
+
+
 def min_ddbar_solution(H: HermitianStructure, v: Form,
-                       tol: float = CLASSIFY_TOL,
-                       rcond: float = KERNEL_RCOND) -> MinSolution:
+                       tol: float = CLASSIFY_TOL) -> MinSolution:
     """Minimal L^2-norm solution of del dbar u = v via the Green-operator
     formula u = (del dbar)* Delta_BC^{-1} v.
 
     Requires v in the image of del dbar (relative distance <= tol)."""
-    p, q = v.p, v.q
-    if p < 1 or q < 1:
+    if v.p < 1 or v.q < 1:
         raise HypothesisError("right-hand side must have bidegree >= (1,1)")
-    cx = H.complex
-    A = cx.ddbar_matrix(p - 1, q - 1)
-    _, dist = H.lstsq((p - 1, q - 1), [(A, (p, q), v.coeffs)])
-    scale = 1.0 + H.norm(v)
-    if dist > tol * scale:
-        raise HypothesisError(
-            f"right-hand side is not del-dbar-exact: relative distance "
-            f"{dist / scale:.3e}"
-        )
-    ge = green_operator(H, p, q, "bc", rcond)
-    u_c = H.ddbar_adjoint(p - 1, q - 1) @ (ge.pinv @ v.coeffs)
-    u = Form(cx.catalog, Bidegree(p - 1, q - 1), u_c)
-    res = H.norm(Form(cx.catalog, v.bidegree, A @ u_c) - v) / scale
-    return MinSolution(u=u, residual=res, image_distance=dist / scale,
-                       norm=H.norm(u))
+    u, res, dist, _ = _green_solve(H, v, (v.p - 1, v.q - 1), "bc", tol)
+    return MinSolution(u=u, residual=res, image_distance=dist, norm=H.norm(u))
 
 
 @dataclass
@@ -107,8 +114,7 @@ class NeumannSolution:
 
 
 def neumann_dbar_solution(H: HermitianStructure, rho: Form,
-                          tol: float = CLASSIFY_TOL,
-                          rcond: float = KERNEL_RCOND) -> NeumannSolution:
+                          tol: float = CLASSIFY_TOL) -> NeumannSolution:
     """Minimal L^2-norm solution of dbar phi = rho via the Neumann formula
     phi = dbar* Delta_dbar^{-1} rho.
 
@@ -116,24 +122,12 @@ def neumann_dbar_solution(H: HermitianStructure, rho: Form,
     p, q = rho.p, rho.q
     if q < 1:
         raise HypothesisError("right-hand side must have dbar-degree >= 1")
-    cx = H.complex
-    A = cx.dbar_matrix(p, q - 1)
-    _, dist = H.lstsq((p, q - 1), [(A, (p, q), rho.coeffs)])
-    scale = 1.0 + H.norm(rho)
-    if dist > tol * scale:
-        raise HypothesisError(
-            f"right-hand side is not dbar-exact: relative distance "
-            f"{dist / scale:.3e}"
-        )
-    ge = green_operator(H, p, q, "dbar", rcond)
-    phi_c = H.dbar_adjoint(p, q - 1) @ (ge.pinv @ rho.coeffs)
-    phi = Form(cx.catalog, Bidegree(p, q - 1), phi_c)
-    res = H.norm(Form(cx.catalog, rho.bidegree, A @ phi_c) - rho) / scale
+    phi, res, dist, scale = _green_solve(H, rho, (p, q - 1), "dbar", tol)
     # commutation: dbar* Green = Green' dbar* on the lower bidegree
-    ge_low = green_operator(H, p, q - 1, "dbar", rcond)
+    ge_low = green_operator(H, p, q - 1, "dbar")
     other = ge_low.pinv @ (H.dbar_adjoint(p, q - 1) @ rho.coeffs)
-    gap = H.norm(phi - Form(cx.catalog, phi.bidegree, other)) / scale
-    return NeumannSolution(phi=phi, residual=res, image_distance=dist / scale,
+    gap = H.norm(phi - Form(H.complex.catalog, phi.bidegree, other)) / scale
+    return NeumannSolution(phi=phi, residual=res, image_distance=dist,
                            commutation_gap=gap, norm=H.norm(phi))
 
 
@@ -157,42 +151,32 @@ class KahlerReport:
     u_norm: float
 
 
-def kahler_in_class(H: HermitianStructure, tol: float = CLASSIFY_TOL,
-                    rcond: float = KERNEL_RCOND) -> KahlerReport:
+def kahler_in_class(H: HermitianStructure, tol: float = CLASSIFY_TOL) -> KahlerReport:
     """Candidate closed metric omega + del conj(u_min) + dbar u_min with
-    u_min = -(del dbar)* Delta_BC^{-1}(del omega).
+    u_min = -(del dbar)* Delta_BC^{-1}(del omega), the negative of the
+    minimal-norm solution of del dbar u = del omega.
 
     Requires del omega in Im(del dbar); the candidate is d-closed exactly
     when that hypothesis holds, and its positivity is reported but not
     guaranteed."""
     cx = H.complex
-    dw = cx.apply_del(H.omega)  # (2,1)
-    _, dist = H.lstsq((1, 0), [(cx.ddbar_matrix(1, 0), (2, 1), dw.coeffs)])
-    scale = 1.0 + H.norm(dw)
-    if dist > tol * scale:
-        raise HypothesisError(
-            f"del omega is not del-dbar-exact: relative distance "
-            f"{dist / scale:.3e}"
-        )
-    ge = green_operator(H, 2, 1, "bc", rcond)
-    u_c = -(H.ddbar_adjoint(1, 0) @ (ge.pinv @ dw.coeffs))
-    u = Form(cx.catalog, Bidegree(1, 0), u_c)
+    sol = min_ddbar_solution(H, cx.apply_del(H.omega), tol)
+    u = -sol.u
     wt = H.omega + cx.apply_del(conjugate(u)) + cx.apply_dbar(u)
     dp, dq = cx.d_full(wt)
     try:
         Ht = HermitianStructure(cx, omega=wt)
-        d_res = (Ht.norm(dp) + Ht.norm(dq)) / (1.0 + Ht.norm(wt))
-        pos = check_strong_positivity_11(Ht, wt)
-    except MetricError:
-        d_res = (H.norm(dp) + H.norm(dq)) / (1.0 + H.norm(wt))
-        pos = check_strong_positivity_11(H, wt)
+    except MetricError:  # not a metric: measure the candidate in H's geometry
+        Ht = H
+    d_res = (Ht.norm(dp) + Ht.norm(dq)) / (1.0 + Ht.norm(wt))
+    pos = check_strong_positivity_11(Ht, wt)
     return KahlerReport(
         u_min=u,
         omega_tilde=wt,
         d_residual=d_res,
-        hypothesis_distance=dist / scale,
+        hypothesis_distance=sol.image_distance,
         positivity=pos,
-        u_norm=H.norm(u),
+        u_norm=sol.norm,
     )
 
 
@@ -273,13 +257,6 @@ class FamilyTable:
         "kahler_distance", "kahler_d_residual", "flagged",
     ]
 
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=self.FIELDS)
-            w.writeheader()
-            for row in self.rows:
-                w.writerow({k: row.get(k, "") for k in self.FIELDS})
-
     def __str__(self):
         lines = ["  ".join(self.FIELDS)]
         for row in self.rows:
@@ -302,13 +279,13 @@ def _dims_row(H):
 
 
 def family_diagnostics(spec: FamilySpec, tol: float = CLASSIFY_TOL,
-                       directions: int | None = None,
                        flow_first: bool = False,
                        flow_kwargs: dict | None = None) -> FamilyTable:
     """Measure the family at every sample: cohomology dimensions, torsion
-    norms and drift from t=0, the criticality sup over a fixed direction
-    set, the Neumann potential residual for the (0,2) torsion, and the
-    Kahler-construction numbers.
+    norms and drift from t=0, the criticality sup over the coordinate
+    directions of the (1,0) potentials and their i-rotations, the Neumann
+    potential residual for the (0,2) torsion, and the Kahler-construction
+    numbers.
 
     Rows whose dimension counts differ from the t=0 row are flagged (the
     constant-dimension hypothesis of the deformation propositions fails
@@ -322,15 +299,11 @@ def family_diagnostics(spec: FamilySpec, tol: float = CLASSIFY_TOL,
     rho0 = None
     H0 = None
     for t in samples:
-        model = spec.model(t)
-        cx = build_complex(model)
-        H = HermitianStructure(cx, omega=cx.metric_form())
+        cx = build_complex(spec.model(t))
+        point = AeppliPoint(cx, cx.metric_form())
         if flow_first:
-            from .energy import AeppliPoint, gradient_descent
-
-            res = gradient_descent(AeppliPoint(cx, H.omega),
-                                   **(flow_kwargs or {}))
-            H = res.point.structure()
+            point = gradient_descent(point, **(flow_kwargs or {})).point
+        H = point.structure()
         row = {"t": t}
         dims, reliable = _dims_row(H)
         row.update(dims)
@@ -346,26 +319,17 @@ def family_diagnostics(spec: FamilySpec, tol: float = CLASSIFY_TOL,
             rep = torsion_form(H, tol=tol)
             row["rho_norm"] = rep.norm
             if t == 0.0:
-                rho0, H0 = rep.rho, H
-            if rho0 is not None and rep.rho.coeffs.shape == rho0.coeffs.shape:
+                rho0, H0 = rep.rho20, H
+            if rho0 is not None and rep.rho20.coeffs.shape == rho0.coeffs.shape:
                 row["rho_diff"] = H0.norm(
                     Form(H0.complex.catalog, Bidegree(2, 0),
-                         rep.rho.coeffs - rho0.coeffs)
+                         rep.rho20.coeffs - rho0.coeffs)
                 )
+            # sup of |dF| over the coordinate directions e_j and i e_j,
+            # normalized in the Gram geometry of the (1,0)-forms
             c = differential_riesz(H, rep.rho20)
-            N = len(c)
-            k = N if directions is None else min(directions, N)
-            # sup of |dF| over the first k coordinate directions and their
-            # i-rotations, normalized in the base Gram
-            G = H.gram(1, 0)
-            sup = 0.0
-            for j in range(k):
-                e = np.zeros(N, dtype=complex)
-                e[j] = 1.0
-                nrm = np.sqrt(max((np.conj(e) @ (G @ e)).real, 1e-300))
-                sup = max(sup, abs(np.real(np.conj(c) @ e)) / nrm,
-                          abs(np.real(np.conj(c) @ (1j * e))) / nrm)
-            row["crit_sup"] = sup
+            nrm = np.sqrt(np.maximum(H.gram(1, 0).diagonal().real, 1e-300))
+            row["crit_sup"] = float(np.max(np.maximum(np.abs(c.real), np.abs(c.imag)) / nrm))
             try:
                 nb = neumann_dbar_solution(H, rep.rho02, tol=tol)
                 row["beta_residual"] = nb.residual

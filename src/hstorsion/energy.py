@@ -78,10 +78,6 @@ class AeppliPoint:
     def moved(self, v: Form) -> "AeppliPoint":
         return AeppliPoint(self.complex, self.omega0, self.u + v)
 
-    @property
-    def positivity_margin(self) -> float:
-        return self.structure().positivity_margin
-
 
 # ---------------------------------------------------------------------------
 # energy and differential
@@ -144,8 +140,7 @@ def differential(target, v: Form, rho: Form | None = None) -> float:
     return float(np.real(np.conj(c) @ v.coeffs))
 
 
-def differential_special(target, xi: Form, tol: float = CLASSIFY_TOL,
-                         check: bool = True):
+def differential_special(target, xi: Form, tol: float = CLASSIFY_TOL):
     """dF along gamma = dbar xi + del conj(xi) for the special case where
     the torsion form is rho = del xi:
 
@@ -153,8 +148,8 @@ def differential_special(target, xi: Form, tol: float = CLASSIFY_TOL,
                                             ^ omega_{n-3}.
 
     Returns (value, precondition_residual); the residual measures
-    ||rho - del xi|| relative to 1 + ||rho||.  With check=True (default) a
-    residual above tol raises instead."""
+    ||rho - del xi|| relative to 1 + ||rho||, and a residual above tol
+    raises instead."""
     H = _structure(target)
     cx = H.complex
     n = H.n
@@ -162,7 +157,7 @@ def differential_special(target, xi: Form, tol: float = CLASSIFY_TOL,
     rho = rep.rho20
     dxi = cx.apply_del(xi)
     pre = H.norm(rho - dxi) / (1.0 + H.norm(rho))
-    if check and pre > tol:
+    if pre > tol:
         raise ValueError(
             f"torsion form is not del(xi): relative residual {pre:.3e}"
         )
@@ -189,10 +184,10 @@ class CorollaryReport:
     conclusion: str  # "kahler" | "inconclusive"
 
 
-def corollary_check(target, xi: Form, tol: float = CLASSIFY_TOL,
-                    vanish_tol: float = 1e-8) -> CorollaryReport:
+def corollary_check(target, xi: Form, tol: float = CLASSIFY_TOL) -> CorollaryReport:
     """Check the hypotheses and conclusion of the criticality corollary at
-    a point whose torsion form is rho = del xi."""
+    a point whose torsion form is rho = del xi; the differential vanishes
+    when it is at most 1e-8 times 1 + ||rho||^2."""
     H = _structure(target)
     value, _ = differential_special(H, xi, tol=tol)
     _, rep = energy(H, tol=tol)
@@ -200,7 +195,7 @@ def corollary_check(target, xi: Form, tol: float = CLASSIFY_TOL,
     wedge_term = value - 2.0 * rep.norm**2
     pos = check_weak_positivity(H, H.complex.apply_dbar(xi))
     scale = 1.0 + rep.norm**2
-    vanishes = abs(value) <= vanish_tol * scale
+    vanishes = abs(value) <= 1e-8 * scale
     semi = pos.verdict in ("positive", "semi-positive")
     if semi and vanishes:
         conclusion = "kahler"  # 2||rho||^2 <= 0 forces rho = 0
@@ -282,10 +277,11 @@ def gradient_descent(
     """Projected gradient descent of F over the potential class.
 
     The gradient is the Riesz representative of dF in the fixed Gram
-    geometry of the base metric's (1,0)-forms, so the flow stays inside the
-    potential parametrization by construction.  Armijo backtracking halves
-    the step until sufficient decrease holds and the realized metric keeps a
-    positivity margin above positivity_frac times the initial margin.
+    geometry of the start metric's (1,0)-forms (the metric of point0, built
+    once), so the flow stays inside the potential parametrization by
+    construction.  Armijo backtracking halves the step until sufficient
+    decrease holds and the realized metric keeps a positivity margin above
+    positivity_frac times the initial margin.
 
     A trial is judged by the energy of the minimal-norm solution of the
     closedness system alone; the start point and every accepted trial get
@@ -294,12 +290,10 @@ def gradient_descent(
     """
     t0 = time.monotonic()
     cx = point0.complex
-    base = HermitianStructure(cx, omega=point0.omega0)
-    G0 = base.gram(1, 0)
-    floor = positivity_frac * point0.positivity_margin
-
     point = point0
     H = point.structure()
+    G0 = H.gram(1, 0)
+    floor = positivity_frac * H.positivity_margin
     f, rep = energy(H, tol=tol)
     history = []
     status = "max_iters"

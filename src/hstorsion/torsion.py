@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cohomology import KERNEL_RCOND, green_operator
+from .cohomology import green_operator
 from .forms import Bidegree, Form, conjugate
 from .metric import HermitianStructure
 
@@ -216,16 +216,11 @@ class TorsionReport:
     norm: float
 
     @property
-    def rho(self) -> Form:
-        return self.rho20
-
-    @property
     def closedness_residual(self) -> float:
         return self.residual_constraint + self.residual_closed
 
 
-def torsion_form(H: HermitianStructure, tol: float = CLASSIFY_TOL,
-                 rcond: float = KERNEL_RCOND) -> TorsionReport:
+def torsion_form(H: HermitianStructure, tol: float = CLASSIFY_TOL) -> TorsionReport:
     """The (2,0) torsion form of a Hermitian-symplectic metric.
 
     Raises NotHermitianSymplectic when the closedness system is infeasible
@@ -238,7 +233,7 @@ def torsion_form(H: HermitianStructure, tol: float = CLASSIFY_TOL,
     inner = H.apply_del_adjoint(dw)  # (1,1)
     term2 = H.apply_dbar_adjoint(cx.apply_del(inner))  # (2,0)
     src = term1 + term2
-    ge = green_operator(H, 2, 0, "bc", rcond)
+    ge = green_operator(H, 2, 0, "bc")
     rho = Form(cx.catalog, Bidegree(2, 0), -(ge.pinv @ src.coeffs))
 
     scale = 1.0 + H.norm(dw)

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hstorsion.backends import (FormComplex, ModelError, build_complex,
                                 parse_model)
 from hstorsion.forms import Bidegree, BasisCatalog, conjugate, wedge
+from hstorsion.metric import HermitianStructure
 
 from conftest import IWASAWA_TEXT, SPECTRAL_TEXT, TORUS_TEXT
 
@@ -167,11 +170,39 @@ SPECTRAL_HEAD = "kind spectral\nn 3\nmodes axis K 1\n"
     ("kind invariant\nn 3\nd 1 := 0\nd 3 := 1 * e(2,1)\n", 4),
     ("kind invariant\nn 3\nd 3 := 1 * g(1,2)\n", 3),
     ("kind invariant\nn 3\nd 3 := 1 * e(1,2)\nd 2 := 1 * e(1,7)\n", 4),
+    # a potential or metric_mode on a mode outside the mode set
+    (SPECTRAL_HEAD + "potential 2 0 0 0 0 0 u 2 := 0.04\n", 4),
+    (SPECTRAL_HEAD + "potential 1 0 0 0 0 0 u 2 := 0.04\n"
+     "metric_mode 2 0 0 0 0 0 h 1 1 := 0.1\nmetric_mode -2 0 0 0 0 0 h 1 1 := 0.1\n", 5),
+    # a metric entry whose Hermitian mirror is missing or differs
+    ("kind spectral\nn 2\nmodes axis K 1\nmetric_mode 1 0 0 0 h 1 2 := 0.1i\n", 4),
+    ("kind spectral\nn 2\nmodes axis K 1\nmetric_mode 1 0 0 0 h 1 2 := 0.1i\n"
+     "metric_mode -1 0 0 0 h 2 1 := 0.1i\n", 4),
+    ("kind invariant\nn 2\nmetric h 1 1 := 1\nmetric h 2 2 := 1+0.5i\n", 4),
+    ("kind invariant\nn 2\nmetric h 1 1 := 1\nmetric h 2 2 := 1\n"
+     "metric h 2 1 := 0.2\nmetric h 1 2 := 0.1\n", 5),
 ])
 def test_parse_model_rejects_with_line(text, line):
     with pytest.raises(ModelError) as err:
         parse_model(text)
     assert err.value.line == line
+
+
+def test_parse_model_accepts_hermitian_metric_entries():
+    # mirrors equal to the conjugate within 1e-12 max(1, max|h|), and a
+    # constant part that a zero-mode metric_mode completes (a Fourier sum)
+    model = parse_model("kind spectral\nn 2\nmodes axis K 1\n"
+                        "metric_mode 1 0 0 0 h 1 2 := 0.1i\n"
+                        "metric_mode -1 0 0 0 h 2 1 := -0.1i\n"
+                        "metric_mode 0 1 0 0 h 1 1 := 0.2\n"
+                        "metric_mode 0 -1 0 0 h 1 1 := 0.2000000000001\n")
+    assert set(model.metric_modes) == {(1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0),
+                                       (0, -1, 0, 0)}
+    model = parse_model("kind spectral\nn 2\nmodes axis K 1\nmetric h 1 1 := 1\n"
+                        "metric h 2 2 := 1\nmetric h 1 2 := 0.1i\n"
+                        "metric_mode 0 0 0 0 h 2 1 := -0.1i\n")
+    cx = build_complex(model)
+    assert HermitianStructure(cx, omega=cx.metric_form()).positivity_margin > 0
 
 
 def test_grid_forms():
@@ -185,11 +216,16 @@ def test_grid_forms():
 
 
 def test_potential_mode_outside_set_rejected():
-    text = ("kind spectral\nn 3\nmodes axis K 1\n"
-            "potential 2 0 0 0 0 0 u 1 := 0.1\n")
-    cx = build_complex(parse_model(text))
-    with pytest.raises(ModelError):
-        cx.metric_form()
+    # parse_model names the directive's line; a Model built in code keeps
+    # the check, in build_complex, before any form is made
+    with pytest.raises(ModelError) as err:
+        parse_model(SPECTRAL_HEAD + "potential 2 0 0 0 0 0 u 1 := 0.1\n")
+    assert err.value.line == 4
+    model = parse_model(SPECTRAL_HEAD)
+    outside = (2, 0, 0, 0, 0, 0)
+    for name, value in [("potential_modes", np.ones(3)), ("metric_modes", np.eye(3))]:
+        with pytest.raises(ModelError, match="not in the mode set"):
+            build_complex(dataclasses.replace(model, **{name: {outside: value}}))
 
 
 def test_parse_and_build_assemble_once(monkeypatch):

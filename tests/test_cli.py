@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import os
 import subprocess
 import sys
@@ -12,6 +13,9 @@ from hstorsion import cli, cohomology
 from hstorsion.backends import format_complex
 from hstorsion.cli import EXIT_CONTRACT, EXIT_INPUT, EXIT_OK, run
 from hstorsion.cohomology import CohomologyMismatch, cohomology_table
+from hstorsion.deform import kahler_in_class
+from hstorsion.energy import gradient_descent
+from hstorsion.torsion import torsion_form
 
 from conftest import IWASAWA_TEXT, SPECTRAL_TEXT, TORUS_TEXT
 
@@ -216,6 +220,52 @@ def test_numerical_failure_exits_2(command, target, error, torus_file, tmp_path,
     monkeypatch.setattr(cli, target, fail)
     code = run([command, "--model", torus_file, "--out", str(tmp_path)])
     assert code == EXIT_CONTRACT
+
+
+@pytest.mark.parametrize("command, refusal", [
+    ("torsion", "not Hermitian-symplectic: closedness system infeasible"),
+    ("energy", "not Hermitian-symplectic: closedness system infeasible"),
+    ("flow", "not Hermitian-symplectic: closedness system infeasible"),
+    ("kahler", "hypothesis failure: right-hand side is not del-dbar-exact"),
+])
+def test_refusal_exits_1_with_its_report(command, refusal, iwasawa_file, tmp_path):
+    out = tmp_path / "out"
+    assert run([command, "--model", iwasawa_file, "--out", str(out)]) == EXIT_INPUT
+    lines = (out / f"{command}_report.txt").read_text().splitlines()
+    assert lines[1] == f"command: {command}" and lines[6] == ""
+    assert len(lines) == 8 and lines[7].startswith(refusal)
+    assert sorted(p.name for p in out.iterdir()) == [f"{command}_report.txt"]
+
+
+def _violating_torsion(H, **kwargs):
+    return dataclasses.replace(torsion_form(H, **kwargs), residual_closed=1.0)
+
+
+def _violating_flow(point, **kwargs):
+    res = gradient_descent(point, **kwargs)
+    res.history[-1]["energy"] += 1.0
+    return res
+
+
+def _violating_kahler(H, **kwargs):
+    return dataclasses.replace(kahler_in_class(H, **kwargs), d_residual=1.0)
+
+
+@pytest.mark.parametrize("command, target, violate", [
+    ("torsion", "torsion_form", _violating_torsion),
+    ("flow", "gradient_descent", _violating_flow),
+    ("kahler", "kahler_in_class", _violating_kahler),
+])
+def test_contract_violation_exits_2_with_its_report(command, target, violate,
+                                                    torus_file, tmp_path,
+                                                    monkeypatch):
+    monkeypatch.setattr(cli, target, violate)
+    out = tmp_path / "out"
+    assert run([command, "--model", torus_file, "--out", str(out)]) == EXIT_CONTRACT
+    lines = (out / f"{command}_report.txt").read_text().splitlines()
+    assert lines[1] == f"command: {command}"
+    assert lines[-1].startswith("contract violation: ")
+    assert sum(line.startswith("contract violation") for line in lines) == 1
 
 
 def test_report_header(torus_file, tmp_path):

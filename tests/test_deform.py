@@ -1,14 +1,17 @@
+import csv
 import dataclasses
 
 import numpy as np
 import pytest
 
-from hstorsion import deform, metric
+from hstorsion import cli, cohomology, deform, metric
 from hstorsion.backends import ModelError, build_complex, parse_model
 from hstorsion.cohomology import green_operator
-from hstorsion.deform import (FamilySpec, HypothesisError, family_diagnostics,
-                              kahler_in_class, min_ddbar_solution,
-                              neumann_dbar_solution, parse_family)
+from hstorsion.deform import (FamilySpec, FamilyTable, HypothesisError,
+                              family_diagnostics, kahler_in_class,
+                              min_ddbar_solution, neumann_dbar_solution,
+                              parse_family)
+from hstorsion.energy import differential_riesz
 from hstorsion.forms import Bidegree, Form, conjugate
 from hstorsion.metric import HermitianStructure
 from hstorsion.torsion import torsion_form
@@ -145,13 +148,39 @@ def test_family_torsion_scaling():
         assert rows[t]["kahler_d_residual"] <= 1e-8
 
 
+def test_family_crit_sup_is_the_loop_over_directions():
+    # reference: the sup of |dF| over e_j and i e_j, one direction at a
+    # time, normalized by the Gram norm of the direction
+    spec = parse_family(TORUS_POTENTIAL_FAMILY)
+    spec = FamilySpec(spec.template_lines, [0.0, 0.5])
+    row = family_diagnostics(spec).rows[1]
+    cx = build_complex(spec.model(0.5))
+    H = HermitianStructure(cx, omega=cx.metric_form())
+    c = differential_riesz(H, torsion_form(H).rho20)
+    G = H.gram(1, 0)
+    sup = 0.0
+    for j in range(len(c)):
+        e = np.zeros(len(c), dtype=complex)
+        e[j] = 1.0
+        nrm = np.sqrt(max((np.conj(e) @ (G @ e)).real, 1e-300))
+        sup = max(sup, abs(np.real(np.conj(c) @ e)) / nrm,
+                  abs(np.real(np.conj(c) @ (1j * e))) / nrm)
+    assert sup > 0 and row["crit_sup"] == sup
+
+
 def test_family_csv_roundtrip(tmp_path):
-    table = family_diagnostics(parse_family(TORUS_POTENTIAL_FAMILY))
-    out = tmp_path / "family.csv"
-    table.to_csv(out)
-    text = out.read_text().splitlines()
-    assert text[0].split(",")[:2] == ["t", "feasible"]
-    assert len(text) == 1 + len(table.rows)
+    # the family command writes one CSV row per sample, the columns of
+    # FamilyTable.FIELDS, empty where a row has no value
+    path = tmp_path / "family.model"
+    path.write_text(FAMILY_TEXT)
+    assert cli.run(["family", "--model", str(path), "--out", str(tmp_path)]) == 0
+    table = family_diagnostics(parse_family(FAMILY_TEXT))
+    with open(tmp_path / "family.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == FamilyTable.FIELDS
+    assert [{k: str(row.get(k, "")) for k in FamilyTable.FIELDS}
+            for row in table.rows] == rows
+    assert rows[2]["rho_norm"] == ""  # t = 1 is infeasible
 
 
 def test_family_flags_unreliable_kernel_split(monkeypatch):
@@ -161,7 +190,7 @@ def test_family_flags_unreliable_kernel_split(monkeypatch):
     spec = FamilySpec(spec.template_lines, [0.0])
     assert not family_diagnostics(spec).flagged
 
-    def unreliable(H, p, q, which="bc", rcond=deform.KERNEL_RCOND):
+    def unreliable(H, p, q, which="bc", rcond=cohomology.KERNEL_RCOND):
         ge = green_operator(H, p, q, which, rcond)
         if (p, q, which) == (0, 1, "dbar"):
             ge = dataclasses.replace(ge, separation_ok=False)

@@ -3,6 +3,7 @@ import cmath
 import numpy as np
 import pytest
 
+from hstorsion import metric
 from hstorsion.backends import build_complex, format_complex, parse_model
 from hstorsion.cohomology import cohomology_table
 from hstorsion.energy import (AeppliPoint, corollary_check, differential,
@@ -131,6 +132,18 @@ def test_gradient_descent_stays_at_kahler(torus_cx, torus_H):
     res = gradient_descent(pt, max_iters=5)
     assert res.status == "converged"
     assert np.abs(res.point.u.coeffs).max() <= 1e-12
+
+
+def test_flow_from_zero_builds_its_start_metric_once(torus_cx, monkeypatch):
+    # the flat torus converges at iteration 0, with no trial: the start
+    # point's structure is the only metric built, and it gives the Riesz Gram
+    built = []
+    init = metric.HermitianStructure.__init__
+    monkeypatch.setattr(metric.HermitianStructure, "__init__",
+                        lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    res = gradient_descent(AeppliPoint(torus_cx, torus_cx.metric_form()))
+    assert res.status == "converged" and len(res.history) == 2
+    assert len(built) == 1
 
 
 def test_gradient_descent_history_is_certified(spectral_cx, spectral_flow):
