@@ -11,6 +11,7 @@ CLI writes every basis row of a form, zero or not.
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 import weakref
@@ -35,6 +36,7 @@ __all__ = [
     "FormComplex",
     "ModelError",
     "parse_model",
+    "ModelTemplate",
     "parse_complex",
     "format_complex",
     "build_complex",
@@ -92,8 +94,9 @@ class Model:
         mode set, a grid too coarse for exact quadrature, or a metric or
         potential coefficient on a mode outside the mode set.  lines maps
         what a directive declared to its source line, where known: k for
-        d phi^k, "grid", and ("metric", m) or ("potential", m) for a
-        coefficient on mode m.  d^2 = 0 is checked on the assembled complex."""
+        d phi^k, "grid", ("mode", m) and "mode" (the first) for mode lines,
+        and ("metric", m) or ("potential", m) for a coefficient on mode m.
+        d^2 = 0 is checked on the assembled complex."""
         lines = lines or {}
         for k, terms in self.d_phi.items():
             line = lines.get(k)
@@ -115,10 +118,11 @@ class Model:
         if axes not in (0, 2 * self.n) or any(len(m) != axes for m in modes):
             raise ModelError(f"modes and grid must have 0 or {2 * self.n} axes")
         if (0,) * axes not in modes:
-            raise ModelError("mode set must contain the zero mode")
-        for m in modes:
+            raise ModelError("mode set must contain the zero mode", lines.get("mode"))
+        for m in map(tuple, self.mode_set):
             if tuple(-c for c in m) not in modes:
-                raise ModelError(f"mode set not symmetric: missing -{m}")
+                raise ModelError(f"mode set not symmetric: missing -{m}",
+                                 lines.get(("mode", m)))
         for a, g in enumerate(self.grid):
             floor = 4 * max(abs(m[a]) for m in modes) + 1
             if g < floor:
@@ -491,25 +495,13 @@ _COMPLEX_RE = re.compile(
 
 def parse_complex(text, line=None):
     """Complex literal 'a+bi', 'a-bi', 'a', or 'bi'."""
-    t = text.strip()
-    m = _COMPLEX_RE.match(t)
-    if not m or (m.group("im") and not m.group("i")):
+    m = _COMPLEX_RE.match(text)
+    if not m or not (m["re"] or m["i"]) or (m["im"] and not m["i"]):
         raise ModelError(f"bad complex literal {text!r}", line)
-    if m.group("i"):
-        if m.group("im") is not None:
-            re_part = float(m.group("re")) if m.group("re") else 0.0
-            im_part = float(m.group("im").replace(" ", ""))
-        else:
-            re_part = 0.0
-            im_part = float(m.group("re")) if m.group("re") else 1.0
-    else:
-        if m.group("im") is not None:
-            raise ModelError(f"bad complex literal {text!r}", line)
-        if m.group("re") is None:
-            raise ModelError(f"bad complex literal {text!r}", line)
-        re_part = float(m.group("re"))
-        im_part = 0.0
-    return complex(re_part, im_part)
+    re_part, im_part = m["re"], m["im"]
+    if m["i"] and im_part is None:  # 'bi' or 'i'
+        re_part, im_part = None, re_part or "1"
+    return complex(float(re_part or 0), float("".join((im_part or "0").split())))
 
 
 def format_complex(z) -> str:
@@ -526,26 +518,6 @@ def format_complex(z) -> str:
 _TERM_RE = re.compile(
     r"^\s*(?P<coef>.+?)\s*\*\s*(?P<kind>[efg])\s*\(\s*(?P<i>\d+)\s*,\s*(?P<j>\d+)\s*\)\s*$"
 )
-
-
-def _split_terms(rhs):
-    """Split a sum of terms on top-level '+' (not inside a coefficient sign)."""
-    parts = []
-    depth = 0
-    cur = ""
-    for ch in rhs:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "+" and depth == 0 and cur.strip().endswith((")",)):
-            parts.append(cur)
-            cur = ""
-        else:
-            cur += ch
-    if cur.strip():
-        parts.append(cur)
-    return parts
 
 
 def _check_hermitian(entries, zero):
@@ -565,166 +537,232 @@ def _check_hermitian(entries, zero):
                              f"not the conjugate of h {k} {j} on mode {neg}", ln)
 
 
-def parse_model(text: str):
-    """Parse the line-oriented model grammar; see the package README for the
-    full syntax.  Raises ModelError with line information."""
-    kind = None
-    n = None
-    d_phi = {}
-    lines = {}  # what a directive declared -> its line, see Model.validate
-    mode_lines = []  # (mode, line)
-    axis_spec = None
-    grid = None
-    metric_entries = {}  # (mode or None, i, j) -> (complex, line)
-    potential_entries = {}  # (mode, j) -> (complex, line)
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tok = line.split()
+# size caps, checked on the n, grid or modes line before anything is
+# allocated; the largest model in use, spectral n = 3 with modes axis K 2,
+# has 9^6 = 531,441 nodes
+MAX_N = 6
+MAX_NODES = 1 << 20
+_ENTRY_RE = {
+    "metric": (r"metric\s+()h\s+(\d+)\s+(\d+)", "h <i> <j>"),
+    "metric_mode": (r"metric_mode\s+((?:-?\d+\s+)+)h\s+(\d+)\s+(\d+)", "<2n ints> h <i> <j>"),
+    "potential": (r"potential\s+((?:-?\d+\s+)+)u\s+(\d+)()", "<2n ints> u <j>"),
+}
+
+
+def _ints(tokens, line, what):
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        raise ModelError(f"{what} must be integers", line) from None
+
+
+def _once(lines, key, line, what):
+    """Record key as declared on line; a second declaration is an error."""
+    if key in lines:
+        raise ModelError(f"repeated {what} (first on line {lines[key]})", line)
+    lines[key] = line
+
+
+def _coefficient(text, line, family):
+    """A complex literal, or the coefficients (c0, c1, ...) of poly(c0, c1,
+    ...), a polynomial in t that only a family may make non-constant."""
+    m = re.fullmatch(r"\s*poly\((.*)\)\s*", text)
+    if m is None:
+        return parse_complex(text, line)
+    coefs = tuple(parse_complex(c, line) for c in m.group(1).split(","))
+    if not family and any(coefs[1:]):
+        raise ModelError("a poly(...) that depends on t belongs in a family file", line)
+    return coefs
+
+
+def _value(coef, t, line):
+    """A coefficient at t; a polynomial sums c_k t^k, its signed zeros
+    normalized as format_complex writes them."""
+    if not isinstance(coef, tuple):
+        return coef
+    try:
+        z = sum(c * t**k for k, c in enumerate(coef))
+    except OverflowError:
+        z = complex("inf")
+    if not cmath.isfinite(z):
+        raise ModelError(f"coefficient is not finite at t = {t!r}", line)
+    return complex(z.real + 0.0, z.imag + 0.0)
+
+
+class ModelTemplate:
+    """A model file, or a family file when family is set, read by the one
+    line loop of the grammar (see the package README).  Each coefficient
+    stays a complex literal or the coefficient tuple of a poly(...), and
+    each directive keeps its line in the file.  Raises ModelError with the
+    line of the first error; a missing directive names the last line."""
+
+    def __init__(self, text: str, family: bool = False):
+        self.kind = self.n = self.axis_spec = self.grid = self.t_samples = None
+        self.lines = {}  # what a directive declared -> its line, see Model.validate
+        self.d_terms = {}  # k -> [((label, i, j), coefficient)]
+        self.modes = []  # [(mode, line)] of the 'mode' lines
+        self.metric_entries = {}  # (mode or None, i, j) -> (coefficient, line)
+        self.potential_entries = {}  # (mode, j) -> (coefficient, line)
+        lines, ln = self.lines, 0
+        for ln, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                self._read(line, ln, family)
+        lines["end"] = max(ln, 1)
+        for what, missing in (("kind", self.kind is None), ("n", self.n is None),
+                              ("t_samples", family and self.t_samples is None)):
+            if missing:
+                raise ModelError(f"missing '{what}' line", lines["end"])
+
+    def _read(self, line, ln, family):
+        lines, tok = self.lines, line.split()
         head = tok[0]
+        if head in ("kind", "n", "grid", "modes", "t_samples"):
+            _once(lines, head, ln, f"'{head}'")
+        if head in ("mode", "modes", "grid", "potential", "metric_mode"):
+            lines.setdefault("spectral", ln)
         if head == "kind":
             if len(tok) != 2 or tok[1] not in ("invariant", "spectral"):
                 raise ModelError("kind must be 'invariant' or 'spectral'", ln)
-            kind = tok[1]
+            self.kind = tok[1]
         elif head == "n":
-            try:
-                n = int(tok[1])
-            except (IndexError, ValueError):
-                raise ModelError("n requires an integer", ln)
-            if n < 1:
-                raise ModelError(f"n must be at least 1, got {n}", ln)
+            if len(tok) != 2:
+                raise ModelError("expected 'n <int>'", ln)
+            self.n = _ints(tok[1:], ln, "n")[0]
+            if not 1 <= self.n <= MAX_N:
+                raise ModelError(f"n must be in 1..{MAX_N}, got {self.n}", ln)
         elif head == "d":
-            if kind != "invariant":
+            if self.kind != "invariant":
                 raise ModelError("'d' lines require kind invariant (declare kind first)", ln)
             m = re.match(r"^d\s+(\d+)\s*:=\s*(.*)$", line)
             if not m:
                 raise ModelError("expected 'd <k> := <terms>'", ln)
-            k = int(m.group(1))
-            rhs = m.group(2).strip()
-            terms = {}
-            if rhs not in ("0", ""):
-                for part in _split_terms(rhs):
-                    tm = _TERM_RE.match(part)
-                    if not tm:
-                        raise ModelError(f"bad term {part.strip()!r}", ln)
-                    c = parse_complex(tm.group("coef"), ln)
-                    key = (tm.group("kind"), int(tm.group("i")), int(tm.group("j")))
-                    terms[key] = terms.get(key, 0) + c
-            d_phi[k], lines[k] = terms, ln
+            k = _ints([m.group(1)], ln, "d index")[0]
+            _once(lines, k, ln, f"'d {k}'")
+            rhs, terms = m.group(2).strip(), []
+            # terms are split on a '+' right after the ')' of a label
+            for part in re.split(r"(?<=\))\s*\+", rhs) if rhs not in ("0", "") else []:
+                tm = _TERM_RE.match(part)
+                if not tm:
+                    raise ModelError(f"bad term {part.strip()!r}", ln)
+                i, j = _ints(tm.group("i", "j"), ln, "term indices")
+                terms.append(((tm.group("kind"), i, j),
+                              _coefficient(tm.group("coef"), ln, family)))
+            self.d_terms[k] = terms
         elif head == "modes":
             if not re.fullmatch(r"modes\s+axis\s+K\s+-?\d+", line):
                 raise ModelError("expected 'modes axis K <int>'", ln)
-            axis_spec = int(tok[3])
+            self.axis_spec = _ints(tok[3:], ln, "K")[0]
+            if self.axis_spec < 0:
+                raise ModelError(f"modes axis K must be at least 0, got {self.axis_spec}", ln)
         elif head == "mode":
-            try:
-                mode_lines.append((tuple(int(t) for t in tok[1:]), ln))
-            except ValueError:
-                raise ModelError("mode components must be integers", ln)
+            mode = tuple(_ints(tok[1:], ln, "mode components"))
+            _once(lines, ("mode", mode), ln, f"mode {mode}")
+            lines.setdefault("mode", ln)
+            self.modes.append((mode, ln))
         elif head == "grid":
-            try:
-                grid = [int(t) for t in tok[1:]]
-            except ValueError:
-                raise ModelError("grid values must be integers", ln)
-            if not grid:
+            self.grid = _ints(tok[1:], ln, "grid values")
+            if not self.grid:
                 raise ModelError("grid requires an integer", ln)
-            lines["grid"] = ln
-        elif head == "metric":
-            m = re.match(r"^metric\s+h\s+(\d+)\s+(\d+)\s*:=\s*(.*)$", line)
+        elif head == "t_samples":
+            if not family:
+                raise ModelError("'t_samples' belongs in a family file", ln)
+            values = re.fullmatch(r"t_samples\s*:?=?\s*(.*)", line).group(1)
+            try:
+                self.t_samples = [float(x) for x in re.split(r"[,\s]+", values) if x]
+            except ValueError:
+                raise ModelError("t_samples must be a list of reals", ln) from None
+            if not all(map(math.isfinite, self.t_samples)):
+                raise ModelError("t_samples must be finite", ln)
+            if 0.0 not in self.t_samples:
+                raise ModelError("t_samples must include 0", ln)
+        elif head in _ENTRY_RE:
+            pattern, what = _ENTRY_RE[head]
+            m = re.fullmatch(pattern + r"\s*:=\s*(.*)", line)
             if not m:
-                raise ModelError("expected 'metric h <i> <j> := <complex>'", ln)
-            metric_entries[(None, int(m.group(1)), int(m.group(2)))] = (
-                parse_complex(m.group(3), ln), ln)
-        elif head == "potential":
-            m = re.match(
-                r"^potential\s+((?:-?\d+\s+)+)u\s+(\d+)\s*:=\s*(.*)$", line
-            )
-            if not m:
-                raise ModelError(
-                    "expected 'potential <2n ints> u <j> := <complex>'", ln
-                )
-            mode = tuple(int(t) for t in m.group(1).split())
-            potential_entries[(mode, int(m.group(2)))] = (
-                parse_complex(m.group(3), ln), ln)
-        elif head == "metric_mode":
-            m = re.match(
-                r"^metric_mode\s+((?:-?\d+\s+)+)h\s+(\d+)\s+(\d+)\s*:=\s*(.*)$", line
-            )
-            if not m:
-                raise ModelError(
-                    "expected 'metric_mode <2n ints> h <i> <j> := <complex>'", ln
-                )
-            mode = tuple(int(t) for t in m.group(1).split())
-            metric_entries[(mode, int(m.group(2)), int(m.group(3)))] = (
-                parse_complex(m.group(4), ln), ln)
+                raise ModelError(f"expected '{head} {what} := <complex>'", ln)
+            mode = tuple(_ints(m.group(1).split(), ln, "mode components"))
+            key = ((None,) if head == "metric" else (mode,)) + tuple(
+                _ints(filter(None, m.group(2, 3)), ln, "indices"))
+            _once(lines, (head,) + key, ln, f"'{head}' entry")
+            entries = self.potential_entries if head == "potential" else self.metric_entries
+            entries[key] = (_coefficient(m.group(4), ln, family), ln)
+            if head != "metric":
+                lines.setdefault(("potential" if head == "potential" else "metric", mode), ln)
         else:
             raise ModelError(f"unknown directive {head!r}", ln)
-    if kind is None:
-        raise ModelError("missing 'kind' line")
-    if n is None:
-        raise ModelError("missing 'n' line")
 
-    const_h = None
-    metric_modes = {}
-    for (mk, i, j), (c, ln) in metric_entries.items():
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise ModelError(f"metric index ({i},{j}) out of range 1..{n}", ln)
-        if mk is None:
-            if const_h is None:
-                const_h = np.zeros((n, n), dtype=complex)
-            const_h[i - 1, j - 1] = c
-        elif len(mk) != 2 * n:
-            raise ModelError(
-                f"metric_mode mode has {len(mk)} components, expected {2 * n}", ln)
-        else:
+    def model(self, t=0.0) -> Model:
+        """The validated Model with every coefficient evaluated at t."""
+        n, lines = self.n, self.lines
+        if self.kind == "invariant" and "spectral" in lines:
+            raise ModelError("spectral directives in an invariant model", lines["spectral"])
+        metric_entries = {key: (_value(c, t, ln), ln)
+                          for key, (c, ln) in self.metric_entries.items()}
+        metric_modes = {}  # the constant part under mode None
+        for (mk, i, j), (c, ln) in metric_entries.items():
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise ModelError(f"metric index ({i},{j}) out of range 1..{n}", ln)
+            if mk is not None and len(mk) != 2 * n:
+                raise ModelError(
+                    f"metric_mode mode has {len(mk)} components, expected {2 * n}", ln)
             metric_modes.setdefault(mk, np.zeros((n, n), dtype=complex))[i - 1, j - 1] = c
-            lines.setdefault(("metric", mk), ln)
-
-    if kind == "invariant":
-        if (mode_lines or axis_spec is not None or grid is not None
-                or potential_entries or metric_modes):
-            raise ModelError("spectral directives in an invariant model")
-        model = Model(n=n, d_phi=d_phi, metric=const_h)
+        const_h = metric_modes.pop(None, None)
+        d_phi = {k: {} for k in self.d_terms}
+        for k, terms in self.d_terms.items():
+            for key, c in terms:
+                d_phi[k][key] = d_phi[k].get(key, 0) + _value(c, t, lines[k])
+        if self.kind == "invariant":
+            model = Model(n=n, d_phi=d_phi, metric=const_h)
+        else:
+            for mode, ln in self.modes:
+                if len(mode) != 2 * n:
+                    raise ModelError(f"mode has {len(mode)} components, expected {2 * n}", ln)
+                if self.axis_spec is not None:
+                    raise ModelError("'mode' lines cannot be combined with 'modes axis K'", ln)
+            if self.axis_spec is not None:
+                # the zero mode and +-K e_a for every lattice axis a
+                K = self.axis_spec
+                modes = [(0,) * (2 * n)] + [
+                    tuple(s if b == a else 0 for b in range(2 * n))
+                    for a in range(2 * n) for s in (K, -K)]
+            elif self.modes:
+                modes = [mode for mode, _ in self.modes]
+            else:
+                raise ModelError("spectral model needs 'modes axis K' or 'mode' lines",
+                                 lines["end"])
+            floor = [4 * max(abs(m[a]) for m in modes) + 1 for a in range(2 * n)]
+            grid = self.grid or [max(floor)]
+            if len(grid) == 1:
+                # one value: that many nodes on every axis that carries modes
+                grid = [grid[0] if f > 1 else 1 for f in floor]
+            elif len(grid) != 2 * n:
+                raise ModelError(f"grid takes 1 or {2 * n} values, got {len(grid)}",
+                                 lines["grid"])
+            if math.prod(grid) > MAX_NODES:
+                raise ModelError(f"{math.prod(grid)} nodes exceed the cap {MAX_NODES}",
+                                 lines.get("grid", lines.get("modes", lines.get("mode"))))
+            potential_modes = {}
+            for (mk, j), (c, ln) in self.potential_entries.items():
+                if len(mk) != 2 * n:
+                    raise ModelError(f"potential mode has {len(mk)} components, "
+                                     f"expected {2 * n}", ln)
+                if not (1 <= j <= n):
+                    raise ModelError(f"potential index {j} out of range 1..{n}", ln)
+                potential_modes.setdefault(mk, np.zeros(n, dtype=complex))[j - 1] = _value(
+                    c, t, ln)
+            model = Model(n=n, mode_set=tuple(modes), grid=tuple(grid), metric=const_h,
+                          metric_modes=metric_modes, potential_modes=potential_modes)
         model.validate(lines)
-        _check_hermitian(metric_entries, ())
-        scale = max((abs(c) for t in d_phi.values() for c in t.values()), default=0.0)
+        _check_hermitian(metric_entries, (0,) * len(model.grid))
+        scale = max((abs(c) for cs in d_phi.values() for c in cs.values()), default=0.0)
         for k, r in sorted(_d_squared(model).items(), key=lambda kr: lines[kr[0]]):
             if r > STRUCTURE_TOL * max(1.0, scale):
                 raise ModelError(f"d(d phi^{k}) != 0: {r:.2e}", lines[k])
         return model
 
-    for mode, ln in mode_lines:
-        if len(mode) != 2 * n:
-            raise ModelError(f"mode has {len(mode)} components, expected {2 * n}", ln)
-        if axis_spec is not None:
-            raise ModelError("'mode' lines cannot be combined with 'modes axis K'", ln)
-    if axis_spec is not None:
-        # the zero mode and +-K e_a for every lattice axis a
-        modes = [(0,) * (2 * n)] + [
-            tuple(s if b == a else 0 for b in range(2 * n))
-            for a in range(2 * n) for s in (axis_spec, -axis_spec)]
-    elif mode_lines:
-        modes = [mode for mode, _ in mode_lines]
-    else:
-        raise ModelError("spectral model needs 'modes axis K' or 'mode' lines")
-    floor = [4 * max(abs(m[a]) for m in modes) + 1 for a in range(2 * n)]
-    if grid is None:
-        grid = [max(floor)]
-    if len(grid) == 1:
-        # one value: that many nodes on every axis that carries modes
-        grid = [grid[0] if f > 1 else 1 for f in floor]
-    elif len(grid) != 2 * n:
-        raise ModelError(f"grid takes 1 or {2 * n} values, got {len(grid)}", lines["grid"])
-    potential_modes = {}
-    for (mk, j), (c, ln) in potential_entries.items():
-        if len(mk) != 2 * n:
-            raise ModelError(f"potential mode has {len(mk)} components, expected {2 * n}", ln)
-        if not (1 <= j <= n):
-            raise ModelError(f"potential index {j} out of range 1..{n}", ln)
-        potential_modes.setdefault(mk, np.zeros(n, dtype=complex))[j - 1] = c
-        lines.setdefault(("potential", mk), ln)
-    model = Model(n=n, mode_set=tuple(modes), grid=tuple(grid), metric=const_h,
-                  metric_modes=metric_modes, potential_modes=potential_modes)
-    model.validate(lines)
-    _check_hermitian(metric_entries, (0,) * (2 * n))
-    return model
+
+def parse_model(text: str) -> Model:
+    """Parse the line-oriented model grammar; see the package README for the
+    full syntax.  Raises ModelError with line information."""
+    return ModelTemplate(text).model(0.0)

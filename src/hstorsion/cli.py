@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import sys
 from pathlib import Path
@@ -22,8 +23,8 @@ import numpy as np
 from . import __version__
 from .backends import build_complex, format_complex, parse_model
 from .cohomology import CohomologyMismatch, cohomology_table
-from .deform import (FamilySpec, FamilyTable, HypothesisError,
-                     family_diagnostics, kahler_in_class, parse_family)
+from .deform import (FamilyTable, HypothesisError, family_diagnostics,
+                     kahler_in_class, parse_family)
 from .energy import AeppliPoint, differential_riesz, energy, gradient_descent
 from .forms import conjugate
 from .metric import HermitianStructure
@@ -59,6 +60,13 @@ class Report:
             self.lines.append(str(line))
             print(line)
 
+    def fail(self, line, code=EXIT_CONTRACT):
+        """End the report with a failure's reason, also printed to stderr;
+        returns the exit code."""
+        self.lines.append(line)
+        print(line, file=sys.stderr)
+        return code
+
     def write(self, out_dir: Path, name: str):
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / name).write_text("\n".join(self.lines) + "\n")
@@ -76,11 +84,6 @@ def _write_csv(path: Path, fieldnames, rows):
 def _load(text):
     cx = build_complex(parse_model(text))
     return HermitianStructure(cx, omega=cx.metric_form())
-
-
-def _violation(rep, what):
-    rep.add(f"contract violation: {what}")
-    return EXIT_CONTRACT
 
 
 def _write_form(path: Path, u):
@@ -135,7 +138,7 @@ def cmd_torsion(args, text, rep):
     )
     _write_form(Path(args.out) / "torsion.csv", tr.rho20)
     if tr.closedness_residual > 1e-8 or tr.minimality_gap > 1e-6:
-        return _violation(rep, "torsion certification exceeded tolerance")
+        return rep.fail("contract violation: torsion certification exceeded tolerance")
     return EXIT_OK
 
 
@@ -174,7 +177,7 @@ def cmd_flow(args, text, rep):
     _write_form(out / "flow_potential.csv", res.point.u)
     es = [row["energy"] for row in res.history]
     if any(b > a + 1e-12 for a, b in zip(es, es[1:])):
-        return _violation(rep, "energy increased along accepted steps")
+        return rep.fail("contract violation: energy increased along accepted steps")
     return EXIT_OK
 
 
@@ -190,14 +193,14 @@ def cmd_kahler(args, text, rep):
     _write_form(out / "kahler_potential.csv", kr.u_min)
     _write_form(out / "kahler_metric.csv", kr.omega_tilde)
     if kr.d_residual > 1e-8:
-        return _violation(rep, "candidate not d-closed despite hypothesis")
+        return rep.fail("contract violation: candidate not d-closed despite hypothesis")
     return EXIT_OK
 
 
 def cmd_family(args, text, rep):
     spec = parse_family(text)
     if args.t_samples:
-        spec = FamilySpec(spec.template_lines, args.t_samples)
+        spec = dataclasses.replace(spec, t_samples=args.t_samples)
     table = family_diagnostics(spec, tol=args.tol)
     rep.add(str(table))
     if table.flagged:
@@ -317,11 +320,9 @@ _COMMANDS = {
 
 
 def run(argv=None) -> int:
-    """Parse argv, run the command and write its report.
-
-    A metric that is not Hermitian-symplectic, or a failed hypothesis of a
-    solution operator, is a refusal: its reason is the report's last line
-    and the exit code is 1, from any command."""
+    """Parse argv, run the command and write its report, on every exit once
+    the model file is read, with the reason of a refusal or failure as its
+    last line.  Refusals and bad input exit 1, numerical breakdowns 2."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -338,13 +339,14 @@ def run(argv=None) -> int:
         except HypothesisError as e:
             rep.add(f"hypothesis failure: {e}")
             code = EXIT_INPUT
+        except (np.linalg.LinAlgError, CohomologyMismatch) as e:
+            # numerical breakdowns; LinAlgError is a ValueError, so it goes first
+            code = rep.fail(f"numerical failure: {e}")
+        except ValueError as e:  # ModelError, MetricError, bad values
+            code = rep.fail(f"error: {e}", EXIT_INPUT)
         rep.write(Path(args.out), f"{args.command}_report.txt")
         return code
-    except (np.linalg.LinAlgError, CohomologyMismatch) as e:
-        # numerical breakdowns; LinAlgError is a ValueError, so it goes first
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return EXIT_CONTRACT
-    except (OSError, ValueError) as e:  # ModelError, MetricError, bad values
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

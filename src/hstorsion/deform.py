@@ -4,20 +4,18 @@ Aeppli potential class, and deformation-family diagnostics.
 The two solution operators are Green-operator formulas for the minimal
 L^2-norm solutions of del dbar u = v and dbar phi = rho; both are checked
 against their preconditions (membership of the right-hand side in the
-operator image) before being applied.  Families are given by model files
-whose numeric coefficients may be polynomials in a real parameter t; each
-sample is instantiated, validated and measured independently.
+operator image) before being applied.  A family is a model template whose
+coefficients may be polynomials in a real parameter t; each sample is
+instantiated, validated and measured independently.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backends import (ModelError, build_complex, format_complex, parse_complex,
-                       parse_model)
+from .backends import ModelError, ModelTemplate, build_complex
 from .cohomology import green_operator
 from .energy import AeppliPoint, differential_riesz, gradient_descent
 from .forms import Bidegree, Form, conjugate
@@ -184,62 +182,28 @@ def kahler_in_class(H: HermitianStructure, tol: float = CLASSIFY_TOL) -> KahlerR
 # deformation families
 # ---------------------------------------------------------------------------
 
-_POLY_RE = re.compile(r"poly\(\s*([^)]*)\)")
-_TSAMPLES_RE = re.compile(r"^t_samples\s*:?=?\s*(.*)$")
-
-
-def _poly_coefficients(args, line=None):
-    """The complex literals c0, c1, ... of 'poly(c0, c1, ...)'."""
-    return [parse_complex(c, line) for c in args.split(",")]
-
-
 @dataclass
 class FamilySpec:
-    """A one-parameter family of models: template lines whose poly(...)
+    """A one-parameter family of models: a model template whose poly(...)
     coefficients are evaluated at each sample of t."""
 
-    template_lines: list
+    template: ModelTemplate
     t_samples: list
 
     def __post_init__(self):
         if not any(t == 0.0 for t in self.t_samples):
             raise ModelError("t_samples must include 0")
 
-    def instantiate_text(self, t: float) -> str:
-        out = []
-        for line in self.template_lines:
-            def sub(m):
-                coefs = _poly_coefficients(m.group(1))
-                val = sum(c * t**k for k, c in enumerate(coefs))
-                return format_complex(val)
-            out.append(_POLY_RE.sub(sub, line))
-        return "\n".join(out) + "\n"
-
     def model(self, t: float):
-        return parse_model(self.instantiate_text(t))
+        return self.template.model(t)
 
 
 def parse_family(text: str) -> FamilySpec:
-    """Split a family file into its t_samples directive and the model
-    template; every model instantiated at a sample must validate."""
-    t_samples = None
-    template = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        m = _TSAMPLES_RE.match(stripped)
-        if m:
-            try:
-                t_samples = [float(x) for x in re.split(r"[,\s]+", m.group(1)) if x]
-            except ValueError:
-                raise ModelError("t_samples must be a list of reals", ln)
-            continue
-        for m in _POLY_RE.finditer(raw):
-            _poly_coefficients(m.group(1), ln)
-        template.append(raw)
-    if not t_samples:
-        raise ModelError("family file needs a 't_samples' line")
-    spec = FamilySpec(template_lines=template, t_samples=t_samples)
-    for t in t_samples:
+    """Read a family file, a model file with a t_samples line; every model
+    instantiated at a sample must validate."""
+    template = ModelTemplate(text, family=True)
+    spec = FamilySpec(template, template.t_samples)
+    for t in spec.t_samples:
         spec.model(t)  # validation side effect
     return spec
 

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-import scipy.linalg
 
 from .backends import FormComplex
 from .forms import (Bidegree, DegreeError, Form, _Memo, conjugate, wedge,
@@ -297,18 +296,14 @@ class HermitianStructure(_Memo):
         return self._cached(("gram", p, q), build)
 
     def chol(self, p, q):
-        """Upper-triangular R with gram = R^H R."""
-        return self._cached(("chol", p, q), lambda: scipy.linalg.cholesky(
-            self.gram(p, q), lower=False))
+        """Upper-triangular R with gram = R^H R, in LAPACK's column-major
+        layout, which fixes how the products with R round."""
+        return self._cached(("chol", p, q), lambda: np.asfortranarray(
+            np.linalg.cholesky(self.gram(p, q), upper=True)))
 
     def chol_inv(self, p, q):
         """R^{-1} for the Cholesky factor R = chol(p, q)."""
-
-        def build():
-            R = self.chol(p, q)
-            return scipy.linalg.solve_triangular(R, np.eye(R.shape[0]), lower=False)
-
-        return self._cached(("chol_inv", p, q), build)
+        return self._cached(("chol_inv", p, q), lambda: np.linalg.inv(self.chol(p, q)))
 
     def lstsq(self, src, blocks):
         """Minimal-norm least squares in the Gram geometry.
@@ -322,8 +317,7 @@ class HermitianStructure(_Memo):
         At = np.vstack([self.chol(*dst) @ A @ Rs_inv for A, dst, _ in blocks])
         bt = np.concatenate([self.chol(*dst) @ b for _, dst, b in blocks])
         y, *_ = np.linalg.lstsq(At, bt, rcond=None)
-        x = scipy.linalg.solve_triangular(self.chol(*src), y, lower=False)
-        return x, float(np.linalg.norm(At @ y - bt))
+        return Rs_inv @ y, float(np.linalg.norm(At @ y - bt))
 
     def ip(self, u: Form, v: Form) -> complex:
         """L^2_omega inner product, linear in u, antilinear in v."""

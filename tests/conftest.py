@@ -1,9 +1,24 @@
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from hstorsion.backends import build_complex, parse_model
 from hstorsion.metric import HermitianStructure
 from hstorsion.models import IWASAWA_TEXT, SPECTRAL_TEXT, TORUS_TEXT  # noqa: F401
+
+# property tests draw the same examples on every run and store none, so the
+# suite stays deterministic and writes no .hypothesis/ directory
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
+
+# hypothesis caches the constants it reads from the source files in its
+# storage directory, from test collection on; keep that in a temporary
+# directory removed at exit
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory()
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 @pytest.fixture(scope="session")

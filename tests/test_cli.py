@@ -201,11 +201,24 @@ def test_missing_model_file(tmp_path):
     assert code == EXIT_INPUT
 
 
-def test_bad_model_text(tmp_path):
-    bad = tmp_path / "bad.model"
-    bad.write_text("kind widget\nn 3\n")
-    code = run(["classify", "--model", str(bad), "--out", str(tmp_path)])
-    assert code == EXIT_INPUT
+def test_bad_model_text(tmp_path, capsys):
+    # bad input, a metric that is not positive definite included, exits 1
+    # with the error as the last line of the report and on stderr
+    for command, text, error in [
+        ("classify", "kind widget\nn 3\n",
+         "error: line 1: kind must be 'invariant' or 'spectral'"),
+        ("family", "kind invariant\nn 3\nt_samples := 0 1\nn 3\n",
+         "error: line 4: repeated 'n' (first on line 2)"),
+        ("torsion", "kind invariant\nn 3\nmetric h 1 1 := 1\nmetric h 2 2 := 1\n"
+         "metric h 3 3 := -1\n", "error: metric not positive definite"),
+    ]:
+        bad = tmp_path / "bad.model"
+        bad.write_text(text)
+        out = tmp_path / command
+        assert run([command, "--model", str(bad), "--out", str(out)]) == EXIT_INPUT
+        lines = (out / f"{command}_report.txt").read_text().splitlines()
+        assert lines[1] == f"command: {command}" and lines[-1].startswith(error)
+        assert capsys.readouterr().err.startswith(error)
 
 
 @pytest.mark.parametrize("command, target, error", [
@@ -218,8 +231,12 @@ def test_numerical_failure_exits_2(command, target, error, torus_file, tmp_path,
         raise error
 
     monkeypatch.setattr(cli, target, fail)
-    code = run([command, "--model", torus_file, "--out", str(tmp_path)])
+    out = tmp_path / "out"
+    code = run([command, "--model", torus_file, "--out", str(out)])
     assert code == EXIT_CONTRACT
+    lines = (out / f"{command}_report.txt").read_text().splitlines()
+    assert lines[1] == f"command: {command}"
+    assert lines[-1] == f"numerical failure: {error}"
 
 
 @pytest.mark.parametrize("command, refusal", [

@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from hstorsion import cohomology
 from hstorsion.backends import build_complex, parse_model
@@ -32,7 +31,7 @@ def test_gram_eig_basic(rng):
     G = A @ A.conj().T + N * np.eye(N)
     B = rng.standard_normal((N, 3)) + 1j * rng.standard_normal((N, 3))
     M = np.linalg.solve(G, B @ B.conj().T)  # G-self-adjoint PSD, rank 3
-    R = scipy.linalg.cholesky(G, lower=False)
+    R = np.linalg.cholesky(G).conj().T  # upper: G = R^H R
     eig = gram_eig(M, R, np.linalg.inv(R))
     assert eig.kernel_dim == N - 3
     # pinv inverts on the image: M pinv M = M
@@ -88,7 +87,7 @@ def test_green_form_wrapper(iwasawa_H, rng):
     H = iwasawa_H
     g = H.complex.random_form(2, 0, rng)
     out = green_operator(H, 2, 0, "bc").pinv @ g.coeffs
-    R = scipy.linalg.cholesky(H.gram(2, 0), lower=False)
+    R = np.linalg.cholesky(H.gram(2, 0)).conj().T
     eig = gram_eig(laplacian_bc(H, 2, 0), R, np.linalg.inv(R))
     assert np.allclose(out, eig.pinv @ g.coeffs)
     # the memoized factor and inverse are the ones passed to gram_eig

@@ -7,10 +7,9 @@ import pytest
 from hstorsion import cli, cohomology, deform, metric
 from hstorsion.backends import ModelError, build_complex, parse_model
 from hstorsion.cohomology import green_operator
-from hstorsion.deform import (FamilySpec, FamilyTable, HypothesisError,
-                              family_diagnostics, kahler_in_class,
-                              min_ddbar_solution, neumann_dbar_solution,
-                              parse_family)
+from hstorsion.deform import (FamilyTable, HypothesisError, family_diagnostics,
+                              kahler_in_class, min_ddbar_solution,
+                              neumann_dbar_solution, parse_family)
 from hstorsion.energy import differential_riesz
 from hstorsion.forms import Bidegree, Form, conjugate
 from hstorsion.metric import HermitianStructure
@@ -152,7 +151,7 @@ def test_family_crit_sup_is_the_loop_over_directions():
     # reference: the sup of |dF| over e_j and i e_j, one direction at a
     # time, normalized by the Gram norm of the direction
     spec = parse_family(TORUS_POTENTIAL_FAMILY)
-    spec = FamilySpec(spec.template_lines, [0.0, 0.5])
+    spec = dataclasses.replace(spec, t_samples=[0.0, 0.5])
     row = family_diagnostics(spec).rows[1]
     cx = build_complex(spec.model(0.5))
     H = HermitianStructure(cx, omega=cx.metric_form())
@@ -187,7 +186,7 @@ def test_family_flags_unreliable_kernel_split(monkeypatch):
     # the t = 0 sample is the flat torus, feasible and unflagged; a kernel
     # split reported unreliable by the dimension columns flags it
     spec = parse_family(FAMILY_TEXT)
-    spec = FamilySpec(spec.template_lines, [0.0])
+    spec = dataclasses.replace(spec, t_samples=[0.0])
     assert not family_diagnostics(spec).flagged
 
     def unreliable(H, p, q, which="bc", rcond=cohomology.KERNEL_RCOND):
