@@ -319,12 +319,16 @@ class FormComplex(_Memo):
         return self._lattice._cached("differences", build)
 
     def frequencies(self, j):
-        """(k, steps, neg, shifts): S_j, the j-fold sums of modes mod the
-        grid, each once (sums that alias are one frequency), as rows k in
-        flat order, where a polynomial of degree j in h(x) has its grid
-        spectrum; the plan of grid_transform; k[neg] = -k; and the position
-        shifts[i][r, s] of d_r - s, for the rows d_r of mode_differences()
-        and the s of S_i, i <= j - 2."""
+        """(k, steps, neg, shifts, fold): S_j, the j-fold sums of modes mod
+        the grid, each once (sums that alias are one frequency), as rows k
+        in flat order (zero, in every S_j, is first), where a polynomial of
+        degree j in h(x) has its grid spectrum; the plan of grid_transform;
+        k[neg] = -k; the position shifts[i][r, s] of d_r - s, for the rows
+        d_r of mode_differences() and the s of S_i, i <= j - 2; and for
+        j >= 1 the fold (order, starts) of the products m_i + s_t of the
+        modes with S_{j-1}, flat as i * |S_{j-1}| + t, onto S_j: in order,
+        the products of each frequency of S_j form one run, which starts at
+        starts (None for j = 0)."""
 
         def build():
             axes, grid = len(self.grid), np.array(self.grid, dtype=int)
@@ -345,7 +349,13 @@ class FormComplex(_Memo):
             flat, rows = self._flat_frequency(k), self.mode_differences()[0][:, None]
             shifts = [np.searchsorted(flat, self._flat_frequency(rows - self.frequencies(i)[0]))
                       for i in range(j - 1)]
-            return k, steps, np.searchsorted(flat, self._flat_frequency(-k)), shifts
+            fold = None
+            if j:
+                sums = np.searchsorted(flat, self._flat_frequency(
+                    modes[:, None] + self.frequencies(j - 1)[0])).reshape(-1)
+                order = np.argsort(sums, kind="stable")
+                fold = order, np.searchsorted(sums[order], np.arange(len(k)))
+            return k, steps, np.searchsorted(flat, self._flat_frequency(-k)), shifts, fold
 
         return self._lattice._cached(("frequencies", j), build)
 
@@ -734,6 +744,8 @@ class ModelTemplate:
             floor = [4 * max(abs(m[a]) for m in modes) + 1 for a in range(2 * n)]
             grid = self.grid or [max(floor)]
             if len(grid) == 1:
+                if grid[0] < 1:
+                    raise ModelError(f"grid size {grid[0]} below 1", lines["grid"])
                 # one value: that many nodes on every axis that carries modes
                 grid = [grid[0] if f > 1 else 1 for f in floor]
             elif len(grid) != 2 * n:

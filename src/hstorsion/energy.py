@@ -70,9 +70,16 @@ class AeppliPoint:
             + cx.apply_dbar(self.u)
         )
 
-    def structure(self) -> HermitianStructure:
+    def structure(self, floor: float = 0.0) -> HermitianStructure:
+        """The metric's structure, built on the first call.  Raises
+        MetricError unless h(x) - floor I is positive definite at every
+        node: the constructor's Cholesky sweep decides it on the first
+        call, one more sweep on a later call with floor > 0."""
         if self._structure is None:
-            self._structure = HermitianStructure(self.complex, omega=self.realized())
+            self._structure = HermitianStructure(self.complex, omega=self.realized(),
+                                                 floor=floor)
+        elif floor > 0 and not self._structure.positive_above(floor):
+            raise MetricError(f"metric not positive definite above {floor:.3e}")
         return self._structure
 
     def moved(self, v: Form) -> "AeppliPoint":
@@ -323,11 +330,9 @@ def gradient_descent(
         while step >= min_step:
             trial = point.moved(step * direction)
             try:
-                Ht = trial.structure()
+                # one Cholesky sweep decides positivity above the floor
+                Ht = trial.structure(floor)
             except MetricError:
-                step *= 0.5
-                continue
-            if not Ht.positive_above(floor):
                 step *= 0.5
                 continue
             blocked_only = False

@@ -51,20 +51,21 @@ class MetricError(ValueError):
 
 @functools.lru_cache(maxsize=None)
 def _laplace_tables(n):
-    """For k = 2..n, the index tables of the Laplace expansion of the k x k
-    minors of an n x n matrix along the first row of each row subset, over
-    the k-subsets I_a, K_b in lexicographic order: entry[a, b, j] is the
-    flat index of (I_a[0], K_b[j]) among the n x n entries, and
-    cofactor[a, b, j] the flat index of (I_a minus I_a[0], K_b minus K_b[j])
-    among the pairs of (k-1)-subsets."""
+    """For k = 1..n, the index tables of the Laplace expansion of the k x k
+    minors det h[I_a, I_b] of an n x n matrix h along their first column,
+    over the pairs (a, b), flattened, of the k-subsets I_a of range(n) in
+    lexicographic order: entry[ab, i] is the flat index of
+    (I_a[i], I_b[0]) among the n x n entries, and cofactor[ab, i] the flat
+    index of (I_a minus I_a[i], I_b minus I_b[0]) among the pairs of
+    (k-1)-subsets; term i has the sign (-1)^i."""
     subsets = [list(combinations(range(n), k)) for k in range(n + 1)]
     tables = []
-    for k in range(2, n + 1):
+    for k in range(1, n + 1):
         below = {s: i for i, s in enumerate(subsets[k - 1])}
         C = len(below)
         pairs = np.array([
-            [[(I[0] * n + K[j], below[I[1:]] * C + below[K[:j] + K[j + 1:]])
-              for j in range(k)] for K in subsets[k]] for I in subsets[k]])
+            [[(I[i] * n + K[0], below[I[:i] + I[i + 1:]] * C + below[K[1:]])
+              for i in range(k)] for K in subsets[k]] for I in subsets[k]]).reshape(-1, k, 2)
         tables.append((pairs[..., 0], pairs[..., 1]))
     return tables
 
@@ -77,47 +78,101 @@ def _jacobi_tables(n):
     the (n-k)-subsets in reverse order) and the sign
     (-1)^(sum I_a + sum I_b) of Jacobi's complementary minors; the entries
     with a <= b, the position among them of each entry's (min, max), and
-    the entries with a > b."""
+    the entries with a > b; and for each entry a <= b, the row of
+    det h[I_b^c, I_a^c], an entry a' <= b' of the (n-k)-minors, among the
+    rows _node_minors keeps of them."""
     tables = []
     for k in range(n + 1):
         sign = np.array([(-1.0) ** sum(I) for I in combinations(range(n), k)])
         C = len(sign)
         a, b = np.divmod(np.arange(C * C), C)
-        upper = np.flatnonzero(a <= b)
-        tables.append(((C - 1 - a) * C + C - 1 - b, (sign[a] * sign[b])[:, None], upper,
-                       np.searchsorted(upper, np.minimum(a, b) * C + np.maximum(a, b)),
-                       np.flatnonzero(a > b)))
+        rows, upper = (C - 1 - a) * C + C - 1 - b, np.flatnonzero(a <= b)
+        expand = np.searchsorted(upper, np.minimum(a, b) * C + np.maximum(a, b))
+        # _node_minors keeps every entry of h(x) and, from the 2-minors up,
+        # the entries a <= b, in the order of upper (C(n, k) = C(n, n - k))
+        node = rows[(b * C + a)[upper]]
+        tables.append((rows, (sign[a] * sign[b])[:, None], upper, expand,
+                       np.flatnonzero(a > b), expand[node] if n - k > 1 else node))
     return tables
 
 
-def _minors(h):
-    """det h(x)[I, K] for the k-subsets I, K of range(n) in lexicographic
-    order, for k = 0..n, of h with shape (X, n, n): a list of (C, C, X)
-    arrays, each minor's values over the nodes one contiguous row.  Each
-    size comes from the one below by Laplace expansion along the first row
-    of I, on h read as (n, n, X) rows (a view when h is node-contiguous,
-    as h_nodes is); det h is the n-minor."""
+@functools.lru_cache(maxsize=None)
+def _node_tables(n):
+    """For k = 2..n, the Laplace expansion (_laplace_tables) of the minors
+    det h[I_a, I_b] with a <= b, read from the rows _node_minors keeps one
+    size below: entry, the row of each cofactor, and the terms whose
+    cofactor is a lower minor, read as the conjugate of its transpose.
+    There are none for k = 2, where every entry of h is kept, and none for
+    k = n, whose column (1, ..., n-1) is the last (n-1)-subset."""
+    jacobi, tables = _jacobi_tables(n), []
+    for k, (entry, cofactor) in enumerate(_laplace_tables(n)[1:], start=2):
+        upper = jacobi[k][2]
+        entry, cofactor = entry[upper], cofactor[upper]
+        lower = np.zeros(cofactor.shape, dtype=bool)
+        if k > 2:
+            C = math.comb(n, k - 1)
+            lower = cofactor // C > cofactor % C
+            cofactor = jacobi[k - 1][3][cofactor]
+        tables.append((entry, cofactor, lower.nonzero()))
+    return tables
+
+
+def _node_minors(h):
+    """det h(x)[I_a, I_b] for the k-subsets I_a <= I_b of range(n) in
+    lexicographic order, k = 0..n, of h with shape (X, n, n): rows over the
+    nodes, in the order of _jacobi_tables(n)[k][2]; for k = 1 the rows are
+    every entry of h (a view when h is node-contiguous, as h_nodes is),
+    and det h is the n-minor.  Each size comes from the one below by
+    Laplace expansion along the first column (_node_tables)."""
     n, X = h.shape[-1], len(h)
-    rows = np.ascontiguousarray(h.transpose(1, 2, 0))
+    rows = h.transpose(1, 2, 0).reshape(n * n, X)
     sign = (-1.0) ** np.arange(n)
-    # the 1-minors are the entries of h
-    minors = [np.ones((1, 1, X), dtype=complex), rows]
-    for k, (entry, cofactor) in enumerate(_laplace_tables(n), start=2):
-        # sum_j (-1)^j h[I_0, K_j] det h[I \ I_0, K \ K_j]
-        terms = rows.reshape(-1, X)[entry]
-        terms *= minors[-1].reshape(-1, X)[cofactor]
+    minors = [np.ones((1, X), dtype=complex), rows]
+    for k, (entry, cofactor, lower) in enumerate(_node_tables(n), start=2):
+        # sum_i (-1)^i h[I_i, K_0] det h[I \ I_i, K \ K_0]
+        terms = minors[-1][cofactor]
+        terms[lower] = np.conj(terms[lower])
+        terms *= rows[entry]
         minors.append(np.matmul(sign[:k], terms))
     return minors
 
 
-def _complementary_minors(minors, k, entries=slice(None)):
+def _minor_spectra(h, folds):
+    """The grid spectra of det h(x)[I_a, I_b] for every pair (a, b) of
+    k-subsets, flattened, k = 0..n, as (C * C, |S_k|) arrays, from the mode
+    coefficients h of h(x), shape (n * n, modes): by the discrete
+    convolution theorem, each product of the Laplace expansion along the
+    first column is a convolution of a 1-mode spectrum with an S_{k-1}
+    spectrum, folded onto S_k (folds[k - 1] = frequencies(k)[4])."""
+    sign = (-1.0) ** np.arange(len(folds))
+    minors = [np.ones((1, 1), dtype=complex)]
+    for k, ((entry, cofactor), (order, starts)) in enumerate(
+            zip(_laplace_tables(len(folds)), folds), start=1):
+        terms = np.matmul((h[entry] * sign[:k, None]).transpose(0, 2, 1),
+                          minors[-1][cofactor])
+        minors.append(np.add.reduceat(terms.reshape(len(terms), -1)[:, order], starts, axis=1))
+    return minors
+
+
+def _complementary_minors(minors, k):
     """N_k = C_k det h, C_k the k-th compound of A = h^{-T}, as rows over
-    the flattened C x C entries (a, b), or over the given entries, from
-    the minors of h by Jacobi: det A[I, K] det h =
-    (-1)^(sum I + sum K) det h[I^c, K^c] (see _jacobi_tables)."""
+    the flattened C x C entries (a, b), from the minor spectra by Jacobi:
+    det A[I, K] det h = (-1)^(sum I + sum K) det h[I^c, K^c] (see
+    _jacobi_tables)."""
+    rows, sign = _jacobi_tables(len(minors) - 1)[k][:2]
+    return minors[-1 - k][rows] * sign
+
+
+def _compounds(minors, k):
+    """conj(C_k)(x) = conj(N_k)(x) / det h(x) for the entries a <= b of the
+    k-subsets, rows over the nodes, from the node minors of _node_minors:
+    by Jacobi, entry (a, b) is (-1)^(sum I_a + sum I_b)
+    det h[I_b^c, I_a^c] / det h, an upper minor read with no conjugation."""
     n = len(minors) - 1
-    rows, sign = _jacobi_tables(n)[k][:2]
-    return minors[n - k].reshape(len(rows), -1)[rows[entries]] * sign[entries]
+    _, sign, upper, _, _, node = _jacobi_tables(n)[k]
+    values = minors[n - k][node] * sign[upper]
+    values /= np.real(minors[n])
+    return values
 
 
 def _positive_above(M, c) -> bool:
@@ -154,15 +209,27 @@ def _smallest_eigenvalue(M):
     shape (X, n, n), and the first node among those searched where it is
     attained.
 
-    eigvalsh runs only on a candidate set of nodes, the 64 whose smallest
-    diagonal entry (an upper bound of the smallest eigenvalue) is least,
-    and gives lo.  One Cholesky factorization of M(x) - (lo - delta) I
-    swept across the nodes (_positive_above), with delta = 1e-13 max|M|,
-    then proves that no node lies below lo - delta.  Until it does, the
-    candidate set grows eightfold; once it covers every node, lo is the
-    minimum over all of them."""
-    estimate = np.real(np.diagonal(M, axis1=1, axis2=2)).min(axis=1)
-    delta = 1e-13 * np.abs(M).max()
+    eigvalsh runs only on a candidate set of nodes, the 64 whose estimate
+    is least: the least smallest eigenvalue of the 2 x 2 principal
+    submatrices of M(x) (the diagonal when n = 1), an upper bound of the
+    smallest eigenvalue by Cauchy interlacing, exact when n = 2.  It gives
+    lo.  One Cholesky factorization of M(x) - (lo - delta) I swept across
+    the nodes (_positive_above), with delta = 1e-13 max|M|, then proves
+    that no node lies below lo - delta.  Until it does, the candidate set
+    grows eightfold; once it covers every node, lo is the minimum over all
+    of them."""
+    diagonal = np.real(np.diagonal(M, axis1=1, axis2=2))
+    estimate = diagonal.min(axis=1)
+    # max|M|, read from the real diagonal and the upper triangle
+    scale = np.abs(diagonal).max()
+    for i, j in combinations(range(M.shape[-1]), 2):
+        # the smaller eigenvalue of the submatrix on rows i, j, one node row
+        # at a time
+        off = np.abs(M[:, i, j])
+        scale = max(scale, off.max())
+        gap = np.hypot(0.5 * (diagonal[:, i] - diagonal[:, j]), off, out=off)
+        np.minimum(estimate, 0.5 * (diagonal[:, i] + diagonal[:, j]) - gap, out=estimate)
+    delta = 1e-13 * scale
     size = 64
     while True:
         size = min(size, len(M))
@@ -179,12 +246,14 @@ class HermitianStructure(_Memo):
     """A positive Hermitian metric on a FormComplex.
 
     Built either from an n x n constant Hermitian matrix or from a (1,1)
-    metric form living on the complex.  Immutable after construction; Gram,
-    star, adjoint and the other derived matrices are cached per bidegree in
-    one memo.
+    metric form living on the complex, and refused with MetricError unless
+    h(x) - max(floor, 0) I is positive definite at every node, which one
+    Cholesky sweep decides.  Immutable after construction; Gram, star, adjoint and
+    the other derived matrices are cached per bidegree in one memo.
     """
 
-    def __init__(self, complex_: FormComplex, h=None, omega: Form | None = None):
+    def __init__(self, complex_: FormComplex, h=None, omega: Form | None = None,
+                 floor: float = 0.0):
         super().__init__()
         self.complex = complex_
         self.n = complex_.n
@@ -204,10 +273,11 @@ class HermitianStructure(_Memo):
         # h(x) and how far the coefficient matrices of omega are from
         # Hermitian, which check_strong_positivity_11 reads for omega itself
         self._h_nodes, self._deviation = _hermitian_coefficient_matrix(complex_, omega)
-        if not self.positive_above(0.0):
+        floor = max(floor, 0.0)
+        if not self.positive_above(floor):
             raise MetricError(
-                f"metric not positive definite: min eigenvalue {self.positivity_margin:.3e}"
-            )
+                f"metric not positive definite above {floor:.3e}" if floor else
+                f"metric not positive definite: min eigenvalue {self.positivity_margin:.3e}")
 
     # -- pointwise data ----------------------------------------------------
 
@@ -236,22 +306,50 @@ class HermitianStructure(_Memo):
         _smallest_eigenvalue)."""
         return self._smallest_eigenvalue()[0]
 
+    def _minor_spectra(self):
+        """The grid spectra of every minor of h(x), from the Hermitian part
+        h_m = (c_m + c_{-m}^H) / 2 of omega's mode coefficients c_m (see
+        _minor_spectra), computed when first read."""
+
+        def build():
+            cx, n = self.complex, self.n
+            c = -1j * self.omega.coeffs.reshape(-1, n, n)
+            h = c + np.conj(c[cx.catalog.mode_neg_index()]).transpose(0, 2, 1)
+            h *= 0.5
+            return _minor_spectra(h.reshape(-1, n * n).T,
+                                  [cx.frequencies(k)[4] for k in range(1, n + 1)])
+
+        return self._cached("minor spectra", build)
+
+    def _node_minors(self):
+        """_node_minors(h(x)), computed when first read."""
+        return self._cached("node minors", lambda: _node_minors(self._h_nodes))
+
     def _spectrum(self, k, compound):
         """The Fourier coefficients (1 / X) sum_x f(x) exp(-2 pi i s . x),
         shape (C * C, |S|), once per metric, of f = N_k, a polynomial of
         degree n - k in h(x), at all s of frequencies(n - k), or with
         compound of f = conj(C_k) at the s of frequencies(n - k + 2) that
-        a Gram (k, q) reads.  f(x) is Hermitian: the entry (b, a) at s is
-        the conjugate of (a, b) at -s, so only (a, b) is transformed."""
+        a Gram (k, q) reads.
+
+        N_k is read from the minor spectra, with no node values.
+        conj(C_0) is the constant 1.  For k >= 1, conj(C_k)(x) is formed
+        at the nodes from the upper node minors (_compounds) and
+        transformed.  It is Hermitian: the entry (b, a) at s is the
+        conjugate of (a, b) at -s, so only the entries a <= b are formed
+        and transformed."""
 
         def build():
-            minors = self._cached("minors", lambda: _minors(self._h_nodes))
-            _, _, upper, expand, lower = _jacobi_tables(self.n)[k]
-            frequencies = self.complex.frequencies(self.n - k + 2 * compound)
-            values = _complementary_minors(minors, k, upper)
-            if compound:
-                values = np.conj(values, out=values)
-                values /= np.real(minors[self.n][0, 0])
+            if not compound:
+                return _complementary_minors(self._minor_spectra(), k)
+            frequencies = self.complex.frequencies(self.n - k + 2)
+            if not k:
+                # zero is the first frequency of every set
+                spectrum = np.zeros((1, len(frequencies[0])), dtype=complex)
+                spectrum[0, 0] = 1.0
+                return spectrum
+            _, _, _, expand, lower, _ = _jacobi_tables(self.n)[k]
+            values = _compounds(self._node_minors(), k)
             transform = self.complex.grid_transform(values, frequencies)
             spectrum = (transform / values.shape[1])[expand]
             spectrum[lower] = np.conj(spectrum[lower][:, frequencies[2]])

@@ -82,9 +82,10 @@ def test_lie_algebra_model_is_the_torus_with_no_axes(iwasawa_cx):
     rows, index = iwasawa_cx.mode_differences()
     assert rows.shape == (1, 0) and np.array_equal(index, [[0]])
     for j in range(6):
-        k, steps, neg, shifts = iwasawa_cx.frequencies(j)
+        k, steps, neg, shifts, fold = iwasawa_cx.frequencies(j)
         assert k.shape == (1, 0) and steps == [] and np.array_equal(neg, [0])
         assert len(shifts) == max(j - 1, 0) and all(np.array_equal(s, [[0]]) for s in shifts)
+        assert fold is None if j == 0 else np.array_equal(fold, [[0], [0]])
     values = np.array([[2.0 - 1j], [3.0]])
     assert np.array_equal(iwasawa_cx.grid_transform(values, iwasawa_cx.frequencies(1)), values)
 
@@ -272,8 +273,9 @@ def test_grid_transform_is_the_dft_at_each_frequency_set(text):
     values = rng.standard_normal((2, cx.n_nodes)) + 1j * rng.standard_normal((2, cx.n_nodes))
     axes = tuple(range(1, len(cx.grid) + 1))
     full = np.fft.fftn(values.reshape(2, *cx.grid), axes=axes).reshape(2, -1)
+    modes = np.array(cx.catalog.modes)
     for j in range(cx.n + 3):
-        k, _, neg, shifts = cx.frequencies(j)
+        k, _, neg, shifts, fold = cx.frequencies(j)
         flat = np.ravel_multi_index(tuple(k.T), cx.grid)
         assert np.all(np.diff(flat) > 0) and np.array_equal(k[neg] % cx.grid, -k % cx.grid)
         # d_r - s for the sums s of each smaller set, at its shifts
@@ -281,6 +283,13 @@ def test_grid_transform_is_the_dft_at_each_frequency_set(text):
         for i, at in enumerate(shifts):
             diffs = (rows[:, None] - cx.frequencies(i)[0]) % cx.grid
             assert np.array_equal(k[at], diffs)
+        # the products m_i + s of the modes with S_{j-1}, in fold order, are
+        # runs of the frequencies of S_j, each run starting at its start
+        if j:
+            order, starts = fold
+            sums = (modes[:, None] + cx.frequencies(j - 1)[0]).reshape(-1, len(cx.grid))
+            runs = np.diff(np.append(starts, len(order)))
+            assert np.array_equal(sums[order] % cx.grid, np.repeat(k, runs, axis=0))
         out = cx.grid_transform(values, cx.frequencies(j))
         assert np.abs(out - full[:, flat]).max() <= 1e-13 * np.abs(full).max()
 

@@ -11,7 +11,7 @@ from hstorsion.energy import (AeppliPoint, corollary_check, differential,
                               energy, fd_differential, fd_step_sweep,
                               gradient_descent)
 from hstorsion.forms import Bidegree, Form, zero_form
-from hstorsion.metric import HermitianStructure
+from hstorsion.metric import HermitianStructure, MetricError
 from hstorsion.torsion import min_norm_torsion, torsion_form
 
 # (mode, j, c): the potential terms c e_mode dz^j of a spectral n = 2 model
@@ -168,6 +168,96 @@ def test_gradient_descent_positivity_floor_blocks(spectral_cx, spectral_H):
     assert len(res.history) == 2 and np.abs(res.point.u.coeffs).max() == 0.0
 
 
+def test_cached_structure_still_tests_the_floor(spectral_cx, spectral_H):
+    # a floor asked for after the structure is built is decided, not ignored
+    pt = AeppliPoint(spectral_cx, spectral_H.omega)
+    H = pt.structure()
+    margin = H.positivity_margin
+    assert pt.structure(0.5 * margin) is H
+    with pytest.raises(MetricError, match="above"):
+        pt.structure(2.0 * margin)
+
+
+def _n2_text(K, potential, grid=""):
+    """The flat spectral n = 2 torus with modes axis K moved by the given
+    potential terms, on the default grid or on `grid g`."""
+    return f"kind spectral\nn 2\nmodes axis K {K}\n{grid}" + "".join(
+        f"potential {' '.join(map(str, m))} u {j} := {format_complex(c)}\n"
+        for m, j, c in potential)
+
+
+@pytest.fixture(scope="module")
+def n2k2_flow_sweeps():
+    """The flow on the spectral n = 2, K = 2 model, and the positivity
+    sweeps (_positive_above) it runs, as a log of the events "build" and
+    "built" around each HermitianStructure built, "margin" and "done"
+    around each smallest eigenvalue, and "sweep"; with the margin, the
+    all-node eigvalsh minimum and max|h| of each smallest eigenvalue."""
+    log, margins = [], []
+    sweep, init = metric._positive_above, metric.HermitianStructure.__init__
+    smallest = metric._smallest_eigenvalue
+
+    def build(self, *args, **kwargs):
+        log.append("build")
+        try:
+            init(self, *args, **kwargs)
+        finally:
+            log.append("built")
+
+    def margin(M):
+        log.append("margin")
+        lo = smallest(M)
+        log.append("done")
+        margins.append((lo[0], np.linalg.eigvalsh(M).min(), np.abs(M).max()))
+        return lo
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metric, "_positive_above", lambda *a: log.append("sweep") or sweep(*a))
+        mp.setattr(metric.HermitianStructure, "__init__", build)
+        mp.setattr(metric, "_smallest_eigenvalue", margin)
+        cx = build_complex(parse_model(_n2_text(2, N2K2_POTENTIAL)))
+        res = gradient_descent(AeppliPoint(cx, cx.metric_form()))
+    return res, log, margins
+
+
+def _sweeps_between(log, start, end):
+    """The number of sweeps inside each start ... end pair of the log."""
+    counts, inside = [], False
+    for event in log:
+        if event == start:
+            counts.append(0)
+            inside = True
+        elif event == end:
+            inside = False
+        elif event == "sweep" and inside:
+            counts[-1] += 1
+    return counts
+
+
+def test_line_search_trial_sweeps_positivity_once(n2k2_flow_sweeps):
+    # the floor is decided where a trial's structure is built: every
+    # metric the flow builds, the start and one per trial, runs one sweep,
+    # and no sweep runs outside a build or a smallest eigenvalue's proof
+    res, log, _ = n2k2_flow_sweeps
+    builds = _sweeps_between(log, "build", "built")
+    proofs = _sweeps_between(log, "margin", "done")
+    assert res.status == "converged" and len(builds) > len(res.history)
+    assert builds == [1] * len(builds)
+    assert log.count("sweep") == len(builds) + sum(proofs)
+
+
+def test_flow_margins_need_one_round(n2k2_flow_sweeps):
+    # the potentials of this model do not depend on their own z_j, so the
+    # diagonal of h(x) is constant on the start metric; ranked by the 2 x 2
+    # principal submatrices, every margin's first 64 candidates hold the
+    # minimum, and the one proof sweep accepts it
+    res, log, margins = n2k2_flow_sweeps
+    assert len(res.history) == 14
+    assert _sweeps_between(log, "margin", "done") == [1] * len(margins)
+    for lo, eig, scale in margins:
+        assert abs(lo - eig) <= 1e-13 * scale
+
+
 def _n2_invariants(K, potential, grid=""):
     """(F, torsion norm, cohomology dimensions, Gram matrix per bidegree)
     of the flat spectral n = 2 torus with modes axis K moved by the given
@@ -175,10 +265,7 @@ def _n2_invariants(K, potential, grid=""):
     (2,0) Gram, in which F is measured, is the same for every metric
     (|dz^1 ^ dz^2|^2 dV is constant), so it is the Grams of the other
     bidegrees that see the quadrature."""
-    text = f"kind spectral\nn 2\nmodes axis K {K}\n{grid}" + "".join(
-        f"potential {' '.join(map(str, m))} u {j} := {format_complex(c)}\n"
-        for m, j, c in potential)
-    cx = build_complex(parse_model(text))
+    cx = build_complex(parse_model(_n2_text(K, potential, grid)))
     H = HermitianStructure(cx, omega=cx.metric_form())
     f, rep = energy(H)
     dims = {pq: (e["dbar"], e["bc"], e["aeppli"])
@@ -225,3 +312,28 @@ def test_energy_invariant_under_the_doubling_cover():
     grams = _n2_invariants(1, base, grid="grid 9\n")[3]
     for pq, G in grams.items():
         assert np.abs(grams2[pq] - G).max() <= 1e-12 * np.abs(G).max(), pq
+
+
+# SPECTRAL_TEXT's potentials moved to 2 e_a, with halved coefficients, on
+# modes axis K 2 and its 9^6 nodes
+STRETCH_TEXT = """kind spectral
+n 3
+modes axis K 2
+potential 2 0 0 0 0 0 u 2 := 0.02
+potential 0 2 0 0 0 0 u 3 := 0.015+0.01i
+potential 0 0 0 2 0 0 u 1 := 0.01i
+"""
+
+
+def test_n3_energy_invariant_under_the_doubling_cover(spectral_H):
+    # the n = 3 covering oracle: as on n = 2 above, h(x) of the K = 2 model
+    # is h(2 x) of SPECTRAL_TEXT's, so F and the torsion norm agree.  Its
+    # det h reaches the 3-fold sums of the modes, among them +-6 e_a, which
+    # the minor spectra fold onto the frequencies -+3 e_a of the 9-node grid
+    cx = build_complex(parse_model(STRETCH_TEXT))
+    assert cx.n_nodes == 9**6
+    f, rep = energy(HermitianStructure(cx, omega=cx.metric_form()))
+    f0, rep0 = energy(spectral_H)
+    assert abs(f - f0) <= 1e-12 * f0
+    assert abs(rep.norm - rep0.norm) <= 1e-12 * rep0.norm
+

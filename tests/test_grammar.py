@@ -74,6 +74,8 @@ DEFECTS = {
     "poly overflow at a sample": (parse_family, "kind invariant\nn 2\n"
                                   "metric h 1 1 := poly(1, 0, 1)\nt_samples := 0 1e200\n", 3,
                                   "finite"),
+    "one grid value below 1 with no mode off zero": (
+        parse_model, "kind spectral\nn 1\nmode 0 0\ngrid 0\n", 4, "below 1"),
     "mode set without zero": (parse_model, "kind spectral\nn 1\nmode 1 0\nmode -1 0\n", 3,
                               "zero mode"),
     "mode set not symmetric": (parse_model, "kind spectral\nn 1\nmode 0 0\nmode 1 0\n", 4,

@@ -1,4 +1,5 @@
 import gc
+import math
 import weakref
 from itertools import combinations
 
@@ -115,13 +116,15 @@ def test_gram_matches_fft_reference(name, request):
         assert np.abs(G - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-def test_sums_of_modes_alias_on_the_grid(spectral_cx):
+def test_sums_of_modes_alias_on_the_grid(spectral_cx, alias_H):
     # the 3-fold sums of the 13 modes take 377 values, and 12 pairs of them
     # (+-3 e_a against -+2 e_a) are one frequency on 5 nodes; the Gram
-    # contraction must count each frequency once (random13_H above)
-    modes = spectral_cx.catalog.modes
-    sums = {tuple(map(sum, zip(a, b, c))) for a in modes for b in modes for c in modes}
-    assert len(sums) == 377 and len(spectral_cx.frequencies(3)[0]) == 365
+    # contraction and the minor spectra must count each frequency once
+    # (random13_H above), also when the sums alias off the axes (alias_H)
+    for cx, count, frequencies in ((spectral_cx, 377, 365), (alias_H.complex, 25, 21)):
+        modes = cx.catalog.modes
+        sums = {tuple(map(sum, zip(a, b, c))) for a in modes for b in modes for c in modes}
+        assert len(sums) == count and len(cx.frequencies(3)[0]) == frequencies
 
 
 @pytest.mark.parametrize("name", ["spectral_H", "n2k2_H"])
@@ -137,22 +140,27 @@ def test_gram_conjugation_invariant(name, request):
 
 
 def test_compound_inverse_identity(spectral_H, rng):
-    # Cauchy-Binet: compound_k(h^{-1}) compound_k(h) = I at every node; the
-    # invariant n = 4 metric reaches the general minors (k = 2), n = 1 and
-    # n = 2 the edge sizes of the Laplace and Jacobi tables
+    # Cauchy-Binet: compound_k(h^{-1}) compound_k(h) = I at every node, for
+    # the compounds the Gram spectra transform, completed from their entries
+    # a <= b as Hermitian matrices; the invariant n = 4 metric reaches the
+    # general minors (k = 2), n = 1 and n = 2 the edge sizes of the Laplace
+    # and Jacobi tables, and on one node the minors are the minor spectra
     metrics = [spectral_H]
     for n in (1, 2, 4):
         cx = build_complex(parse_model(f"kind invariant\nn {n}\n"))
         metrics.append(random_hermitian_structure(cx, rng))
     for H in metrics:
-        minors = metric._minors(H.h_nodes)
-        deth = np.real(minors[H.n][0, 0])
+        minors = H._node_minors()
         for k in range(H.n + 1):
-            # the compound of A^T = h^{-1}, from Jacobi's complementary minors
+            _, _, _, expand, lower, _ = metric._jacobi_tables(H.n)[k]
+            # conj(C_k), C_k the compound of A = h^{-T}, so conj(C_k)^T is
+            # the compound of h^{-1}
+            upper = metric._compounds(minors, k)
+            compound = upper[expand]
+            compound[lower] = np.conj(compound[lower])
             C = len(_minors(H.h_nodes[:1], k)[0])
-            compound = metric._complementary_minors(minors, k).reshape(C, C, -1) / deth
-            prod = compound.transpose(2, 1, 0) @ _minors(H.h_nodes, k)
-            assert np.abs(prod - np.eye(prod.shape[-1])).max() <= 1e-12
+            prod = np.conj(compound).reshape(C, C, -1).transpose(2, 1, 0) @ _minors(H.h_nodes, k)
+            assert np.abs(prod - np.eye(C)).max() <= 1e-12
 
 
 def test_difference_weights_belong_to_their_complex():
@@ -274,6 +282,14 @@ def test_non_positive_metric_rejected(torus_cx):
         HermitianStructure(torus_cx, h=h)
 
 
+def test_negative_floor_still_requires_a_positive_metric(torus_cx):
+    # a floor below 0 does not let a metric that is not positive definite through
+    h = np.diag([1.0, 1.0, -0.5]).astype(complex)
+    with pytest.raises(MetricError, match="min eigenvalue"):
+        HermitianStructure(torus_cx, h=h, floor=-1.0)
+    assert HermitianStructure(torus_cx, h=np.eye(3), floor=-1.0).positivity_margin == 1.0
+
+
 def test_singular_metric_rejected(torus_cx):
     with pytest.raises(MetricError):
         HermitianStructure(torus_cx, h=np.diag([1.0, 1.0, 0.0]))
@@ -392,64 +408,115 @@ def test_positive_above_reads_the_lower_triangle(rng):
     assert metric._positive_above(M, 0.5 * lo)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def _kept_minors(h, k):
+    """The reference determinants of the k-minors _node_minors keeps: every
+    entry of h for k = 1, the entries a <= b otherwise, shape (rows, X)."""
+    ref = _minors(h, k).transpose(1, 2, 0).reshape(-1, len(h))
+    return ref if k == 1 else ref[metric._jacobi_tables(h.shape[-1])[k][2]]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_minors_are_determinants_of_submatrices(n, rng):
-    # every k x k minor at every node, in the (C, C, X) layout
-    h = rng.standard_normal((200, n, n)) + 1j * rng.standard_normal((200, n, n))
-    for A in (h, _node_contiguous(h)):
-        minors = metric._minors(A)
+    # every minor the node table builds, at every node, against
+    # np.linalg.det; h(x) is Hermitian, as the table assumes when it reads a
+    # lower cofactor as the conjugate of an upper one (from n = 5 on)
+    assert any(len(lower[0]) for _, _, lower in metric._node_tables(n)) == (n >= 5)
+    A = rng.standard_normal((200, n, n)) + 1j * rng.standard_normal((200, n, n))
+    h = A + A.conj().transpose(0, 2, 1)
+    for B in (h, _node_contiguous(h)):
+        minors = metric._node_minors(B)
         assert len(minors) == n + 1
         for k in range(n + 1):
-            ref = _minors(h, k).transpose(1, 2, 0)
+            ref = _kept_minors(h, k)
             assert minors[k].shape == ref.shape
             assert np.abs(minors[k] - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_minors_of_the_spectral_metric(spectral_H):
     h = spectral_H.h_nodes
-    for k, minor in enumerate(metric._minors(h)):
-        ref = _minors(h, k).transpose(1, 2, 0)
+    for k, minor in enumerate(spectral_H._node_minors()):
+        ref = _kept_minors(h, k)
         assert np.abs(minor - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+# n = 3 with modes off the axes: 3 (1, 1, 0, 0, 0, 0) = (3, 3, ...) is the
+# frequency (-2, -2, ...) on 5 nodes, so the 3-minors' spectra fold
+ALIAS_TEXT = """kind spectral
+n 3
+mode 0 0 0 0 0 0
+mode 1 1 0 0 0 0
+mode -1 -1 0 0 0 0
+mode 0 1 0 0 0 -1
+mode 0 -1 0 0 0 1
+potential 1 1 0 0 0 0 u 3 := 0.04+0.01i
+potential 0 1 0 0 0 -1 u 1 := 0.03
+potential -1 -1 0 0 0 0 u 2 := 0.02i
+"""
+
+
+@pytest.fixture(scope="module")
+def alias_H():
+    cx = build_complex(parse_model(ALIAS_TEXT))
+    return HermitianStructure(cx, omega=cx.metric_form())
+
+
+@pytest.mark.parametrize("name", ["spectral_H", "n2k2_H", "alias_H", "random_iwasawa_H"])
+def test_minor_spectra_match_fft_of_determinants(name, request):
+    # the spectra built from omega's mode coefficients against np.fft.fftn
+    # of every minor taken by np.linalg.det at the nodes: equal on S_k, and
+    # the reference vanishes off S_k
+    H = request.getfixturevalue(name)
+    cx, h = H.complex, H.h_nodes
+    for k, spectrum in enumerate(H._minor_spectra()):
+        C = math.comb(H.n, k)
+        values = _minors(h, k).reshape(*cx.grid, C * C)
+        ref = np.fft.fftn(values, axes=tuple(range(len(cx.grid)))) / cx.n_nodes
+        ref = ref.reshape(-1, C * C).T
+        at = cx._flat_frequency(cx.frequencies(k)[0])
+        scale = np.abs(ref).max()
+        assert spectrum.shape == (C * C, len(at))
+        assert np.abs(spectrum - ref[:, at]).max() <= 1e-13 * scale
+        assert np.abs(np.delete(ref, at, axis=1)).max(initial=0.0) <= 1e-13 * scale
+
+
 def _late_argmin_metric(cx):
-    """On n = 2: h(x) = (1.3 + 0.3 f) I + (0.4 + 0.4 f) J, J the swap, with
-    f the mean of cos(2 pi x_a) over the axes.  Its smallest eigenvalue
-    0.9 - 0.1 f is least at the node x = 0, where the diagonal, and so the
-    estimate that ranks the candidate nodes, is largest."""
-    I, J = np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])
-    omega = cx.hermitian_form(1.3 * I + 0.4 * J)
+    """On n = 3: h(x) = (1.5 + 0.3 f) I - (0.3 + 0.2 f) O, O the all-ones
+    matrix less I, with f the mean of cos(2 pi x_a) over the axes.  Its
+    smallest eigenvalue 0.9 - 0.1 f is least at the node x = 0, where the
+    estimate that ranks the candidate nodes, the least eigenvalue
+    1.2 + 0.1 f of its 2 x 2 principal submatrices, is largest."""
+    I, O = np.eye(3), np.ones((3, 3)) - np.eye(3)
+    omega = cx.hermitian_form(1.5 * I - 0.3 * O)
     for m in cx.catalog.modes:
         if any(m):
-            omega = omega + cx.hermitian_form((0.3 * I + 0.4 * J) / 8, m)
+            omega = omega + cx.hermitian_form((0.3 * I - 0.2 * O) / 12, m)
     return omega
 
 
 @pytest.fixture(scope="module")
-def late_argmin_H():
-    cx = build_complex(parse_model("kind spectral\nn 2\nmodes axis K 1\n"))
-    return HermitianStructure(cx, omega=_late_argmin_metric(cx))
+def late_argmin_H(spectral_cx):
+    return HermitianStructure(spectral_cx, omega=_late_argmin_metric(spectral_cx))
 
 
 def test_smallest_eigenvalue_grows_past_a_late_argmin(late_argmin_H, monkeypatch):
     H, h = late_argmin_H, late_argmin_H.h_nodes
     eigs = np.linalg.eigvalsh(h)
-    diagonal = np.real(np.diagonal(h, axis1=1, axis2=2)).min(axis=1)
-    assert np.argmax(diagonal) == 0 == np.argmin(eigs.min(axis=1))
+    assert np.argmin(eigs.min(axis=1)) == 0
+    assert np.argmax(np.linalg.eigvalsh(h[:, :2, :2]).min(axis=1)) == 0
     proofs = []
     positive_above = metric._positive_above
     monkeypatch.setattr(metric, "_positive_above",
                         lambda *a: proofs.append(positive_above(*a)) or proofs[-1])
     assert H.positivity_margin == eigs.min()
     assert H._smallest_eigenvalue()[1] == 0
-    # refuted with 64 and with 512 candidates; then all 625 nodes are read
-    assert proofs == [False, False] and len(h) == 625
+    # refuted with 64, 512 and 4096 candidates; then all 5^6 nodes are read
+    assert proofs == [False, False, False] and len(h) == 5**6
 
 
 def test_refutation_names_the_node_and_eigenvector_of_eigvalsh(late_argmin_H):
     # h(x) - 0.85 I is indefinite wherever f > 1/2, and least at x = 0
     H = late_argmin_H
-    u = H.omega - H.complex.hermitian_form(0.85 * np.eye(2))
+    u = H.omega - H.complex.hermitian_form(0.85 * np.eye(3))
     h, _ = _hermitian_coefficient_matrix(H.complex, u)
     eigs = np.linalg.eigvalsh(h)
     node = int(np.argmin(eigs.min(axis=1)))
