@@ -258,8 +258,10 @@ class FormComplex(_Memo):
         return self._dbar[(p, q)]
 
     def ddbar_matrix(self, p, q):
-        """del delbar : Lambda^{p,q} -> Lambda^{p+1,q+1}."""
-        return self.del_matrix(p, q + 1) @ self.dbar_matrix(p, q)
+        """del delbar : Lambda^{p,q} -> Lambda^{p+1,q+1}, formed once per
+        complex."""
+        return self._cached(("ddbar", p, q),
+                            lambda: self.del_matrix(p, q + 1) @ self.dbar_matrix(p, q))
 
     def apply_del(self, u: Form) -> Form:
         p, q = u.p, u.q

@@ -1,11 +1,13 @@
 """Bott-Chern, Aeppli and Dolbeault cohomology on a metrized form complex.
 
-Laplacians are assembled from the structure operators and their Gram
-adjoints; kernels, Green operators and harmonic projectors come from a
-Gram-aware eigendecomposition.  Dimension counts are always computed two
-independent ways (harmonic kernel vs quotient ranks) and must agree.  The
-quotient ranks depend only on the complex and are counted once per complex;
-the spectral data of a Laplacian is computed once per metric.
+Laplacians are assembled from the structure operators whitened by the
+Cholesky factors of the Grams; kernels, Green operators and harmonic
+projectors come from a Gram-aware eigendecomposition.  Dimension counts are
+always computed two independent ways (harmonic kernel vs quotient ranks)
+and must agree.  The quotient ranks depend only on the complex and are
+counted once per complex; the kernel counts of a metric come from
+eigenvalues alone, and a Green operator is built once per metric and key,
+when asked for.
 """
 
 from __future__ import annotations
@@ -77,6 +79,18 @@ class GramEig:
         return self.Rinv @ Vk @ Vk.conj().T @ self.R
 
 
+def _kernel_split(w, rcond):
+    """(kernel_dim, cutoff, separation_ok) of ascending eigenvalues w, over
+    the last axis: the cutoff is rcond * max(largest eigenvalue, 1), and a
+    split is unreliable when some nonzero eigenvalue lies within a factor
+    100 of it."""
+    cutoff = rcond * np.maximum(w[..., -1], 1.0)
+    c = cutoff[..., None]
+    a = np.abs(w)
+    near = (a > c / 100) & (a < c * 100) & (a > 0)
+    return (w < c).sum(-1), cutoff, ~near.any(-1)
+
+
 def gram_eig(M, R, Rinv, rcond=KERNEL_RCOND) -> GramEig:
     """Diagonalize a G-self-adjoint positive semidefinite matrix M.
 
@@ -87,16 +101,52 @@ def gram_eig(M, R, Rinv, rcond=KERNEL_RCOND) -> GramEig:
     Mt = R @ M @ Rinv
     Mt = 0.5 * (Mt + Mt.conj().T)
     w, V = np.linalg.eigh(Mt)
-    scale = max(float(w[-1]), 1.0) if len(w) else 1.0
-    cutoff = rcond * scale
-    kdim = int((w < cutoff).sum())
-    near = (np.abs(w) > cutoff / 100) & (np.abs(w) < cutoff * 100) & (np.abs(w) > 0)
-    return GramEig(w, kdim, cutoff, not near.any(), V, R, Rinv)
+    kdim, cutoff, ok = _kernel_split(w, rcond)
+    return GramEig(w, int(kdim), float(cutoff), bool(ok), V, R, Rinv)
 
 
 # ---------------------------------------------------------------------------
 # Laplacians
 # ---------------------------------------------------------------------------
+#
+# With G = R^H R on every bidegree, a Laplacian L is G-self-adjoint exactly
+# when R L R^{-1} is Hermitian, and in these frames an adjoint is a
+# conjugate transpose (HermitianStructure.whitened).  So each Laplacian is
+# assembled whitened, as a sum of X^H X and X X^H terms: Hermitian positive
+# semidefinite by construction, with no solve.
+
+
+def _sum_of_squares(up, down):
+    """The sum of X^H X over the X in up and of Y Y^H over the Y in down."""
+    return sum([X.conj().T @ X for X in up] + [Y @ Y.conj().T for Y in down])
+
+
+def _whitened_bc(H: HermitianStructure, p, q):
+    """R Delta_BC R^{-1} on Lambda^{p,q}; the cross terms T = del* dbar and
+    S = del* dbar (one bidegree down) whiten to D^H B."""
+    n, W = H.n, H.whitened
+    up, down = [], []
+    if p < n:
+        up.append(W("del", p, q))
+    if q < n:
+        up.append(W("dbar", p, q))
+    if p < n and q < n:
+        up.append(W("ddbar", p, q))
+    if p and q:
+        down.append(W("ddbar", p - 1, q - 1))
+    if p and q < n:
+        # T : (p,q) -> (p,q+1) -> (p-1,q+1)
+        up.append(W("del", p - 1, q + 1).conj().T @ W("dbar", p, q))
+    if p < n and q:
+        # S : (p+1,q-1) -> (p+1,q) -> (p,q)
+        down.append(W("del", p, q).conj().T @ W("dbar", p + 1, q - 1))
+    return _sum_of_squares(up, down)
+
+
+def _whitened_dbar(H: HermitianStructure, p, q):
+    """R Delta_dbar R^{-1} on Lambda^{p,q}."""
+    return _sum_of_squares([H.whitened("dbar", p, q)] if q < H.n else [],
+                           [H.whitened("dbar", p, q - 1)] if q else [])
 
 
 def laplacian_bc(H: HermitianStructure, p, q):
@@ -105,46 +155,12 @@ def laplacian_bc(H: HermitianStructure, p, q):
     del* del + dbar* dbar + (del dbar)*(del dbar) + (del dbar)(del dbar)*
       + (del* dbar)*(del* dbar) + (del* dbar)(del* dbar)*
     """
-    cx = H.complex
-    n = H.n
-    N = cx.dims(p, q)
-    L = np.zeros((N, N), dtype=complex)
-    if p + 1 <= n:
-        d = cx.del_matrix(p, q)
-        L += H.del_adjoint(p, q) @ d
-    if q + 1 <= n:
-        db = cx.dbar_matrix(p, q)
-        L += H.dbar_adjoint(p, q) @ db
-    if p + 1 <= n and q + 1 <= n:
-        dd = cx.ddbar_matrix(p, q)
-        L += H.ddbar_adjoint(p, q) @ dd
-    if p >= 1 and q >= 1:
-        dd = cx.ddbar_matrix(p - 1, q - 1)
-        L += dd @ H.ddbar_adjoint(p - 1, q - 1)
-    if q + 1 <= n and p >= 1:
-        # T = del* dbar : (p,q) -> (p,q+1) -> (p-1,q+1)
-        T = H.del_adjoint(p - 1, q + 1) @ cx.dbar_matrix(p, q)
-        L += H.adjoint_matrix(T, (p, q), (p - 1, q + 1)) @ T
-    if p + 1 <= n and q >= 1:
-        # S = del* dbar : (p+1,q-1) -> (p+1,q) -> (p,q)
-        S = H.del_adjoint(p, q) @ cx.dbar_matrix(p + 1, q - 1)
-        L += S @ H.adjoint_matrix(S, (p + 1, q - 1), (p, q))
-    return L
+    return H.chol_inv(p, q) @ _whitened_bc(H, p, q) @ H.chol(p, q)
 
 
 def laplacian_dbar(H: HermitianStructure, p, q):
     """Dolbeault Laplacian dbar dbar* + dbar* dbar on Lambda^{p,q}."""
-    cx = H.complex
-    n = H.n
-    N = cx.dims(p, q)
-    L = np.zeros((N, N), dtype=complex)
-    if q + 1 <= n:
-        db = cx.dbar_matrix(p, q)
-        L += H.dbar_adjoint(p, q) @ db
-    if q >= 1:
-        db = cx.dbar_matrix(p, q - 1)
-        L += db @ H.dbar_adjoint(p, q - 1)
-    return L
+    return H.chol_inv(p, q) @ _whitened_dbar(H, p, q) @ H.chol(p, q)
 
 
 _LAPLACIANS = {"bc": laplacian_bc, "dbar": laplacian_dbar}
@@ -220,13 +236,26 @@ class CohomologyMismatch(RuntimeError):
     """Kernel-count and quotient-rank dimension computations disagree."""
 
 
-def _kernel_dim(table, H, p, q, which, rcond):
-    """Harmonic-space dimension of the chosen Laplacian, recording an
-    unreliable kernel split in the table."""
-    ge = green_operator(H, p, q, which, rcond)
-    if not ge.separation_ok:
-        table.unreliable.append((which, p, q))
-    return ge.kernel_dim
+def _spectra(H: HermitianStructure):
+    """Yield (keys, eigenvalues) for the keys (which, p, q) of the whitened
+    Laplacians of one kind on the bidegrees of one dimension, and their
+    ascending eigenvalues, one row per key: one eigvalsh per kind and
+    dimension, on operators that HermitianStructure.whiten_all forms
+    batched."""
+    for bidegrees in H.whiten_all().values():
+        for which, whitened in (("dbar", _whitened_dbar), ("bc", _whitened_bc)):
+            yield ([(which, *bd) for bd in bidegrees],
+                   np.linalg.eigvalsh(np.stack([whitened(H, *bd) for bd in bidegrees])))
+
+
+def _kernel_counts(H: HermitianStructure, rcond):
+    """{(which, p, q): (kernel_dim, separation_ok)} of both Laplacians on
+    every bidegree, from eigenvalues alone."""
+    counts = {}
+    for keys, w in _spectra(H):
+        kdim, _, separated = _kernel_split(w, rcond)
+        counts.update(zip(keys, zip(kdim.tolist(), separated.tolist())))
+    return counts
 
 
 def _quotient_dims(cx, p, q, rcond):
@@ -259,29 +288,25 @@ def cohomology_table(H: HermitianStructure, rcond=KERNEL_RCOND) -> CohomologyTab
     h_dbar and h_bc are computed both as harmonic-kernel counts of this
     metric and as quotient ranks of the complex; a disagreement raises
     CohomologyMismatch.  h_aeppli uses the quotient formula
-    dim ker(del dbar) - rank[del | dbar]."""
+    dim ker(del dbar) - rank[del | dbar].  The table reads eigenvalues only
+    and builds no Green operator."""
     n = H.n
     table = CohomologyTable(n=n)
+    counts = _kernel_counts(H, rcond)
     for p in range(n + 1):
         for q in range(n + 1):
             h_dbar_rank, h_bc_rank, h_aeppli = _quotient_dims(H.complex, p, q, rcond)
-            h_dbar_ker = _kernel_dim(table, H, p, q, "dbar", rcond)
-            table.cross_checks.append(("dbar", p, q, h_dbar_ker, h_dbar_rank))
-            if h_dbar_ker != h_dbar_rank:
-                raise CohomologyMismatch(
-                    f"h_dbar({p},{q}): kernel {h_dbar_ker} vs rank {h_dbar_rank}"
-                )
-
-            h_bc_ker = _kernel_dim(table, H, p, q, "bc", rcond)
-            table.cross_checks.append(("bc", p, q, h_bc_ker, h_bc_rank))
-            if h_bc_ker != h_bc_rank:
-                raise CohomologyMismatch(
-                    f"h_bc({p},{q}): kernel {h_bc_ker} vs rank {h_bc_rank}"
-                )
-
+            for which, rank in (("dbar", h_dbar_rank), ("bc", h_bc_rank)):
+                kernel, separated = counts[(which, p, q)]
+                if not separated:
+                    table.unreliable.append((which, p, q))
+                table.cross_checks.append((which, p, q, kernel, rank))
+                if kernel != rank:
+                    raise CohomologyMismatch(
+                        f"h_{which}({p},{q}): kernel {kernel} vs rank {rank}")
             table.entries[(p, q)] = {
-                "dbar": h_dbar_ker,
-                "bc": h_bc_ker,
+                "dbar": h_dbar_rank,
+                "bc": h_bc_rank,
                 "aeppli": h_aeppli,
             }
     return table

@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -43,6 +43,9 @@ __all__ = [
 ]
 
 PRIMITIVE_TOL = 1e-10
+
+# the bidegree step (dp, dq) of each structure operator that whitened() reads
+_STEPS = {"del": (1, 0), "dbar": (0, 1), "ddbar": (1, 1)}
 
 
 class MetricError(ValueError):
@@ -242,6 +245,35 @@ def _smallest_eigenvalue(M):
         size *= 8
 
 
+def _whiten_plan(cx: FormComplex):
+    """Per complex, the batches of HermitianStructure.whiten_all: the
+    bidegrees grouped by dimension N, {N: [(p, q), ...]}, and the structure
+    operators grouped by shape, as (whitened memo keys, stacked matrices,
+    (N_dst, positions of the targets among the bidegrees of N_dst),
+    (N_src, positions of the sources))."""
+
+    def build():
+        n = cx.n
+        shapes = {}
+        for bd in product(range(n + 1), repeat=2):
+            shapes.setdefault(cx.dims(*bd), []).append(bd)
+        where = {bd: (N, i) for N, bds in shapes.items() for i, bd in enumerate(bds)}
+        groups = {}
+        for kind, (dp, dq) in _STEPS.items():
+            for p, q in product(range(n + 1 - dp), range(n + 1 - dq)):
+                (N_dst, i), (N_src, j) = where[(p + dp, q + dq)], where[(p, q)]
+                groups.setdefault((N_dst, N_src), []).append(((kind, p, q), i, j))
+        operators = []
+        for (N_dst, N_src), group in groups.items():
+            ops, dst, src = zip(*group)
+            A = np.stack([getattr(cx, f"{kind}_matrix")(p, q) for kind, p, q in ops])
+            operators.append(([("whitened", *op) for op in ops], A,
+                              (N_dst, list(dst)), (N_src, list(src))))
+        return shapes, operators
+
+    return cx._cached("whiten plan", build)
+
+
 class HermitianStructure(_Memo):
     """A positive Hermitian metric on a FormComplex.
 
@@ -403,6 +435,41 @@ class HermitianStructure(_Memo):
         """R^{-1} for the Cholesky factor R = chol(p, q)."""
         return self._cached(("chol_inv", p, q), lambda: np.linalg.inv(self.chol(p, q)))
 
+    def whitened(self, kind, p, q):
+        """R_dst A R_src^{-1} for A the structure operator kind ("del",
+        "dbar" or "ddbar") on Lambda^{p,q} and R the Cholesky factors of the
+        two Grams.  In these orthonormal frames the Gram adjoint of A is the
+        conjugate transpose: R_src A* R_dst^{-1} = whitened(kind, p, q)^H."""
+
+        def build():
+            dp, dq = _STEPS[kind]
+            A = getattr(self.complex, f"{kind}_matrix")(p, q)
+            return self.chol(p + dp, q + dq) @ A @ self.chol_inv(p, q)
+
+        return self._cached(("whitened", kind, p, q), build)
+
+    def whiten_all(self):
+        """Fill chol, chol_inv and whitened on every bidegree: one batched
+        Cholesky, one batched inverse and one batched product per shape
+        (_whiten_plan).  Entries already in the memo are kept; a batched
+        factor has the same bits as chol and chol_inv compute alone.
+        Returns the bidegrees grouped by dimension, {N: [(p, q), ...]}."""
+        shapes, operators = _whiten_plan(self.complex)
+        memo, R, Rinv = self._memo, {}, {}
+        for N, bidegrees in shapes.items():
+            R[N] = np.linalg.cholesky(np.stack([self.gram(*bd) for bd in bidegrees]),
+                                      upper=True)
+            # each factor in Fortran order, as chol stores it
+            R[N] = R[N].transpose(0, 2, 1).copy().transpose(0, 2, 1)
+            Rinv[N] = np.linalg.inv(R[N])
+            for bd, r, r_inv in zip(bidegrees, R[N], Rinv[N]):
+                memo.setdefault(("chol", *bd), r)
+                memo.setdefault(("chol_inv", *bd), r_inv)
+        for keys, A, (N_dst, dst), (N_src, src) in operators:
+            for key, w in zip(keys, R[N_dst][dst] @ A @ Rinv[N_src][src]):
+                memo.setdefault(key, w)
+        return shapes
+
     def lstsq(self, src, blocks):
         """Minimal-norm least squares in the Gram geometry.
 
@@ -533,23 +600,25 @@ class HermitianStructure(_Memo):
         return self._cached(("ddbar*", p, q), lambda: self.adjoint_matrix(
             self.complex.ddbar_matrix(p, q), (p, q), (p + 1, q + 1)))
 
+    def _apply_adjoint(self, kind, u: Form) -> Form:
+        """The Gram adjoint of kind applied to u, as R_src^{-1} W^H R_dst u
+        for W = whitened(kind, src): three products with a vector, on the
+        operators a Laplacian on src reads."""
+        dp, dq = _STEPS[kind]
+        src = Bidegree(u.p - dp, u.q - dq)
+        W = self.whitened(kind, *src)
+        return Form(self.complex.catalog, src, self.chol_inv(*src) @ (
+            W.conj().T @ (self.chol(u.p, u.q) @ u.coeffs)))
+
     def apply_del_adjoint(self, u: Form) -> Form:
         if u.p == 0:
             raise DegreeError("del* undefined below (1,0)")
-        return Form(
-            self.complex.catalog,
-            Bidegree(u.p - 1, u.q),
-            self.del_adjoint(u.p - 1, u.q) @ u.coeffs,
-        )
+        return self._apply_adjoint("del", u)
 
     def apply_dbar_adjoint(self, u: Form) -> Form:
         if u.q == 0:
             raise DegreeError("dbar* undefined below (0,1)")
-        return Form(
-            self.complex.catalog,
-            Bidegree(u.p, u.q - 1),
-            self.dbar_adjoint(u.p, u.q - 1) @ u.coeffs,
-        )
+        return self._apply_adjoint("dbar", u)
 
     # -- Lefschetz operator and primitivity -----------------------------------
 
@@ -587,18 +656,14 @@ class HermitianStructure(_Memo):
 
 @dataclass
 class PositivityReport:
-    verdict: str  # positive | semi-positive | refuted | inconclusive
+    verdict: str  # positive | semi-positive | refuted
     witness: object = None
-    samples_used: int = 0
     margin: float = 0.0
     certified: bool = False  # True when backed by an exact eigenvalue test
 
     def __str__(self):
-        grade = "certified" if self.certified else "sampling"
-        return (
-            f"{self.verdict} ({grade}, margin={self.margin:.3e}, "
-            f"samples={self.samples_used})"
-        )
+        grade = "certified, " if self.certified else ""
+        return f"{self.verdict} ({grade}margin={self.margin:.3e})"
 
 
 def _hermitian_coefficient_matrix(cx: FormComplex, u: Form):

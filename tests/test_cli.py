@@ -306,6 +306,20 @@ def test_python_m_hstorsion(torus_file, tmp_path):
     assert (tmp_path / "out" / "classify_report.txt").exists()
 
 
+def test_import_does_no_numeric_work():
+    # importing the command layer loads no scipy and builds none of the
+    # per-n tables, so a command's set-up is the interpreter and the imports
+    src = str(Path(hstorsion.__file__).resolve().parents[1])
+    code = ("import sys, hstorsion.cli\n"
+            "from hstorsion import metric\n"
+            "print('scipy' in sys.modules, [f.cache_info().currsize for f in (\n"
+            "    metric._laplace_tables, metric._jacobi_tables, metric._node_tables)])\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[0] == "False [0, 0, 0]"
+
+
 def test_family_runs_five_laplacians_per_sample(tmp_path, monkeypatch):
     # the dimension columns take the Bott-Chern Laplacians at (0,2), (2,1)
     # and the Dolbeault ones at (0,1), (0,2); the torsion form adds the

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -10,10 +9,12 @@ from hstorsion.cohomology import (CohomologyMismatch, cohomology_table,
                                   gram_eig, green_operator,
                                   harmonic_projection, laplacian_bc,
                                   laplacian_dbar)
+from hstorsion.deform import parse_family
 from hstorsion.forms import conjugate
 from hstorsion.metric import HermitianStructure
 
-from conftest import IWASAWA_TEXT, TORUS_TEXT, random_hermitian_structure
+from conftest import (IWASAWA_TEXT, SPECTRAL_TEXT, TORUS_TEXT,
+                      random_hermitian_structure)
 
 # a metric that varies over the spectral n = 2, K = 1 torus
 SPECTRAL_N2_TEXT = """kind spectral
@@ -23,6 +24,105 @@ potential 1 0 0 0 u 2 := 0.05
 potential 0 1 0 0 u 1 := 0.03+0.01i
 potential 0 0 -1 0 u 2 := 0.02i
 """
+
+# a potential family on the spectral n = 2, K = 2 torus
+N2K2_FAMILY = """kind spectral
+n 2
+modes axis K 2
+potential 2 0 0 0 u 2 := poly(0, 0.04)
+potential 0 2 0 0 u 1 := poly(0, 0.03+0.02i)
+t_samples := 0 0.5
+"""
+
+
+def reference_laplacian_bc(H, p, q):
+    """The Bott-Chern Laplacian assembled from the Gram adjoints (each one
+    solve with the source Gram), independent of the whitened operators:
+
+    del* del + dbar* dbar + (del dbar)*(del dbar) + (del dbar)(del dbar)*
+      + (del* dbar)*(del* dbar) + (del* dbar)(del* dbar)*
+    """
+    cx = H.complex
+    n = H.n
+    N = cx.dims(p, q)
+    L = np.zeros((N, N), dtype=complex)
+    if p + 1 <= n:
+        L += H.del_adjoint(p, q) @ cx.del_matrix(p, q)
+    if q + 1 <= n:
+        L += H.dbar_adjoint(p, q) @ cx.dbar_matrix(p, q)
+    if p + 1 <= n and q + 1 <= n:
+        L += H.ddbar_adjoint(p, q) @ cx.ddbar_matrix(p, q)
+    if p >= 1 and q >= 1:
+        L += cx.ddbar_matrix(p - 1, q - 1) @ H.ddbar_adjoint(p - 1, q - 1)
+    if q + 1 <= n and p >= 1:
+        # T = del* dbar : (p,q) -> (p,q+1) -> (p-1,q+1)
+        T = H.del_adjoint(p - 1, q + 1) @ cx.dbar_matrix(p, q)
+        L += H.adjoint_matrix(T, (p, q), (p - 1, q + 1)) @ T
+    if p + 1 <= n and q >= 1:
+        # S = del* dbar : (p+1,q-1) -> (p+1,q) -> (p,q)
+        S = H.del_adjoint(p, q) @ cx.dbar_matrix(p + 1, q - 1)
+        L += S @ H.adjoint_matrix(S, (p + 1, q - 1), (p, q))
+    return L
+
+
+def reference_laplacian_dbar(H, p, q):
+    """dbar dbar* + dbar* dbar from the Gram adjoints."""
+    cx = H.complex
+    n = H.n
+    N = cx.dims(p, q)
+    L = np.zeros((N, N), dtype=complex)
+    if q + 1 <= n:
+        L += H.dbar_adjoint(p, q) @ cx.dbar_matrix(p, q)
+    if q >= 1:
+        L += cx.dbar_matrix(p, q - 1) @ H.dbar_adjoint(p, q - 1)
+    return L
+
+
+LADDER = ["torus", "iwasawa", "spectral", "n2k2-family-t0.5"] + [
+    f"iwasawa-random{k}" for k in range(5)]
+
+
+def ladder_structure(name):
+    """A fresh metric of the ladder: the torus, Iwasawa, SPECTRAL_TEXT, the
+    n = 2, K = 2 family at t = 0.5, and 5 random Iwasawa metrics."""
+    texts = {"torus": TORUS_TEXT, "iwasawa": IWASAWA_TEXT, "spectral": SPECTRAL_TEXT}
+    if name.startswith("iwasawa-random"):
+        rng = np.random.default_rng(int(name[-1]))
+        return random_hermitian_structure(build_complex(parse_model(IWASAWA_TEXT)), rng,
+                                          amp=0.5)
+    model = (parse_family(N2K2_FAMILY).model(0.5) if name == "n2k2-family-t0.5"
+             else parse_model(texts[name]))
+    cx = build_complex(model)
+    return HermitianStructure(cx, omega=cx.metric_form())
+
+
+@pytest.mark.parametrize("name", LADDER)
+def test_laplacians_match_the_adjoint_reference(name):
+    # the Laplacians assembled from whitened operators equal the ones
+    # assembled from Gram adjoints (solves), to rounding
+    H = ladder_structure(name)
+    n = H.n
+    for p in range(n + 1):
+        for q in range(n + 1):
+            for lap, ref in ((laplacian_bc, reference_laplacian_bc),
+                             (laplacian_dbar, reference_laplacian_dbar)):
+                L, L_ref = lap(H, p, q), ref(H, p, q)
+                scale = max(np.linalg.norm(L_ref), 1e-300)
+                assert np.linalg.norm(L - L_ref) <= 1e-12 * scale, (lap.__name__, p, q)
+
+
+@pytest.mark.parametrize("name", LADDER)
+def test_table_eigenvalues_match_green_operator(name):
+    # the table counts from the eigenvalues of the batched whitened
+    # Laplacians; they are green_operator's eigenvalues, to rounding
+    H = ladder_structure(name)
+    seen = set()
+    for keys, spectra in cohomology._spectra(H):
+        for (which, p, q), w in zip(keys, spectra):
+            ev = green_operator(H, p, q, which).eigenvalues
+            assert np.abs(w - ev).max() <= 1e-12 * max(ev.max(), 1.0), (which, p, q)
+            seen.add((which, p, q))
+    assert len(seen) == 2 * (H.n + 1) ** 2
 
 
 def test_gram_eig_basic(rng):
@@ -229,14 +329,15 @@ def test_quotient_ranks_counted_once_per_complex(monkeypatch, rng):
 def test_kernel_count_off_by_one_still_raises(monkeypatch, rng):
     cx = build_complex(parse_model(IWASAWA_TEXT))
     cohomology_table(random_hermitian_structure(cx, rng))  # ranks now cached
+    kernel_counts = cohomology._kernel_counts
 
-    def off_by_one(H, p, q, which="bc", rcond=cohomology.KERNEL_RCOND):
-        ge = green_operator(H, p, q, which, rcond)
-        if (p, q, which) == (1, 1, "bc"):
-            ge = dataclasses.replace(ge, kernel_dim=ge.kernel_dim + 1)
-        return ge
+    def off_by_one(H, rcond):
+        counts = kernel_counts(H, rcond)
+        kernel, separated = counts[("bc", 1, 1)]
+        counts[("bc", 1, 1)] = (kernel + 1, separated)
+        return counts
 
-    monkeypatch.setattr(cohomology, "green_operator", off_by_one)
+    monkeypatch.setattr(cohomology, "_kernel_counts", off_by_one)
     with pytest.raises(CohomologyMismatch, match=r"h_bc\(1,1\)"):
         cohomology_table(random_hermitian_structure(cx, rng))
 
@@ -260,3 +361,56 @@ def test_gram_eig_forms_pinv_and_projector_when_read(iwasawa_cx, rng):
     P = ge.kernel_projector
     assert ge.kernel_projector is P and np.allclose(P @ P, P, atol=1e-10)
     assert np.allclose(ge.pinv @ laplacian_bc(H, 1, 1) @ P, 0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("rcond", [cohomology.KERNEL_RCOND, 0.1])
+def test_unreliable_is_green_operators_separation(iwasawa_H, rng, rcond):
+    # the table's unreliable splits are exactly the (which, p, q) whose
+    # Green operator reports separation_ok False
+    n = iwasawa_H.n
+    for H in [iwasawa_H] + [random_hermitian_structure(iwasawa_H.complex, rng, amp=0.5)
+                            for _ in range(3)]:
+        table = cohomology_table(H, rcond=rcond)
+        expected = {(which, p, q) for which in ("dbar", "bc")
+                    for p in range(n + 1) for q in range(n + 1)
+                    if not green_operator(H, p, q, which, rcond).separation_ok}
+        assert set(table.unreliable) == expected
+        assert len(table.unreliable) == len(expected)
+        assert (rcond == 0.1) == bool(expected)
+
+
+def test_table_builds_no_green_operator(iwasawa_cx, rng):
+    H = random_hermitian_structure(iwasawa_cx, rng)
+    cohomology_table(H)
+    assert not [key for key in H._memo if key[0] == "green"]
+    # every whitened operator is in the memo; the single-bidegree path reads it
+    n = H.n
+    assert sum(key[0] == "whitened" for key in H._memo) == 3 * n * n + 2 * n
+    ge = green_operator(H, 1, 1, "bc")
+    assert np.allclose(ge.eigenvalues,
+                       np.linalg.eigvalsh(cohomology._whitened_bc(H, 1, 1)), atol=1e-12)
+
+
+def test_batched_factors_equal_the_single_ones(spectral_cx, iwasawa_cx, rng):
+    # whiten_all's batched Cholesky factors, inverses and whitened operators
+    # have the bits of chol, chol_inv and whitened, so what a later Green
+    # operator or adjoint reads does not depend on whether the table ran
+    # first; and it keeps every entry already in the memo
+    spectral = HermitianStructure(spectral_cx, omega=spectral_cx.metric_form())
+    iwasawa = random_hermitian_structure(iwasawa_cx, rng)
+    for H in (spectral, iwasawa):
+        single = HermitianStructure(H.complex, omega=H.omega)
+        kept = H.chol(1, 1)
+        H.whiten_all()
+        assert H.chol(1, 1) is kept
+        n = H.n
+        for p in range(n + 1):
+            for q in range(n + 1):
+                assert np.array_equal(H.chol(p, q), single.chol(p, q))
+                assert H.chol(p, q).flags.f_contiguous
+                assert np.array_equal(H.chol_inv(p, q), single.chol_inv(p, q))
+                for kind, (dp, dq) in (("del", (1, 0)), ("dbar", (0, 1)),
+                                       ("ddbar", (1, 1))):
+                    if p + dp <= n and q + dq <= n:
+                        assert np.array_equal(H.whitened(kind, p, q),
+                                              single.whitened(kind, p, q))

@@ -551,6 +551,14 @@ def test_strong_positivity_11(torus_H, torus_cx, rng):
     assert rep.verdict in ("refuted", "semi-positive", "positive")
 
 
+def test_positivity_report_line(torus_H):
+    # the report names the verdict, whether an exact test backs it, and the
+    # margin
+    pos = check_strong_positivity_11(torus_H, torus_H.omega)
+    assert str(pos) == "positive (certified, margin=1.000e+00)"
+    assert str(metric.PositivityReport("refuted", margin=-0.5)) == "refuted (margin=-5.000e-01)"
+
+
 def test_weak_positivity_omega_power(torus_H):
     rep = check_weak_positivity(torus_H, torus_H.omega_power(2))
     assert rep.verdict in ("positive", "semi-positive")
