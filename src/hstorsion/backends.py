@@ -432,14 +432,11 @@ class FormComplex(_Memo):
             u = u + self.apply_dbar(v) + self.apply_del(conjugate(v))
         return u
 
-    def random_form(self, p, q, rng, real=False):
+    def random_form(self, p, q, rng):
         c = rng.standard_normal(self.dims(p, q)) + 1j * rng.standard_normal(
             self.dims(p, q)
         )
-        u = Form(self.catalog, Bidegree(p, q), c)
-        if real:
-            u = 0.5 * (u + conjugate(u)) if p == q else u
-        return u
+        return Form(self.catalog, Bidegree(p, q), c)
 
 
 def _unit_phases(r, L):

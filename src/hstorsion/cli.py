@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .backends import build_complex, format_complex, parse_model
+from .backends import ModelError, ModelTemplate, build_complex, format_complex, parse_model
 from .cohomology import CohomologyMismatch, cohomology_table
 from .deform import (FamilyTable, HypothesisError, family_diagnostics,
                      kahler_in_class, parse_family)
@@ -322,7 +322,8 @@ _COMMANDS = {
 def run(argv=None) -> int:
     """Parse argv, run the command and write its report, on every exit once
     the model file is read, with the reason of a refusal or failure as its
-    last line.  Refusals and bad input exit 1, numerical breakdowns 2."""
+    last line.  Refusals and bad input exit 1, numerical breakdowns 2; a
+    model with n < 2 is bad input to every metric command."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -332,6 +333,11 @@ def run(argv=None) -> int:
         text = Path(args.model).read_text() if args.command != "selftest" else None
         rep = Report(args, text)
         try:
+            if text is not None:
+                template = ModelTemplate(text, args.command == "family")
+                if template.n < 2:
+                    raise ModelError("the metric commands read (2,0)- and (0,2)-forms, "
+                                     "which need n >= 2", template.lines["n"])
             code = _COMMANDS[args.command](args, text, rep)
         except NotHermitianSymplectic as e:
             rep.add(f"not Hermitian-symplectic: {e}")

@@ -65,22 +65,24 @@ class MinSolution:
 def _green_solve(H: HermitianStructure, v: Form, src, which: str, tol: float):
     """The minimal-norm solution x of D x = v for D = del dbar (which "bc")
     or dbar (which "dbar") on Lambda^src, by x = D* Green v, after checking
-    that v lies in the image of D (relative distance <= tol).
+    that v lies in the image of D (relative distance <= tol): the distance
+    is the residual of H.lstsq on the whitened D.
 
     Returns (x, residual, image_distance, scale) with residual and distance
     relative to scale = 1 + ||v||."""
     cx = H.complex
-    A = cx.ddbar_matrix(*src) if which == "bc" else cx.dbar_matrix(*src)
-    _, dist = H.lstsq(src, [(A, (v.p, v.q), v.coeffs)])
+    kind = "ddbar" if which == "bc" else "dbar"
+    _, dist = H.lstsq(src, [(kind, v.coeffs)])
     scale = 1.0 + H.norm(v)
     if dist > tol * scale:
         raise HypothesisError(
             f"right-hand side is not {'del-dbar' if which == 'bc' else 'dbar'}-exact: "
             f"relative distance {dist / scale:.3e}"
         )
-    adjoint = H.ddbar_adjoint(*src) if which == "bc" else H.dbar_adjoint(*src)
-    x_c = adjoint @ (green_operator(H, v.p, v.q, which).pinv @ v.coeffs)
+    x_c = getattr(H, f"{kind}_adjoint")(*src) @ (
+        green_operator(H, v.p, v.q, which).pinv @ v.coeffs)
     x = Form(cx.catalog, Bidegree(*src), x_c)
+    A = getattr(cx, f"{kind}_matrix")(*src)
     res = H.norm(Form(cx.catalog, v.bidegree, A @ x_c) - v) / scale
     return x, res, dist / scale, scale
 

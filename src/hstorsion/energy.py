@@ -269,15 +269,17 @@ def _d_residual(H: HermitianStructure) -> float:
     return H.norm(dw_p) + H.norm(dw_q)
 
 
+# the flow converges once F <= F_TOL (and the d-residual <= d_tol) and
+# stalls once the gradient norm is <= GRAD_TOL; a line search starts from at
+# most STEP0, asks the Armijo decrease ARMIJO * step * slope and gives up
+# below MIN_STEP
+F_TOL, GRAD_TOL, ARMIJO, STEP0, MIN_STEP = 1e-6, 1e-9, 1e-4, 1.0, 1e-14
+
+
 def gradient_descent(
     point0: AeppliPoint,
     max_iters: int = 500,
-    f_tol: float = 1e-6,
     d_tol: float = 1e-4,
-    grad_tol: float = 1e-9,
-    armijo: float = 1e-4,
-    step0: float = 1.0,
-    min_step: float = 1e-14,
     positivity_frac: float = 1e-6,
     tol: float = CLASSIFY_TOL,
 ) -> FlowResult:
@@ -304,11 +306,11 @@ def gradient_descent(
     f, rep = energy(H, tol=tol)
     history = []
     status = "max_iters"
-    step = step0
+    step = STEP0
 
-    def row(it, grad_norm):
+    def row(it, grad_norm, d_residual):
         return {"iter": it, "energy": f, "grad_norm": grad_norm, "step": step,
-                "margin": H.positivity_margin, "d_residual": _d_residual(H),
+                "margin": H.positivity_margin, "d_residual": d_residual,
                 "potential": point.u.coeffs.copy()}
 
     for it in range(max_iters):
@@ -316,18 +318,18 @@ def gradient_descent(
         g = np.linalg.solve(G0, c)
         slope = float(np.real(np.conj(c) @ g))  # = |g|^2 in base Gram
         gnorm = math.sqrt(max(slope, 0.0))
-        history.append(row(it, gnorm))
-        if f <= f_tol and history[-1]["d_residual"] <= d_tol:
+        history.append(row(it, gnorm, _d_residual(H)))
+        if f <= F_TOL and history[-1]["d_residual"] <= d_tol:
             status = "converged"
             break
-        if gnorm <= grad_tol:
+        if gnorm <= GRAD_TOL:
             status = "stalled"
             break
         direction = Form(cx.catalog, Bidegree(1, 0), -g)
-        step = min(step0, 2.0 * step)
+        step = min(STEP0, 2.0 * step)
         accepted = False
         blocked_only = True
-        while step >= min_step:
+        while step >= MIN_STEP:
             trial = point.moved(step * direction)
             try:
                 # one Cholesky sweep decides positivity above the floor
@@ -337,7 +339,7 @@ def gradient_descent(
                 continue
             blocked_only = False
             ft = Ht.norm(min_norm_torsion(Ht, tol=tol)) ** 2
-            if ft <= f - armijo * step * slope:
+            if ft <= f - ARMIJO * step * slope:
                 point, H = trial, Ht
                 f, rep = energy(H, tol=tol)
                 accepted = True
@@ -348,8 +350,9 @@ def gradient_descent(
             break
     else:
         status = "max_iters"
-    if f <= f_tol and _d_residual(H) <= d_tol:
+    d_res = _d_residual(H)
+    if f <= F_TOL and d_res <= d_tol:
         status = "converged"
-    history.append(row(len(history), history[-1]["grad_norm"] if history else 0.0))
-    return FlowResult(status=status, point=point, energy=f, d_residual=_d_residual(H),
+    history.append(row(len(history), history[-1]["grad_norm"] if history else 0.0, d_res))
+    return FlowResult(status=status, point=point, energy=f, d_residual=d_res,
                       history=history, elapsed=time.monotonic() - t0)

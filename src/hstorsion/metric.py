@@ -31,8 +31,8 @@ from itertools import combinations, product
 import numpy as np
 
 from .backends import FormComplex
-from .forms import (Bidegree, DegreeError, Form, _Memo, conjugate, wedge,
-                    wedge_values, zero_form)
+from .forms import (Bidegree, DegreeError, Form, _Memo, wedge, wedge_values,
+                    zero_form)
 
 __all__ = [
     "HermitianStructure",
@@ -245,6 +245,27 @@ def _smallest_eigenvalue(M):
         size *= 8
 
 
+def _hermitian_split(cx: FormComplex, u: Form):
+    """(h, a), each shape (modes, n, n), for a (1,1)-form u = i sum_m c_m
+    e_m dz ^ dzbar: h_m = (c_m + c_{-m}^H) / 2, the coefficients of the
+    Hermitian part of c(x), and a_m = c_m - h_m."""
+    n = cx.n
+    c = -1j * u.coeffs.reshape(-1, n, n)
+    h = c + np.conj(c[cx.catalog.mode_neg_index()]).transpose(0, 2, 1)
+    h *= 0.5
+    return h, c - h
+
+
+def _node_values(cx: FormComplex, coeffs):
+    """sum_m coeffs_m exp(2 pi i m . x) at every node x, shape (X, n, n),
+    for coeffs of shape (modes, n, n): one product with the plane-wave
+    matrix, stored node-contiguous (a view of an (n, n, X) array, so each
+    entry's node values form one row)."""
+    n = cx.n
+    values = coeffs.reshape(-1, n * n).T @ cx.eval_matrix().T
+    return values.reshape(n, n, -1).transpose(2, 0, 1)
+
+
 def _whiten_plan(cx: FormComplex):
     """Per complex, the batches of HermitianStructure.whiten_all: the
     bidegrees grouped by dimension N, {N: [(p, q), ...]}, and the structure
@@ -299,12 +320,13 @@ class HermitianStructure(_Memo):
         self.omega = omega
         if (omega.p, omega.q) != (1, 1):
             raise MetricError("metric form must have bidegree (1,1)")
-        reality = conjugate(omega) - omega
-        if np.abs(reality.coeffs).max() > 1e-12 * max(1.0, np.abs(omega.coeffs).max()):
+        # omega's Hermitian coefficients h_m and anti-Hermitian a_m; omega is
+        # real when a_m vanishes, as |conj(omega) - omega| = 2 |a_m|
+        self._herm, self._anti = _hermitian_split(complex_, omega)
+        if 2 * np.abs(self._anti).max() > 1e-12 * max(1.0, np.abs(omega.coeffs).max()):
             raise MetricError("metric form is not real")
-        # h(x) and how far the coefficient matrices of omega are from
-        # Hermitian, which check_strong_positivity_11 reads for omega itself
-        self._h_nodes, self._deviation = _hermitian_coefficient_matrix(complex_, omega)
+        # h(x) at every quadrature node, shape (X, n, n), node-contiguous
+        self.h_nodes = _node_values(complex_, self._herm)
         floor = max(floor, 0.0)
         if not self.positive_above(floor):
             raise MetricError(
@@ -313,23 +335,17 @@ class HermitianStructure(_Memo):
 
     # -- pointwise data ----------------------------------------------------
 
-    @property
-    def h_nodes(self):
-        """h(x) at every quadrature node, shape (X, n, n), stored
-        node-contiguous (a view of an (n, n, X) array)."""
-        return self._h_nodes
-
     def positive_above(self, c) -> bool:
         """True when h(x) - c I is positive definite at every node, decided
         by one Cholesky factorization swept across the nodes, each step one
         operation on whole rows of node values (see _positive_above)."""
-        return _positive_above(self._h_nodes, c)
+        return _positive_above(self.h_nodes, c)
 
     def _smallest_eigenvalue(self):
         """(margin, node) of _smallest_eigenvalue(h), computed when first
         read."""
         return self._cached("smallest_eigenvalue",
-                            lambda: _smallest_eigenvalue(self._h_nodes))
+                            lambda: _smallest_eigenvalue(self.h_nodes))
 
     @property
     def positivity_margin(self) -> float:
@@ -339,23 +355,16 @@ class HermitianStructure(_Memo):
         return self._smallest_eigenvalue()[0]
 
     def _minor_spectra(self):
-        """The grid spectra of every minor of h(x), from the Hermitian part
-        h_m = (c_m + c_{-m}^H) / 2 of omega's mode coefficients c_m (see
-        _minor_spectra), computed when first read."""
-
-        def build():
-            cx, n = self.complex, self.n
-            c = -1j * self.omega.coeffs.reshape(-1, n, n)
-            h = c + np.conj(c[cx.catalog.mode_neg_index()]).transpose(0, 2, 1)
-            h *= 0.5
-            return _minor_spectra(h.reshape(-1, n * n).T,
-                                  [cx.frequencies(k)[4] for k in range(1, n + 1)])
-
-        return self._cached("minor spectra", build)
+        """The grid spectra of every minor of h(x), from omega's Hermitian
+        coefficients h_m (see _minor_spectra), computed when first read."""
+        n = self.n
+        return self._cached("minor spectra", lambda: _minor_spectra(
+            self._herm.reshape(-1, n * n).T,
+            [self.complex.frequencies(k)[4] for k in range(1, n + 1)]))
 
     def _node_minors(self):
         """_node_minors(h(x)), computed when first read."""
-        return self._cached("node minors", lambda: _node_minors(self._h_nodes))
+        return self._cached("node minors", lambda: _node_minors(self.h_nodes))
 
     def _spectrum(self, k, compound):
         """The Fourier coefficients (1 / X) sum_x f(x) exp(-2 pi i s . x),
@@ -473,16 +482,20 @@ class HermitianStructure(_Memo):
     def lstsq(self, src, blocks):
         """Minimal-norm least squares in the Gram geometry.
 
-        blocks is a list of (A, dst, b) with A : Lambda^src -> Lambda^dst.
-        Returns (x, residual): the x of least L^2 norm among the minimizers
-        of sum ||A x - b||^2, each term measured in the Gram norm of its
-        dst, and the square root of that minimum.  Both norms are whitened
-        by the Cholesky factors, so one Euclidean lstsq solves it."""
-        Rs_inv = self.chol_inv(*src)
-        At = np.vstack([self.chol(*dst) @ A @ Rs_inv for A, dst, _ in blocks])
-        bt = np.concatenate([self.chol(*dst) @ b for _, dst, b in blocks])
+        blocks is a list of (kind, b): the structure operator A = kind
+        ("del", "dbar" or "ddbar") on Lambda^src and a target b in the
+        bidegree A maps to.  Returns (x, residual): the x of least L^2 norm
+        among the minimizers of sum ||A x - b||^2, each term measured in
+        the Gram norm of its target bidegree, and the square root of that
+        minimum.  In the orthonormal frames of the Cholesky factors the
+        operators are whitened(kind, *src) and the targets R_dst b, so one
+        Euclidean lstsq solves it."""
+        p, q = src
+        At = np.vstack([self.whitened(kind, p, q) for kind, _ in blocks])
+        bt = np.concatenate([self.chol(p + _STEPS[kind][0], q + _STEPS[kind][1]) @ b
+                             for kind, b in blocks])
         y, *_ = np.linalg.lstsq(At, bt, rcond=None)
-        return Rs_inv @ y, float(np.linalg.norm(At @ y - bt))
+        return self.chol_inv(p, q) @ y, float(np.linalg.norm(At @ y - bt))
 
     def ip(self, u: Form, v: Form) -> complex:
         """L^2_omega inner product, linear in u, antilinear in v."""
@@ -666,37 +679,19 @@ class PositivityReport:
         return f"{self.verdict} ({grade}margin={self.margin:.3e})"
 
 
-def _hermitian_coefficient_matrix(cx: FormComplex, u: Form):
-    """For a (1,1)-form u = i sum c_{jk} dz^j^dzbar^k, the Hermitian part of
-    the matrix c(x) at every node, shape (X, n, n), and the largest
-    deviation of c(x) from it.  The matrices are stored node-contiguous:
-    the array is a view of one with shape (n, n, X), so each entry's values
-    over the nodes form one contiguous row."""
-    n = cx.n
-    vals = cx.evaluate(u)
-    c = np.empty((n, n, len(vals)), dtype=complex)
-    np.multiply(-1j, vals.T.reshape(n, n, -1), out=c)
-    del vals
-    # in place, so that the only arrays of this size alive together are c
-    # and herm
-    herm = np.conj(c.transpose(1, 0, 2), out=np.empty_like(c))
-    herm += c
-    herm *= 0.5
-    c -= herm
-    return herm.transpose(2, 0, 1), float(np.abs(c).max())
-
-
 def check_strong_positivity_11(H: HermitianStructure, u: Form) -> PositivityReport:
     """Exact eigenvalue test for (1,1)-forms, where strong and weak positivity
-    coincide.  For u = H.omega itself it reads H's node matrices and its
-    smallest eigenvalue instead of evaluating u again."""
+    coincide.  For u = H.omega itself it reads H's Hermitian split, node
+    matrices and smallest eigenvalue instead of forming them again."""
     if (u.p, u.q) != (1, 1):
         raise DegreeError("strong-positivity test requires bidegree (1,1)")
     if u is H.omega:
-        herm, dev, smallest = H.h_nodes, H._deviation, H._smallest_eigenvalue()
+        a, herm, smallest = H._anti, H.h_nodes, H._smallest_eigenvalue()
     else:
-        herm, dev = _hermitian_coefficient_matrix(H.complex, u)
-        smallest = None
+        h, a = _hermitian_split(H.complex, u)
+        herm, smallest = _node_values(H.complex, h), None
+    # how far the coefficient matrices c(x) are from Hermitian at the nodes
+    dev = float(np.abs(_node_values(H.complex, a)).max())
     scale = max(np.abs(herm).max(), 1e-300)
     if dev > 1e-9 * scale:
         return PositivityReport("refuted", witness="non-Hermitian coefficients",

@@ -99,18 +99,15 @@ def classify(H: HermitianStructure, tol: float = CLASSIFY_TOL) -> MetricClassifi
     dwk_p, dwk_q = cx.d_full(wk)
     res_balanced = _rel(H.norm(dwk_p) + H.norm(dwk_q), H.norm(wk))
 
-    # strongly Gauduchon: del(omega^{n-1}) is dbar-exact in (n, n-1)
+    # strongly Gauduchon: del(omega^{n-1}) is dbar-exact in (n, n-1), measured
+    # by the residual of H.lstsq on the whitened dbar of the (n, n-2)-forms
     v = dwk_p
     nv = H.norm(v)
     if nv <= tol * (1.0 + H.norm(wk)):
         res_sg = 0.0
     else:
-        db = cx.dbar_matrix(n, n - 2) if n >= 2 else None
-        if db is None or db.size == 0:
-            res_sg = _rel(nv, H.norm(wk))
-        else:
-            _, dist = H.lstsq((n, n - 2), [(db, (n, n - 1), v.coeffs)])
-            res_sg = _rel(dist, H.norm(wk))
+        _, dist = H.lstsq((n, n - 2), [("dbar", v.coeffs)])
+        res_sg = _rel(dist, H.norm(wk))
 
     feas = hs_feasible(H, tol=tol)
     res_hs = feas.residual
@@ -150,7 +147,8 @@ class HSFeasibility:
 
 def hs_feasible(H: HermitianStructure, tol: float = CLASSIFY_TOL) -> HSFeasibility:
     """Solve del rho = 0, dbar rho = -del omega in the least-squares sense,
-    picking the minimal L^2_omega-norm solution.
+    picking the minimal L^2_omega-norm solution (H.lstsq on the whitened
+    del and dbar of the (2,0)-forms).
 
     Feasibility holds when the joint residual (Gram norms on the target
     spaces) is at most tol relative to 1 + ||del omega||.  Solved once per
@@ -159,11 +157,9 @@ def hs_feasible(H: HermitianStructure, tol: float = CLASSIFY_TOL) -> HSFeasibili
     def build():
         cx = H.complex
         dw = cx.apply_del(H.omega)  # (2,1)
-        blocks = []
-        if H.n >= 3:  # del rho = 0
-            A1 = cx.del_matrix(2, 0)
-            blocks.append((A1, (3, 0), np.zeros(A1.shape[0], dtype=complex)))
-        blocks.append((cx.dbar_matrix(2, 0), (2, 1), -dw.coeffs))  # dbar rho = -del omega
+        # del rho = 0 (from n = 3 on) and dbar rho = -del omega
+        blocks = [("del", np.zeros(cx.dims(3, 0), dtype=complex))] if H.n >= 3 else []
+        blocks.append(("dbar", -dw.coeffs))
         x, resid = H.lstsq((2, 0), blocks)
         rel = resid / (1.0 + H.norm(dw))
         return HSFeasibility(

@@ -280,9 +280,8 @@ def test_criterion_07_special_formula():
     for k in range(20):
         H, _ = _perturbed_structure(cx, rng, amp=0.003 + 0.0005 * k)
         rep = torsion_form(H)
-        A = cx.del_matrix(1, 0)
         xi = Form(cx.catalog, Bidegree(1, 0),
-                  H.lstsq((1, 0), [(A, (2, 0), rep.rho20.coeffs)])[0])
+                  H.lstsq((1, 0), [("del", rep.rho20.coeffs)])[0])
         val, pre = differential_special(H, xi)
         assert pre <= 1e-8
         general = differential(H, xi, rep.rho20)
@@ -411,9 +410,8 @@ def test_criterion_11_corollary_checker():
     cx = build_complex(parse_model(SPECTRAL_TEXT))
     H, _ = _perturbed_structure(cx, np.random.default_rng(111))
     rep = torsion_form(H)
-    A = cx.del_matrix(1, 0)
     xi = Form(cx.catalog, Bidegree(1, 0),
-              H.lstsq((1, 0), [(A, (2, 0), rep.rho20.coeffs)])[0])
+              H.lstsq((1, 0), [("del", rep.rho20.coeffs)])[0])
     bad = corollary_check(H, xi)
     refutes = (bad.positivity.verdict == "refuted"
                and bad.positivity.witness is not None

@@ -254,6 +254,22 @@ def test_refusal_exits_1_with_its_report(command, refusal, iwasawa_file, tmp_pat
     assert sorted(p.name for p in out.iterdir()) == [f"{command}_report.txt"]
 
 
+@pytest.mark.parametrize("command", ["classify", "torsion", "energy", "flow", "kahler",
+                                     "family"])
+def test_metric_commands_refuse_n_below_2(command, tmp_path):
+    # n = 1 parses (the grammar allows it), but every metric command reads
+    # (2,0)- and (0,2)-forms: refused as bad input on the n line, with the
+    # report written
+    model = tmp_path / "n1.model"
+    family = "t_samples := 0 1\n" if command == "family" else ""
+    model.write_text("kind invariant\nn 1\n" + family)
+    out = tmp_path / "out"
+    assert run([command, "--model", str(model), "--out", str(out)]) == EXIT_INPUT
+    lines = (out / f"{command}_report.txt").read_text().splitlines()
+    assert lines[-1] == ("error: line 2: the metric commands read (2,0)- and (0,2)-forms, "
+                         "which need n >= 2")
+
+
 def _violating_torsion(H, **kwargs):
     return dataclasses.replace(torsion_form(H, **kwargs), residual_closed=1.0)
 

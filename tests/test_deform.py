@@ -83,19 +83,25 @@ def test_kahler_in_class_spectral(spectral_H):
 
 
 def test_kahler_in_class_evaluates_the_candidate_once(spectral_H, monkeypatch):
-    # HermitianStructure evaluates the candidate at the nodes; its
-    # positivity verdict reads those node matrices and the metric's own
-    # smallest eigenvalue instead of evaluating and diagonalizing again
-    evals, smallest = [], []
-    evaluate, eig = metric._hermitian_coefficient_matrix, metric._smallest_eigenvalue
-    monkeypatch.setattr(metric, "_hermitian_coefficient_matrix",
-                        lambda *a: evals.append(1) or evaluate(*a))
+    # HermitianStructure splits the candidate's coefficients and forms its
+    # h(x) once; its positivity verdict reads that split, those node
+    # matrices and the metric's own smallest eigenvalue instead of forming
+    # and diagonalizing them again
+    splits, node_values, smallest = [], [], []
+    split, values = metric._hermitian_split, metric._node_values
+    eig = metric._smallest_eigenvalue
+    monkeypatch.setattr(metric, "_hermitian_split",
+                        lambda *a: splits.append(split(*a)) or splits[-1])
+    monkeypatch.setattr(metric, "_node_values",
+                        lambda cx, c: node_values.append(c) or values(cx, c))
     monkeypatch.setattr(metric, "_smallest_eigenvalue",
                         lambda *a: smallest.append(1) or eig(*a))
     kr = kahler_in_class(spectral_H)
-    assert len(evals) == 1 and len(smallest) == 1
+    assert len(splits) == 1 and len(smallest) == 1
+    h_coeffs, _ = splits[0]
+    assert sum(c is h_coeffs for c in node_values) == 1
     assert kr.positivity.verdict == "positive"
-    h, _ = evaluate(spectral_H.complex, kr.omega_tilde)
+    h = values(spectral_H.complex, h_coeffs)
     assert kr.positivity.margin == np.linalg.eigvalsh(h).min()
 
 

@@ -24,8 +24,7 @@ def _xi_with_rho(H):
     """A (1,0)-form xi with del(xi) equal to the torsion form of H."""
     cx = H.complex
     rep = torsion_form(H)
-    A = cx.del_matrix(1, 0)
-    x, _ = H.lstsq((1, 0), [(A, (2, 0), rep.rho20.coeffs)])
+    x, _ = H.lstsq((1, 0), [("del", rep.rho20.coeffs)])
     return Form(cx.catalog, Bidegree(1, 0), x), rep
 
 

@@ -10,7 +10,6 @@ from hstorsion import metric
 from hstorsion.backends import build_complex, parse_model
 from hstorsion.forms import DegreeError, conjugate, wedge, zero_form
 from hstorsion.metric import (HermitianStructure, MetricError,
-                              _hermitian_coefficient_matrix,
                               check_strong_positivity_11,
                               check_weak_positivity)
 
@@ -308,7 +307,8 @@ def test_metric_indefinite_at_one_node_rejected(spectral_cx):
             for j in range(1, cx.n + 1):
                 omega.coeffs[cat.flat_index(m, (j,), (j,))] = -0.5 * s * (
                     omega.coeffs[cat.flat_index(cat.zero_mode, (j,), (j,))])
-    h, _ = _hermitian_coefficient_matrix(cx, omega)
+    # omega's coefficient matrices are Hermitian, so h(x) is c(x)
+    h = -1j * cx.evaluate(omega).reshape(-1, cx.n, cx.n)
     bad = np.linalg.eigvalsh(h).min(axis=1) <= 0
     assert bad.sum() == 1 and len(bad) == 5**6
     with pytest.raises(MetricError, match="min eigenvalue"):
@@ -517,7 +517,7 @@ def test_refutation_names_the_node_and_eigenvector_of_eigvalsh(late_argmin_H):
     # h(x) - 0.85 I is indefinite wherever f > 1/2, and least at x = 0
     H = late_argmin_H
     u = H.omega - H.complex.hermitian_form(0.85 * np.eye(3))
-    h, _ = _hermitian_coefficient_matrix(H.complex, u)
+    h = metric._node_values(H.complex, metric._hermitian_split(H.complex, u)[0])
     eigs = np.linalg.eigvalsh(h)
     node = int(np.argmin(eigs.min(axis=1)))
     rep = check_strong_positivity_11(H, u)
@@ -540,6 +540,58 @@ def test_non_hermitian_metric_rejected(torus_cx):
     h[0, 1] = 0.3
     with pytest.raises(MetricError):
         HermitianStructure(torus_cx, h=h)
+
+
+@pytest.mark.parametrize("asymmetry, real", [(0.99e-12, True), (1.01e-12, False)])
+def test_reality_boundary(torus_cx, asymmetry, real):
+    # a constant off-diagonal asymmetry, measured against 1e-12 max(1,
+    # max|omega|): |conj(omega) - omega| = 2 |a_m| = asymmetry
+    h = np.eye(3, dtype=complex)
+    h[0, 1] += asymmetry
+    if real:
+        HermitianStructure(torus_cx, h=h)
+    else:
+        with pytest.raises(MetricError, match="not real"):
+            HermitianStructure(torus_cx, h=h)
+
+
+def test_node_deviation_refutes_a_metric_that_builds(torus_cx):
+    # the asymmetry 4e-13 passes the reality test (tolerance 1e-12 since
+    # max|omega| < 1), but on h = 1e-4 I the deviation of c(x) from its
+    # Hermitian part, 2e-13, exceeds 1e-9 max|h(x)| = 1e-13
+    h = 1e-4 * np.eye(3, dtype=complex)
+    h[0, 1] += 4e-13
+    H = HermitianStructure(torus_cx, h=h)
+    for u in (H.omega, 1.0 * H.omega):
+        rep = check_strong_positivity_11(H, u)
+        assert rep.verdict == "refuted" and rep.certified
+        assert rep.witness == "non-Hermitian coefficients" and rep.margin == -2.0e-13
+
+
+def test_lstsq_reads_the_whitened_operators(iwasawa_cx, rng):
+    H = random_hermitian_structure(iwasawa_cx, rng)
+    cx = H.complex
+    b = [np.zeros(cx.dims(3, 0), dtype=complex), cx.random_form(2, 1, rng).coeffs]
+    x, residual = H.lstsq((2, 0), [("del", b[0]), ("dbar", b[1])])
+    keys = [("whitened", "del", 2, 0), ("whitened", "dbar", 2, 0)]
+    assert all(key in H._memo for key in keys)
+
+    def by_hand(scale):
+        # rows whitened here: R_dst A R_src^{-1}, targets R_dst b
+        Rinv = H.chol_inv(2, 0)
+        At = np.vstack([H.chol(3, 0) @ cx.del_matrix(2, 0) @ Rinv,
+                        scale * (H.chol(2, 1) @ cx.dbar_matrix(2, 0) @ Rinv)])
+        bt = np.concatenate([H.chol(3, 0) @ b[0], H.chol(2, 1) @ b[1]])
+        y, *_ = np.linalg.lstsq(At, bt, rcond=None)
+        return Rinv @ y, float(np.linalg.norm(At @ y - bt))
+
+    x_ref, residual_ref = by_hand(1.0)
+    assert np.array_equal(x, x_ref) and residual == residual_ref
+    # the rows are read from the memo: a changed entry changes the solve
+    H._memo[keys[1]] = 2.0 * H._memo[keys[1]]
+    x, residual = H.lstsq((2, 0), [("del", b[0]), ("dbar", b[1])])
+    x_ref, residual_ref = by_hand(2.0)
+    assert np.array_equal(x, x_ref) and residual == residual_ref
 
 
 def test_strong_positivity_11(torus_H, torus_cx, rng):
