@@ -297,10 +297,28 @@ class FormComplex(_Memo):
         return self._lattice._cached("eval", lambda: np.exp(
             2j * np.pi * (self.nodes() @ np.array(self.catalog.modes).T)))
 
-    def _flat_frequency(self, k):
-        """The flat grid index of integer frequencies k, shape (..., axes)."""
-        strides = [math.prod(self.grid[a + 1:]) for a in range(len(self.grid))]
-        return (k % np.array(self.grid, dtype=int)) @ np.array(strides, dtype=int)
+    def _modes(self):
+        """The modes as integer rows, shape (modes, axes)."""
+        return np.array(self.catalog.modes, dtype=int).reshape(self.catalog.n_modes, -1)
+
+    def _flat_sums(self, a, b):
+        """The flat grid index of a_r + b_s, shape (len(a), len(b)), for
+        rows a and b of integer frequencies: per axis, in Horner form, the
+        sum of the two terms reduced to [0, g), itself reduced by a table."""
+        flat = np.zeros((len(a), len(b)), dtype=int)
+        for axis, g in enumerate(self.grid):
+            flat *= g
+            flat += (np.arange(2 * g - 1) % g)[np.add.outer(a[:, axis] % g, b[:, axis] % g)]
+        return flat
+
+    def _positions(self, j, a, b):
+        """The position in S_j of a_r + b_s, shape (len(a), len(b)), for
+        rows a and b of integer frequencies whose sums all lie in S_j, read
+        through a map from the flat grid index to the position."""
+        k = self.frequencies(j)[0]
+        where = np.empty(self.n_nodes, dtype=int)
+        where[self._flat_sums(k, k[:1])[:, 0]] = np.arange(len(k))
+        return where[self._flat_sums(a, b)]
 
     def mode_differences(self):
         """(rows, index): the distinct mode differences d = m_i - m_j with
@@ -321,45 +339,56 @@ class FormComplex(_Memo):
         return self._lattice._cached("differences", build)
 
     def frequencies(self, j):
-        """(k, steps, neg, shifts, fold): S_j, the j-fold sums of modes mod
-        the grid, each once (sums that alias are one frequency), as rows k
-        in flat order (zero, in every S_j, is first), where a polynomial of
-        degree j in h(x) has its grid spectrum; the plan of grid_transform;
-        k[neg] = -k; the position shifts[i][r, s] of d_r - s, for the rows
-        d_r of mode_differences() and the s of S_i, i <= j - 2; and for
-        j >= 1 the fold (order, starts) of the products m_i + s_t of the
-        modes with S_{j-1}, flat as i * |S_{j-1}| + t, onto S_j: in order,
-        the products of each frequency of S_j form one run, which starts at
-        starts (None for j = 0)."""
+        """(k, steps): S_j, the j-fold sums of modes mod the grid, each once
+        (sums that alias are one frequency), as rows k in flat order (zero,
+        in every S_j, is first), where a polynomial of degree j in h(x) has
+        its grid spectrum; and the plan of grid_transform.  S_j is S_{j-1}
+        plus the modes."""
 
         def build():
-            axes, grid = len(self.grid), np.array(self.grid, dtype=int)
-            modes = np.array(self.catalog.modes, dtype=int).reshape(self.catalog.n_modes, axes)
-            k = np.zeros((1, axes), dtype=int)
-            for _ in range(j):
-                k = (k[:, None] + modes).reshape(len(k) * len(modes), axes)
-                k = k[np.unique(self._flat_frequency(k), return_index=True)[1]] % grid
-            # per axis from the last, the suffixes (k_a, ..., k_last) of the
-            # set: each is k_a and the position of the rest the step before
+            # S_0 is zero alone, flat index 0
+            hit = np.zeros(self.n_nodes, dtype=bool)
+            hit[self._flat_sums(self.frequencies(j - 1)[0], self._modes()) if j else 0] = True
+            rest = np.flatnonzero(hit)
+            k = np.empty((len(rest), len(self.grid)), dtype=int)
+            # per axis from the last, k_a and the suffixes (k_a, ..., k_last)
+            # of the set: each is k_a and the position of the rest the step before
             steps, at, count = [], np.zeros(len(k), dtype=int), 1
-            for a in reversed(range(axes)):
+            for a in reversed(range(len(self.grid))):
+                rest, k[:, a] = np.divmod(rest, self.grid[a])
                 _, first, after = np.unique(k[:, a] * count + at, return_index=True,
                                             return_inverse=True)
-                x = np.arange(grid[a])
-                steps.append((_unit_phases(np.outer(x, x), grid[a]), at[first], k[first, a]))
+                x = np.arange(self.grid[a])
+                steps.append((_unit_phases(np.outer(x, x), self.grid[a]), at[first], k[first, a]))
                 at, count = after.reshape(-1), len(first)
-            flat, rows = self._flat_frequency(k), self.mode_differences()[0][:, None]
-            shifts = [np.searchsorted(flat, self._flat_frequency(rows - self.frequencies(i)[0]))
-                      for i in range(j - 1)]
-            fold = None
-            if j:
-                sums = np.searchsorted(flat, self._flat_frequency(
-                    modes[:, None] + self.frequencies(j - 1)[0])).reshape(-1)
-                order = np.argsort(sums, kind="stable")
-                fold = order, np.searchsorted(sums[order], np.arange(len(k)))
-            return k, steps, np.searchsorted(flat, self._flat_frequency(-k)), shifts, fold
+            return k, steps
 
         return self._lattice._cached(("frequencies", j), build)
+
+    def fold(self, j):
+        """For j >= 1, the fold (order, starts) of the products m_i + s_t of
+        the modes with S_{j-1}, flat as i * |S_{j-1}| + t, onto S_j: in
+        order, the products of each frequency of S_j form one run, which
+        starts at starts."""
+
+        def build():
+            sums = self._positions(j, self._modes(), self.frequencies(j - 1)[0]).reshape(-1)
+            order = np.argsort(sums, kind="stable")
+            return order, np.searchsorted(sums[order], np.arange(len(self.frequencies(j)[0])))
+
+        return self._lattice._cached(("fold", j), build)
+
+    def shifts(self, j, i):
+        """The position in S_j of d_r - s, shape (R, |S_i|), for the rows d_r
+        of mode_differences() and the s of S_i, i <= j - 2."""
+        return self._lattice._cached(("shifts", j, i), lambda: self._positions(
+            j, self.mode_differences()[0], -self.frequencies(i)[0]))
+
+    def sum_index(self, j, a, b):
+        """The position in S_j of s + t, shape (|S_a|, |S_b|), for the s of
+        S_a and the t of S_b, a + b <= j."""
+        return self._lattice._cached(("sums", j, a, b), lambda: self._positions(
+            j, self.frequencies(a)[0], self.frequencies(b)[0]))
 
     def grid_transform(self, values, frequencies):
         """sum_x values[f, x] exp(-2 pi i k . x), shape (F, |S|), for values
@@ -389,8 +418,7 @@ class FormComplex(_Memo):
         """Inverse of evaluate: exact Fourier coefficients on the grid for
         the in-set modes, which are frequencies(1).  values has shape (X, S)."""
         k = self.frequencies(1)
-        modes = np.array(self.catalog.modes, dtype=int).reshape(len(k[0]), len(self.grid))
-        at = np.searchsorted(self._flat_frequency(k[0]), self._flat_frequency(modes))
+        at = self._positions(1, self._modes(), k[0][:1])[:, 0]
         return (self.grid_transform(values.T, k)[:, at].T / self.n_nodes).reshape(-1)
 
     # -- helpers -----------------------------------------------------------

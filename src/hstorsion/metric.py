@@ -19,6 +19,11 @@ Everything metric-dependent (Gram matrices, star, adjoints, integrals) is
 evaluated with one shared quadrature rule, so the pointwise identities
 u ^ star(vbar) = <u,v> dV and the primitive-form star formula close exactly
 at the discrete level.
+
+A Gram matrix pairs conj(C_p) with N_q = C_q det h, C_k the k-th compound
+of h^{-T}.  N_k is a polynomial in h(x); every spectrum is an exact
+convolution of omega's mode coefficients, and of the one rational scalar
+1 / det h, the only function a metric transforms from node values.
 """
 
 from __future__ import annotations
@@ -79,65 +84,47 @@ def _jacobi_tables(n):
     k-subsets I_a of range(n) in lexicographic order: the row of
     det h[I_a^c, I_b^c] among the flat (n-k)-minors (the complements are
     the (n-k)-subsets in reverse order) and the sign
-    (-1)^(sum I_a + sum I_b) of Jacobi's complementary minors; the entries
-    with a <= b, the position among them of each entry's (min, max), and
-    the entries with a > b; and for each entry a <= b, the row of
-    det h[I_b^c, I_a^c], an entry a' <= b' of the (n-k)-minors, among the
-    rows _node_minors keeps of them."""
+    (-1)^(sum I_a + sum I_b) of Jacobi's complementary minors."""
     tables = []
     for k in range(n + 1):
         sign = np.array([(-1.0) ** sum(I) for I in combinations(range(n), k)])
         C = len(sign)
         a, b = np.divmod(np.arange(C * C), C)
-        rows, upper = (C - 1 - a) * C + C - 1 - b, np.flatnonzero(a <= b)
-        expand = np.searchsorted(upper, np.minimum(a, b) * C + np.maximum(a, b))
-        # _node_minors keeps every entry of h(x) and, from the 2-minors up,
-        # the entries a <= b, in the order of upper (C(n, k) = C(n, n - k))
-        node = rows[(b * C + a)[upper]]
-        tables.append((rows, (sign[a] * sign[b])[:, None], upper, expand,
-                       np.flatnonzero(a > b), expand[node] if n - k > 1 else node))
+        tables.append(((C - 1 - a) * C + C - 1 - b, (sign[a] * sign[b])[:, None]))
     return tables
 
 
 @functools.lru_cache(maxsize=None)
-def _node_tables(n):
-    """For k = 2..n, the Laplace expansion (_laplace_tables) of the minors
-    det h[I_a, I_b] with a <= b, read from the rows _node_minors keeps one
-    size below: entry, the row of each cofactor, and the terms whose
-    cofactor is a lower minor, read as the conjugate of its transpose.
-    There are none for k = 2, where every entry of h is kept, and none for
-    k = n, whose column (1, ..., n-1) is the last (n-1)-subset."""
-    jacobi, tables = _jacobi_tables(n), []
+def _det_tables(n):
+    """For k = 2..n, the Laplace expansion (_laplace_tables) along the first
+    column of the minors det h[I_a, T_k] on the trailing k columns T_k (the
+    last k-subset): entry[a, i], the flat index of (I_a[i], n - k), and
+    cofactor[a, i], the row of det h[I_a minus I_a[i], T_{k-1}]."""
+    tables = []
     for k, (entry, cofactor) in enumerate(_laplace_tables(n)[1:], start=2):
-        upper = jacobi[k][2]
-        entry, cofactor = entry[upper], cofactor[upper]
-        lower = np.zeros(cofactor.shape, dtype=bool)
-        if k > 2:
-            C = math.comb(n, k - 1)
-            lower = cofactor // C > cofactor % C
-            cofactor = jacobi[k - 1][3][cofactor]
-        tables.append((entry, cofactor, lower.nonzero()))
+        C = math.comb(n, k)
+        last = np.arange(C) * C + C - 1
+        tables.append((entry[last], cofactor[last] // math.comb(n, k - 1)))
     return tables
 
 
-def _node_minors(h):
-    """det h(x)[I_a, I_b] for the k-subsets I_a <= I_b of range(n) in
-    lexicographic order, k = 0..n, of h with shape (X, n, n): rows over the
-    nodes, in the order of _jacobi_tables(n)[k][2]; for k = 1 the rows are
-    every entry of h (a view when h is node-contiguous, as h_nodes is),
-    and det h is the n-minor.  Each size comes from the one below by
-    Laplace expansion along the first column (_node_tables)."""
-    n, X = h.shape[-1], len(h)
-    rows = h.transpose(1, 2, 0).reshape(n * n, X)
-    sign = (-1.0) ** np.arange(n)
-    minors = [np.ones((1, X), dtype=complex), rows]
-    for k, (entry, cofactor, lower) in enumerate(_node_tables(n), start=2):
-        # sum_i (-1)^i h[I_i, K_0] det h[I \ I_i, K \ K_0]
-        terms = minors[-1][cofactor]
-        terms[lower] = np.conj(terms[lower])
-        terms *= rows[entry]
-        minors.append(np.matmul(sign[:k], terms))
-    return minors
+def _node_det(h):
+    """det h(x), shape (X,), for Hermitian h(x) of shape (X, n, n), from its
+    minors on the trailing columns, 2^n - 1 rows over the nodes: the last
+    column (a view when h is node-contiguous), then each size by Laplace
+    expansion (_det_tables), one term at a time, in C(n, k) rows."""
+    n = h.shape[-1]
+    rows = h.transpose(1, 2, 0).reshape(n * n, -1)
+    minors = rows[n - 1::n]
+    for entry, cofactor in _det_tables(n):
+        # sum_i (-1)^i h[I_i, n - k] det h[I \ I_i, T_{k-1}]
+        out = rows[entry[:, 0]] * minors[cofactor[:, 0]]
+        for i in range(1, entry.shape[1]):
+            term = rows[entry[:, i]]
+            term *= minors[cofactor[:, i]]
+            (np.subtract if i % 2 else np.add)(out, term, out=out)
+        minors = out
+    return np.real(minors[0])
 
 
 def _minor_spectra(h, folds):
@@ -146,7 +133,7 @@ def _minor_spectra(h, folds):
     coefficients h of h(x), shape (n * n, modes): by the discrete
     convolution theorem, each product of the Laplace expansion along the
     first column is a convolution of a 1-mode spectrum with an S_{k-1}
-    spectrum, folded onto S_k (folds[k - 1] = frequencies(k)[4])."""
+    spectrum, folded onto S_k (folds[k - 1] = FormComplex.fold(k))."""
     sign = (-1.0) ** np.arange(len(folds))
     minors = [np.ones((1, 1), dtype=complex)]
     for k, ((entry, cofactor), (order, starts)) in enumerate(
@@ -155,27 +142,6 @@ def _minor_spectra(h, folds):
                           minors[-1][cofactor])
         minors.append(np.add.reduceat(terms.reshape(len(terms), -1)[:, order], starts, axis=1))
     return minors
-
-
-def _complementary_minors(minors, k):
-    """N_k = C_k det h, C_k the k-th compound of A = h^{-T}, as rows over
-    the flattened C x C entries (a, b), from the minor spectra by Jacobi:
-    det A[I, K] det h = (-1)^(sum I + sum K) det h[I^c, K^c] (see
-    _jacobi_tables)."""
-    rows, sign = _jacobi_tables(len(minors) - 1)[k][:2]
-    return minors[-1 - k][rows] * sign
-
-
-def _compounds(minors, k):
-    """conj(C_k)(x) = conj(N_k)(x) / det h(x) for the entries a <= b of the
-    k-subsets, rows over the nodes, from the node minors of _node_minors:
-    by Jacobi, entry (a, b) is (-1)^(sum I_a + sum I_b)
-    det h[I_b^c, I_a^c] / det h, an upper minor read with no conjugation."""
-    n = len(minors) - 1
-    _, sign, upper, _, _, node = _jacobi_tables(n)[k]
-    values = minors[n - k][node] * sign[upper]
-    values /= np.real(minors[n])
-    return values
 
 
 def _positive_above(M, c) -> bool:
@@ -359,12 +325,19 @@ class HermitianStructure(_Memo):
         coefficients h_m (see _minor_spectra), computed when first read."""
         n = self.n
         return self._cached("minor spectra", lambda: _minor_spectra(
-            self._herm.reshape(-1, n * n).T,
-            [self.complex.frequencies(k)[4] for k in range(1, n + 1)]))
+            self._herm.reshape(-1, n * n).T, [self.complex.fold(k) for k in range(1, n + 1)]))
 
-    def _node_minors(self):
-        """_node_minors(h(x)), computed when first read."""
-        return self._cached("node minors", lambda: _node_minors(self.h_nodes))
+    def _inverse_det(self):
+        """The grid spectrum D of 1 / det h(x) on S_{2n}, the frequencies a
+        compound reads, computed when first read: one transform of one row
+        of node values (_node_det)."""
+
+        def build():
+            values = 1 / _node_det(self.h_nodes)
+            frequencies = self.complex.frequencies(2 * self.n)
+            return self.complex.grid_transform(values[None], frequencies)[0] / len(values)
+
+        return self._cached("inverse det", build)
 
     def _spectrum(self, k, compound):
         """The Fourier coefficients (1 / X) sum_x f(x) exp(-2 pi i s . x),
@@ -373,28 +346,26 @@ class HermitianStructure(_Memo):
         compound of f = conj(C_k) at the s of frequencies(n - k + 2) that
         a Gram (k, q) reads.
 
-        N_k is read from the minor spectra, with no node values.
-        conj(C_0) is the constant 1.  For k >= 1, conj(C_k)(x) is formed
-        at the nodes from the upper node minors (_compounds) and
-        transformed.  It is Hermitian: the entry (b, a) at s is the
-        conjugate of (a, b) at -s, so only the entries a <= b are formed
-        and transformed."""
+        N_k is read from the minor spectra by Jacobi's complementary
+        minors (_jacobi_tables), with no node values.  conj(C_0) is 1.  For
+        k >= 1, conj(C_k) = conj(N_k) / det h, and conj(N_k) has its
+        spectrum on S_{n-k}, conj(N_k^(-s)) at s, so by the discrete
+        convolution theorem conj(C_k)^(t) is exactly the sum over s of
+        S_{n-k} of conj(N_k^(s)) D(t + s), D from _inverse_det."""
 
         def build():
             if not compound:
-                return _complementary_minors(self._minor_spectra(), k)
-            frequencies = self.complex.frequencies(self.n - k + 2)
+                # Jacobi, A = h^{-T}: det A[I, K] det h = (-1)^(sum I + sum K) det h[I^c, K^c]
+                rows, sign = _jacobi_tables(self.n)[k]
+                return self._minor_spectra()[-1 - k][rows] * sign
+            j = self.n - k
             if not k:
                 # zero is the first frequency of every set
-                spectrum = np.zeros((1, len(frequencies[0])), dtype=complex)
+                spectrum = np.zeros((1, len(self.complex.frequencies(j + 2)[0])), dtype=complex)
                 spectrum[0, 0] = 1.0
                 return spectrum
-            _, _, _, expand, lower, _ = _jacobi_tables(self.n)[k]
-            values = _compounds(self._node_minors(), k)
-            transform = self.complex.grid_transform(values, frequencies)
-            spectrum = (transform / values.shape[1])[expand]
-            spectrum[lower] = np.conj(spectrum[lower][:, frequencies[2]])
-            return spectrum
+            index = self.complex.sum_index(2 * self.n, j, j + 2)
+            return np.conj(self._spectrum(k, False)) @ self._inverse_det()[index]
 
         return self._cached(("spectrum", k, compound), build)
 
@@ -407,7 +378,8 @@ class HermitianStructure(_Memo):
         of the pointwise pairing Q(x) = conj(C_p(x)) (x) N_q(x), exact for
         the 4 max|m| + 1 grid: by the discrete convolution theorem, the sum
         of N_q^(m) (x) conj(C_p)^(m_i - m_j - m) over the few m where
-        N_q^(m) != 0.  For p > q it is gram(q, p) under conjugation."""
+        N_q^(m) != 0, both spectra from _spectrum.  For p > q it is
+        gram(q, p) under conjugation."""
 
         def build():
             cat = self.complex.catalog
@@ -418,7 +390,7 @@ class HermitianStructure(_Memo):
             nh, na = math.comb(self.n, p), math.comb(self.n, q)
             S = nh * na
             _, index = self.complex.mode_differences()
-            shifts = self.complex.frequencies(self.n - p + 2)[3][self.n - q]
+            shifts = self.complex.shifts(self.n - p + 2, self.n - q)
             # <dz^j, dz^k> = (h^{-1})_{kj}; this orientation makes |omega|^2 = n.
             # Q[(I,J),(K,L)] = conj(C_p[I,K]) * N_q[J,L]; its coefficient at
             # the row d_r is sum_s N_q^(s) conj(C_p)^(d_r - s)
@@ -726,11 +698,9 @@ def check_weak_positivity(H: HermitianStructure, u: Form) -> PositivityReport:
         raise DegreeError("weak-positivity test requires a (p,p)-form")
     k = n - p
     if p == 0 or k == 0:
-        # a function, or a function times e_vol = i^{-n^2} tau
+        # a function, or one times e_vol = i^{-n^2} tau, as 1 x 1 matrices
         vals = np.real(H.complex.evaluate(u)[:, 0] * (H._vol_unit if p else 1.0))
-        lo = float(vals.min())
-        verdict = "positive" if lo > 0 else ("semi-positive" if lo >= -1e-12 else "refuted")
-        return PositivityReport(verdict, margin=lo, certified=True)
+        return _eigenvalue_verdict(vals[:, None, None])
     if p == 1:
         return check_strong_positivity_11(H, u)
     if k == 1:

@@ -82,10 +82,11 @@ def test_lie_algebra_model_is_the_torus_with_no_axes(iwasawa_cx):
     rows, index = iwasawa_cx.mode_differences()
     assert rows.shape == (1, 0) and np.array_equal(index, [[0]])
     for j in range(6):
-        k, steps, neg, shifts, fold = iwasawa_cx.frequencies(j)
-        assert k.shape == (1, 0) and steps == [] and np.array_equal(neg, [0])
-        assert len(shifts) == max(j - 1, 0) and all(np.array_equal(s, [[0]]) for s in shifts)
-        assert fold is None if j == 0 else np.array_equal(fold, [[0], [0]])
+        k, steps = iwasawa_cx.frequencies(j)
+        assert k.shape == (1, 0) and steps == []
+        assert all(np.array_equal(iwasawa_cx.shifts(j, i), [[0]]) for i in range(j - 1))
+        assert all(np.array_equal(iwasawa_cx.sum_index(j, i, j - i), [[0]]) for i in range(j + 1))
+        assert j == 0 or np.array_equal(iwasawa_cx.fold(j), [[0], [0]])
     values = np.array([[2.0 - 1j], [3.0]])
     assert np.array_equal(iwasawa_cx.grid_transform(values, iwasawa_cx.frequencies(1)), values)
 
@@ -274,19 +275,28 @@ def test_grid_transform_is_the_dft_at_each_frequency_set(text):
     axes = tuple(range(1, len(cx.grid) + 1))
     full = np.fft.fftn(values.reshape(2, *cx.grid), axes=axes).reshape(2, -1)
     modes = np.array(cx.catalog.modes)
-    for j in range(cx.n + 3):
-        k, _, neg, shifts, fold = cx.frequencies(j)
+    for j in range(2 * cx.n + 1):
+        k = cx.frequencies(j)[0]
         flat = np.ravel_multi_index(tuple(k.T), cx.grid)
-        assert np.all(np.diff(flat) > 0) and np.array_equal(k[neg] % cx.grid, -k % cx.grid)
+        assert np.all(np.diff(flat) > 0)
+        # S_j is every sum of j modes, reduced on the grid
+        sums = np.zeros((1, len(cx.grid)), dtype=int)
+        for _ in range(j):
+            sums = np.unique((sums[:, None] + modes).reshape(-1, len(cx.grid)) % cx.grid, axis=0)
+        assert np.array_equal(k, sums)
         # d_r - s for the sums s of each smaller set, at its shifts
         rows = cx.mode_differences()[0]
-        for i, at in enumerate(shifts):
+        for i in range(min(j - 1, cx.n + 1)):
             diffs = (rows[:, None] - cx.frequencies(i)[0]) % cx.grid
-            assert np.array_equal(k[at], diffs)
+            assert np.array_equal(k[cx.shifts(j, i)], diffs)
+        # s + t for s in S_i and t in S_{i+2}, i + (i + 2) <= j
+        for i in range((j - 2) // 2 + 1):
+            pairs = (cx.frequencies(i)[0][:, None] + cx.frequencies(i + 2)[0]) % cx.grid
+            assert np.array_equal(k[cx.sum_index(j, i, i + 2)], pairs)
         # the products m_i + s of the modes with S_{j-1}, in fold order, are
         # runs of the frequencies of S_j, each run starting at its start
         if j:
-            order, starts = fold
+            order, starts = cx.fold(j)
             sums = (modes[:, None] + cx.frequencies(j - 1)[0]).reshape(-1, len(cx.grid))
             runs = np.diff(np.append(starts, len(order)))
             assert np.array_equal(sums[order] % cx.grid, np.repeat(k, runs, axis=0))

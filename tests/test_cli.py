@@ -329,7 +329,7 @@ def test_import_does_no_numeric_work():
     code = ("import sys, hstorsion.cli\n"
             "from hstorsion import metric\n"
             "print('scipy' in sys.modules, [f.cache_info().currsize for f in (\n"
-            "    metric._laplace_tables, metric._jacobi_tables, metric._node_tables)])\n")
+            "    metric._laplace_tables, metric._jacobi_tables, metric._det_tables)])\n")
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 from itertools import combinations
 
@@ -138,28 +139,70 @@ def test_gram_conjugation_invariant(name, request):
         assert np.abs(G - Gc).max() <= 1e-13 * np.abs(G).max()
 
 
+def _invariant_metrics(rng):
+    """Random invariant metrics on n = 1, 2 and 4: one node, where every
+    frequency set is {0}, and the edge and general sizes of the tables."""
+    return [random_hermitian_structure(build_complex(parse_model(f"kind invariant\nn {n}\n")), rng)
+            for n in (1, 2, 4)]
+
+
 def test_compound_inverse_identity(spectral_H, rng):
-    # Cauchy-Binet: compound_k(h^{-1}) compound_k(h) = I at every node, for
-    # the compounds the Gram spectra transform, completed from their entries
-    # a <= b as Hermitian matrices; the invariant n = 4 metric reaches the
-    # general minors (k = 2), n = 1 and n = 2 the edge sizes of the Laplace
-    # and Jacobi tables, and on one node the minors are the minor spectra
-    metrics = [spectral_H]
-    for n in (1, 2, 4):
-        cx = build_complex(parse_model(f"kind invariant\nn {n}\n"))
-        metrics.append(random_hermitian_structure(cx, rng))
-    for H in metrics:
-        minors = H._node_minors()
+    # Cauchy-Binet: compound_k(h^{-1}) compound_k(h) = I at every node.  With
+    # N_k = C_k det h, C_k the compound of h^{-T}, that is
+    # N_k(x)^T compound_k(h(x)) = det h(x) I: N_k evaluated from its spectrum
+    # on S_{n-k} (a polynomial, so exactly) at 200 nodes, det h by _node_det,
+    # compound_k(h) by np.linalg.det
+    for H in [spectral_H] + _invariant_metrics(rng):
+        cx = H.complex
+        nodes = rng.choice(cx.n_nodes, size=min(200, cx.n_nodes), replace=False)
+        x = cx.nodes()[nodes]
+        h = H.h_nodes[nodes]
+        det = metric._node_det(H.h_nodes)[nodes]
         for k in range(H.n + 1):
-            _, _, _, expand, lower, _ = metric._jacobi_tables(H.n)[k]
-            # conj(C_k), C_k the compound of A = h^{-T}, so conj(C_k)^T is
-            # the compound of h^{-1}
-            upper = metric._compounds(minors, k)
-            compound = upper[expand]
-            compound[lower] = np.conj(compound[lower])
-            C = len(_minors(H.h_nodes[:1], k)[0])
-            prod = np.conj(compound).reshape(C, C, -1).transpose(2, 1, 0) @ _minors(H.h_nodes, k)
-            assert np.abs(prod - np.eye(C)).max() <= 1e-12
+            s = cx.frequencies(H.n - k)[0]
+            N = H._spectrum(k, False) @ np.exp(2j * np.pi * s @ x.T)
+            C = math.comb(H.n, k)
+            prod = N.reshape(C, C, -1).transpose(2, 1, 0) @ _minors(h, k)
+            assert np.abs(prod / det[:, None, None] - np.eye(C)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["spectral_H", "alias_H", "invariant"])
+def test_compound_spectra_match_fft_of_the_inverse(name, request, rng):
+    # every conj(C_k) spectrum, formed by convolving conj(N_k) with the
+    # spectrum of 1 / det h, against np.fft.fftn of the compounds of
+    # h(x)^{-T}, taken by np.linalg.inv and np.linalg.det at the nodes, at
+    # every frequency of S_{n-k+2}; alias_H's sets fold on the grid
+    metrics = _invariant_metrics(rng) if name == "invariant" else [request.getfixturevalue(name)]
+    for H in metrics:
+        cx = H.complex
+        A = np.swapaxes(np.linalg.inv(H.h_nodes), 1, 2)
+        for k in range(H.n + 1):
+            C = math.comb(H.n, k)
+            values = np.conj(_minors(A, k)).reshape(*cx.grid, C * C)
+            ref = np.fft.fftn(values, axes=tuple(range(len(cx.grid)))) / cx.n_nodes
+            k_set = cx.frequencies(H.n - k + 2)[0]
+            at = np.ravel_multi_index(tuple(k_set.T), cx.grid) if cx.grid else [0]
+            ref = ref.reshape(-1, C * C).T[:, at]
+            spectrum = H._spectrum(k, True)
+            assert spectrum.shape == ref.shape
+            assert np.abs(spectrum - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_compound_spectra_hold_no_node_tables(spectral_H, spectral_cx):
+    # forming every conj(C_k) spectrum of a metric on the 5^6 grid keeps
+    # its transient arrays to a few rows of X = 15625 node values (X * 16 B
+    # = 0.25 MB): no (X, C * C) array of compounds or node minors
+    for k in range(spectral_H.n + 1):
+        spectral_H._spectrum(k, True)  # the lattice's tables
+    H = HermitianStructure(spectral_cx, omega=spectral_cx.metric_form())
+    tracemalloc.start()
+    try:
+        for k in range(H.n + 1):
+            H._spectrum(k, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3e6
 
 
 def test_difference_weights_belong_to_their_complex():
@@ -170,9 +213,10 @@ def test_difference_weights_belong_to_their_complex():
     for cx in cxs:
         G = HermitianStructure(cx, h=np.eye(2)).gram(1, 1)
         assert np.abs(G - np.eye(len(G))).max() <= 1e-14
-    tables = [cxs[0].mode_differences(), cxs[0].frequencies(2), cxs[0].frequencies(4)]
+    tables = [cxs[0].mode_differences(), cxs[0].frequencies(2), cxs[0].frequencies(4),
+              cxs[0].shifts(4, 1)]
     refs = [weakref.ref(tables[0][0]), weakref.ref(tables[1][0]),
-            weakref.ref(tables[2][1][0][0]), weakref.ref(tables[2][3][1])]
+            weakref.ref(tables[2][1][0][0]), weakref.ref(tables[3])]
     del cxs, tables, cx, G
     gc.collect()
     assert all(ref() is None for ref in refs)
@@ -408,35 +452,24 @@ def test_positive_above_reads_the_lower_triangle(rng):
     assert metric._positive_above(M, 0.5 * lo)
 
 
-def _kept_minors(h, k):
-    """The reference determinants of the k-minors _node_minors keeps: every
-    entry of h for k = 1, the entries a <= b otherwise, shape (rows, X)."""
-    ref = _minors(h, k).transpose(1, 2, 0).reshape(-1, len(h))
-    return ref if k == 1 else ref[metric._jacobi_tables(h.shape[-1])[k][2]]
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_minors_are_determinants_of_submatrices(n, rng):
-    # every minor the node table builds, at every node, against
-    # np.linalg.det; h(x) is Hermitian, as the table assumes when it reads a
-    # lower cofactor as the conjugate of an upper one (from n = 5 on)
-    assert any(len(lower[0]) for _, _, lower in metric._node_tables(n)) == (n >= 5)
+    # det h(x), the last of the minors on the trailing columns that the
+    # node chain builds, at every node, against np.linalg.det, for h(x)
+    # stored node by node and node-contiguous as h_nodes is
     A = rng.standard_normal((200, n, n)) + 1j * rng.standard_normal((200, n, n))
     h = A + A.conj().transpose(0, 2, 1)
+    ref = np.real(np.linalg.det(h))
     for B in (h, _node_contiguous(h)):
-        minors = metric._node_minors(B)
-        assert len(minors) == n + 1
-        for k in range(n + 1):
-            ref = _kept_minors(h, k)
-            assert minors[k].shape == ref.shape
-            assert np.abs(minors[k] - ref).max() <= 1e-13 * np.abs(ref).max()
+        det = metric._node_det(B)
+        assert det.shape == (200,) and det.dtype == float
+        assert np.abs(det - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_minors_of_the_spectral_metric(spectral_H):
     h = spectral_H.h_nodes
-    for k, minor in enumerate(spectral_H._node_minors()):
-        ref = _kept_minors(h, k)
-        assert np.abs(minor - ref).max() <= 1e-13 * np.abs(ref).max()
+    ref = np.real(np.linalg.det(h))
+    assert np.abs(metric._node_det(h) - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 # n = 3 with modes off the axes: 3 (1, 1, 0, 0, 0, 0) = (3, 3, ...) is the
@@ -472,7 +505,8 @@ def test_minor_spectra_match_fft_of_determinants(name, request):
         values = _minors(h, k).reshape(*cx.grid, C * C)
         ref = np.fft.fftn(values, axes=tuple(range(len(cx.grid)))) / cx.n_nodes
         ref = ref.reshape(-1, C * C).T
-        at = cx._flat_frequency(cx.frequencies(k)[0])
+        k_set = cx.frequencies(k)[0]
+        at = np.ravel_multi_index(tuple(k_set.T), cx.grid) if cx.grid else [0]
         scale = np.abs(ref).max()
         assert spectrum.shape == (C * C, len(at))
         assert np.abs(spectrum - ref[:, at]).max() <= 1e-13 * scale
@@ -617,6 +651,28 @@ def test_weak_positivity_omega_power(torus_H):
     zero = zero_form(torus_H.complex.catalog, 2, 2)
     rep0 = check_weak_positivity(torus_H, zero)
     assert rep0.verdict != "refuted"
+
+
+@pytest.mark.parametrize("shift, verdict", [(0.0, "semi-positive"), (-1.0, "refuted"),
+                                            (1.0, "positive")])
+def test_weak_positivity_has_one_rule_in_every_bidegree(shift, verdict):
+    # f = 1e6 (1 - cos 2 pi x_1) - 1e-8 + shift on n = 2: least at the nodes
+    # x_1 = 0, where -1e-8 is rounding against max|f| = 2e6.  As a function,
+    # as f omega and as f omega_2 it gets one verdict, which scaling by 1e6
+    # does not change, and a refutation names a node with x_1 = 0
+    cx = build_complex(parse_model("kind spectral\nn 2\nmodes axis K 1\n"))
+    H, cat = HermitianStructure(cx, h=np.eye(2)), cx.catalog
+    f = zero_form(cat, 0, 0)
+    f.coeffs[cat.flat_index(cat.zero_mode, (), ())] = 1e6 - 1e-8 + shift
+    for m in ((1, 0, 0, 0), (-1, 0, 0, 0)):
+        f.coeffs[cat.flat_index(m, (), ())] = -0.5e6
+    for u in (f, wedge(f, H.omega), wedge(f, H.omega_power(2))):
+        for scale in (1.0, 1e6):
+            rep = check_weak_positivity(H, scale * u)
+            assert rep.verdict == verdict and rep.certified, (u.bidegree, scale)
+            assert abs(rep.margin - scale * (shift - 1e-8)) <= 1e-9 * scale
+            if verdict == "refuted":
+                assert cx.nodes()[rep.witness[0], 0] == 0.0
 
 
 def test_weak_positivity_is_certified_or_refused():
