@@ -414,13 +414,6 @@ class FormComplex(_Memo):
         S = self.catalog.struct_dim(u.p, u.q)
         return self.eval_matrix() @ u.coeffs.reshape(M, S)
 
-    def mode_coefficients(self, values):
-        """Inverse of evaluate: exact Fourier coefficients on the grid for
-        the in-set modes, which are frequencies(1).  values has shape (X, S)."""
-        k = self.frequencies(1)
-        at = self._positions(1, self._modes(), k[0][:1])[:, 0]
-        return (self.grid_transform(values.T, k)[:, at].T / self.n_nodes).reshape(-1)
-
     # -- helpers -----------------------------------------------------------
 
     def zero(self, p, q):
@@ -626,6 +619,20 @@ def _value(coef, t, line):
     return complex(z.real + 0.0, z.imag + 0.0)
 
 
+def _t_samples(values, line=None):
+    """The reals of a t_samples list, separated by commas or blanks; each
+    finite, 0 among them, or ModelError."""
+    try:
+        t = [float(x) for x in re.split(r"[,\s]+", values) if x]
+    except ValueError:
+        raise ModelError("t_samples must be a list of reals", line) from None
+    if not all(map(math.isfinite, t)):
+        raise ModelError("t_samples must be finite", line)
+    if 0.0 not in t:
+        raise ModelError("t_samples must include 0", line)
+    return t
+
+
 class ModelTemplate:
     """A model file, or a family file when family is set, read by the one
     line loop of the grammar (see the package README).  Each coefficient
@@ -704,15 +711,8 @@ class ModelTemplate:
         elif head == "t_samples":
             if not family:
                 raise ModelError("'t_samples' belongs in a family file", ln)
-            values = re.fullmatch(r"t_samples\s*:?=?\s*(.*)", line).group(1)
-            try:
-                self.t_samples = [float(x) for x in re.split(r"[,\s]+", values) if x]
-            except ValueError:
-                raise ModelError("t_samples must be a list of reals", ln) from None
-            if not all(map(math.isfinite, self.t_samples)):
-                raise ModelError("t_samples must be finite", ln)
-            if 0.0 not in self.t_samples:
-                raise ModelError("t_samples must include 0", ln)
+            self.t_samples = _t_samples(
+                re.fullmatch(r"t_samples\s*:?=?\s*(.*)", line).group(1), ln)
         elif head in _ENTRY_RE:
             pattern, what = _ENTRY_RE[head]
             m = re.fullmatch(pattern + r"\s*:=\s*(.*)", line)

@@ -15,13 +15,15 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .backends import ModelError, ModelTemplate, build_complex, format_complex, parse_model
+from .backends import (ModelError, ModelTemplate, _t_samples, build_complex,
+                       format_complex, parse_model)
 from .cohomology import CohomologyMismatch, cohomology_table
 from .deform import (FamilyTable, HypothesisError, family_diagnostics,
                      kahler_in_class, parse_family)
@@ -199,7 +201,7 @@ def cmd_kahler(args, text, rep):
 
 def cmd_family(args, text, rep):
     spec = parse_family(text)
-    if args.t_samples:
+    if args.t_samples is not None:
         spec = dataclasses.replace(spec, t_samples=args.t_samples)
     table = family_diagnostics(spec, tol=args.tol)
     rep.add(str(table))
@@ -279,9 +281,20 @@ def _bidegree(text):
 
 def _t_list(text):
     try:
-        return [float(x) for x in text.replace(",", " ").split()]
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected a list of reals")
+        return _t_samples(text)  # as a family file's t_samples line
+    except ModelError as e:
+        raise argparse.ArgumentTypeError(str(e))
+
+
+def _nonnegative(convert):
+    """An argparse type: convert, then refuse what is negative or not finite."""
+    def parse(text):
+        value = convert(text)
+        if math.isfinite(value) and value >= 0:
+            return value
+        raise argparse.ArgumentTypeError(f"expected a finite value >= 0, got {text!r}")
+    parse.__name__ = convert.__name__  # argparse's "invalid float value"
+    return parse
 
 
 def build_parser():
@@ -296,13 +309,13 @@ def build_parser():
         if name != "selftest":
             p.add_argument("--model", required=True, help="model or family file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--tol", type=float, default=CLASSIFY_TOL)
+        p.add_argument("--tol", type=_nonnegative(float), default=CLASSIFY_TOL)
         p.add_argument("--seed", type=int, default=0)
         if name == "classify":
             p.add_argument("--bidegree", action="append", type=_bidegree,
                            metavar="p,q")
         if name in ("flow", "selftest"):
-            p.add_argument("--max-iters", type=int, default=500)
+            p.add_argument("--max-iters", type=_nonnegative(int), default=500)
         if name == "family":
             p.add_argument("--t-samples", type=_t_list)
     return parser

@@ -1,13 +1,13 @@
 """Bott-Chern, Aeppli and Dolbeault cohomology on a metrized form complex.
 
-Laplacians are assembled from the structure operators whitened by the
-Cholesky factors of the Grams; kernels, Green operators and harmonic
-projectors come from a Gram-aware eigendecomposition.  Dimension counts are
-always computed two independent ways (harmonic kernel vs quotient ranks)
-and must agree.  The quotient ranks depend only on the complex and are
-counted once per complex; the kernel counts of a metric come from
-eigenvalues alone, and a Green operator is built once per metric and key,
-when asked for.
+Laplacians are returned whitened, R L R^{-1} for the Cholesky factors R of
+the Grams: Hermitian sums of squares of the whitened structure operators.
+Kernels, Green operators and harmonic projectors come from one eigh of
+them.  Dimension counts are always computed two independent ways (harmonic
+kernel vs quotient ranks) and must agree.  The quotient ranks depend only on
+the complex and are counted once per complex; the kernel counts of a metric
+come from eigenvalues alone, and a Green operator is built once per metric
+and key, when asked for.
 """
 
 from __future__ import annotations
@@ -42,19 +42,19 @@ KERNEL_RCOND = 1e-10
 
 @dataclass
 class GramEig:
-    """Spectral data of a G-self-adjoint PSD operator M.
+    """Spectral data of a G-self-adjoint PSD operator M, G = R^H R.
 
     eigenvalues: ascending, real,
     kernel_dim: count of eigenvalues below cutoff,
     cutoff: absolute kernel threshold used,
     separation_ok: False when some eigenvalue sits within a factor 100 of
         the cutoff, signalling an unreliable kernel split,
-    vectors: orthonormal eigenvectors V of R M R^{-1}, for G = R^H R,
+    vectors: orthonormal eigenvectors V of R M R^{-1},
     R, Rinv: the Cholesky factor of G and its inverse.
 
-    pinv (the pseudoinverse vanishing on ker M, the Green operator) and
-    kernel_projector (the G-orthogonal projector onto ker M) are formed
-    when first read.
+    pinv (the pseudoinverse of M vanishing on ker M, the Green operator)
+    and kernel_projector (the G-orthogonal projector onto ker M) are formed
+    in the coefficient frame when first read.
     """
 
     eigenvalues: np.ndarray
@@ -91,16 +91,12 @@ def _kernel_split(w, rcond):
     return (w < c).sum(-1), cutoff, ~near.any(-1)
 
 
-def gram_eig(M, R, Rinv, rcond=KERNEL_RCOND) -> GramEig:
-    """Diagonalize a G-self-adjoint positive semidefinite matrix M.
-
-    R is the upper Cholesky factor of the Hermitian positive definite G,
-    G = R^H R, and Rinv its inverse, as HermitianStructure.chol and
-    chol_inv return them.  Conjugating by R turns M into an honest
-    Hermitian matrix, so eigh applies."""
-    Mt = R @ M @ Rinv
-    Mt = 0.5 * (Mt + Mt.conj().T)
-    w, V = np.linalg.eigh(Mt)
+def gram_eig(Lt, R, Rinv, rcond=KERNEL_RCOND) -> GramEig:
+    """Diagonalize a G-self-adjoint positive semidefinite M given whitened,
+    as the Hermitian Lt = R M R^{-1}, for R the upper Cholesky factor of G,
+    G = R^H R, and Rinv its inverse, as HermitianStructure.chol and chol_inv
+    return them.  eigh reads only the lower triangle of Lt."""
+    w, V = np.linalg.eigh(Lt)
     kdim, cutoff, ok = _kernel_split(w, rcond)
     return GramEig(w, int(kdim), float(cutoff), bool(ok), V, R, Rinv)
 
@@ -121,9 +117,12 @@ def _sum_of_squares(up, down):
     return sum([X.conj().T @ X for X in up] + [Y @ Y.conj().T for Y in down])
 
 
-def _whitened_bc(H: HermitianStructure, p, q):
-    """R Delta_BC R^{-1} on Lambda^{p,q}; the cross terms T = del* dbar and
-    S = del* dbar (one bidegree down) whiten to D^H B."""
+def laplacian_bc(H: HermitianStructure, p, q):
+    """R Delta_BC R^{-1} on Lambda^{p,q}, for the fourth-order Bott-Chern
+    Laplacian del* del + dbar* dbar + (del dbar)*(del dbar)
+    + (del dbar)(del dbar)* + (del* dbar)*(del* dbar) + (del* dbar)(del* dbar)*;
+    the cross terms T = del* dbar and S = del* dbar (one bidegree down)
+    whiten to D^H B."""
     n, W = H.n, H.whitened
     up, down = [], []
     if p < n:
@@ -143,24 +142,10 @@ def _whitened_bc(H: HermitianStructure, p, q):
     return _sum_of_squares(up, down)
 
 
-def _whitened_dbar(H: HermitianStructure, p, q):
-    """R Delta_dbar R^{-1} on Lambda^{p,q}."""
+def laplacian_dbar(H: HermitianStructure, p, q):
+    """R Delta_dbar R^{-1} on Lambda^{p,q}, for dbar dbar* + dbar* dbar."""
     return _sum_of_squares([H.whitened("dbar", p, q)] if q < H.n else [],
                            [H.whitened("dbar", p, q - 1)] if q else [])
-
-
-def laplacian_bc(H: HermitianStructure, p, q):
-    """Fourth-order Bott-Chern Laplacian on Lambda^{p,q}:
-
-    del* del + dbar* dbar + (del dbar)*(del dbar) + (del dbar)(del dbar)*
-      + (del* dbar)*(del* dbar) + (del* dbar)(del* dbar)*
-    """
-    return H.chol_inv(p, q) @ _whitened_bc(H, p, q) @ H.chol(p, q)
-
-
-def laplacian_dbar(H: HermitianStructure, p, q):
-    """Dolbeault Laplacian dbar dbar* + dbar* dbar on Lambda^{p,q}."""
-    return H.chol_inv(p, q) @ _whitened_dbar(H, p, q) @ H.chol(p, q)
 
 
 _LAPLACIANS = {"bc": laplacian_bc, "dbar": laplacian_dbar}
@@ -237,15 +222,14 @@ class CohomologyMismatch(RuntimeError):
 
 
 def _spectra(H: HermitianStructure):
-    """Yield (keys, eigenvalues) for the keys (which, p, q) of the whitened
-    Laplacians of one kind on the bidegrees of one dimension, and their
+    """Yield (keys, eigenvalues) for the keys (which, p, q) of the
+    Laplacians of one kind on the bidegrees of one dimension and their
     ascending eigenvalues, one row per key: one eigvalsh per kind and
-    dimension, on operators that HermitianStructure.whiten_all forms
-    batched."""
+    dimension, of what green_operator reads, after one whiten_all."""
     for bidegrees in H.whiten_all().values():
-        for which, whitened in (("dbar", _whitened_dbar), ("bc", _whitened_bc)):
-            yield ([(which, *bd) for bd in bidegrees],
-                   np.linalg.eigvalsh(np.stack([whitened(H, *bd) for bd in bidegrees])))
+        for which in ("dbar", "bc"):
+            yield ([(which, *bd) for bd in bidegrees], np.linalg.eigvalsh(
+                np.stack([_LAPLACIANS[which](H, *bd) for bd in bidegrees])))
 
 
 def _kernel_counts(H: HermitianStructure, rcond):

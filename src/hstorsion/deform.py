@@ -79,11 +79,10 @@ def _green_solve(H: HermitianStructure, v: Form, src, which: str, tol: float):
             f"right-hand side is not {'del-dbar' if which == 'bc' else 'dbar'}-exact: "
             f"relative distance {dist / scale:.3e}"
         )
-    x_c = getattr(H, f"{kind}_adjoint")(*src) @ (
-        green_operator(H, v.p, v.q, which).pinv @ v.coeffs)
-    x = Form(cx.catalog, Bidegree(*src), x_c)
+    x = H.apply_adjoint(kind, Form(cx.catalog, v.bidegree,
+                                   green_operator(H, v.p, v.q, which).pinv @ v.coeffs))
     A = getattr(cx, f"{kind}_matrix")(*src)
-    res = H.norm(Form(cx.catalog, v.bidegree, A @ x_c) - v) / scale
+    res = H.norm(Form(cx.catalog, v.bidegree, A @ x.coeffs) - v) / scale
     return x, res, dist / scale, scale
 
 
@@ -123,7 +122,7 @@ def neumann_dbar_solution(H: HermitianStructure, rho: Form,
     if q < 1:
         raise HypothesisError("right-hand side must have dbar-degree >= 1")
     phi, res, dist, scale = _green_solve(H, rho, (p, q - 1), "dbar", tol)
-    # commutation: dbar* Green = Green' dbar* on the lower bidegree
+    # commutation: dbar* Green = Green' dbar* on the lower bidegree, dbar* by a solve
     ge_low = green_operator(H, p, q - 1, "dbar")
     other = ge_low.pinv @ (H.dbar_adjoint(p, q - 1) @ rho.coeffs)
     gap = H.norm(phi - Form(H.complex.catalog, phi.bidegree, other)) / scale

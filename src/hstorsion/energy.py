@@ -131,7 +131,7 @@ def differential_riesz(H: HermitianStructure, rho: Form | None = None):
     if rho is None:
         _, rep = energy(H)
         rho = rep.rho20
-    a = H.apply_dbar_adjoint(H.omega).coeffs  # dbar* omega, a (1,0)-form
+    a = H.apply_adjoint("dbar", H.omega).coeffs  # dbar* omega, a (1,0)-form
     G = H.gram(1, 0)
     c = -2.0 * (G @ a)
     b = _torsion_wedge_functional(H, rho)

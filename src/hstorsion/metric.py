@@ -566,44 +566,26 @@ class HermitianStructure(_Memo):
     # -- adjoints ----------------------------------------------------------
 
     def adjoint_matrix(self, A, src_bd, dst_bd):
-        """Gram adjoint of A : Lambda^{src} -> Lambda^{dst}, i.e.
-        G_src^{-1} A^H G_dst; exact discrete adjointness <<A u, v>> = <<u, A* v>>."""
+        """Gram adjoint G_src^{-1} A^H G_dst of A : Lambda^{src} -> Lambda^{dst}
+        by a solve, without the Cholesky factors; <<A u, v>> = <<u, A* v>>."""
         G_src = self.gram(*src_bd)
         G_dst = self.gram(*dst_bd)
         return np.linalg.solve(G_src, A.conj().T @ G_dst)
-
-    def del_adjoint(self, p, q):
-        """Adjoint of del : Lambda^{p,q} -> Lambda^{p+1,q} (maps back down)."""
-        return self._cached(("del*", p, q), lambda: self.adjoint_matrix(
-            self.complex.del_matrix(p, q), (p, q), (p + 1, q)))
 
     def dbar_adjoint(self, p, q):
         return self._cached(("dbar*", p, q), lambda: self.adjoint_matrix(
             self.complex.dbar_matrix(p, q), (p, q), (p, q + 1)))
 
-    def ddbar_adjoint(self, p, q):
-        return self._cached(("ddbar*", p, q), lambda: self.adjoint_matrix(
-            self.complex.ddbar_matrix(p, q), (p, q), (p + 1, q + 1)))
-
-    def _apply_adjoint(self, kind, u: Form) -> Form:
-        """The Gram adjoint of kind applied to u, as R_src^{-1} W^H R_dst u
-        for W = whitened(kind, src): three products with a vector, on the
-        operators a Laplacian on src reads."""
+    def apply_adjoint(self, kind, u: Form) -> Form:
+        """The Gram adjoint of the structure operator kind ("del", "dbar"
+        or "ddbar") applied to u, into the bidegree kind maps from: as
+        R_src^{-1} W^H R_dst u for W = whitened(kind, src), three products
+        with a vector.  Below degree 0 Bidegree raises DegreeError."""
         dp, dq = _STEPS[kind]
         src = Bidegree(u.p - dp, u.q - dq)
         W = self.whitened(kind, *src)
         return Form(self.complex.catalog, src, self.chol_inv(*src) @ (
             W.conj().T @ (self.chol(u.p, u.q) @ u.coeffs)))
-
-    def apply_del_adjoint(self, u: Form) -> Form:
-        if u.p == 0:
-            raise DegreeError("del* undefined below (1,0)")
-        return self._apply_adjoint("del", u)
-
-    def apply_dbar_adjoint(self, u: Form) -> Form:
-        if u.q == 0:
-            raise DegreeError("dbar* undefined below (0,1)")
-        return self._apply_adjoint("dbar", u)
 
     # -- Lefschetz operator and primitivity -----------------------------------
 

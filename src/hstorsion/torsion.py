@@ -225,10 +225,8 @@ def torsion_form(H: HermitianStructure, tol: float = CLASSIFY_TOL) -> TorsionRep
     cx = H.complex
     w = H.omega
     dw = cx.apply_del(w)  # (2,1)
-    term1 = H.apply_dbar_adjoint(dw)  # (2,0)
-    inner = H.apply_del_adjoint(dw)  # (1,1)
-    term2 = H.apply_dbar_adjoint(cx.apply_del(inner))  # (2,0)
-    src = term1 + term2
+    # dbar* dw + dbar* del del* dw, a (2,0)-form
+    src = H.apply_adjoint("dbar", dw + cx.apply_del(H.apply_adjoint("del", dw)))
     ge = green_operator(H, 2, 0, "bc")
     rho = Form(cx.catalog, Bidegree(2, 0), -(ge.pinv @ src.coeffs))
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from hstorsion import cohomology
 from hstorsion.backends import build_complex, parse_model
 from hstorsion.metric import HermitianStructure
 from hstorsion.models import IWASAWA_TEXT, SPECTRAL_TEXT, TORUS_TEXT  # noqa: F401
@@ -62,3 +63,10 @@ def random_hermitian_structure(cx, rng, amp=0.2):
     A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     h = np.eye(n) + amp * (A @ A.conj().T) / n
     return HermitianStructure(cx, h=h)
+
+
+def coefficient_laplacian(H, which, p, q):
+    """The Laplacian of kind which ("bc" or "dbar") on Lambda^{p,q} in the
+    coefficient frame, R^{-1} L~ R, from the whitened L~ that cohomology
+    returns and the Cholesky factor R of the Gram."""
+    return H.chol_inv(p, q) @ cohomology._LAPLACIANS[which](H, p, q) @ H.chol(p, q)

@@ -195,6 +195,54 @@ def test_family_t_samples_override(tmp_path):
     assert [r["t"] for r in rows] == ["0.0", "0.25"]
 
 
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
+def test_tol_must_be_finite_and_nonnegative(command, tol, torus_file, tmp_path, capsys):
+    # a NaN or negative tolerance turned every classify flag False with
+    # exit 0, and inf made Iwasawa Hermitian-symplectic; each is bad input
+    model = ["--model", torus_file] if command != "selftest" else []
+    code = run([command, *model, "--out", str(tmp_path), f"--tol={tol}"])
+    assert code == EXIT_INPUT
+    assert f"argument --tol: expected a finite value >= 0, got '{tol}'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.txt")) and not list(tmp_path.glob("*.csv"))
+
+
+def test_tol_zero_is_accepted(torus_file, tmp_path):
+    assert run(["classify", "--model", torus_file, "--out", str(tmp_path),
+                "--tol", "0"]) == EXIT_OK
+    assert "tol: 0.0" in (tmp_path / "classify_report.txt").read_text()
+
+
+@pytest.mark.parametrize("samples, error", [
+    ("0 nan", "t_samples must be finite"),
+    ("0 inf", "t_samples must be finite"),
+    ("", "t_samples must include 0"),
+    ("0.5 1", "t_samples must include 0"),
+    ("0 x", "t_samples must be a list of reals"),
+])
+def test_t_samples_checked_as_a_family_file_line(samples, error, tmp_path, capsys):
+    # the --t-samples override passes the checks of the grammar's t_samples
+    # line: "0 nan" wrote a nan row and "" was ignored
+    fam = tmp_path / "family.model"
+    fam.write_text(FAMILY_TEXT)
+    code = run(["family", "--model", str(fam), "--out", str(tmp_path),
+                "--t-samples", samples])
+    assert code == EXIT_INPUT
+    assert f"argument --t-samples: {error}" in capsys.readouterr().err
+    assert not (tmp_path / "family.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["flow", "selftest"])
+def test_max_iters_must_be_nonnegative(command, spectral_file, tmp_path, capsys):
+    # -3 ran as 0 iterations and exited 0
+    model = ["--model", spectral_file] if command == "flow" else []
+    code = run([command, *model, "--out", str(tmp_path), "--max-iters", "-3"])
+    assert code == EXIT_INPUT
+    assert "argument --max-iters: expected a finite value >= 0, got '-3'" in (
+        capsys.readouterr().err)
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_missing_model_file(tmp_path):
     code = run(["classify", "--model", str(tmp_path / "nope.model"),
                 "--out", str(tmp_path)])

@@ -14,7 +14,7 @@ from hstorsion.forms import conjugate
 from hstorsion.metric import HermitianStructure
 
 from conftest import (IWASAWA_TEXT, SPECTRAL_TEXT, TORUS_TEXT,
-                      random_hermitian_structure)
+                      coefficient_laplacian, random_hermitian_structure)
 
 # a metric that varies over the spectral n = 2, K = 1 torus
 SPECTRAL_N2_TEXT = """kind spectral
@@ -35,6 +35,15 @@ t_samples := 0 0.5
 """
 
 
+def solve_adjoint(H, kind, p, q):
+    """The Gram adjoint of the structure operator kind on Lambda^{p,q} by a
+    solve with the source Gram (HermitianStructure.adjoint_matrix),
+    independent of the Cholesky factors."""
+    dp, dq = {"del": (1, 0), "dbar": (0, 1), "ddbar": (1, 1)}[kind]
+    A = getattr(H.complex, f"{kind}_matrix")(p, q)
+    return H.adjoint_matrix(A, (p, q), (p + dp, q + dq))
+
+
 def reference_laplacian_bc(H, p, q):
     """The Bott-Chern Laplacian assembled from the Gram adjoints (each one
     solve with the source Gram), independent of the whitened operators:
@@ -47,20 +56,20 @@ def reference_laplacian_bc(H, p, q):
     N = cx.dims(p, q)
     L = np.zeros((N, N), dtype=complex)
     if p + 1 <= n:
-        L += H.del_adjoint(p, q) @ cx.del_matrix(p, q)
+        L += solve_adjoint(H, "del", p, q) @ cx.del_matrix(p, q)
     if q + 1 <= n:
-        L += H.dbar_adjoint(p, q) @ cx.dbar_matrix(p, q)
+        L += solve_adjoint(H, "dbar", p, q) @ cx.dbar_matrix(p, q)
     if p + 1 <= n and q + 1 <= n:
-        L += H.ddbar_adjoint(p, q) @ cx.ddbar_matrix(p, q)
+        L += solve_adjoint(H, "ddbar", p, q) @ cx.ddbar_matrix(p, q)
     if p >= 1 and q >= 1:
-        L += cx.ddbar_matrix(p - 1, q - 1) @ H.ddbar_adjoint(p - 1, q - 1)
+        L += cx.ddbar_matrix(p - 1, q - 1) @ solve_adjoint(H, "ddbar", p - 1, q - 1)
     if q + 1 <= n and p >= 1:
         # T = del* dbar : (p,q) -> (p,q+1) -> (p-1,q+1)
-        T = H.del_adjoint(p - 1, q + 1) @ cx.dbar_matrix(p, q)
+        T = solve_adjoint(H, "del", p - 1, q + 1) @ cx.dbar_matrix(p, q)
         L += H.adjoint_matrix(T, (p, q), (p - 1, q + 1)) @ T
     if p + 1 <= n and q >= 1:
         # S = del* dbar : (p+1,q-1) -> (p+1,q) -> (p,q)
-        S = H.del_adjoint(p, q) @ cx.dbar_matrix(p + 1, q - 1)
+        S = solve_adjoint(H, "del", p, q) @ cx.dbar_matrix(p + 1, q - 1)
         L += S @ H.adjoint_matrix(S, (p + 1, q - 1), (p, q))
     return L
 
@@ -72,9 +81,9 @@ def reference_laplacian_dbar(H, p, q):
     N = cx.dims(p, q)
     L = np.zeros((N, N), dtype=complex)
     if q + 1 <= n:
-        L += H.dbar_adjoint(p, q) @ cx.dbar_matrix(p, q)
+        L += solve_adjoint(H, "dbar", p, q) @ cx.dbar_matrix(p, q)
     if q >= 1:
-        L += cx.dbar_matrix(p, q - 1) @ H.dbar_adjoint(p, q - 1)
+        L += cx.dbar_matrix(p, q - 1) @ solve_adjoint(H, "dbar", p, q - 1)
     return L
 
 
@@ -98,17 +107,17 @@ def ladder_structure(name):
 
 @pytest.mark.parametrize("name", LADDER)
 def test_laplacians_match_the_adjoint_reference(name):
-    # the Laplacians assembled from whitened operators equal the ones
-    # assembled from Gram adjoints (solves), to rounding
+    # the whitened Laplacians, taken to the coefficient frame, equal the
+    # ones assembled from Gram adjoints (solves), to rounding
     H = ladder_structure(name)
     n = H.n
     for p in range(n + 1):
         for q in range(n + 1):
-            for lap, ref in ((laplacian_bc, reference_laplacian_bc),
-                             (laplacian_dbar, reference_laplacian_dbar)):
-                L, L_ref = lap(H, p, q), ref(H, p, q)
+            for which, ref in (("bc", reference_laplacian_bc),
+                               ("dbar", reference_laplacian_dbar)):
+                L, L_ref = coefficient_laplacian(H, which, p, q), ref(H, p, q)
                 scale = max(np.linalg.norm(L_ref), 1e-300)
-                assert np.linalg.norm(L - L_ref) <= 1e-12 * scale, (lap.__name__, p, q)
+                assert np.linalg.norm(L - L_ref) <= 1e-12 * scale, (which, p, q)
 
 
 @pytest.mark.parametrize("name", LADDER)
@@ -132,7 +141,8 @@ def test_gram_eig_basic(rng):
     B = rng.standard_normal((N, 3)) + 1j * rng.standard_normal((N, 3))
     M = np.linalg.solve(G, B @ B.conj().T)  # G-self-adjoint PSD, rank 3
     R = np.linalg.cholesky(G).conj().T  # upper: G = R^H R
-    eig = gram_eig(M, R, np.linalg.inv(R))
+    Rinv = np.linalg.inv(R)
+    eig = gram_eig(R @ M @ Rinv, R, Rinv)  # given whitened
     assert eig.kernel_dim == N - 3
     # pinv inverts on the image: M pinv M = M
     assert np.allclose(M @ eig.pinv @ M, M, atol=1e-10)
@@ -143,10 +153,32 @@ def test_gram_eig_basic(rng):
     assert np.allclose(M @ P, 0.0, atol=1e-10)
 
 
+@pytest.mark.parametrize("name", ["spectral", "iwasawa-random0"])
+def test_gram_eig_reads_the_lower_triangle(name):
+    # as eigh does: NaN in the strict upper triangle of the whitened
+    # Laplacian gives the same GramEig, bit for bit
+    H = ladder_structure(name)
+    R, Rinv = H.chol(1, 1), H.chol_inv(1, 1)
+    for which in ("bc", "dbar"):
+        Lt = cohomology._LAPLACIANS[which](H, 1, 1)
+        ref = gram_eig(Lt, R, Rinv)
+        Lt[np.triu_indices(len(Lt), 1)] = np.nan
+        ge = gram_eig(Lt, R, Rinv)
+        assert ge.kernel_dim == ref.kernel_dim and ge.separation_ok == ref.separation_ok
+        assert ge.cutoff == ref.cutoff
+        for a, b in ((ge.eigenvalues, ref.eigenvalues), (ge.vectors, ref.vectors),
+                     (ge.pinv, ref.pinv), (ge.kernel_projector, ref.kernel_projector)):
+            assert np.array_equal(a, b)
+
+
 def test_laplacians_gram_self_adjoint_psd(iwasawa_cx, rng):
     H = random_hermitian_structure(iwasawa_cx, rng)
     G = H.gram(1, 1)
-    for L in (laplacian_bc(H, 1, 1), laplacian_dbar(H, 1, 1)):
+    for which, lap in (("bc", laplacian_bc), ("dbar", laplacian_dbar)):
+        # returned whitened: Hermitian; in the coefficient frame G-self-adjoint
+        Lt = lap(H, 1, 1)
+        assert np.allclose(Lt, Lt.conj().T, atol=1e-10)
+        L = coefficient_laplacian(H, which, 1, 1)
         GL = G @ L
         assert np.allclose(GL, GL.conj().T, atol=1e-10)
         w = np.linalg.eigvalsh(0.5 * (GL + GL.conj().T))
@@ -158,8 +190,8 @@ def test_bc_laplacian_conjugation_symmetry(iwasawa_H):
     H = iwasawa_H
     cx = H.complex
     for (p, q) in [(2, 0), (2, 1), (1, 0)]:
-        L_pq = laplacian_bc(H, p, q)
-        L_qp = laplacian_bc(H, q, p)
+        L_pq = coefficient_laplacian(H, "bc", p, q)
+        L_qp = coefficient_laplacian(H, "bc", q, p)
         rng = np.random.default_rng(p * 7 + q)
         for _ in range(3):
             u = cx.random_form(p, q, rng)
@@ -175,7 +207,7 @@ def test_green_property(iwasawa_cx, rng):
         for (p, q) in [(2, 0), (1, 1)]:
             g = H.complex.random_form(p, q, rng)
             eig = green_operator(H, p, q, which)
-            L = (laplacian_bc if which == "bc" else laplacian_dbar)(H, p, q)
+            L = coefficient_laplacian(H, which, p, q)
             harm = harmonic_projection(H, g, which)
             resid = L @ (eig.pinv @ g.coeffs) - (g.coeffs - harm.coeffs)
             assert np.linalg.norm(resid) <= 1e-8 * (1 + np.linalg.norm(g.coeffs))
@@ -198,8 +230,8 @@ def test_green_form_wrapper(iwasawa_H, rng):
 def test_operator_bundle(iwasawa_H):
     # both Laplacians' spectral data at one bidegree
     G = iwasawa_H.gram(1, 1)
-    for which, lap in (("bc", laplacian_bc), ("dbar", laplacian_dbar)):
-        L = lap(iwasawa_H, 1, 1)
+    for which in ("bc", "dbar"):
+        L = coefficient_laplacian(iwasawa_H, which, 1, 1)
         eig = green_operator(iwasawa_H, 1, 1, which)
         P = eig.kernel_projector
         assert np.allclose(P @ P, P, atol=1e-10)
@@ -281,14 +313,14 @@ def test_green_dbar_commutation(iwasawa_cx, rng):
     # dbar* Green_dbar = Green_dbar dbar* on the image of the Laplacian
     H = random_hermitian_structure(iwasawa_cx, rng)
     p, q = 1, 1
-    L = laplacian_dbar(H, p, q)
+    L = coefficient_laplacian(H, "dbar", p, q)
     g = H.complex.random_form(p, q, rng)
     v = type(g)(H.complex.catalog, g.bidegree, L @ g.coeffs)  # in Im Delta
     e_here = green_operator(H, p, q, "dbar")
     e_down = green_operator(H, p, q - 1, "dbar")
-    lhs = H.apply_dbar_adjoint(
-        type(g)(H.complex.catalog, g.bidegree, e_here.pinv @ v.coeffs))
-    rhs = e_down.pinv @ H.apply_dbar_adjoint(v).coeffs
+    lhs = H.apply_adjoint(
+        "dbar", type(g)(H.complex.catalog, g.bidegree, e_here.pinv @ v.coeffs))
+    rhs = e_down.pinv @ H.apply_adjoint("dbar", v).coeffs
     assert np.linalg.norm(lhs.coeffs - rhs) <= 1e-8 * (1 + np.linalg.norm(rhs))
 
 
@@ -360,7 +392,7 @@ def test_gram_eig_forms_pinv_and_projector_when_read(iwasawa_cx, rng):
     assert "pinv" not in vars(ge) and "kernel_projector" not in vars(ge)
     P = ge.kernel_projector
     assert ge.kernel_projector is P and np.allclose(P @ P, P, atol=1e-10)
-    assert np.allclose(ge.pinv @ laplacian_bc(H, 1, 1) @ P, 0.0, atol=1e-10)
+    assert np.allclose(ge.pinv @ coefficient_laplacian(H, "bc", 1, 1) @ P, 0.0, atol=1e-10)
 
 
 @pytest.mark.parametrize("rcond", [cohomology.KERNEL_RCOND, 0.1])
@@ -388,7 +420,7 @@ def test_table_builds_no_green_operator(iwasawa_cx, rng):
     assert sum(key[0] == "whitened" for key in H._memo) == 3 * n * n + 2 * n
     ge = green_operator(H, 1, 1, "bc")
     assert np.allclose(ge.eigenvalues,
-                       np.linalg.eigvalsh(cohomology._whitened_bc(H, 1, 1)), atol=1e-12)
+                       np.linalg.eigvalsh(laplacian_bc(H, 1, 1)), atol=1e-12)
 
 
 def test_batched_factors_equal_the_single_ones(spectral_cx, iwasawa_cx, rng):

@@ -15,7 +15,8 @@ from hstorsion.forms import Bidegree, Form, conjugate
 from hstorsion.metric import HermitianStructure
 from hstorsion.torsion import torsion_form
 
-from conftest import random_hermitian_structure
+from conftest import (IWASAWA_TEXT, SPECTRAL_TEXT, TORUS_TEXT,
+                      random_hermitian_structure)
 
 FAMILY_TEXT = """kind invariant
 n 3
@@ -60,6 +61,73 @@ def test_neumann_solution(iwasawa_cx, rng):
     assert H.norm(cx.apply_dbar(sol.phi) - rho) <= 1e-8 * (1 + H.norm(rho))
     assert sol.commutation_gap <= 1e-8
     assert H.norm(sol.phi) <= H.norm(psi) + 1e-10
+
+
+N2K2_FAMILY = """kind spectral
+n 2
+modes axis K 2
+potential 2 0 0 0 u 2 := poly(0, 0.04)
+potential 0 2 0 0 u 1 := poly(0, 0.03+0.02i)
+t_samples := 0 0.5
+"""
+
+
+def _solution_operator_metric(name):
+    """SPECTRAL_TEXT, SPECTRAL_TEXT moved by a random potential, the n = 2,
+    K = 2 family at t = 0.5, or a random invariant torus or Iwasawa
+    metric."""
+    rng = np.random.default_rng(len(name))
+    if name.startswith(("torus", "iwasawa")):
+        text = TORUS_TEXT if name.startswith("torus") else IWASAWA_TEXT
+        return random_hermitian_structure(build_complex(parse_model(text)), rng, amp=0.5)
+    if name == "n2k2-t0.5":
+        cx = build_complex(parse_family(N2K2_FAMILY).model(0.5))
+        return HermitianStructure(cx, omega=cx.metric_form())
+    cx = build_complex(parse_model(SPECTRAL_TEXT))
+    w = cx.metric_form()
+    if name == "spectral-random":
+        u = 0.01 * cx.random_form(1, 0, rng)
+        w = w + cx.apply_dbar(u) + cx.apply_del(conjugate(u))
+    return HermitianStructure(cx, omega=w)
+
+
+def _solve_based(H, kind, v, which):
+    """D* Green v for D = kind, the Green operator of the Laplacian which
+    and D* by a solve with the source Gram (adjoint_matrix), independent of
+    the Cholesky factors that HermitianStructure.apply_adjoint reads."""
+    dp, dq = {"dbar": (0, 1), "ddbar": (1, 1)}[kind]
+    src = (v.p - dp, v.q - dq)
+    A = getattr(H.complex, f"{kind}_matrix")(*src)
+    return H.adjoint_matrix(A, src, (v.p, v.q)) @ (
+        green_operator(H, v.p, v.q, which).pinv @ v.coeffs)
+
+
+def _agree(x, ref):
+    return np.abs(x - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1e-300)
+
+
+@pytest.mark.parametrize("name", ["spectral", "spectral-random", "n2k2-t0.5",
+                                  "torus-random", "iwasawa-random0", "iwasawa-random1"])
+def test_solution_operators_match_the_solve_based_adjoint(name):
+    # min_ddbar_solution, neumann_dbar_solution and kahler_in_class apply
+    # D* through the Cholesky factors; the same formulas with D* by a solve
+    # give the same forms
+    H = _solution_operator_metric(name)
+    cx = H.complex
+    rng = np.random.default_rng(3)
+    nontrivial = 0
+    for (p, q) in [(0, 0), (1, 0), (0, 1), (1, 1)]:
+        v = cx.apply_del(cx.apply_dbar(cx.random_form(p, q, rng)))
+        assert _agree(min_ddbar_solution(H, v).u.coeffs, _solve_based(H, "ddbar", v, "bc"))
+        rho = cx.apply_dbar(cx.random_form(q + 1, p, rng))
+        assert _agree(neumann_dbar_solution(H, rho).phi.coeffs,
+                      _solve_based(H, "dbar", rho, "dbar"))
+        nontrivial += H.norm(v) > 1e-6 and H.norm(rho) > 1e-6
+    assert nontrivial or name.startswith("torus")
+    if not name.startswith("iwasawa"):
+        u_min = kahler_in_class(H).u_min.coeffs
+        assert _agree(u_min, -_solve_based(H, "ddbar", cx.apply_del(H.omega), "bc"))
+        assert name.startswith("torus") or np.abs(u_min).max() > 1e-6
 
 
 def test_kahler_in_class_trivial_at_kahler(torus_H):

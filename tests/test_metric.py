@@ -290,12 +290,20 @@ def test_adjointness(spectral_H, rng):
         u = cx.random_form(p, q, rng)
         v = cx.random_form(p + 1, q, rng)
         lhs = H.ip(cx.apply_del(u), v)
-        rhs = H.ip(u, H.apply_del_adjoint(v))
+        rhs = H.ip(u, H.apply_adjoint("del", v))
         assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs))
         w = cx.random_form(p, q + 1, rng)
         lhs = H.ip(cx.apply_dbar(u), w)
-        rhs = H.ip(u, H.apply_dbar_adjoint(w))
+        rhs = H.ip(u, H.apply_adjoint("dbar", w))
         assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs))
+
+
+def test_apply_adjoint_refuses_below_degree_zero(iwasawa_H):
+    cx = iwasawa_H.complex
+    for kind, (p, q) in [("del", (0, 2)), ("dbar", (2, 0)), ("ddbar", (1, 0)),
+                         ("ddbar", (0, 1))]:
+        with pytest.raises(DegreeError, match="negative bidegree"):
+            iwasawa_H.apply_adjoint(kind, cx.zero(p, q))
 
 
 def test_codifferential_identity_on_omega(spectral_H):
@@ -303,7 +311,7 @@ def test_codifferential_identity_on_omega(spectral_H):
     # spectral metric (both sides vanish identically on the test nilmanifold)
     H = spectral_H
     n = H.n
-    lhs = H.hodge_star(H.apply_del_adjoint(H.omega))
+    lhs = H.hodge_star(H.apply_adjoint("del", H.omega))
     rhs = H.complex.apply_dbar(H.omega_power(n - 1))
     assert H.norm(rhs) > 0.1
     assert H.norm(lhs - rhs) <= 1e-10 * (1 + H.norm(rhs))
@@ -314,7 +322,7 @@ def test_codifferential_star_formula(iwasawa_cx, rng):
     H = random_hermitian_structure(iwasawa_cx, rng)
     for (p, q) in [(2, 1), (2, 0), (1, 1), (3, 1)]:
         v = H.complex.random_form(p, q, rng)
-        lhs = H.apply_del_adjoint(v)
+        lhs = H.apply_adjoint("del", v)
         rhs = H.hodge_star(H.complex.apply_dbar(H.hodge_star(v)))
         assert H.norm(lhs + rhs) <= 1e-10 * (1 + H.norm(v))
 
