@@ -143,10 +143,10 @@ class FormComplex(_Memo):
     """A finite bigraded complex with del and delbar matrices per bidegree.
 
     Immutable after construction.  It also carries the quadrature grid,
-    the node plane-wave matrix and the grid transform used by every
-    metric-dependent computation downstream; a model with no axes has one
-    node.  Their tables are shared with every live complex on the same
-    (modes, grid).
+    the node plane-wave matrix and the grid transform and its adjoint
+    used by every metric-dependent computation downstream; a model with no
+    axes has one node.  Their tables are shared with every live complex on
+    the same (modes, grid).
     """
 
     def __init__(self, model: Model):
@@ -292,10 +292,17 @@ class FormComplex(_Memo):
         return np.ascontiguousarray(j.T / np.array(self.grid))
 
     def eval_matrix(self):
-        """Plane-wave matrix E with E[x, m] = exp(2 pi i m . x_node); [[1]]
+        """Plane-wave matrix E with E[x, m] = exp(2 pi i m . x_node), the
+        transposed grid_values of each mode's unit spectrum on S_1; [[1]]
         when there are no axes."""
-        return self._lattice._cached("eval", lambda: np.exp(
-            2j * np.pi * (self.nodes() @ np.array(self.catalog.modes).T)))
+
+        def build():
+            # S_1 is the modes, distinct on a grid of at least 4 max|m| + 1
+            k = self.frequencies(1)
+            at = self._positions(1, self._modes(), k[0][:1])[:, 0]
+            return self.grid_values(np.eye(len(at), dtype=complex)[at], k).T
+
+        return self._lattice._cached("eval", build)
 
     def _modes(self):
         """The modes as integer rows, shape (modes, axes)."""
@@ -402,6 +409,23 @@ class FormComplex(_Memo):
             g = len(phases)
             out = (out.reshape(-1, g) @ phases).reshape(F, out.shape[1], -1, g)
             out = out.transpose(0, 1, 3, 2)[:, rest, k]
+        return out.reshape(F, -1)
+
+    def grid_values(self, spectrum, frequencies):
+        """sum_k spectrum[f, k] exp(2 pi i k . x) at every node x, shape
+        (F, X), for spectrum of shape (F, |S|) at the k of frequencies(j):
+        the adjoint of grid_transform, its steps run backwards.  Per axis
+        from the first, a scatter of the set's suffixes (k_a, ..., k_last)
+        into their (rest, k_a) slots, then one product with the conjugate
+        DFT matrix.  With no axes it is the identity."""
+        F = len(spectrum)
+        out = spectrum.reshape(F, -1, 1)
+        for phases, rest, k in reversed(frequencies[1]):
+            g = len(phases)
+            # every suffix of the step before is the rest of some suffix
+            full = np.zeros((F, rest.max() + 1, out.shape[2], g), dtype=complex)
+            full.transpose(0, 1, 3, 2)[:, rest, k] = out
+            out = (full.reshape(-1, g) @ phases.conj()).reshape(F, full.shape[1], -1)
         return out.reshape(F, -1)
 
     @property
@@ -621,13 +645,19 @@ def _value(coef, t, line):
 
 def _t_samples(values, line=None):
     """The reals of a t_samples list, separated by commas or blanks; each
-    finite, 0 among them, or ModelError."""
+    finite, none repeated (0 and -0 are one value), 0 among them, or
+    ModelError."""
     try:
         t = [float(x) for x in re.split(r"[,\s]+", values) if x]
     except ValueError:
         raise ModelError("t_samples must be a list of reals", line) from None
     if not all(map(math.isfinite, t)):
         raise ModelError("t_samples must be finite", line)
+    seen = set()
+    for x in t:
+        if x in seen:
+            raise ModelError(f"t_samples repeats {x + 0.0!r}", line)
+        seen.add(x)
     if 0.0 not in t:
         raise ModelError("t_samples must include 0", line)
     return t

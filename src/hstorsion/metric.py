@@ -94,39 +94,6 @@ def _jacobi_tables(n):
     return tables
 
 
-@functools.lru_cache(maxsize=None)
-def _det_tables(n):
-    """For k = 2..n, the Laplace expansion (_laplace_tables) along the first
-    column of the minors det h[I_a, T_k] on the trailing k columns T_k (the
-    last k-subset): entry[a, i], the flat index of (I_a[i], n - k), and
-    cofactor[a, i], the row of det h[I_a minus I_a[i], T_{k-1}]."""
-    tables = []
-    for k, (entry, cofactor) in enumerate(_laplace_tables(n)[1:], start=2):
-        C = math.comb(n, k)
-        last = np.arange(C) * C + C - 1
-        tables.append((entry[last], cofactor[last] // math.comb(n, k - 1)))
-    return tables
-
-
-def _node_det(h):
-    """det h(x), shape (X,), for Hermitian h(x) of shape (X, n, n), from its
-    minors on the trailing columns, 2^n - 1 rows over the nodes: the last
-    column (a view when h is node-contiguous), then each size by Laplace
-    expansion (_det_tables), one term at a time, in C(n, k) rows."""
-    n = h.shape[-1]
-    rows = h.transpose(1, 2, 0).reshape(n * n, -1)
-    minors = rows[n - 1::n]
-    for entry, cofactor in _det_tables(n):
-        # sum_i (-1)^i h[I_i, n - k] det h[I \ I_i, T_{k-1}]
-        out = rows[entry[:, 0]] * minors[cofactor[:, 0]]
-        for i in range(1, entry.shape[1]):
-            term = rows[entry[:, i]]
-            term *= minors[cofactor[:, i]]
-            (np.subtract if i % 2 else np.add)(out, term, out=out)
-        minors = out
-    return np.real(minors[0])
-
-
 def _minor_spectra(h, folds):
     """The grid spectra of det h(x)[I_a, I_b] for every pair (a, b) of
     k-subsets, flattened, k = 0..n, as (C * C, |S_k|) arrays, from the mode
@@ -329,13 +296,14 @@ class HermitianStructure(_Memo):
 
     def _inverse_det(self):
         """The grid spectrum D of 1 / det h(x) on S_{2n}, the frequencies a
-        compound reads, computed when first read: one transform of one row
-        of node values (_node_det)."""
+        compound reads, computed when first read: one transform of the
+        reciprocal of det h(x), synthesized at the nodes (grid_values) from
+        its exact spectrum on S_n, the last of the minor spectra."""
 
         def build():
-            values = 1 / _node_det(self.h_nodes)
-            frequencies = self.complex.frequencies(2 * self.n)
-            return self.complex.grid_transform(values[None], frequencies)[0] / len(values)
+            cx = self.complex
+            det = cx.grid_values(self._minor_spectra()[-1], cx.frequencies(self.n))[0].real
+            return cx.grid_transform(1 / det[None], cx.frequencies(2 * self.n))[0] / len(det)
 
         return self._cached("inverse det", build)
 

@@ -306,6 +306,14 @@ def test_grid_transform_is_the_dft_at_each_frequency_set(text):
             assert np.array_equal(sums[order] % cx.grid, np.repeat(k, runs, axis=0))
         out = cx.grid_transform(values, cx.frequencies(j))
         assert np.abs(out - full[:, flat]).max() <= 1e-13 * np.abs(full).max()
+        # its adjoint: the inverse DFT, times X, of a spectrum on S_j
+        # scattered onto the grid
+        spectrum = values[:, :len(k)]
+        scattered = np.zeros_like(values)
+        scattered[:, flat] = spectrum
+        ref = np.fft.ifftn(scattered.reshape(2, *cx.grid), axes=axes).reshape(2, -1) * cx.n_nodes
+        back = cx.grid_values(spectrum, cx.frequencies(j))
+        assert np.abs(back - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_catalogs_of_one_dimension_share_the_structural_tables():

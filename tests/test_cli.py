@@ -219,10 +219,12 @@ def test_tol_zero_is_accepted(torus_file, tmp_path):
     ("", "t_samples must include 0"),
     ("0.5 1", "t_samples must include 0"),
     ("0 x", "t_samples must be a list of reals"),
+    ("0 -0 1", "t_samples repeats 0.0"),
 ])
 def test_t_samples_checked_as_a_family_file_line(samples, error, tmp_path, capsys):
     # the --t-samples override passes the checks of the grammar's t_samples
-    # line: "0 nan" wrote a nan row and "" was ignored
+    # line: "0 nan" wrote a nan row, "" was ignored and "0 -0 1" wrote two
+    # rows for t = 0
     fam = tmp_path / "family.model"
     fam.write_text(FAMILY_TEXT)
     code = run(["family", "--model", str(fam), "--out", str(tmp_path),
@@ -377,11 +379,11 @@ def test_import_does_no_numeric_work():
     code = ("import sys, hstorsion.cli\n"
             "from hstorsion import metric\n"
             "print('scipy' in sys.modules, [f.cache_info().currsize for f in (\n"
-            "    metric._laplace_tables, metric._jacobi_tables, metric._det_tables)])\n")
+            "    metric._laplace_tables, metric._jacobi_tables)])\n")
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[0] == "False [0, 0, 0]"
+    assert proc.stdout.split("\n")[0] == "False [0, 0]"
 
 
 def test_family_runs_five_laplacians_per_sample(tmp_path, monkeypatch):

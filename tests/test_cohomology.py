@@ -185,9 +185,28 @@ def test_laplacians_gram_self_adjoint_psd(iwasawa_cx, rng):
         assert w.min() >= -1e-10 * max(abs(w).max(), 1.0)
 
 
-def test_bc_laplacian_conjugation_symmetry(iwasawa_H):
+# the standard Iwasawa metric, whose Grams are the identity, a random one,
+# whose Cholesky frames are not, and SPECTRAL_TEXT: a test in the coefficient
+# frame reads the frame change R^{-1} L~ R only on the last two.  An
+# invariant metric's Gram is a Kronecker product conj(C_p) (x) N_q, whose
+# frame commutes with conjugation; conjugation reverses the modes of a
+# spectral one
+FRAMES = {"iwasawa": True, "iwasawa-random0": False, "spectral": False}
+
+
+def _frame_structure(name):
+    """ladder_structure(name), checked to have the identity (1,1) frame
+    exactly when FRAMES says so."""
+    H = ladder_structure(name)
+    R = H.chol(1, 1)
+    assert np.allclose(R, np.eye(len(R)), atol=1e-12) == FRAMES[name]
+    return H
+
+
+@pytest.mark.parametrize("name", FRAMES)
+def test_bc_laplacian_conjugation_symmetry(name):
     # conjugate . Delta_BC = Delta_BC . conjugate between (p,q) and (q,p)
-    H = iwasawa_H
+    H = _frame_structure(name)
     cx = H.complex
     for (p, q) in [(2, 0), (2, 1), (1, 0)]:
         L_pq = coefficient_laplacian(H, "bc", p, q)
@@ -227,12 +246,14 @@ def test_green_form_wrapper(iwasawa_H, rng):
     assert np.abs(H.chol_inv(2, 0) @ H.chol(2, 0) - np.eye(len(R))).max() <= 1e-12
 
 
-def test_operator_bundle(iwasawa_H):
+@pytest.mark.parametrize("name", FRAMES)
+def test_operator_bundle(name):
     # both Laplacians' spectral data at one bidegree
-    G = iwasawa_H.gram(1, 1)
+    H = _frame_structure(name)
+    G = H.gram(1, 1)
     for which in ("bc", "dbar"):
-        L = coefficient_laplacian(iwasawa_H, which, 1, 1)
-        eig = green_operator(iwasawa_H, 1, 1, which)
+        L = coefficient_laplacian(H, which, 1, 1)
+        eig = green_operator(H, 1, 1, which)
         P = eig.kernel_projector
         assert np.allclose(P @ P, P, atol=1e-10)
         assert np.allclose(G @ P, (G @ P).conj().T, atol=1e-10)
@@ -446,3 +467,59 @@ def test_batched_factors_equal_the_single_ones(spectral_cx, iwasawa_cx, rng):
                     if p + dp <= n and q + dq <= n:
                         assert np.array_equal(H.whitened(kind, p, q),
                                               single.whitened(kind, p, q))
+
+
+def _total_degree(n):
+    """The bidegrees (p, q) of each total degree k = p + q, k = 0..2n."""
+    return [[(p, k - p) for p in range(n + 1) if 0 <= k - p <= n] for k in range(2 * n + 1)]
+
+
+def _betti_numbers(cx):
+    """b_k = dim Lambda^k - rank d_k - rank d_{k-1}, k = 0..2n, for the
+    total d = del + dbar of the complex on the forms of total degree k."""
+    degree = _total_degree(cx.n)
+
+    def block(r, s, p, q):
+        if (r, s) == (p + 1, q):
+            return cx.del_matrix(p, q)
+        if (r, s) == (p, q + 1):
+            return cx.dbar_matrix(p, q)
+        return np.zeros((cx.dims(r, s), cx.dims(p, q)))
+
+    ranks = [0] + [np.linalg.matrix_rank(np.block(
+        [[block(*dst, *src) for src in degree[k]] for dst in degree[k + 1]]))
+        for k in range(2 * cx.n)] + [0]
+    return [sum(cx.dims(*bd) for bd in bds) - ranks[k] - ranks[k + 1]
+            for k, bds in enumerate(degree)]
+
+
+@pytest.mark.parametrize("text, betti", [
+    (TORUS_TEXT, [1, 6, 15, 20, 15, 6, 1]),
+    (IWASAWA_TEXT, [1, 4, 8, 10, 8, 4, 1]),
+], ids=["torus", "iwasawa"])
+def test_frolicher_and_angella_tomassini_inequalities(text, betti):
+    # b_k, the rank counts of d = del + dbar, are the de Rham numbers of the
+    # nilmanifold, its Lie algebra's cohomology by Nomizu (Ann. Math. 59,
+    # 1954).  Frolicher (PNAS 41, 1955): sum_{p+q=k} h_dbar^{p,q} >= b_k.
+    # Angella-Tomassini (Invent. Math. 192, 2013): sum_{p+q=k} (h_BC^{p,q}
+    # + h_A^{p,q}) >= 2 b_k, with equality for all k exactly when the
+    # ddbar-lemma holds.  Both are equalities on the torus and strict on
+    # Iwasawa for 0 < k < 6
+    cx = build_complex(parse_model(text))
+    assert _betti_numbers(cx) == betti
+    entries = cohomology_table(HermitianStructure(cx, omega=cx.metric_form())).entries
+    n = cx.n
+    bidegrees = _total_degree(n)
+    dolbeault = [sum(entries[bd]["dbar"] for bd in bds) for bds in bidegrees]
+    bc_aeppli = [sum(entries[bd]["bc"] + entries[bd]["aeppli"] for bd in bds)
+                 for bds in bidegrees]
+    if text == TORUS_TEXT:
+        assert dolbeault == betti
+        assert bc_aeppli == [2 * b for b in betti]
+    else:
+        assert dolbeault[1:4] == [5, 11, 14] and betti[1:4] == [4, 8, 10]
+        assert bc_aeppli[1:4] == [10, 22, 28]
+        for k in range(2 * n + 1):
+            strict = 0 < k < 2 * n
+            assert (dolbeault[k] > betti[k]) == strict and dolbeault[k] >= betti[k]
+            assert (bc_aeppli[k] > 2 * betti[k]) == strict and bc_aeppli[k] >= 2 * betti[k]

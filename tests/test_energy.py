@@ -3,6 +3,7 @@ import cmath
 import numpy as np
 import pytest
 
+from hstorsion import energy as energy_module
 from hstorsion import metric
 from hstorsion.backends import build_complex, format_complex, parse_model
 from hstorsion.cohomology import cohomology_table
@@ -336,3 +337,36 @@ def test_n3_energy_invariant_under_the_doubling_cover(spectral_H):
     assert abs(f - f0) <= 1e-12 * f0
     assert abs(rep.norm - rep0.norm) <= 1e-12 * rep0.norm
 
+
+# n = 4 with modes 0, +-e_1, +-e_2 (5 x 5 nodes): the smallest model on
+# which dF has its higher-dimensional term
+N4_TEXT = """kind spectral
+n 4
+mode 0 0 0 0 0 0 0 0
+mode 1 0 0 0 0 0 0 0
+mode -1 0 0 0 0 0 0 0
+mode 0 1 0 0 0 0 0 0
+mode 0 -1 0 0 0 0 0 0
+potential 1 0 0 0 0 0 0 0 u 2 := 0.2
+potential 0 1 0 0 0 0 0 0 u 3 := 0.15+0.1i
+potential -1 0 0 0 0 0 0 0 u 4 := 0.1i
+"""
+
+
+def test_differential_has_the_higher_dimensional_term(rng):
+    # for n >= 4, dF gains 2 Re int u ^ rho ^ conj(rho) ^ dbar(omega_{n-3});
+    # here it is non-zero, and the differential with it matches central
+    # finite differences of F along unit directions, whose O(h^2) error is
+    # about 1e-9 relative at h = 1e-5
+    cx = build_complex(parse_model(N4_TEXT))
+    assert (cx.n, cx.catalog.n_modes, cx.n_nodes) == (4, 5, 25)
+    H = HermitianStructure(cx, omega=cx.metric_form())
+    _, rep = energy(H)
+    assert np.abs(energy_module._torsion_wedge_functional(H, rep.rho20)).max() > 0.1
+    pt = AeppliPoint(cx, H.omega)
+    for _ in range(3):
+        v = cx.random_form(1, 0, rng)
+        v = (1 / np.linalg.norm(v.coeffs)) * v
+        ex = differential(pt, v)
+        fd = fd_differential(pt, v, h=1e-5)
+        assert abs(ex - fd) <= 1e-8 * abs(ex)

@@ -67,6 +67,10 @@ DEFECTS = {
                             "include 0"),
     "t_samples not finite": (parse_family, "kind invariant\nn 3\nt_samples := 0 inf\n", 3,
                              "finite"),
+    # each sample is one family.csv row; 0 and -0 are one value
+    "t_samples with a repeated value": (parse_family,
+                                        "kind invariant\nn 3\nt_samples := 0 0 0.5 0.5\n", 3,
+                                        "repeats 0.0"),
     "t_samples in a model file": (parse_model, "kind invariant\nt_samples := 0\nn 3\n", 2,
                                   "family"),
     "non-constant poly in a model file": (parse_model, "kind invariant\nn 2\n"

@@ -150,14 +150,14 @@ def test_compound_inverse_identity(spectral_H, rng):
     # Cauchy-Binet: compound_k(h^{-1}) compound_k(h) = I at every node.  With
     # N_k = C_k det h, C_k the compound of h^{-T}, that is
     # N_k(x)^T compound_k(h(x)) = det h(x) I: N_k evaluated from its spectrum
-    # on S_{n-k} (a polynomial, so exactly) at 200 nodes, det h by _node_det,
+    # on S_{n-k} (a polynomial, so exactly) at 200 nodes, det h and
     # compound_k(h) by np.linalg.det
     for H in [spectral_H] + _invariant_metrics(rng):
         cx = H.complex
         nodes = rng.choice(cx.n_nodes, size=min(200, cx.n_nodes), replace=False)
         x = cx.nodes()[nodes]
         h = H.h_nodes[nodes]
-        det = metric._node_det(H.h_nodes)[nodes]
+        det = np.real(np.linalg.det(h))
         for k in range(H.n + 1):
             s = cx.frequencies(H.n - k)[0]
             N = H._spectrum(k, False) @ np.exp(2j * np.pi * s @ x.T)
@@ -460,24 +460,47 @@ def test_positive_above_reads_the_lower_triangle(rng):
     assert metric._positive_above(M, 0.5 * lo)
 
 
+def _det_from_spectrum(H):
+    """det h(x) at every node as _inverse_det derives it: grid_values of its
+    exact spectrum on S_n, the last of the minor spectra."""
+    cx = H.complex
+    return cx.grid_values(H._minor_spectra()[-1], cx.frequencies(H.n))[0].real
+
+
+def _random_mode_metric(n, rng):
+    """A random metric on n with modes 0 and +-e_1, 5 nodes on the axis
+    x_1: h(x) = h_0 + B exp(2 pi i x_1) + B^H exp(-2 pi i x_1), B a full
+    random n x n matrix.  Few modes keep the complex small at n = 6."""
+    unit = [(1,) + (0,) * (2 * n - 1)]
+    modes = [(0,) * (2 * n)] + unit + [tuple(-c for c in m) for m in unit]
+    text = f"kind spectral\nn {n}\n" + "".join(
+        "mode " + " ".join(map(str, m)) + "\n" for m in modes)
+    cx = build_complex(parse_model(text))
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    omega = cx.hermitian_form(np.eye(n) + 0.2 * A @ A.conj().T / n)
+    for m in unit:
+        B = 0.1 / n * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        omega = (omega + cx.hermitian_form(B, m)
+                 + cx.hermitian_form(B.conj().T, tuple(-c for c in m)))
+    return HermitianStructure(cx, omega=omega)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_minors_are_determinants_of_submatrices(n, rng):
-    # det h(x), the last of the minors on the trailing columns that the
-    # node chain builds, at every node, against np.linalg.det, for h(x)
-    # stored node by node and node-contiguous as h_nodes is
-    A = rng.standard_normal((200, n, n)) + 1j * rng.standard_normal((200, n, n))
-    h = A + A.conj().transpose(0, 2, 1)
-    ref = np.real(np.linalg.det(h))
-    for B in (h, _node_contiguous(h)):
-        det = metric._node_det(B)
-        assert det.shape == (200,) and det.dtype == float
-        assert np.abs(det - ref).max() <= 1e-13 * np.abs(ref).max()
+    # det h(x) from its spectrum on S_n, the last of the minor spectra, at
+    # every node against np.linalg.det of h(x); for n >= 3 the n-fold sums
+    # of the modes, +-3 e_1 and beyond, alias on the 5 nodes of the axis
+    H = _random_mode_metric(n, rng)
+    ref = np.real(np.linalg.det(H.h_nodes))
+    det = _det_from_spectrum(H)
+    assert det.shape == (5,) and np.ptp(ref) > 0.1 * np.abs(ref).max()
+    assert np.abs(det - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_minors_of_the_spectral_metric(spectral_H):
-    h = spectral_H.h_nodes
-    ref = np.real(np.linalg.det(h))
-    assert np.abs(metric._node_det(h) - ref).max() <= 1e-13 * np.abs(ref).max()
+    ref = np.real(np.linalg.det(spectral_H.h_nodes))
+    det = _det_from_spectrum(spectral_H)
+    assert np.abs(det - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 # n = 3 with modes off the axes: 3 (1, 1, 0, 0, 0, 0) = (3, 3, ...) is the
