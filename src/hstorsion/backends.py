@@ -160,8 +160,7 @@ class FormComplex(_Memo):
             self._lattice = _LATTICES[key] = _Memo()
         self._del = {}
         self._dbar = {}
-        self._assemble()
-        self._check_complex_identities()
+        self._check_complex_identities(self._assemble())
 
     # -- assembly -------------------------------------------------------
 
@@ -192,7 +191,8 @@ class FormComplex(_Memo):
         On e_m phi^I ^ phibar^J each is the sum of a mode part, the symbol
         pi i (m_j - i m_{n+j}) (del) or pi i (m_j + i m_{n+j}) (dbar) times
         dz^j ^ (dzbar^j ^), which vanishes when there are no axes, and the
-        mode-independent Leibniz part of the structure constants."""
+        mode-independent Leibniz part of the structure constants.  Returns
+        the blocks, (M, S_out, S) per (step, p, q) that stays in degree."""
         cat, n, M = self.catalog, self.n, self.catalog.n_modes
         # a mode with no axes is the zero vector, whose symbol vanishes
         m = np.zeros((M, 2 * n))
@@ -200,7 +200,7 @@ class FormComplex(_Memo):
         steps = {_HOLO: (self._del, np.pi * 1j * (m[:, :n] - 1j * m[:, n:])),
                  _ANTI: (self._dbar, np.pi * 1j * (m[:, :n] + 1j * m[:, n:]))}
         leibniz = self._leibniz_terms()
-        ar = np.arange(M)
+        ar, blocks = np.arange(M), {}
         for p, q in product(range(n + 1), repeat=2):
             S = cat.struct_dim(p, q)
             for step, (mats, symbol) in steps.items():
@@ -220,31 +220,36 @@ class FormComplex(_Memo):
                         mat = cat.covector_wedge(w, *lo)[j - 1] @ mat
                         lo = (lo[0] + w.p, lo[1] + w.q)
                     block += c * mat
+                blocks[step, p, q] = block
                 out = np.zeros((M, So, M, S), dtype=complex)
                 out[ar, :, ar, :] = block
                 mats[(p, q)] = out.reshape(M * So, M * S)
+        return blocks
 
-    def _check_complex_identities(self):
-        for p in range(self.n + 1):
-            for q in range(self.n + 1):
-                d1 = self.del_matrix(p, q)
-                db1 = self.dbar_matrix(p, q)
-                if p + 2 <= self.n:
-                    r = np.abs(self.del_matrix(p + 1, q) @ d1).max() if d1.size else 0.0
-                    if r > STRUCTURE_TOL * max(1.0, np.abs(d1).max()):
-                        raise ModelError(f"del^2 != 0 at bidegree ({p},{q}): {r:.2e}")
-                if q + 2 <= self.n:
-                    r = np.abs(self.dbar_matrix(p, q + 1) @ db1).max() if db1.size else 0.0
-                    if r > STRUCTURE_TOL * max(1.0, np.abs(db1).max()):
-                        raise ModelError(f"delbar^2 != 0 at bidegree ({p},{q}): {r:.2e}")
-                if p + 1 <= self.n and q + 1 <= self.n:
-                    anti = self.dbar_matrix(p + 1, q) @ d1 + self.del_matrix(p, q + 1) @ db1
-                    r = np.abs(anti).max() if anti.size else 0.0
-                    scale = max(1.0, np.abs(d1).max(), np.abs(db1).max()) ** 2
-                    if r > STRUCTURE_TOL * scale * 100:
-                        raise ModelError(
-                            f"del delbar + delbar del != 0 at ({p},{q}): {r:.2e}"
-                        )
+    def _check_complex_identities(self, blocks):
+        """del^2 = 0, delbar^2 = 0 and del delbar + delbar del = 0 on the
+        mode blocks of _assemble: both operators are block-diagonal in the
+        modes, so each product is one (S_out, S) product per mode."""
+        n, D, B = self.n, _HOLO, _ANTI
+        for p, q in product(range(n + 1), repeat=2):
+            if p + 2 <= n:
+                d1 = blocks[D, p, q]
+                r = _max_abs(blocks[D, p + 1, q] @ d1)
+                if r > STRUCTURE_TOL * max(1.0, _max_abs(d1)):
+                    raise ModelError(f"del^2 != 0 at bidegree ({p},{q}): {r:.2e}")
+            if q + 2 <= n:
+                db1 = blocks[B, p, q]
+                r = _max_abs(blocks[B, p, q + 1] @ db1)
+                if r > STRUCTURE_TOL * max(1.0, _max_abs(db1)):
+                    raise ModelError(f"delbar^2 != 0 at bidegree ({p},{q}): {r:.2e}")
+            if p + 1 <= n and q + 1 <= n:
+                d1, db1 = blocks[D, p, q], blocks[B, p, q]
+                r = _max_abs(blocks[B, p + 1, q] @ d1 + blocks[D, p, q + 1] @ db1)
+                scale = max(1.0, _max_abs(d1), _max_abs(db1)) ** 2
+                if r > STRUCTURE_TOL * scale * 100:
+                    raise ModelError(
+                        f"del delbar + delbar del != 0 at ({p},{q}): {r:.2e}"
+                    )
 
     # -- operator access --------------------------------------------------
 
@@ -484,6 +489,10 @@ class FormComplex(_Memo):
         return Form(self.catalog, Bidegree(p, q), c)
 
 
+def _max_abs(a):
+    return float(np.abs(a).max()) if a.size else 0.0
+
+
 def _unit_phases(r, L):
     """exp(-2 pi i r / L) for integer r, with r reduced to (-L/2, L/2]
     first, so the phase of a whole period is exactly 1."""
@@ -548,14 +557,17 @@ _COMPLEX_RE = re.compile(
 
 
 def parse_complex(text, line=None):
-    """Complex literal 'a+bi', 'a-bi', 'a', or 'bi'."""
+    """Complex literal 'a+bi', 'a-bi', 'a', or 'bi', finite."""
     m = _COMPLEX_RE.match(text)
     if not m or not (m["re"] or m["i"]) or (m["im"] and not m["i"]):
         raise ModelError(f"bad complex literal {text!r}", line)
     re_part, im_part = m["re"], m["im"]
     if m["i"] and im_part is None:  # 'bi' or 'i'
         re_part, im_part = None, re_part or "1"
-    return complex(float(re_part or 0), float("".join((im_part or "0").split())))
+    z = complex(float(re_part or 0), float("".join((im_part or "0").split())))
+    if not cmath.isfinite(z):  # an exponent past the float range
+        raise ModelError(f"complex literal {text!r} is not finite", line)
+    return z
 
 
 def format_complex(z) -> str:

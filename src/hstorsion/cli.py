@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import hashlib
 import math
 import sys
@@ -26,7 +25,7 @@ from .backends import (ModelError, ModelTemplate, _t_samples, build_complex,
                        format_complex, parse_model)
 from .cohomology import CohomologyMismatch, cohomology_table
 from .deform import (FamilyTable, HypothesisError, family_diagnostics,
-                     kahler_in_class, parse_family)
+                     kahler_in_class)
 from .energy import AeppliPoint, differential_riesz, energy, gradient_descent
 from .forms import conjugate
 from .metric import HermitianStructure
@@ -83,8 +82,8 @@ def _write_csv(path: Path, fieldnames, rows):
             w.writerow({k: row[k] for k in fieldnames if k in row})
 
 
-def _load(text):
-    cx = build_complex(parse_model(text))
+def _load(template):
+    cx = build_complex(template.model())
     return HermitianStructure(cx, omega=cx.metric_form())
 
 
@@ -103,8 +102,8 @@ def _write_form(path: Path, u):
 # ---------------------------------------------------------------------------
 
 
-def cmd_classify(args, text, rep):
-    H = _load(text)
+def cmd_classify(args, template, rep):
+    H = _load(template)
     cls = classify(H, tol=args.tol)
     rep.add(str(cls))
     if cls.truncated_power:
@@ -131,8 +130,8 @@ def cmd_classify(args, text, rep):
     return EXIT_OK
 
 
-def cmd_torsion(args, text, rep):
-    tr = torsion_form(_load(text), tol=args.tol)
+def cmd_torsion(args, template, rep):
+    tr = torsion_form(_load(template), tol=args.tol)
     rep.add(
         f"torsion norm: {tr.norm:.12e}",
         f"closedness residual: {tr.closedness_residual:.3e}",
@@ -144,8 +143,8 @@ def cmd_torsion(args, text, rep):
     return EXIT_OK
 
 
-def cmd_energy(args, text, rep):
-    H = _load(text)
+def cmd_energy(args, template, rep):
+    H = _load(template)
     f, tr = energy(H, tol=args.tol)
     c = differential_riesz(H, tr.rho20)
     G = H.gram(1, 0)
@@ -161,8 +160,8 @@ def cmd_energy(args, text, rep):
     return EXIT_OK
 
 
-def cmd_flow(args, text, rep):
-    cx = build_complex(parse_model(text))
+def cmd_flow(args, template, rep):
+    cx = build_complex(template.model())
     res = gradient_descent(AeppliPoint(cx, cx.metric_form()),
                            max_iters=args.max_iters, tol=args.tol)
     rep.add(
@@ -183,8 +182,8 @@ def cmd_flow(args, text, rep):
     return EXIT_OK
 
 
-def cmd_kahler(args, text, rep):
-    kr = kahler_in_class(_load(text), tol=args.tol)
+def cmd_kahler(args, template, rep):
+    kr = kahler_in_class(_load(template), tol=args.tol)
     rep.add(
         f"|u_min|: {kr.u_norm:.6e}",
         f"d residual of candidate: {kr.d_residual:.3e}",
@@ -199,11 +198,10 @@ def cmd_kahler(args, text, rep):
     return EXIT_OK
 
 
-def cmd_family(args, text, rep):
-    spec = parse_family(text)
+def cmd_family(args, template, rep):
     if args.t_samples is not None:
-        spec = dataclasses.replace(spec, t_samples=args.t_samples)
-    table = family_diagnostics(spec, tol=args.tol)
+        template.t_samples = args.t_samples
+    table = family_diagnostics(template, tol=args.tol)
     rep.add(str(table))
     if table.flagged:
         rep.add("flagged samples (dimension jump, unreliable kernel split or "
@@ -217,7 +215,7 @@ def cmd_family(args, text, rep):
 # ---------------------------------------------------------------------------
 
 
-def cmd_selftest(args, text, rep):
+def cmd_selftest(args, template, rep):
     checks = []
 
     def check(name, fn):
@@ -229,7 +227,7 @@ def cmd_selftest(args, text, rep):
         rep.add(f"{'PASS' if ok else 'FAIL'}  {name}  {info}")
 
     def torus_classify():
-        H = _load(TORUS_TEXT)
+        H = _load(ModelTemplate(TORUS_TEXT))
         cls = classify(H)
         ok = all([cls.kahler, cls.skt, cls.balanced, cls.strongly_gauduchon,
                   cls.hermitian_symplectic])
@@ -238,7 +236,7 @@ def cmd_selftest(args, text, rep):
         return ok, f"torsion norm {tr.norm:.1e}"
 
     def iwasawa_flags():
-        H = _load(IWASAWA_TEXT)
+        H = _load(ModelTemplate(IWASAWA_TEXT))
         cls = classify(H)
         ok = (cls.balanced and not cls.skt and not cls.kahler
               and not cls.hermitian_symplectic)
@@ -333,10 +331,11 @@ _COMMANDS = {
 
 
 def run(argv=None) -> int:
-    """Parse argv, run the command and write its report, on every exit once
-    the model file is read, with the reason of a refusal or failure as its
-    last line.  Refusals and bad input exit 1, numerical breakdowns 2; a
-    model with n < 2 is bad input to every metric command."""
+    """Parse argv, run the command on the file's one ModelTemplate and write
+    its report, on every exit once the model file is read, with the reason
+    of a refusal or failure as its last line.  Refusals and bad input exit
+    1, numerical breakdowns 2; a model with n < 2 is bad input to every
+    metric command."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -346,12 +345,13 @@ def run(argv=None) -> int:
         text = Path(args.model).read_text() if args.command != "selftest" else None
         rep = Report(args, text)
         try:
+            template = None
             if text is not None:
                 template = ModelTemplate(text, args.command == "family")
                 if template.n < 2:
                     raise ModelError("the metric commands read (2,0)- and (0,2)-forms, "
                                      "which need n >= 2", template.lines["n"])
-            code = _COMMANDS[args.command](args, text, rep)
+            code = _COMMANDS[args.command](args, template, rep)
         except NotHermitianSymplectic as e:
             rep.add(f"not Hermitian-symplectic: {e}")
             code = EXIT_INPUT

@@ -32,6 +32,8 @@ __all__ = [
     "CohomologyMismatch",
 ]
 
+# the kernel cutoff of every count, relative to max(largest eigenvalue, 1)
+# or to the largest singular value
 KERNEL_RCOND = 1e-10
 
 
@@ -79,25 +81,25 @@ class GramEig:
         return self.Rinv @ Vk @ Vk.conj().T @ self.R
 
 
-def _kernel_split(w, rcond):
+def _kernel_split(w):
     """(kernel_dim, cutoff, separation_ok) of ascending eigenvalues w, over
-    the last axis: the cutoff is rcond * max(largest eigenvalue, 1), and a
-    split is unreliable when some nonzero eigenvalue lies within a factor
-    100 of it."""
-    cutoff = rcond * np.maximum(w[..., -1], 1.0)
+    the last axis: the cutoff is KERNEL_RCOND * max(largest eigenvalue, 1),
+    and a split is unreliable when some nonzero eigenvalue lies within a
+    factor 100 of it."""
+    cutoff = KERNEL_RCOND * np.maximum(w[..., -1], 1.0)
     c = cutoff[..., None]
     a = np.abs(w)
     near = (a > c / 100) & (a < c * 100) & (a > 0)
     return (w < c).sum(-1), cutoff, ~near.any(-1)
 
 
-def gram_eig(Lt, R, Rinv, rcond=KERNEL_RCOND) -> GramEig:
+def gram_eig(Lt, R, Rinv) -> GramEig:
     """Diagonalize a G-self-adjoint positive semidefinite M given whitened,
     as the Hermitian Lt = R M R^{-1}, for R the upper Cholesky factor of G,
     G = R^H R, and Rinv its inverse, as HermitianStructure.chol and chol_inv
     return them.  eigh reads only the lower triangle of Lt."""
     w, V = np.linalg.eigh(Lt)
-    kdim, cutoff, ok = _kernel_split(w, rcond)
+    kdim, cutoff, ok = _kernel_split(w)
     return GramEig(w, int(kdim), float(cutoff), bool(ok), V, R, Rinv)
 
 
@@ -151,12 +153,12 @@ def laplacian_dbar(H: HermitianStructure, p, q):
 _LAPLACIANS = {"bc": laplacian_bc, "dbar": laplacian_dbar}
 
 
-def green_operator(H: HermitianStructure, p, q, which="bc", rcond=KERNEL_RCOND):
+def green_operator(H: HermitianStructure, p, q, which="bc"):
     """GramEig bundle for the chosen Laplacian on Lambda^{p,q}; its pinv is
     the Green operator (inverse off the harmonic space, zero on it).
     Computed once per metric and key."""
-    return H._cached(("green", p, q, which, rcond), lambda: gram_eig(
-        _LAPLACIANS[which](H, p, q), H.chol(p, q), H.chol_inv(p, q), rcond))
+    return H._cached(("green", p, q, which), lambda: gram_eig(
+        _LAPLACIANS[which](H, p, q), H.chol(p, q), H.chol_inv(p, q)))
 
 
 def harmonic_projection(H: HermitianStructure, u: Form, which="bc"):
@@ -171,21 +173,21 @@ def harmonic_projection(H: HermitianStructure, u: Form, which="bc"):
 # ---------------------------------------------------------------------------
 
 
-def _rank(A, rcond=KERNEL_RCOND):
+def _rank(A):
     if A is None or A.size == 0:
         return 0
     s = np.linalg.svd(A, compute_uv=False)
     if len(s) == 0 or s[0] == 0:
         return 0
-    return int((s > rcond * s[0]).sum())
+    return int((s > KERNEL_RCOND * s[0]).sum())
 
 
-def _stack_kernel_dim(mats, N, rcond=KERNEL_RCOND):
+def _stack_kernel_dim(mats, N):
     """dim of the joint kernel of the given operators on a space of dim N."""
     mats = [m for m in mats if m is not None and m.size]
     if not mats:
         return N
-    return N - _rank(np.vstack(mats), rcond)
+    return N - _rank(np.vstack(mats))
 
 
 @dataclass
@@ -232,19 +234,19 @@ def _spectra(H: HermitianStructure):
                 np.stack([_LAPLACIANS[which](H, *bd) for bd in bidegrees])))
 
 
-def _kernel_counts(H: HermitianStructure, rcond):
+def _kernel_counts(H: HermitianStructure):
     """{(which, p, q): (kernel_dim, separation_ok)} of both Laplacians on
     every bidegree, from eigenvalues alone."""
     counts = {}
     for keys, w in _spectra(H):
-        kdim, _, separated = _kernel_split(w, rcond)
+        kdim, _, separated = _kernel_split(w)
         counts.update(zip(keys, zip(kdim.tolist(), separated.tolist())))
     return counts
 
 
-def _quotient_dims(cx, p, q, rcond):
+def _quotient_dims(cx, p, q):
     """(h_dbar, h_bc, h_aeppli) at (p,q) as quotient ranks of the complex's
-    operators, counted once per complex and rcond: dim ker dbar - rank dbar,
+    operators, counted once per complex: dim ker dbar - rank dbar,
     dim ker[del; dbar] - rank del dbar, and dim ker(del dbar) -
     rank[del | dbar]."""
 
@@ -257,16 +259,16 @@ def _quotient_dims(cx, p, q, rcond):
         dd_in = cx.ddbar_matrix(p - 1, q - 1) if (p >= 1 and q >= 1) else None
         dd = cx.ddbar_matrix(p, q) if (p + 1 <= n and q + 1 <= n) else None
         d = cx.del_matrix(p, q) if p + 1 <= n else None
-        h_dbar = _stack_kernel_dim([db], N, rcond) - _rank(db_in, rcond)
-        h_bc = _stack_kernel_dim([d, db], N, rcond) - _rank(dd_in, rcond)
+        h_dbar = _stack_kernel_dim([db], N) - _rank(db_in)
+        h_bc = _stack_kernel_dim([d, db], N) - _rank(dd_in)
         im = [m for m in (d_in, db_in) if m is not None and m.size]
-        im_rank = _rank(np.hstack(im), rcond) if im else 0
-        return h_dbar, h_bc, _stack_kernel_dim([dd], N, rcond) - im_rank
+        im_rank = _rank(np.hstack(im)) if im else 0
+        return h_dbar, h_bc, _stack_kernel_dim([dd], N) - im_rank
 
-    return cx._cached(("quotient_dims", p, q, rcond), build)
+    return cx._cached(("quotient_dims", p, q), build)
 
 
-def cohomology_table(H: HermitianStructure, rcond=KERNEL_RCOND) -> CohomologyTable:
+def cohomology_table(H: HermitianStructure) -> CohomologyTable:
     """Dolbeault, Bott-Chern and Aeppli dimensions at every bidegree.
 
     h_dbar and h_bc are computed both as harmonic-kernel counts of this
@@ -276,10 +278,10 @@ def cohomology_table(H: HermitianStructure, rcond=KERNEL_RCOND) -> CohomologyTab
     and builds no Green operator."""
     n = H.n
     table = CohomologyTable(n=n)
-    counts = _kernel_counts(H, rcond)
+    counts = _kernel_counts(H)
     for p in range(n + 1):
         for q in range(n + 1):
-            h_dbar_rank, h_bc_rank, h_aeppli = _quotient_dims(H.complex, p, q, rcond)
+            h_dbar_rank, h_bc_rank, h_aeppli = _quotient_dims(H.complex, p, q)
             for which, rank in (("dbar", h_dbar_rank), ("bc", h_bc_rank)):
                 kernel, separated = counts[(which, p, q)]
                 if not separated:

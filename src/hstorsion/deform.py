@@ -30,7 +30,6 @@ __all__ = [
     "neumann_dbar_solution",
     "KahlerReport",
     "kahler_in_class",
-    "FamilySpec",
     "parse_family",
     "FamilyTable",
     "family_diagnostics",
@@ -122,9 +121,10 @@ def neumann_dbar_solution(H: HermitianStructure, rho: Form,
     if q < 1:
         raise HypothesisError("right-hand side must have dbar-degree >= 1")
     phi, res, dist, scale = _green_solve(H, rho, (p, q - 1), "dbar", tol)
-    # commutation: dbar* Green = Green' dbar* on the lower bidegree, dbar* by a solve
-    ge_low = green_operator(H, p, q - 1, "dbar")
-    other = ge_low.pinv @ (H.dbar_adjoint(p, q - 1) @ rho.coeffs)
+    # commutation: dbar* Green = Green' dbar* on the lower bidegree, the
+    # right side with dbar* by a solve, independent of the Cholesky factors
+    dbar_star = H.adjoint_matrix(H.complex.dbar_matrix(p, q - 1), (p, q - 1), (p, q))
+    other = green_operator(H, p, q - 1, "dbar").pinv @ (dbar_star @ rho.coeffs)
     gap = H.norm(phi - Form(H.complex.catalog, phi.bidegree, other)) / scale
     return NeumannSolution(phi=phi, residual=res, image_distance=dist,
                            commutation_gap=gap, norm=H.norm(phi))
@@ -183,30 +183,13 @@ def kahler_in_class(H: HermitianStructure, tol: float = CLASSIFY_TOL) -> KahlerR
 # deformation families
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FamilySpec:
-    """A one-parameter family of models: a model template whose poly(...)
-    coefficients are evaluated at each sample of t."""
-
-    template: ModelTemplate
-    t_samples: list
-
-    def __post_init__(self):
-        if not any(t == 0.0 for t in self.t_samples):
-            raise ModelError("t_samples must include 0")
-
-    def model(self, t: float):
-        return self.template.model(t)
-
-
-def parse_family(text: str) -> FamilySpec:
-    """Read a family file, a model file with a t_samples line; every model
-    instantiated at a sample must validate."""
+def parse_family(text: str) -> ModelTemplate:
+    """Read a family file, a model file with a t_samples line, as the
+    template of its models; the model at every sample must validate."""
     template = ModelTemplate(text, family=True)
-    spec = FamilySpec(template, template.t_samples)
-    for t in spec.t_samples:
-        spec.model(t)  # validation side effect
-    return spec
+    for t in template.t_samples:
+        template.model(t)  # validation side effect
+    return template
 
 
 @dataclass
@@ -243,10 +226,10 @@ def _dims_row(H):
     return row, reliable
 
 
-def family_diagnostics(spec: FamilySpec, tol: float = CLASSIFY_TOL,
-                       flow_first: bool = False,
-                       flow_kwargs: dict | None = None) -> FamilyTable:
-    """Measure the family at every sample: cohomology dimensions, torsion
+def family_diagnostics(template: ModelTemplate, tol: float = CLASSIFY_TOL,
+                       flow_first: bool = False) -> FamilyTable:
+    """Measure the family of a template at every sample of its t_samples,
+    which must include 0: cohomology dimensions, torsion
     norms and drift from t=0, the criticality sup over the coordinate
     directions of the (1,0) potentials and their i-rotations, the Neumann
     potential residual for the (0,2) torsion, and the Kahler-construction
@@ -257,17 +240,20 @@ def family_diagnostics(spec: FamilySpec, tol: float = CLASSIFY_TOL,
     there); rows with an unreliable kernel split and infeasible metrics are
     flagged as well, the latter with their torsion columns left empty.
     With flow_first, each sample's metric is first driven to a critical
-    point of the energy before being measured."""
+    point of the energy before being measured.  Every sample's model is
+    validated before any is measured."""
+    if 0.0 not in template.t_samples:
+        raise ModelError("t_samples must include 0")
+    models = {t: template.model(t) for t in template.t_samples}
     table = FamilyTable()
-    samples = sorted(spec.t_samples, key=lambda t: (t != 0.0, abs(t), t))
     base_dims = None
     rho0 = None
     H0 = None
-    for t in samples:
-        cx = build_complex(spec.model(t))
+    for t in sorted(models, key=lambda t: (t != 0.0, abs(t), t)):
+        cx = build_complex(models[t])
         point = AeppliPoint(cx, cx.metric_form())
         if flow_first:
-            point = gradient_descent(point, **(flow_kwargs or {})).point
+            point = gradient_descent(point).point
         H = point.structure()
         row = {"t": t}
         dims, reliable = _dims_row(H)

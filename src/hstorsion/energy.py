@@ -269,18 +269,18 @@ def _d_residual(H: HermitianStructure) -> float:
     return H.norm(dw_p) + H.norm(dw_q)
 
 
-# the flow converges once F <= F_TOL (and the d-residual <= d_tol) and
+# the flow converges once F <= F_TOL and the d-residual <= D_TOL, and
 # stalls once the gradient norm is <= GRAD_TOL; a line search starts from at
-# most STEP0, asks the Armijo decrease ARMIJO * step * slope and gives up
+# most STEP0, asks the Armijo decrease ARMIJO * step * slope, keeps the
+# positivity margin above POSITIVITY_FRAC times the initial one and gives up
 # below MIN_STEP
-F_TOL, GRAD_TOL, ARMIJO, STEP0, MIN_STEP = 1e-6, 1e-9, 1e-4, 1.0, 1e-14
+F_TOL, D_TOL, GRAD_TOL, ARMIJO, STEP0, MIN_STEP = 1e-6, 1e-4, 1e-9, 1e-4, 1.0, 1e-14
+POSITIVITY_FRAC = 1e-6
 
 
 def gradient_descent(
     point0: AeppliPoint,
     max_iters: int = 500,
-    d_tol: float = 1e-4,
-    positivity_frac: float = 1e-6,
     tol: float = CLASSIFY_TOL,
 ) -> FlowResult:
     """Projected gradient descent of F over the potential class.
@@ -290,7 +290,7 @@ def gradient_descent(
     once), so the flow stays inside the potential parametrization by
     construction.  Armijo backtracking halves the step until sufficient
     decrease holds and the realized metric keeps a positivity margin above
-    positivity_frac times the initial margin.
+    POSITIVITY_FRAC times the initial margin.
 
     A trial is judged by the energy of the minimal-norm solution of the
     closedness system alone; the start point and every accepted trial get
@@ -302,7 +302,7 @@ def gradient_descent(
     point = point0
     H = point.structure()
     G0 = H.gram(1, 0)
-    floor = positivity_frac * H.positivity_margin
+    floor = POSITIVITY_FRAC * H.positivity_margin
     f, rep = energy(H, tol=tol)
     history = []
     status = "max_iters"
@@ -319,7 +319,7 @@ def gradient_descent(
         slope = float(np.real(np.conj(c) @ g))  # = |g|^2 in base Gram
         gnorm = math.sqrt(max(slope, 0.0))
         history.append(row(it, gnorm, _d_residual(H)))
-        if f <= F_TOL and history[-1]["d_residual"] <= d_tol:
+        if f <= F_TOL and history[-1]["d_residual"] <= D_TOL:
             status = "converged"
             break
         if gnorm <= GRAD_TOL:
@@ -351,7 +351,7 @@ def gradient_descent(
     else:
         status = "max_iters"
     d_res = _d_residual(H)
-    if f <= F_TOL and d_res <= d_tol:
+    if f <= F_TOL and d_res <= D_TOL:
         status = "converged"
     history.append(row(len(history), history[-1]["grad_norm"] if history else 0.0, d_res))
     return FlowResult(status=status, point=point, energy=f, d_residual=d_res,

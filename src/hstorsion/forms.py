@@ -161,9 +161,8 @@ class BasisCatalog(_Memo):
             BasisIndex(m, I, J) for m in self.modes for (I, J) in structs
         ]
 
-    def flat_index(self, mode, I, J, p=None, q=None):
-        if p is None:
-            p, q = len(I), len(J)
+    def flat_index(self, mode, I, J):
+        p, q = len(I), len(J)
         _, pos = self.struct_indices(p, q)
         return self.mode_pos[tuple(mode)] * self.struct_dim(p, q) + pos[(tuple(I), tuple(J))]
 

@@ -540,10 +540,6 @@ class HermitianStructure(_Memo):
         G_dst = self.gram(*dst_bd)
         return np.linalg.solve(G_src, A.conj().T @ G_dst)
 
-    def dbar_adjoint(self, p, q):
-        return self._cached(("dbar*", p, q), lambda: self.adjoint_matrix(
-            self.complex.dbar_matrix(p, q), (p, q), (p, q + 1)))
-
     def apply_adjoint(self, kind, u: Form) -> Form:
         """The Gram adjoint of the structure operator kind ("del", "dbar"
         or "ddbar") applied to u, into the bidegree kind maps from: as
@@ -572,13 +568,15 @@ class HermitianStructure(_Memo):
         return self._cached(("lefschetz", p, q), build)
 
     def is_primitive(self, u: Form):
-        """(verdict, residual): true iff ||L*_omega u|| <= 1e-10 ||u||."""
+        """(verdict, residual): true iff ||L*_omega u|| <= 1e-10 ||u||, with
+        L* u = R_src^{-1} R_src^{-H} L^H G u through the Cholesky factor
+        R_src of the source Gram."""
         if u.p == 0 or u.q == 0:
             return True, 0.0
-        Lstar = self.adjoint_matrix(
-            self.lefschetz_matrix(u.p - 1, u.q - 1), (u.p - 1, u.q - 1), (u.p, u.q)
-        )
-        lu = Form(self.complex.catalog, Bidegree(u.p - 1, u.q - 1), Lstar @ u.coeffs)
+        src = (u.p - 1, u.q - 1)
+        Rinv = self.chol_inv(*src)
+        lu = Form(self.complex.catalog, Bidegree(*src), Rinv @ (Rinv.conj().T @ (
+            self.lefschetz_matrix(*src).conj().T @ (self.gram(u.p, u.q) @ u.coeffs))))
         nu = self.norm(u)
         res = self.norm(lu)
         return res <= PRIMITIVE_TOL * max(nu, 1e-300), res

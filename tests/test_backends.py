@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hstorsion.backends import (FormComplex, ModelError, build_complex,
+from hstorsion.backends import (FormComplex, Model, ModelError, build_complex,
                                 parse_model)
 from hstorsion.forms import Bidegree, BasisCatalog, conjugate, wedge
 from hstorsion.metric import HermitianStructure
@@ -244,6 +244,26 @@ def test_parse_and_build_assemble_once(monkeypatch):
     for _ in range(3):
         build_complex(parse_model(IWASAWA_TEXT))
     assert len(calls) == 3
+
+
+def test_complex_identities_checked_on_the_mode_blocks(monkeypatch):
+    # structure constants that break d^2 = 0 on phi^1 (d phi^1 = e(1,2),
+    # d phi^2 = e(2,3)), which only parse_model's generator check would
+    # catch, and a dbar block broken after assembly, each refused on the
+    # first bidegree where d^2 fails: for the former dbar^2 on phibar^1
+    model = Model(n=3, d_phi={1: {("e", 1, 2): 1.0}, 2: {("e", 2, 3): 1.0}})
+    with pytest.raises(ModelError, match=r"delbar\^2 != 0 at bidegree \(0,1\)"):
+        build_complex(model)
+    assemble = FormComplex._assemble
+
+    def broken(self):
+        blocks = assemble(self)
+        blocks[Bidegree(0, 1), 0, 1] = blocks[Bidegree(0, 1), 0, 1] + 1.0
+        return blocks
+
+    monkeypatch.setattr(FormComplex, "_assemble", broken)
+    with pytest.raises(ModelError, match=r"delbar\^2 != 0 at bidegree \(0,0\)"):
+        build_complex(parse_model(SPECTRAL_TEXT))
 
 
 def test_complexes_on_one_lattice_share_the_quadrature_tables():

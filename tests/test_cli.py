@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import hstorsion
-from hstorsion import cli, cohomology
+from hstorsion import backends, cli, cohomology
 from hstorsion.backends import format_complex
 from hstorsion.cli import EXIT_CONTRACT, EXIT_INPUT, EXIT_OK, run
 from hstorsion.cohomology import CohomologyMismatch, cohomology_table
@@ -89,17 +89,19 @@ def test_classify_bidegree_filter(iwasawa_file, tmp_path):
 
 def test_classify_reports_unreliable_kernel_split(iwasawa_file, tmp_path,
                                                    monkeypatch):
-    # rcond 0.1 puts the Iwasawa Laplacians' eigenvalue 1 within 100x of the
-    # cutoff; classify writes one line per unreliable split it shows
+    # a kernel cutoff of 0.1 puts the Iwasawa Laplacians' eigenvalue 1
+    # within 100x of it; classify writes one line per unreliable split it
+    # shows
     out = tmp_path / "out"
     assert run(["classify", "--model", iwasawa_file, "--out", str(out)]) == EXIT_OK
     assert "unreliable" not in (out / "classify_report.txt").read_text()
     tables = []
 
     def table(H):
-        tables.append(cohomology_table(H, rcond=0.1))
+        tables.append(cohomology_table(H))
         return tables[-1]
 
+    monkeypatch.setattr(cohomology, "KERNEL_RCOND", 0.1)
     monkeypatch.setattr(cli, "cohomology_table", table)
     code = run(["classify", "--model", iwasawa_file, "--out", str(out),
                 "--bidegree", "0,1", "--bidegree", "0,0"])
@@ -261,6 +263,9 @@ def test_bad_model_text(tmp_path, capsys):
          "error: line 4: repeated 'n' (first on line 2)"),
         ("torsion", "kind invariant\nn 3\nmetric h 1 1 := 1\nmetric h 2 2 := 1\n"
          "metric h 3 3 := -1\n", "error: metric not positive definite"),
+        # a literal past the float range, not an infinity that breaks the SVD
+        ("classify", "kind invariant\nn 3\nd 3 := 1e400 * e(1,2)\n",
+         "error: line 3: complex literal '1e400' is not finite"),
     ]:
         bad = tmp_path / "bad.model"
         bad.write_text(text)
@@ -309,15 +314,32 @@ def test_refusal_exits_1_with_its_report(command, refusal, iwasawa_file, tmp_pat
 def test_metric_commands_refuse_n_below_2(command, tmp_path):
     # n = 1 parses (the grammar allows it), but every metric command reads
     # (2,0)- and (0,2)-forms: refused as bad input on the n line, with the
-    # report written
+    # report written, before the family's samples are read (t = 1e200
+    # overflows its poly)
     model = tmp_path / "n1.model"
-    family = "t_samples := 0 1\n" if command == "family" else ""
+    family = ("metric h 1 1 := poly(1, 0, 1)\nt_samples := 0 1e200\n"
+              if command == "family" else "")
     model.write_text("kind invariant\nn 1\n" + family)
     out = tmp_path / "out"
     assert run([command, "--model", str(model), "--out", str(out)]) == EXIT_INPUT
     lines = (out / f"{command}_report.txt").read_text().splitlines()
     assert lines[-1] == ("error: line 2: the metric commands read (2,0)- and (0,2)-forms, "
                          "which need n >= 2")
+
+
+@pytest.mark.parametrize("command", ["classify", "torsion", "energy", "flow", "kahler",
+                                     "family"])
+def test_metric_command_parses_its_file_once(command, torus_file, tmp_path, monkeypatch):
+    # run hands the ModelTemplate it reads for the n check to the command
+    made = []
+    init = backends.ModelTemplate.__init__
+    monkeypatch.setattr(backends.ModelTemplate, "__init__",
+                        lambda self, *a, **kw: made.append(1) or init(self, *a, **kw))
+    family = tmp_path / "family.model"
+    family.write_text(FAMILY_TEXT)
+    model = str(family) if command == "family" else torus_file
+    assert run([command, "--model", model, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert len(made) == 1
 
 
 def _violating_torsion(H, **kwargs):

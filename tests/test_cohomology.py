@@ -345,21 +345,24 @@ def test_green_dbar_commutation(iwasawa_cx, rng):
     assert np.linalg.norm(lhs.coeffs - rhs) <= 1e-8 * (1 + np.linalg.norm(rhs))
 
 
-def test_unreliable_kernel_split_recorded(iwasawa_H):
+def test_unreliable_kernel_split_recorded(iwasawa_H, monkeypatch):
     # on the standard Iwasawa metric every nonzero Laplacian eigenvalue is
-    # 1, 2 or 3; with rcond = 0.1 the cutoff is 0.1 * max(1, top eigenvalue),
-    # so the eigenvalue 1 sits within 100x of it wherever the Laplacian is
-    # nonzero, while the kernel counts stay right
-    H = iwasawa_H
-    n = H.n
-    assert cohomology_table(H).unreliable == []
-    table = cohomology_table(H, rcond=0.1)
+    # 1, 2 or 3; with a cutoff of 0.1 * max(1, top eigenvalue) the
+    # eigenvalue 1 sits within 100x of it wherever the Laplacian is nonzero,
+    # while the kernel counts stay right.  The complex and metric are built
+    # after the patch: the fixture's memos hold counts at the default cutoff.
+    n = iwasawa_H.n
+    assert cohomology_table(iwasawa_H).unreliable == []
+    monkeypatch.setattr(cohomology, "KERNEL_RCOND", 0.1)
+    cx = build_complex(parse_model(IWASAWA_TEXT))
+    H = HermitianStructure(cx, omega=cx.metric_form())
+    table = cohomology_table(H)
     expected = {(which, p, q) for which in ("dbar", "bc")
                 for p in range(n + 1) for q in range(n + 1)
                 if green_operator(H, p, q, which).eigenvalues.max() > 0.5}
     assert expected and set(table.unreliable) == expected
     assert len(table.unreliable) == len(expected)
-    assert table.entries == cohomology_table(H).entries
+    assert table.entries == cohomology_table(iwasawa_H).entries
 
 
 def test_quotient_ranks_counted_once_per_complex(monkeypatch, rng):
@@ -384,8 +387,8 @@ def test_kernel_count_off_by_one_still_raises(monkeypatch, rng):
     cohomology_table(random_hermitian_structure(cx, rng))  # ranks now cached
     kernel_counts = cohomology._kernel_counts
 
-    def off_by_one(H, rcond):
-        counts = kernel_counts(H, rcond)
+    def off_by_one(H):
+        counts = kernel_counts(H)
         kernel, separated = counts[("bc", 1, 1)]
         counts[("bc", 1, 1)] = (kernel + 1, separated)
         return counts
@@ -399,7 +402,6 @@ def test_green_operator_once_per_metric_and_key(iwasawa_cx, rng):
     H = random_hermitian_structure(iwasawa_cx, rng)
     ge = green_operator(H, 2, 0, "bc")
     assert green_operator(H, 2, 0, "bc") is ge
-    assert green_operator(H, 2, 0, "bc", rcond=1e-8) is not ge
     assert green_operator(H, 2, 0, "dbar") is not ge
     other = random_hermitian_structure(iwasawa_cx, rng)
     assert green_operator(other, 2, 0, "bc") is not ge
@@ -417,16 +419,19 @@ def test_gram_eig_forms_pinv_and_projector_when_read(iwasawa_cx, rng):
 
 
 @pytest.mark.parametrize("rcond", [cohomology.KERNEL_RCOND, 0.1])
-def test_unreliable_is_green_operators_separation(iwasawa_H, rng, rcond):
+def test_unreliable_is_green_operators_separation(rng, rcond, monkeypatch):
     # the table's unreliable splits are exactly the (which, p, q) whose
-    # Green operator reports separation_ok False
-    n = iwasawa_H.n
-    for H in [iwasawa_H] + [random_hermitian_structure(iwasawa_H.complex, rng, amp=0.5)
-                            for _ in range(3)]:
-        table = cohomology_table(H, rcond=rcond)
+    # Green operator reports separation_ok False, at the kernel cutoff in
+    # force when the complex and its metrics are built
+    monkeypatch.setattr(cohomology, "KERNEL_RCOND", rcond)
+    cx = build_complex(parse_model(IWASAWA_TEXT))
+    n = cx.n
+    for H in [HermitianStructure(cx, omega=cx.metric_form())] + [
+            random_hermitian_structure(cx, rng, amp=0.5) for _ in range(3)]:
+        table = cohomology_table(H)
         expected = {(which, p, q) for which in ("dbar", "bc")
                     for p in range(n + 1) for q in range(n + 1)
-                    if not green_operator(H, p, q, which, rcond).separation_ok}
+                    if not green_operator(H, p, q, which).separation_ok}
         assert set(table.unreliable) == expected
         assert len(table.unreliable) == len(expected)
         assert (rcond == 0.1) == bool(expected)

@@ -160,10 +160,11 @@ def test_gradient_descent_history_is_certified(spectral_cx, spectral_flow):
         assert abs(f - row["energy"]) <= 1e-12 * row["energy"]
 
 
-def test_gradient_descent_positivity_floor_blocks(spectral_cx, spectral_H):
+def test_gradient_descent_positivity_floor_blocks(spectral_cx, spectral_H, monkeypatch):
     # a floor of twice the initial margin rejects every trial on positivity
+    monkeypatch.setattr(energy_module, "POSITIVITY_FRAC", 2.0)
     pt = AeppliPoint(spectral_cx, spectral_H.omega)
-    res = gradient_descent(pt, max_iters=5, positivity_frac=2.0)
+    res = gradient_descent(pt, max_iters=5)
     assert res.status == "positivity_blocked"
     assert len(res.history) == 2 and np.abs(res.point.u.coeffs).max() == 0.0
 

@@ -2,15 +2,13 @@
 line, and no input, however mutated, raises anything but a ModelError that
 names a line."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hstorsion.backends import MAX_NODES, Model, ModelError, parse_model
-from hstorsion.deform import FamilySpec, parse_family
+from hstorsion.backends import MAX_NODES, Model, ModelError, ModelTemplate, parse_model
+from hstorsion.deform import family_diagnostics, parse_family
 
 from conftest import IWASAWA_TEXT, SPECTRAL_TEXT, TORUS_TEXT
 
@@ -89,6 +87,18 @@ DEFECTS = {
     "family error after t_samples": (
         parse_family, "kind invariant\nt_samples := 0 1\nn 3\nmetric h 1 1 := 1\n"
         "metric h 2 2 := 1\nmetric h 3 3 := poly(1, 0.5i)\n", 6, "Hermitian"),
+    # a literal past the float range is refused, not read as infinity
+    "overflowing metric entry": (parse_model, "kind invariant\nn 2\nmetric h 1 1 := 1e400\n",
+                                 3, "not finite"),
+    "overflowing metric_mode entry": (parse_model, MODES_TEXT.replace("0.1i", "1e400i", 1), 8,
+                                      "not finite"),
+    "overflowing potential": (parse_model, SPECTRAL_HEAD + "potential 1 0 0 0 0 0 u 1 := 1e309\n",
+                              4, "not finite"),
+    "overflowing d coefficient": (parse_model, "kind invariant\nn 3\nd 3 := 1e400 * e(1,2)\n",
+                                  3, "not finite"),
+    "overflowing poly coefficient": (parse_family, "kind invariant\nn 2\n"
+                                     "metric h 1 1 := poly(1, -1e400)\nt_samples := 0 1\n", 3,
+                                     "not finite"),
 }
 
 
@@ -122,9 +132,10 @@ def test_family_samples_are_the_coefficients_at_t():
     assert h[0, 0] == 1.25 and h[0, 1] == 0.05j and h[1, 0] == -0.05j
     # a signed zero reads as the literal 0.0 would
     assert str(spec.model(0.0).metric[1, 0].imag) == "0.0"
+    # a template whose t_samples lose 0 is measured nowhere
+    spec.t_samples = [0.5]
     with pytest.raises(ModelError, match="include 0"):
-        dataclasses.replace(spec, t_samples=[0.5])
-    assert isinstance(dataclasses.replace(spec, t_samples=[0.0]), FamilySpec)
+        family_diagnostics(spec)
 
 
 # -- fuzzing ---------------------------------------------------------------
@@ -177,5 +188,5 @@ def test_fuzzed_model_text_is_a_model_or_names_a_line(text):
 @settings(max_examples=250)
 @given(mutated(FAMILY_SEEDS + MODEL_SEEDS[:2]))
 def test_fuzzed_family_text_is_a_family_or_names_a_line(text):
-    spec = _parses_or_names_a_line(parse_family, text)
-    assert spec is None or isinstance(spec, FamilySpec)
+    template = _parses_or_names_a_line(parse_family, text)
+    assert template is None or isinstance(template, ModelTemplate)

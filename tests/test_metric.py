@@ -276,11 +276,31 @@ def test_primitive_form_star_formula(iwasawa_cx, rng):
             lam = Lad @ u.coeffs
             sol = np.linalg.lstsq(Lad @ L, lam, rcond=None)[0]
             u.coeffs = u.coeffs - L @ sol
-        assert H.is_primitive(u)
+        assert H.is_primitive(u)[0]
         d = p + q
         sign = (-1.0) ** (d * (d + 1) // 2) * (1j) ** (p - q)
         rhs = sign * wedge(u, H.omega_power(n - p - q))
         assert H.norm(H.hodge_star(u) - rhs) <= 1e-8 * (1 + H.norm(u))
+
+
+def test_is_primitive_refuses_omega_wedge(iwasawa_cx, rng):
+    # L* runs through the Cholesky factors, here far from the identity: the
+    # primitive part of a form passes, omega ^ v does not (L is injective
+    # below the middle degree, so L* L v != 0)
+    H = random_hermitian_structure(iwasawa_cx, rng)
+    for (p, q) in [(1, 1), (2, 1), (1, 2), (2, 2)]:
+        R = H.chol(p - 1, q - 1)
+        assert np.abs(R - np.eye(len(R))).max() > 0.05
+        v = H.complex.random_form(p - 1, q - 1, rng)
+        ok, res = H.is_primitive(wedge(H.omega, v))
+        assert not ok and res > 0.1 * H.norm(v)
+        if p + q > H.n:  # L is onto: no primitive form but 0
+            continue
+        u = H.complex.random_form(p, q, rng)
+        L = H.lefschetz_matrix(p - 1, q - 1)
+        Lad = H.adjoint_matrix(L, (p - 1, q - 1), (p, q))
+        u.coeffs = u.coeffs - L @ np.linalg.solve(Lad @ L, Lad @ u.coeffs)
+        assert H.is_primitive(u)[0]
 
 
 def test_adjointness(spectral_H, rng):
