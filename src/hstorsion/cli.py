@@ -52,7 +52,7 @@ class Report:
             f"model: {getattr(args, 'model', None)}",
             f"model_hash: {_model_hash(model_text) if model_text else '-'}",
             f"tol: {args.tol}",
-            f"seed: {args.seed}",
+            f"seed: {getattr(args, 'seed', '-')}",
             "",
         ]
 
@@ -308,7 +308,8 @@ def build_parser():
             p.add_argument("--model", required=True, help="model or family file")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--tol", type=_nonnegative(float), default=CLASSIFY_TOL)
-        p.add_argument("--seed", type=int, default=0)
+        if name == "selftest":
+            p.add_argument("--seed", type=int, default=0)
         if name == "classify":
             p.add_argument("--bidegree", action="append", type=_bidegree,
                            metavar="p,q")

@@ -177,7 +177,7 @@ def _rank(A):
     if A is None or A.size == 0:
         return 0
     s = np.linalg.svd(A, compute_uv=False)
-    if len(s) == 0 or s[0] == 0:
+    if s[0] == 0:
         return 0
     return int((s > KERNEL_RCOND * s[0]).sum())
 

@@ -271,7 +271,7 @@ def family_diagnostics(template: ModelTemplate, tol: float = CLASSIFY_TOL,
             row["rho_norm"] = rep.norm
             if t == 0.0:
                 rho0, H0 = rep.rho20, H
-            if rho0 is not None and rep.rho20.coeffs.shape == rho0.coeffs.shape:
+            if rho0 is not None:
                 row["rho_diff"] = H0.norm(
                     Form(H0.complex.catalog, Bidegree(2, 0),
                          rep.rho20.coeffs - rho0.coeffs)

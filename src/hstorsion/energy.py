@@ -348,8 +348,6 @@ def gradient_descent(
         if not accepted:
             status = "positivity_blocked" if blocked_only else "stalled"
             break
-    else:
-        status = "max_iters"
     d_res = _d_residual(H)
     if f <= F_TOL and d_res <= D_TOL:
         status = "converged"

@@ -243,22 +243,16 @@ class BasisCatalog(_Memo):
     # -- conjugation -----------------------------------------------------
 
     def conj_permutation(self, p, q):
-        """Real signed permutation K with conj(u) = K @ conj(u.coeffs),
-        mapping Lambda^{p,q} -> Lambda^{q,p}."""
+        """(index, sign) with conj(u) = sign * conj(u.coeffs)[index], mapping
+        Lambda^{p,q} -> Lambda^{q,p}: output (mode m, (J, I)) reads input
+        (mode -m, (I, J)), and sign = (-1)^(pq) reorders dzbar^I dz^J."""
 
         def build():
-            structs, _ = self.struct_indices(p, q)
-            _, out_pos = self.struct_indices(q, p)
-            sign = -1.0 if (p * q) % 2 else 1.0
-            S_in = self.struct_dim(p, q)
-            S_out = self.struct_dim(q, p)
-            neg = self.mode_neg_index()
-            K = np.zeros((self.n_modes * S_out, self.n_modes * S_in))
-            for mi in range(self.n_modes):
-                mo = neg[mi]
-                for s, (I, J) in enumerate(structs):
-                    K[mo * S_out + out_pos[(J, I)], mi * S_in + s] = sign
-            return K
+            out, _ = self.struct_indices(q, p)
+            _, in_pos = self.struct_indices(p, q)
+            structs = np.array([in_pos[(I, J)] for J, I in out])
+            index = self.mode_neg_index()[:, None] * len(structs) + structs
+            return index.reshape(-1), -1.0 if (p * q) % 2 else 1.0
 
         return self._cached(("conj", p, q), build)
 
@@ -362,6 +356,5 @@ def wedge(u: Form, v: Form) -> Form:
 def conjugate(u: Form) -> Form:
     """Complex conjugate: (p,q) -> (q,p), mode m -> -m, with the reordering
     sign between the (I,J) and (J,I) bases.  An involution."""
-    cat = u.catalog
-    K = cat.conj_permutation(u.p, u.q)
-    return Form(cat, Bidegree(u.q, u.p), K @ np.conj(u.coeffs))
+    index, sign = u.catalog.conj_permutation(u.p, u.q)
+    return Form(u.catalog, Bidegree(u.q, u.p), sign * np.conj(u.coeffs[index]))

@@ -352,9 +352,9 @@ class HermitianStructure(_Memo):
         def build():
             cat = self.complex.catalog
             if p > q:
-                # <<conj u, conj v>> = conj <<u, v>>
-                K = cat.conj_permutation(q, p)
-                return K @ np.conj(self.gram(q, p)) @ K.T
+                # <<conj u, conj v>> = conj <<u, v>>; the signs square away
+                index, _ = cat.conj_permutation(q, p)
+                return np.conj(self.gram(q, p))[np.ix_(index, index)]
             nh, na = math.comb(self.n, p), math.comb(self.n, q)
             S = nh * na
             _, index = self.complex.mode_differences()
@@ -497,33 +497,32 @@ class HermitianStructure(_Memo):
 
     # -- pairing and Hodge star ---------------------------------------------
 
-    def pairing_matrix(self, p, q):
-        """B with B[i,c] = integral of e_i^{(p,q)} ^ e_c^{(n-p,n-q)}."""
+    def star_matrix(self, p, q):
+        """Matrix of the complex-linear Hodge star Lambda^{p,q} ->
+        Lambda^{n-q,n-p}, defined through the discrete pairing identity
+        integral(t ^ star u) = <<t, conj(u)>> for all t in Lambda^{q,p}.
+
+        The (q,p) x (n-q,n-p) pairing is a unit signed permutation:
+        e_m dz^I dzbar^J pairs only with e_{-m} dz^{I^c} dzbar^{J^c}, to the
+        sign of wedge_table times _vol_unit.  So the star is a row scatter,
+        divided by those pairings, of a column gather of gram(q, p)^T."""
 
         def build():
             cat = self.complex.catalog
             n = self.n
-            table = cat.wedge_table(Bidegree(p, q), Bidegree(n - p, n - q))
-            M = cat.n_modes
-            S1 = cat.struct_dim(p, q)
-            S2 = cat.struct_dim(n - p, n - q)
-            neg = cat.mode_neg_index()
-            B = np.zeros((M * S1, M * S2), dtype=complex)
-            for s1, s2, sign, _ in table:
-                for mi in range(M):
-                    B[mi * S1 + s1, neg[mi] * S2 + s2] = sign * self._vol_unit
-            return B
+            index, sign = cat.conj_permutation(q, p)
+            # G(q,p)^T times the conjugation (p,q) -> (q,p)
+            rhs = self.gram(q, p).T[:, index] * sign
+            # the table lists the (q,p) structs in order, each with its one
+            # complement s2
+            _, s2, pairing, _ = np.array(
+                cat.wedge_table(Bidegree(q, p), Bidegree(n - q, n - p))).T
+            cols = (cat.mode_neg_index()[:, None] * len(s2) + s2).reshape(-1)
+            star = np.empty_like(rhs)
+            star[cols] = rhs / (np.tile(pairing, cat.n_modes) * self._vol_unit)[:, None]
+            return star
 
-        return self._cached(("pairing", p, q), build)
-
-    def star_matrix(self, p, q):
-        """Matrix of the complex-linear Hodge star Lambda^{p,q} ->
-        Lambda^{n-q,n-p}, defined through the discrete pairing identity
-        integral(t ^ star u) = <<t, conj(u)>> for all t in Lambda^{q,p}."""
-        # B: (q,p) x (n-q,n-p) pairing; K: conjugation (p,q) -> (q,p)
-        return self._cached(("star", p, q), lambda: np.linalg.solve(
-            self.pairing_matrix(q, p),
-            self.gram(q, p).T @ self.complex.catalog.conj_permutation(p, q)))
+        return self._cached(("star", p, q), build)
 
     def hodge_star(self, u: Form) -> Form:
         S = self.star_matrix(u.p, u.q)

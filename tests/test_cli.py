@@ -122,6 +122,7 @@ def test_classify_reports_unreliable_kernel_split(iwasawa_file, tmp_path,
     ["energy", "--t-samples", "0 1"],
     ["family", "--bidegree", "0,1"],
     ["kahler", "--max-iters", "5"],
+    ["flow", "--seed", "1"],
 ])
 def test_flag_on_wrong_subcommand(argv, torus_file, tmp_path):
     code = run(argv[:1] + ["--model", torus_file, "--out", str(tmp_path)]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hstorsion.backends import build_complex, parse_model
 from hstorsion.forms import (BasisCatalog, Bidegree, DegreeError, Form,
                              basis_form, conjugate, merge_sign, wedge,
                              zero_form)
@@ -100,6 +101,38 @@ def test_conjugate_involution_and_bidegree(cat):
     assert (c.p, c.q) == (1, 2)
     cc = conjugate(c)
     assert np.allclose(cc.coeffs, u.coeffs)
+
+
+@pytest.fixture(scope="module")
+def axis_cat():
+    # n = 2, "modes axis K 1": the zero mode and +-e_a on the four real axes,
+    # so conjugation moves every nonzero mode
+    return build_complex(parse_model("kind spectral\nn 2\nmodes axis K 1\n")).catalog
+
+
+def test_conj_permutation_is_inverted_by_the_transposed_bidegree(axis_cat):
+    for p in range(3):
+        for q in range(3):
+            forward, _ = axis_cat.conj_permutation(p, q)
+            back, _ = axis_cat.conj_permutation(q, p)
+            assert np.array_equal(back[forward], np.arange(axis_cat.dim(p, q)))
+
+
+def test_conjugate_matches_definition_on_modes(axis_cat):
+    # reference: conj(c e_m dz^I dzbar^J) = conj(c) e_{-m} dzbar^I dz^J
+    # = (-1)^{pq} conj(c) e_{-m} dz^J dzbar^I, basis element by basis element
+    rng = np.random.default_rng(9)
+    assert axis_cat.n_modes == 9
+    for p in range(3):
+        for q in range(3):
+            u = _random_form(axis_cat, p, q, rng)
+            ref = np.zeros(axis_cat.dim(q, p), dtype=complex)
+            for c, b in zip(u.coeffs, axis_cat.basis(p, q)):
+                mode = tuple(-x for x in b.mode)
+                ref[axis_cat.flat_index(mode, b.anti, b.holo)] += (-1) ** (p * q) * np.conj(c)
+            c = conjugate(u)
+            assert (c.p, c.q) == (q, p)
+            assert np.array_equal(c.coeffs, ref)
 
 
 def test_conjugate_is_multiplicative(cat):
