@@ -73,8 +73,9 @@ class AeppliPoint:
     def structure(self, floor: float = 0.0) -> HermitianStructure:
         """The metric's structure, built on the first call.  Raises
         MetricError unless h(x) - floor I is positive definite at every
-        node: the constructor's Cholesky sweep decides it on the first
-        call, one more sweep on a later call with floor > 0."""
+        node: the constructor decides it on the first call, by the Weyl
+        bound or a Cholesky sweep, and positive_above on a later call with
+        floor > 0."""
         if self._structure is None:
             self._structure = HermitianStructure(self.complex, omega=self.realized(),
                                                  floor=floor)
@@ -194,7 +195,8 @@ class CorollaryReport:
 def corollary_check(target, xi: Form, tol: float = CLASSIFY_TOL) -> CorollaryReport:
     """Check the hypotheses and conclusion of the criticality corollary at
     a point whose torsion form is rho = del xi; the differential vanishes
-    when it is at most 1e-8 times 1 + ||rho||^2."""
+    when it is at most 1e-8 times 1 + ||rho||^2, and the conclusion is
+    "kahler" only on a certified semi-positivity verdict for dbar(xi)."""
     H = _structure(target)
     value, _ = differential_special(H, xi, tol=tol)
     _, rep = energy(H, tol=tol)
@@ -203,7 +205,8 @@ def corollary_check(target, xi: Form, tol: float = CLASSIFY_TOL) -> CorollaryRep
     pos = check_weak_positivity(H, H.complex.apply_dbar(xi))
     scale = 1.0 + rep.norm**2
     vanishes = abs(value) <= 1e-8 * scale
-    semi = pos.verdict in ("positive", "semi-positive")
+    # semi-positive on the whole torus, not only at the nodes
+    semi = pos.certified and pos.verdict in ("positive", "semi-positive")
     if semi and vanishes:
         conclusion = "kahler"  # 2||rho||^2 <= 0 forces rho = 0
     else:
@@ -332,7 +335,8 @@ def gradient_descent(
         while step >= MIN_STEP:
             trial = point.moved(step * direction)
             try:
-                # one Cholesky sweep decides positivity above the floor
+                # the Weyl bound or one Cholesky sweep decides positivity
+                # above the floor
                 Ht = trial.structure(floor)
             except MetricError:
                 step *= 0.5

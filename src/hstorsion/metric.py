@@ -178,25 +178,55 @@ def _smallest_eigenvalue(M):
         size *= 8
 
 
+def _hermitian_part(cat, c):
+    """The coefficients (c_m + c_{-m}^H) / 2, shape (modes, k, k), of the
+    Hermitian part (c(x) + c(x)^H) / 2 of c(x) = sum_m c_m e_m(x)."""
+    h = c + np.conj(c[cat.mode_neg_index()]).transpose(0, 2, 1)
+    h *= 0.5
+    return h
+
+
 def _hermitian_split(cx: FormComplex, u: Form):
     """(h, a), each shape (modes, n, n), for a (1,1)-form u = i sum_m c_m
     e_m dz ^ dzbar: h_m = (c_m + c_{-m}^H) / 2, the coefficients of the
     Hermitian part of c(x), and a_m = c_m - h_m."""
-    n = cx.n
-    c = -1j * u.coeffs.reshape(-1, n, n)
-    h = c + np.conj(c[cx.catalog.mode_neg_index()]).transpose(0, 2, 1)
-    h *= 0.5
+    c = -1j * u.coeffs.reshape(-1, cx.n, cx.n)
+    h = _hermitian_part(cx.catalog, c)
     return h, c - h
 
 
+def _weyl_bound(cat, h):
+    """(bound, scale) for the Hermitian mode coefficients h, shape
+    (modes, k, k), of M(x) = sum_m h_m e_m(x): by Weyl's inequality,
+    bound = lambda_min(h_0) - sum_{m != 0} ||h_m||_2 is at most the
+    smallest eigenvalue of M(x) at every point of the torus, not only at
+    the nodes, and scale = sum_m ||h_m||_2 bounds ||M(x)||_2.  With one
+    mode the sum is empty and bound is lambda_min(h_0)."""
+    zero = cat.mode_pos[cat.zero_mode]
+    eigs = np.linalg.eigvalsh(h[zero])
+    scale = max(-eigs[0], eigs[-1])
+    if len(h) == 1:
+        return float(eigs[0]), float(scale)
+    norms = np.linalg.norm(np.delete(h, zero, axis=0), ord=2, axis=(1, 2)).sum()
+    return float(eigs[0] - norms), float(scale + norms)
+
+
 def _node_values(cx: FormComplex, coeffs):
-    """sum_m coeffs_m exp(2 pi i m . x) at every node x, shape (X, n, n),
-    for coeffs of shape (modes, n, n): one product with the plane-wave
-    matrix, stored node-contiguous (a view of an (n, n, X) array, so each
+    """sum_m coeffs_m exp(2 pi i m . x) at every node x, shape (X, k, k),
+    for coeffs of shape (modes, k, k): one product with the plane-wave
+    matrix, stored node-contiguous (a view of a (k, k, X) array, so each
     entry's node values form one row)."""
-    n = cx.n
-    values = coeffs.reshape(-1, n * n).T @ cx.eval_matrix().T
-    return values.reshape(n, n, -1).transpose(2, 0, 1)
+    k = coeffs.shape[-1]
+    values = coeffs.reshape(-1, k * k).T @ cx.eval_matrix().T
+    return values.reshape(k, k, -1).transpose(2, 0, 1)
+
+
+def _cell_centre_values(cx: FormComplex, coeffs):
+    """The values of _node_values(cx, coeffs) at the cell centres x + delta,
+    delta half a grid step on every axis: the node values of the
+    phase-shifted coefficients coeffs_m exp(2 pi i m . delta)."""
+    phase = np.exp(1j * np.pi * (cx._modes() / np.array(cx.grid)).sum(axis=1))
+    return _node_values(cx, coeffs * phase[:, None, None])
 
 
 def _whiten_plan(cx: FormComplex):
@@ -233,9 +263,16 @@ class HermitianStructure(_Memo):
 
     Built either from an n x n constant Hermitian matrix or from a (1,1)
     metric form living on the complex, and refused with MetricError unless
-    h(x) - max(floor, 0) I is positive definite at every node, which one
-    Cholesky sweep decides.  Immutable after construction; Gram, star, adjoint and
-    the other derived matrices are cached per bidegree in one memo.
+    h(x) - max(floor, 0) I is positive definite at every node.  The Weyl
+    bound of omega's coefficients (_weyl_bound) decides that with no node
+    values when it clears the floor by its rounding allowance, and then
+    h(x) is positive definite on the whole torus.  Otherwise one Cholesky
+    sweep of the node matrices decides, and a metric that passes it is
+    swept once more at the cell centres, where a negative eigenvalue is
+    refused with the point it lies at.  The node matrices h_nodes are
+    formed only when read.  Immutable after construction; Gram, star,
+    adjoint and the other derived matrices are cached per bidegree in one
+    memo.
     """
 
     def __init__(self, complex_: FormComplex, h=None, omega: Form | None = None,
@@ -258,21 +295,45 @@ class HermitianStructure(_Memo):
         self._herm, self._anti = _hermitian_split(complex_, omega)
         if 2 * np.abs(self._anti).max() > 1e-12 * max(1.0, np.abs(omega.coeffs).max()):
             raise MetricError("metric form is not real")
-        # h(x) at every quadrature node, shape (X, n, n), node-contiguous
-        self.h_nodes = _node_values(complex_, self._herm)
         floor = max(floor, 0.0)
-        if not self.positive_above(floor):
+        if self._certified_above(floor):
+            return
+        if not _positive_above(self.h_nodes, floor):
             raise MetricError(
                 f"metric not positive definite above {floor:.3e}" if floor else
                 f"metric not positive definite: min eigenvalue {self.positivity_margin:.3e}")
+        centres = _cell_centre_values(complex_, self._herm)
+        if not _positive_above(centres, 0.0):
+            lo, node = _smallest_eigenvalue(centres)
+            x = complex_.nodes()[node] + 0.5 / np.array(complex_.grid)
+            raise MetricError(f"metric not positive definite between the nodes: min "
+                              f"eigenvalue {lo:.3e} at x = ({', '.join(f'{v:g}' for v in x)})")
 
     # -- pointwise data ----------------------------------------------------
 
+    @property
+    def h_nodes(self):
+        """h(x) at every quadrature node, shape (X, n, n), node-contiguous,
+        formed from the h_m when first read."""
+        return self._cached("h nodes", lambda: _node_values(self.complex, self._herm))
+
+    def _weyl_bound(self):
+        """(bound, scale) of _weyl_bound(h_m), computed when first read."""
+        return self._cached("weyl bound", lambda: _weyl_bound(self.complex.catalog, self._herm))
+
+    def _certified_above(self, c) -> bool:
+        """True when the Weyl bound clears c by its rounding allowance,
+        1e-12 max(1, sum_m ||h_m||_2): then h(x) - c I is positive
+        definite at every point of the torus."""
+        bound, scale = self._weyl_bound()
+        return bound > c + 1e-12 * max(1.0, scale)
+
     def positive_above(self, c) -> bool:
-        """True when h(x) - c I is positive definite at every node, decided
-        by one Cholesky factorization swept across the nodes, each step one
+        """True when h(x) - c I is positive definite at every node: by the
+        Weyl bound when it clears c, with no node values, and otherwise by
+        one Cholesky factorization swept across the nodes, each step one
         operation on whole rows of node values (see _positive_above)."""
-        return _positive_above(self.h_nodes, c)
+        return self._certified_above(c) or _positive_above(self.h_nodes, c)
 
     def _smallest_eigenvalue(self):
         """(margin, node) of _smallest_eigenvalue(h), computed when first
@@ -591,72 +652,85 @@ class PositivityReport:
     verdict: str  # positive | semi-positive | refuted
     witness: object = None
     margin: float = 0.0
-    certified: bool = False  # True when backed by an exact eigenvalue test
+    # True when the verdict holds on the whole torus: a refutation names a
+    # point, and a positive or semi-positive verdict needs the Weyl bound
+    certified: bool = False
 
     def __str__(self):
-        grade = "certified, " if self.certified else ""
+        grade = ("certified, " if self.certified else
+                 "" if self.verdict == "refuted" else "nodes only, ")
         return f"{self.verdict} ({grade}margin={self.margin:.3e})"
 
 
 def check_strong_positivity_11(H: HermitianStructure, u: Form) -> PositivityReport:
     """Exact eigenvalue test for (1,1)-forms, where strong and weak positivity
     coincide.  For u = H.omega itself it reads H's Hermitian split, node
-    matrices and smallest eigenvalue instead of forming them again."""
+    matrices, smallest eigenvalue and Weyl bound instead of forming them
+    again."""
     if (u.p, u.q) != (1, 1):
         raise DegreeError("strong-positivity test requires bidegree (1,1)")
     if u is H.omega:
         a, herm, smallest = H._anti, H.h_nodes, H._smallest_eigenvalue()
+        bound = H._weyl_bound()[0]
     else:
         h, a = _hermitian_split(H.complex, u)
         herm, smallest = _node_values(H.complex, h), None
+        bound = _weyl_bound(H.complex.catalog, h)[0]
     # how far the coefficient matrices c(x) are from Hermitian at the nodes
     dev = float(np.abs(_node_values(H.complex, a)).max())
     scale = max(np.abs(herm).max(), 1e-300)
     if dev > 1e-9 * scale:
         return PositivityReport("refuted", witness="non-Hermitian coefficients",
                                 margin=-dev, certified=True)
-    return _eigenvalue_verdict(herm, smallest)
+    return _eigenvalue_verdict(herm, bound, smallest)
 
 
-def _eigenvalue_verdict(M, smallest=None):
-    """Certified verdict on Hermitian matrices M, shape (X, n, n), from the
-    smallest eigenvalue over every node (_smallest_eigenvalue(M) unless
-    given as smallest), with tolerance 1e-12 times the largest entry; a
-    refutation carries (node, eigenvector of that eigenvalue)."""
+def _eigenvalue_verdict(M, bound, smallest=None):
+    """Verdict on Hermitian matrices M, shape (X, n, n), from the smallest
+    eigenvalue over every node (_smallest_eigenvalue(M) unless given as
+    smallest), with tolerance 1e-12 times the largest entry.  A refutation
+    carries (node, eigenvector of that eigenvalue) and is certified; a
+    positive or semi-positive verdict is certified when bound, a lower
+    bound of the smallest eigenvalue over the whole torus, passes the same
+    test."""
     lo, node = smallest or _smallest_eigenvalue(M)
     tol = 1e-12 * max(np.abs(M).max(), 1e-300)
     if lo > tol:
-        return PositivityReport("positive", margin=lo, certified=True)
+        return PositivityReport("positive", margin=lo, certified=bound > tol)
     if lo >= -tol:
-        return PositivityReport("semi-positive", margin=lo, certified=True)
+        return PositivityReport("semi-positive", margin=lo, certified=bound >= -tol)
     _, v = np.linalg.eigh(M[node])
     return PositivityReport("refuted", witness=(node, v[:, 0]), margin=lo, certified=True)
 
 
 def check_weak_positivity(H: HermitianStructure, u: Form) -> PositivityReport:
     """Weak positivity of a (p,p)-form by pairing against decomposable
-    positive (n-p,n-p)-forms, decided by an exact certificate in the
-    bidegrees (0,0), (1,1), (n-1,n-1) and (n,n); any other bidegree raises
-    DegreeError.
+    positive (n-p,n-p)-forms, decided at the nodes in the bidegrees (0,0),
+    (1,1), (n-1,n-1) and (n,n), and certified on the whole torus by the
+    Weyl bound of the pairing's mode coefficients; any other bidegree
+    raises DegreeError.
     """
     n = H.n
     p = u.p
+    cat = H.complex.catalog
     if u.p != u.q:
         raise DegreeError("weak-positivity test requires a (p,p)-form")
     k = n - p
-    if p == 0 or k == 0:
-        # a function, or one times e_vol = i^{-n^2} tau, as 1 x 1 matrices
-        vals = np.real(H.complex.evaluate(u)[:, 0] * (H._vol_unit if p else 1.0))
-        return _eigenvalue_verdict(vals[:, None, None])
     if p == 1:
         return check_strong_positivity_11(H, u)
-    if k == 1:
+    if p == 0 or k == 0:
+        # a function, or one times e_vol = i^{-n^2} tau, as 1 x 1 matrices
+        c = u.coeffs.reshape(-1, 1, 1) * (H._vol_unit if p else 1.0)
+    elif k == 1:
         # pairing is the Hermitian form M[j,k] = value of u ^ i dz^j ^ dzbar^k:
-        # wedge u against every (1,1) struct basis covector at once
-        vals = H.complex.evaluate(u)[:, None, :]
-        basis = np.eye(H.complex.catalog.struct_dim(1, 1))
-        top = wedge_values(H.complex.catalog, u.bidegree, Bidegree(1, 1), vals, basis)
-        M = (1j * top[..., 0] * H._vol_unit).reshape(-1, n, n)
-        M = 0.5 * (M + np.conj(np.swapaxes(M, 1, 2)))
-        return _eigenvalue_verdict(M)
-    raise DegreeError(f"no weak-positivity certificate in bidegree ({p},{p}) for n={n}")
+        # wedge u against every (1,1) struct basis covector at once; it is
+        # linear in u, so u's mode coefficients give M's
+        basis = np.eye(cat.struct_dim(1, 1))
+        top = wedge_values(cat, u.bidegree, Bidegree(1, 1),
+                           u.coeffs.reshape(cat.n_modes, 1, -1), basis)
+        c = (1j * top[..., 0] * H._vol_unit).reshape(-1, n, n)
+    else:
+        raise DegreeError(f"no weak-positivity certificate in bidegree ({p},{p}) for n={n}")
+    # the values' Hermitian part, (M(x) + M(x)^H) / 2
+    h = _hermitian_part(cat, c)
+    return _eigenvalue_verdict(_node_values(H.complex, h), _weyl_bound(cat, h)[0])

@@ -70,3 +70,14 @@ def coefficient_laplacian(H, which, p, q):
     coefficient frame, R^{-1} L~ R, from the whitened L~ that cohomology
     returns and the Cholesky factor R of the Gram."""
     return H.chol_inv(p, q) @ cohomology._LAPLACIANS[which](H, p, q) @ H.chol(p, q)
+
+
+def weyl_certifies(H, floor):
+    """Whether lambda_min(h_0) - sum_{m != 0} ||h_m||_2, for the Hermitian
+    mode coefficients h_m of H's metric, clears the floor by 1e-12
+    max(1, sum_m ||h_m||_2), each norm the largest singular value."""
+    cat = H.complex.catalog
+    zero = cat.mode_pos[cat.zero_mode]
+    norms = [np.linalg.svd(h, compute_uv=False)[0] for h in H._herm]
+    rest = sum(norms) - norms[zero]
+    return np.linalg.eigvalsh(H._herm[zero])[0] - rest > floor + 1e-12 * max(1.0, sum(norms))

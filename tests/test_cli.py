@@ -330,6 +330,26 @@ def test_metric_commands_refuse_n_below_2(command, tmp_path):
 
 @pytest.mark.parametrize("command", ["classify", "torsion", "energy", "flow", "kahler",
                                      "family"])
+def test_metric_negative_between_the_nodes_exits_1(command, tmp_path):
+    # h_11 = 1 + 1.2 cos(2 pi x_1) is positive at every node but -0.2 at
+    # x_1 = 1/2: refused as bad input, with the point; the family's t = 0
+    # sample is this model
+    model = tmp_path / "m.model"
+    c = "poly(0.6, -0.6)" if command == "family" else "0.6"
+    model.write_text("kind spectral\nn 2\nmodes axis K 1\n"
+                     f"metric_mode 1 0 0 0 h 1 1 := {c}\n"
+                     f"metric_mode -1 0 0 0 h 1 1 := {c}\n"
+                     + ("t_samples := 0 0.5 1\n" if command == "family" else ""))
+    out = tmp_path / "out"
+    assert run([command, "--model", str(model), "--out", str(out)]) == EXIT_INPUT
+    lines = (out / f"{command}_report.txt").read_text().splitlines()
+    assert lines[-1].startswith("error: metric not positive definite between the nodes: "
+                                "min eigenvalue -2.000e-01 at x = (0.5, ")
+    assert sorted(p.name for p in out.iterdir()) == [f"{command}_report.txt"]
+
+
+@pytest.mark.parametrize("command", ["classify", "torsion", "energy", "flow", "kahler",
+                                     "family"])
 def test_metric_command_parses_its_file_once(command, torus_file, tmp_path, monkeypatch):
     # run hands the ModelTemplate it reads for the n check to the command
     made = []

@@ -15,6 +15,8 @@ from hstorsion.forms import Bidegree, Form, zero_form
 from hstorsion.metric import HermitianStructure, MetricError
 from hstorsion.torsion import min_norm_torsion, torsion_form
 
+from conftest import weyl_certifies
+
 # (mode, j, c): the potential terms c e_mode dz^j of a spectral n = 2 model
 # with modes axis K 2, on the axes x_1, x_2, y_1, y_2 (z_j = x_j + i y_j)
 N2K2_POTENTIAL = [((2, 0, 0, 0), 2, 0.05), ((0, 2, 0, 0), 1, 0.03 + 0.01j),
@@ -111,6 +113,17 @@ def test_corollary_derives_kahler(torus_H, torus_cx):
     assert rep.rho_norm <= 1e-10
 
 
+def test_corollary_needs_a_certified_verdict(torus_H, torus_cx, monkeypatch):
+    # the same Kahler point, with dbar(xi) semi-positive at the nodes only:
+    # a verdict the Weyl bound does not certify concludes nothing
+    xi = zero_form(torus_cx.catalog, 1, 0)
+    nodes_only = metric.PositivityReport("semi-positive", margin=0.0)
+    monkeypatch.setattr(energy_module, "check_weak_positivity", lambda H, u: nodes_only)
+    rep = corollary_check(torus_H, xi)
+    assert rep.differential_vanishes and rep.conclusion == "inconclusive"
+    assert str(rep.positivity) == "semi-positive (nodes only, margin=0.000e+00)"
+
+
 @pytest.fixture(scope="module")
 def spectral_flow(spectral_cx, spectral_H):
     return gradient_descent(AeppliPoint(spectral_cx, spectral_H.omega), max_iters=100)
@@ -191,19 +204,24 @@ def _n2_text(K, potential, grid=""):
 def n2k2_flow_sweeps():
     """The flow on the spectral n = 2, K = 2 model, and the positivity
     sweeps (_positive_above) it runs, as a log of the events "build" and
-    "built" around each HermitianStructure built, "margin" and "done"
-    around each smallest eigenvalue, and "sweep"; with the margin, the
+    ("built", certified, refused) around each HermitianStructure built,
+    with certified whether its Weyl bound clears its floor
+    (weyl_certifies) and refused whether it raised, "margin" and "done"
+    around each smallest eigenvalue, "values" for each product with the
+    plane-wave matrix (_node_values), and "sweep"; with the margin, the
     all-node eigvalsh minimum and max|h| of each smallest eigenvalue."""
     log, margins = [], []
     sweep, init = metric._positive_above, metric.HermitianStructure.__init__
-    smallest = metric._smallest_eigenvalue
+    smallest, values = metric._smallest_eigenvalue, metric._node_values
 
-    def build(self, *args, **kwargs):
+    def build(self, *args, floor=0.0, **kwargs):
         log.append("build")
+        refused = True
         try:
-            init(self, *args, **kwargs)
+            init(self, *args, floor=floor, **kwargs)
+            refused = False
         finally:
-            log.append("built")
+            log.append(("built", weyl_certifies(self, floor), refused))
 
     def margin(M):
         log.append("margin")
@@ -214,6 +232,7 @@ def n2k2_flow_sweeps():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(metric, "_positive_above", lambda *a: log.append("sweep") or sweep(*a))
+        mp.setattr(metric, "_node_values", lambda *a: log.append("values") or values(*a))
         mp.setattr(metric.HermitianStructure, "__init__", build)
         mp.setattr(metric, "_smallest_eigenvalue", margin)
         cx = build_complex(parse_model(_n2_text(2, N2K2_POTENTIAL)))
@@ -235,16 +254,69 @@ def _sweeps_between(log, start, end):
     return counts
 
 
+def _builds(log):
+    """(certified, refused, events) for each build in the log, events the
+    "values" and "sweep" inside it."""
+    builds, events = [], None
+    for event in log:
+        if event == "build":
+            events = []
+        elif isinstance(event, tuple):
+            builds.append((event[1], event[2], events))
+            events = None
+        elif events is not None:
+            events.append(event)
+    return builds
+
+
 def test_line_search_trial_sweeps_positivity_once(n2k2_flow_sweeps):
-    # the floor is decided where a trial's structure is built: every
-    # metric the flow builds, the start and one per trial, runs one sweep,
-    # and no sweep runs outside a build or a smallest eigenvalue's proof
+    # the floor is decided where a trial's structure is built: a build the
+    # Weyl bound certifies forms no node values and runs no sweep; every
+    # other build forms its node values and runs one sweep, and when the
+    # nodes pass, forms its cell-centre values and runs one more sweep.  No
+    # sweep runs outside a build or a smallest eigenvalue's proof
     res, log, _ = n2k2_flow_sweeps
-    builds = _sweeps_between(log, "build", "built")
+    builds = _builds(log)
     proofs = _sweeps_between(log, "margin", "done")
     assert res.status == "converged" and len(builds) > len(res.history)
-    assert builds == [1] * len(builds)
-    assert log.count("sweep") == len(builds) + sum(proofs)
+    kinds = set()
+    for certified, refused, events in builds:
+        if certified:
+            expected = []
+        elif refused:
+            expected = ["values", "sweep"]
+        else:
+            expected = ["values", "sweep"] * 2
+        assert events == expected
+        kinds.add((certified, refused))
+    # this flow has all three kinds of build: the start metric passes the
+    # nodes and the cell centres, six trials are refused at the nodes
+    assert kinds == {(True, False), (False, True), (False, False)}
+    assert log.count("sweep") == sum(e.count("sweep") for _, _, e in builds) + sum(proofs)
+
+
+def test_weyl_certificate_agrees_with_the_nodes_along_a_flow(spectral_cx, spectral_H,
+                                                             monkeypatch):
+    # every metric the flow on SPECTRAL_TEXT builds, the refused trials
+    # included: the Weyl bound is at most the smallest eigenvalue at every
+    # node, and where it clears the floor, the node sweep agrees
+    built = []
+    init = metric.HermitianStructure.__init__
+
+    def build(self, *args, floor=0.0, **kwargs):
+        built.append((self, floor))
+        init(self, *args, floor=floor, **kwargs)
+
+    monkeypatch.setattr(metric.HermitianStructure, "__init__", build)
+    gradient_descent(AeppliPoint(spectral_cx, spectral_H.omega), max_iters=100)
+    certified = 0
+    for H, floor in built:
+        nodes = metric._node_values(H.complex, H._herm)
+        assert H._weyl_bound()[0] <= np.linalg.eigvalsh(nodes).min()
+        if weyl_certifies(H, floor):
+            certified += 1
+            assert metric._positive_above(nodes, floor)
+    assert 0 < certified < len(built)
 
 
 def test_flow_margins_need_one_round(n2k2_flow_sweeps):

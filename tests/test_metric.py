@@ -14,7 +14,7 @@ from hstorsion.metric import (HermitianStructure, MetricError,
                               check_strong_positivity_11,
                               check_weak_positivity)
 
-from conftest import random_hermitian_structure
+from conftest import random_hermitian_structure, weyl_certifies
 
 N2K2_TEXT = """kind spectral
 n 2
@@ -397,6 +397,119 @@ def test_positivity_margin_and_positive_above(spectral_H):
     assert H.positive_above(0.99 * margin) and not H.positive_above(1.01 * margin)
 
 
+# h_11 = 1 + 1.2 cos(2 pi x_1) on n = 2: least, -0.2, at x_1 = 1/2, which is
+# no node of the 5 per axis; at the nodes it is least at x_1 = 2/5 and 3/5,
+# 1 + 1.2 cos(4 pi / 5) = 0.029
+NEGATIVE_BETWEEN_NODES_TEXT = """kind spectral
+n 2
+modes axis K 1
+metric_mode 1 0 0 0 h 1 1 := 0.6
+metric_mode -1 0 0 0 h 1 1 := 0.6
+"""
+
+
+def test_metric_negative_between_the_nodes_is_refused():
+    # the nodes pass, the Weyl bound 1 - 1.2 does not decide, and the sweep
+    # of the cell centres, half a step off every axis, refuses the metric
+    # with a point where x_1 = 1/2
+    cx = build_complex(parse_model(NEGATIVE_BETWEEN_NODES_TEXT))
+    h, _ = metric._hermitian_split(cx, cx.metric_form())
+    nodes = np.linalg.eigvalsh(metric._node_values(cx, h)).min()
+    assert abs(nodes - (1 + 1.2 * math.cos(0.8 * math.pi))) <= 1e-14 and nodes > 0
+    assert abs(metric._weyl_bound(cx.catalog, h)[0] + 0.2) <= 1e-14
+    with pytest.raises(MetricError, match=r"between the nodes: min eigenvalue -2\.000e-01 "
+                                          r"at x = \(0\.5, "):
+        HermitianStructure(cx, omega=cx.metric_form())
+
+
+def test_weyl_bound_of_one_cosine(spectral_cx):
+    # h(x) = diag(1 + 0.3 cos 2 pi x_1, 2, 3): h_0 = diag(1, 2, 3) and
+    # h_{+-e_1} = diag(0.15, 0, 0), so the bound is 1 - 2 * 0.15 = 0.7, the
+    # least value of h(x), at x_1 = 1/2, and sum_m ||h_m||_2 = 3.3.  It
+    # certifies the metric with no node values; above 0.7 the nodes decide
+    cx = spectral_cx
+    omega = cx.hermitian_form(np.diag([1.0, 2.0, 3.0]))
+    for m in ((1, 0, 0, 0, 0, 0), (-1, 0, 0, 0, 0, 0)):
+        omega = omega + cx.hermitian_form(np.diag([0.15, 0.0, 0.0]), m)
+    H = HermitianStructure(cx, omega=omega)
+    bound, scale = H._weyl_bound()
+    assert abs(bound - 0.7) <= 1e-15 and abs(scale - 3.3) <= 1e-15
+    assert "h nodes" not in H._memo and H.positive_above(0.69) and "h nodes" not in H._memo
+    margin = 1 + 0.3 * math.cos(0.8 * math.pi)
+    assert abs(H.positivity_margin - margin) <= 1e-15
+    assert H.positive_above(0.71) and not H.positive_above(margin + 1e-9)
+
+
+def test_weyl_allowance_leaves_the_floor_to_the_nodes(torus_cx):
+    # h = I: the bound is exactly 1, which does not clear the floor 1 by its
+    # rounding allowance 1e-12, so the node sweep decides, and h - I is not
+    # positive definite
+    H = HermitianStructure(torus_cx, h=np.eye(3))
+    assert H._weyl_bound() == (1.0, 1.0) and "h nodes" not in H._memo
+    assert H.positive_above(1.0 - 1e-13) and not H.positive_above(1.0)
+    with pytest.raises(MetricError, match="above 1.000e"):
+        HermitianStructure(torus_cx, h=np.eye(3), floor=1.0)
+
+
+@pytest.mark.parametrize("name", ["torus_H", "iwasawa_H", "random_iwasawa_H", "spectral_H",
+                                  "n2k2_H", "grid7_H", "random13_H", "late_argmin_H"])
+def test_weyl_certificate_agrees_with_the_nodes(name, request):
+    # the Weyl bound is at most the smallest eigenvalue at every node, and
+    # where it certifies a metric, the node sweep agrees
+    H = request.getfixturevalue(name)
+    nodes = metric._node_values(H.complex, H._herm)
+    assert H._weyl_bound()[0] <= np.linalg.eigvalsh(nodes).min()
+    if weyl_certifies(H, 0.0):
+        assert metric._positive_above(nodes, 0.0)
+
+
+def test_weyl_bound_near_the_positivity_boundary():
+    # 100 random spectral n = 2, K = 1 metrics whose Weyl bound lies within
+    # 0.05 of 0; in every second one the oscillation is mostly one cosine
+    # along the least eigenvector of h_0, so the bound is nearly tight and
+    # h(x) comes within about 0.05 of singular.  The bound is at most the
+    # smallest eigenvalue at every node and cell centre; a metric it
+    # certifies is built with no node values and passes the node sweep, and
+    # one it does not is refused only where a node or cell centre is not
+    # positive
+    cx = build_complex(parse_model("kind spectral\nn 2\nmodes axis K 1\n"))
+    cat = cx.catalog
+    zero = cat.mode_pos[cat.zero_mode]
+    rng = np.random.default_rng(21)
+    counts = {"certified": 0, "built": 0, "refused": 0}
+    for k in range(100):
+        shape = (cat.n_modes, 2, 2)
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        h0 = c[zero] @ c[zero].conj().T
+        if k % 2:
+            v = np.linalg.eigh(h0)[1][:, :1]
+            c *= 0.001
+            m = rng.choice([m for m in range(cat.n_modes) if m != zero])
+            c[m] += np.exp(2j * np.pi * rng.uniform()) * (v @ v.conj().T)
+        c[zero] = 0
+        h = metric._hermitian_part(cat, c)
+        h *= (1 + rng.uniform(-0.05, 0.05)) / sum(
+            np.linalg.svd(hm, compute_uv=False)[0] for hm in h)
+        h[zero] = h0 / np.linalg.eigvalsh(h0)[0]
+        omega = metric.Form(cat, metric.Bidegree(1, 1), 1j * h.reshape(-1))
+        values = [metric._node_values(cx, h), metric._cell_centre_values(cx, h)]
+        least = min(np.linalg.eigvalsh(v).min() for v in values)
+        assert metric._weyl_bound(cat, h)[0] <= least + 1e-14
+        try:
+            H = HermitianStructure(cx, omega=omega)
+        except MetricError:
+            assert least <= 0
+            counts["refused"] += 1
+            continue
+        assert least > 0
+        if weyl_certifies(H, 0.0):
+            counts["certified"] += 1
+            assert "h nodes" not in H._memo and metric._positive_above(values[0], 0.0)
+        else:
+            counts["built"] += 1
+    assert min(counts.values()) >= 10, counts
+
+
 def _lapack_positive_above(M, c):
     try:
         np.linalg.cholesky(M - c * np.eye(M.shape[-1]))
@@ -727,6 +840,29 @@ def test_weak_positivity_has_one_rule_in_every_bidegree(shift, verdict):
             assert abs(rep.margin - scale * (shift - 1e-8)) <= 1e-9 * scale
             if verdict == "refuted":
                 assert cx.nodes()[rep.witness[0], 0] == 0.0
+
+
+@pytest.mark.parametrize("amp, certified", [(0.6, False), (0.45, True)])
+def test_weak_positivity_certified_by_the_weyl_bound(spectral_cx, amp, certified):
+    # f = 1 + 2 amp cos(2 pi x_1) on n = 3: with amp = 0.6 it is positive at
+    # the nodes, least 1 + 1.2 cos(4 pi / 5) = 0.029, but -0.2 at x_1 = 1/2,
+    # where its Weyl bound lies, so as a function and times omega_k, k = 1,
+    # 2, 3 (every bidegree with a certificate), it is positive at the nodes
+    # only; with amp = 0.45 the bound 0.1 certifies it
+    cx = spectral_cx
+    cat = cx.catalog
+    H = HermitianStructure(cx, h=np.eye(3))
+    f = zero_form(cat, 0, 0)
+    f.coeffs[cat.flat_index(cat.zero_mode, (), ())] = 1.0
+    for m in ((1, 0, 0, 0, 0, 0), (-1, 0, 0, 0, 0, 0)):
+        f.coeffs[cat.flat_index(m, (), ())] = amp
+    least = 1 + 2 * amp * math.cos(0.8 * math.pi)
+    for k in range(4):
+        rep = check_weak_positivity(H, wedge(f, H.omega_power(k)) if k else f)
+        assert rep.verdict == "positive" and rep.certified == certified, k
+        assert abs(rep.margin - least) <= 1e-14
+        assert str(rep).startswith("positive (certified, " if certified
+                                   else "positive (nodes only, ")
 
 
 def test_weak_positivity_is_certified_or_refused():
