@@ -45,9 +45,10 @@ __all__ = [
 STRUCTURE_TOL = 1e-12
 _HOLO, _ANTI = Bidegree(1, 0), Bidegree(0, 1)  # the bidegrees of dz^j, dzbar^j
 
-# (modes, grid) -> the memo of the quadrature tables that depend only on them,
-# held by every live complex on that lattice and freed with the last one
-_LATTICES = weakref.WeakValueDictionary()
+# (n, modes, grid, structure constants) -> the memo of everything a complex
+# derives from them, held by every live complex on that structure and freed
+# with the last one
+_STRUCTURES = weakref.WeakValueDictionary()
 
 
 class ModelError(ValueError):
@@ -139,28 +140,35 @@ class Model:
                                      lines.get((kind, tuple(m))))
 
 
-class FormComplex(_Memo):
+class FormComplex:
     """A finite bigraded complex with del and delbar matrices per bidegree.
 
     Immutable after construction.  It also carries the quadrature grid,
     the node plane-wave matrix and the grid transform and its adjoint
     used by every metric-dependent computation downstream; a model with no
-    axes has one node.  Their tables are shared with every live complex on
-    the same (modes, grid).
+    axes has one node.  A complex keeps only its catalog and its model:
+    what it derives from them (del and dbar, assembled and checked for
+    d^2 = 0 once, del dbar, the quadrature tables and what other modules
+    cache through _cached) is one memo per structure (n, mode set, grid,
+    structure constants), shared with every live complex on it.
     """
 
     def __init__(self, model: Model):
-        super().__init__()
         self.catalog = BasisCatalog(model.n, model.mode_set)
         self.n = model.n
         self.model = model
-        key = (self.catalog.modes, self.grid)
-        self._lattice = _LATTICES.get(key)
-        if self._lattice is None:
-            self._lattice = _LATTICES[key] = _Memo()
-        self._del = {}
-        self._dbar = {}
-        self._check_complex_identities(self._assemble())
+        key = (self.n, self.catalog.modes, self.grid,
+               tuple((k, tuple(terms.items())) for k, terms in model.d_phi.items()))
+        self._structure = _STRUCTURES.get(key)
+        if self._structure is None:
+            self._structure = _Memo()
+            self._check_complex_identities(self._assemble())
+            _STRUCTURES[key] = self._structure
+
+    def _cached(self, key, build):
+        """The value stored under key in the memo of this complex's
+        structure, computed by build() on first use."""
+        return self._structure._cached(key, build)
 
     # -- assembly -------------------------------------------------------
 
@@ -191,14 +199,17 @@ class FormComplex(_Memo):
         On e_m phi^I ^ phibar^J each is the sum of a mode part, the symbol
         pi i (m_j - i m_{n+j}) (del) or pi i (m_j + i m_{n+j}) (dbar) times
         dz^j ^ (dzbar^j ^), which vanishes when there are no axes, and the
-        mode-independent Leibniz part of the structure constants.  Returns
-        the blocks, (M, S_out, S) per (step, p, q) that stays in degree."""
+        mode-independent Leibniz part of the structure constants, stored in
+        the structure's memo under "del" and "dbar".  Returns the blocks,
+        (M, S_out, S) per (step, p, q) that stays in degree."""
         cat, n, M = self.catalog, self.n, self.catalog.n_modes
         # a mode with no axes is the zero vector, whose symbol vanishes
         m = np.zeros((M, 2 * n))
         m[:, : len(cat.modes[0])] = cat.modes
-        steps = {_HOLO: (self._del, np.pi * 1j * (m[:, :n] - 1j * m[:, n:])),
-                 _ANTI: (self._dbar, np.pi * 1j * (m[:, :n] + 1j * m[:, n:]))}
+        memo = self._structure._memo
+        memo["del"], memo["dbar"] = {}, {}
+        steps = {_HOLO: (memo["del"], np.pi * 1j * (m[:, :n] - 1j * m[:, n:])),
+                 _ANTI: (memo["dbar"], np.pi * 1j * (m[:, :n] + 1j * m[:, n:]))}
         leibniz = self._leibniz_terms()
         ar, blocks = np.arange(M), {}
         for p, q in product(range(n + 1), repeat=2):
@@ -257,14 +268,14 @@ class FormComplex(_Memo):
         return self.catalog.dim(p, q)
 
     def del_matrix(self, p, q):
-        return self._del[(p, q)]
+        return self._structure._memo["del"][(p, q)]
 
     def dbar_matrix(self, p, q):
-        return self._dbar[(p, q)]
+        return self._structure._memo["dbar"][(p, q)]
 
     def ddbar_matrix(self, p, q):
         """del delbar : Lambda^{p,q} -> Lambda^{p+1,q+1}, formed once per
-        complex."""
+        structure."""
         return self._cached(("ddbar", p, q),
                             lambda: self.del_matrix(p, q + 1) @ self.dbar_matrix(p, q))
 
@@ -307,7 +318,7 @@ class FormComplex(_Memo):
             at = self._positions(1, self._modes(), k[0][:1])[:, 0]
             return self.grid_values(np.eye(len(at), dtype=complex)[at], k).T
 
-        return self._lattice._cached("eval", build)
+        return self._cached("eval", build)
 
     def _modes(self):
         """The modes as integer rows, shape (modes, axes)."""
@@ -348,7 +359,7 @@ class FormComplex(_Memo):
                                 for d, rep in zip(diffs, reps)], (len(modes),) * 2)
             return np.array(rows, dtype=int).reshape(len(rows), len(self.grid)), index
 
-        return self._lattice._cached("differences", build)
+        return self._cached("differences", build)
 
     def frequencies(self, j):
         """(k, steps): S_j, the j-fold sums of modes mod the grid, each once
@@ -375,7 +386,7 @@ class FormComplex(_Memo):
                 at, count = after.reshape(-1), len(first)
             return k, steps
 
-        return self._lattice._cached(("frequencies", j), build)
+        return self._cached(("frequencies", j), build)
 
     def fold(self, j):
         """For j >= 1, the fold (order, starts) of the products m_i + s_t of
@@ -388,18 +399,18 @@ class FormComplex(_Memo):
             order = np.argsort(sums, kind="stable")
             return order, np.searchsorted(sums[order], np.arange(len(self.frequencies(j)[0])))
 
-        return self._lattice._cached(("fold", j), build)
+        return self._cached(("fold", j), build)
 
     def shifts(self, j, i):
         """The position in S_j of d_r - s, shape (R, |S_i|), for the rows d_r
         of mode_differences() and the s of S_i, i <= j - 2."""
-        return self._lattice._cached(("shifts", j, i), lambda: self._positions(
+        return self._cached(("shifts", j, i), lambda: self._positions(
             j, self.mode_differences()[0], -self.frequencies(i)[0]))
 
     def sum_index(self, j, a, b):
         """The position in S_j of s + t, shape (|S_a|, |S_b|), for the s of
         S_a and the t of S_b, a + b <= j."""
-        return self._lattice._cached(("sums", j, a, b), lambda: self._positions(
+        return self._cached(("sums", j, a, b), lambda: self._positions(
             j, self.frequencies(a)[0], self.frequencies(b)[0]))
 
     def grid_transform(self, values, frequencies):

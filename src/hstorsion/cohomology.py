@@ -5,7 +5,7 @@ the Grams: Hermitian sums of squares of the whitened structure operators.
 Kernels, Green operators and harmonic projectors come from one eigh of
 them.  Dimension counts are always computed two independent ways (harmonic
 kernel vs quotient ranks) and must agree.  The quotient ranks depend only on
-the complex and are counted once per complex; the kernel counts of a metric
+the complex and are counted once per structure; the kernel counts of a metric
 come from eigenvalues alone, and a Green operator is built once per metric
 and key, when asked for.
 """
@@ -246,7 +246,7 @@ def _kernel_counts(H: HermitianStructure):
 
 def _quotient_dims(cx, p, q):
     """(h_dbar, h_bc, h_aeppli) at (p,q) as quotient ranks of the complex's
-    operators, counted once per complex: dim ker dbar - rank dbar,
+    operators, counted once per structure: dim ker dbar - rank dbar,
     dim ker[del; dbar] - rank del dbar, and dim ker(del dbar) -
     rank[del | dbar]."""
 

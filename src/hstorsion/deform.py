@@ -11,6 +11,7 @@ instantiated, validated and measured independently.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +20,8 @@ from .backends import ModelError, ModelTemplate, build_complex
 from .cohomology import green_operator
 from .energy import AeppliPoint, differential_riesz, gradient_descent
 from .forms import Bidegree, Form, conjugate
-from .metric import HermitianStructure, MetricError, check_strong_positivity_11
+from .metric import (HermitianStructure, MetricError, PositivityReport,
+                     check_strong_positivity_11)
 from .torsion import CLASSIFY_TOL, hs_feasible, torsion_form
 
 __all__ = [
@@ -140,14 +142,23 @@ class KahlerReport:
     """Certification of the constructed candidate metric.
 
     The candidate differs from the input by del conj(u_min) + dbar u_min,
-    so potential-class membership is exact by construction."""
+    so potential-class membership is exact by construction.  The report
+    keeps the candidate's HermitianStructure (the input's when the
+    candidate is not a metric), left out of repr and compare, and forms
+    the positivity verdict from it when positivity is first read."""
 
     u_min: Form
     omega_tilde: Form
     d_residual: float
     hypothesis_distance: float
-    positivity: object
     u_norm: float
+    structure: HermitianStructure = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def positivity(self) -> PositivityReport:
+        """check_strong_positivity_11 of the candidate, formed on first
+        read."""
+        return check_strong_positivity_11(self.structure, self.omega_tilde)
 
 
 def kahler_in_class(H: HermitianStructure, tol: float = CLASSIFY_TOL) -> KahlerReport:
@@ -156,8 +167,9 @@ def kahler_in_class(H: HermitianStructure, tol: float = CLASSIFY_TOL) -> KahlerR
     minimal-norm solution of del dbar u = del omega.
 
     Requires del omega in Im(del dbar); the candidate is d-closed exactly
-    when that hypothesis holds, and its positivity is reported but not
-    guaranteed."""
+    when that hypothesis holds.  Its positivity is not guaranteed, and the
+    report forms the verdict only when it is read: building the candidate's
+    structure takes no node values when the Weyl bound certifies it."""
     cx = H.complex
     sol = min_ddbar_solution(H, cx.apply_del(H.omega), tol)
     u = -sol.u
@@ -168,14 +180,13 @@ def kahler_in_class(H: HermitianStructure, tol: float = CLASSIFY_TOL) -> KahlerR
     except MetricError:  # not a metric: measure the candidate in H's geometry
         Ht = H
     d_res = (Ht.norm(dp) + Ht.norm(dq)) / (1.0 + Ht.norm(wt))
-    pos = check_strong_positivity_11(Ht, wt)
     return KahlerReport(
         u_min=u,
         omega_tilde=wt,
         d_residual=d_res,
         hypothesis_distance=sol.image_distance,
-        positivity=pos,
         u_norm=sol.norm,
+        structure=Ht,
     )
 
 
@@ -252,9 +263,12 @@ def family_diagnostics(template: ModelTemplate, tol: float = CLASSIFY_TOL,
     for t in sorted(models, key=lambda t: (t != 0.0, abs(t), t)):
         cx = build_complex(models[t])
         point = AeppliPoint(cx, cx.metric_form())
-        if flow_first:
-            point = gradient_descent(point).point
-        H = point.structure()
+        try:
+            if flow_first:
+                point = gradient_descent(point).point
+            H = point.structure()
+        except MetricError as e:
+            raise MetricError(f"{e} (sample t = {t!r})") from None
         row = {"t": t}
         dims, reliable = _dims_row(H)
         row.update(dims)

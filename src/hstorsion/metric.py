@@ -230,7 +230,7 @@ def _cell_centre_values(cx: FormComplex, coeffs):
 
 
 def _whiten_plan(cx: FormComplex):
-    """Per complex, the batches of HermitianStructure.whiten_all: the
+    """Per structure, the batches of HermitianStructure.whiten_all: the
     bidegrees grouped by dimension N, {N: [(p, q), ...]}, and the structure
     operators grouped by shape, as (whitened memo keys, stacked matrices,
     (N_dst, positions of the targets among the bidegrees of N_dst),

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 
 import numpy as np
 import pytest
@@ -234,15 +235,31 @@ def test_potential_mode_outside_set_rejected():
             build_complex(dataclasses.replace(model, **{name: {outside: value}}))
 
 
+# Iwasawa with another structure constant: no session fixture holds a
+# complex on it, so the registry entry of its structure lives only as long
+# as the complexes a test builds on it
+SCALED_IWASAWA_TEXT = IWASAWA_TEXT.replace("-1 *", "-3 *")
+
+
 def test_parse_and_build_assemble_once(monkeypatch):
     # parse_model checks d^2 = 0 on the generators; only build_complex
-    # assembles the complex, and still checks d^2 = 0 on every bidegree
+    # assembles the complex, and checks d^2 = 0 on every bidegree, once per
+    # structure while a complex on it is alive
     calls = []
     assemble = FormComplex._assemble
     monkeypatch.setattr(FormComplex, "_assemble",
                         lambda self: calls.append(1) or assemble(self))
-    for _ in range(3):
-        build_complex(parse_model(IWASAWA_TEXT))
+    held = [build_complex(parse_model(SCALED_IWASAWA_TEXT)) for _ in range(3)]
+    assert len(calls) == 1
+    assert all(cx.del_matrix(1, 0) is held[0].del_matrix(1, 0) for cx in held)
+    # other structure constants on the same lattice: another assembly
+    other = build_complex(parse_model(IWASAWA_TEXT.replace("-1 *", "-5 *")))
+    assert len(calls) == 2
+    assert other.del_matrix(1, 0) is not held[0].del_matrix(1, 0)
+    # the entry is freed with the last complex on its structure
+    del held
+    gc.collect()
+    build_complex(parse_model(SCALED_IWASAWA_TEXT))
     assert len(calls) == 3
 
 
@@ -250,7 +267,9 @@ def test_complex_identities_checked_on_the_mode_blocks(monkeypatch):
     # structure constants that break d^2 = 0 on phi^1 (d phi^1 = e(1,2),
     # d phi^2 = e(2,3)), which only parse_model's generator check would
     # catch, and a dbar block broken after assembly, each refused on the
-    # first bidegree where d^2 fails: for the former dbar^2 on phibar^1
+    # first bidegree where d^2 fails: for the former dbar^2 on phibar^1.
+    # The spectral structure is one that no fixture holds, so building it
+    # assembles
     model = Model(n=3, d_phi={1: {("e", 1, 2): 1.0}, 2: {("e", 2, 3): 1.0}})
     with pytest.raises(ModelError, match=r"delbar\^2 != 0 at bidegree \(0,1\)"):
         build_complex(model)
@@ -263,7 +282,7 @@ def test_complex_identities_checked_on_the_mode_blocks(monkeypatch):
 
     monkeypatch.setattr(FormComplex, "_assemble", broken)
     with pytest.raises(ModelError, match=r"delbar\^2 != 0 at bidegree \(0,0\)"):
-        build_complex(parse_model(SPECTRAL_TEXT))
+        build_complex(parse_model(SPECTRAL_TEXT + "grid 7\n"))
 
 
 def test_complexes_on_one_lattice_share_the_quadrature_tables():

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import hstorsion
-from hstorsion import backends, cli, cohomology
-from hstorsion.backends import format_complex
+from hstorsion import backends, cli, cohomology, metric
+from hstorsion.backends import FormComplex, format_complex, parse_complex
 from hstorsion.cli import EXIT_CONTRACT, EXIT_INPUT, EXIT_OK, run
 from hstorsion.cohomology import CohomologyMismatch, cohomology_table
 from hstorsion.deform import kahler_in_class
@@ -18,12 +18,25 @@ from hstorsion.energy import gradient_descent
 from hstorsion.torsion import torsion_form
 
 from conftest import IWASAWA_TEXT, SPECTRAL_TEXT, TORUS_TEXT
+from test_acceptance import POTENTIAL_FAMILY
 
 FAMILY_TEXT = """kind invariant
 n 3
 d 3 := poly(0, -1) * e(1,2)
 t_samples := 0 0.5 1
 """
+
+# the shape of acceptance criterion 10's POTENTIAL_FAMILY on the spectral
+# n = 2, K = 2 torus (9^4 nodes)
+FAMILY_N2K2 = """kind spectral
+n 2
+modes axis K 2
+potential 2 0 0 0 u 2 := poly(0, 0.04)
+potential 0 2 0 0 u 1 := poly(0, 0.03+0.02i)
+t_samples := 0 0.0625 0.125 0.25 0.5
+"""
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture
@@ -267,6 +280,10 @@ def test_bad_model_text(tmp_path, capsys):
         # a literal past the float range, not an infinity that breaks the SVD
         ("classify", "kind invariant\nn 3\nd 3 := 1e400 * e(1,2)\n",
          "error: line 3: complex literal '1e400' is not finite"),
+        # a family names the sample whose metric is refused
+        ("family", "kind spectral\nn 2\nmodes axis K 1\n"
+         "potential 1 0 0 0 u 2 := poly(0, 0.5)\nt_samples := 0 0.25 1\n",
+         "error: metric not positive definite: min eigenvalue -5.708e-01 (sample t = 1.0)"),
     ]:
         bad = tmp_path / "bad.model"
         bad.write_text(text)
@@ -450,3 +467,56 @@ def test_family_runs_five_laplacians_per_sample(tmp_path, monkeypatch):
                and r["kahler_d_residual"] != "" for r in rows)
     assert len(calls) == 5 * 3
     assert len({(id(H), p, q, w) for H, p, q, w in calls}) == len(calls)
+
+
+def test_family_forms_no_node_values_on_a_potential_family(tmp_path, monkeypatch):
+    # every sample metric and Kahler candidate of this family is certified
+    # by the Weyl bound, and no family.csv column reads the candidate's
+    # positivity verdict: no h(x) or other node values, and no plane-wave
+    # table, is formed
+    node_values, tables = [], []
+    values, eval_matrix = metric._node_values, FormComplex.eval_matrix
+    monkeypatch.setattr(metric, "_node_values",
+                        lambda cx, c: node_values.append(1) or values(cx, c))
+    monkeypatch.setattr(FormComplex, "eval_matrix",
+                        lambda self: tables.append(1) or eval_matrix(self))
+    path = tmp_path / "family.model"
+    path.write_text(FAMILY_N2K2)
+    assert run(["family", "--model", str(path), "--out", str(tmp_path)]) == EXIT_OK
+    assert len(_read_csv(tmp_path / "family.csv")) == 5
+    assert node_values == [] and tables == []
+
+
+# the CSV columns compared to 1e-12 relative to the largest entry of the
+# column, and the certificate columns (residuals and distances), which
+# need only stay at most 1e-8; every other column, integers, booleans and
+# basis labels, is compared exactly
+VALUE_COLUMNS = {"rho_norm", "rho_diff", "crit_sup", "value"}
+CERTIFICATE_COLUMNS = {"beta_residual", "kahler_distance", "kahler_d_residual"}
+
+
+@pytest.mark.parametrize("command, text, golden", [
+    ("family", POTENTIAL_FAMILY, {"family.csv": "potential_family.csv"}),
+    ("family", FAMILY_N2K2, {"family.csv": "family_n2k2.csv"}),
+    ("kahler", SPECTRAL_TEXT, {"kahler_potential.csv": "spectral_kahler_potential.csv",
+                               "kahler_metric.csv": "spectral_kahler_metric.csv"}),
+], ids=["potential_family", "family_n2k2", "spectral_kahler"])
+def test_csvs_match_the_golden_outputs(command, text, golden, tmp_path):
+    # tests/golden holds these CSVs as the commands wrote them when the
+    # files were added; a change that moves one must say so
+    path = tmp_path / "m.model"
+    path.write_text(text)
+    assert run([command, "--model", str(path), "--out", str(tmp_path)]) == EXIT_OK
+    for name, ref_name in golden.items():
+        rows, ref = _read_csv(tmp_path / name), _read_csv(GOLDEN / ref_name)
+        assert len(rows) == len(ref) and list(rows[0]) == list(ref[0])
+        for col in ref[0]:
+            got, want = [r[col] for r in rows], [r[col] for r in ref]
+            if col in VALUE_COLUMNS:
+                a, b = (np.array([parse_complex(v) for v in vs]) for vs in (got, want))
+                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), (name, col)
+            elif col in CERTIFICATE_COLUMNS:
+                assert [v == "" for v in got] == [v == "" for v in want], (name, col)
+                assert all(float(v) <= 1e-8 for v in got + want if v != ""), (name, col)
+            else:
+                assert got == want, (name, col)

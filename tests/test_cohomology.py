@@ -365,8 +365,10 @@ def test_unreliable_kernel_split_recorded(iwasawa_H, monkeypatch):
     assert table.entries == cohomology_table(iwasawa_H).entries
 
 
-def test_quotient_ranks_counted_once_per_complex(monkeypatch, rng):
-    cx = build_complex(parse_model(IWASAWA_TEXT))
+def test_quotient_ranks_counted_once_per_structure(monkeypatch, rng):
+    # Iwasawa with another structure constant, which no fixture holds
+    text = IWASAWA_TEXT.replace("-1 *", "-7 *")
+    cx = build_complex(parse_model(text))
     calls = []
     rank = cohomology._rank
     monkeypatch.setattr(cohomology, "_rank",
@@ -374,12 +376,19 @@ def test_quotient_ranks_counted_once_per_complex(monkeypatch, rng):
     first = cohomology_table(random_hermitian_structure(cx, rng))
     counted = len(calls)
     assert counted > 0
-    second = cohomology_table(random_hermitian_structure(cx, rng))
+    # a metric on a second complex of the same structure reads the counts
+    # of the first
+    other = build_complex(parse_model(text))
+    second = cohomology_table(random_hermitian_structure(other, rng))
     assert len(calls) == counted
     # every metric still compares its own kernel counts with the ranks
     assert second.entries == first.entries
     assert len(second.cross_checks) == 2 * (cx.n + 1) ** 2
     assert all(a == b for _, _, _, a, b in second.cross_checks)
+    # other structure constants: counted again
+    cohomology_table(random_hermitian_structure(
+        build_complex(parse_model(IWASAWA_TEXT.replace("-1 *", "-9 *"))), rng))
+    assert len(calls) == 2 * counted
 
 
 def test_kernel_count_off_by_one_still_raises(monkeypatch, rng):

@@ -4,8 +4,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hstorsion import cli, deform, metric
-from hstorsion.backends import ModelError, build_complex, parse_model
+from hstorsion import backends, cli, deform, metric
+from hstorsion.backends import (FormComplex, Model, ModelError, build_complex,
+                                parse_model)
 from hstorsion.cohomology import green_operator
 from hstorsion.deform import (FamilyTable, HypothesisError, family_diagnostics,
                               kahler_in_class, min_ddbar_solution,
@@ -151,10 +152,11 @@ def test_kahler_in_class_spectral(spectral_H):
 
 
 def test_kahler_in_class_evaluates_the_candidate_once(spectral_H, monkeypatch):
-    # HermitianStructure splits the candidate's coefficients and forms its
-    # h(x) once; its positivity verdict reads that split, those node
-    # matrices and the metric's own smallest eigenvalue instead of forming
-    # and diagonalizing them again
+    # kahler_in_class builds the candidate's structure, which splits its
+    # coefficients once and, certified by the Weyl bound, forms no node
+    # values; the positivity verdict is formed when first read: h(x) once
+    # and one smallest eigenvalue, read from that structure, and a second
+    # read forms nothing
     splits, node_values, smallest = [], [], []
     split, values = metric._hermitian_split, metric._node_values
     eig = metric._smallest_eigenvalue
@@ -165,12 +167,16 @@ def test_kahler_in_class_evaluates_the_candidate_once(spectral_H, monkeypatch):
     monkeypatch.setattr(metric, "_smallest_eigenvalue",
                         lambda *a: smallest.append(1) or eig(*a))
     kr = kahler_in_class(spectral_H)
-    assert len(splits) == 1 and len(smallest) == 1
+    assert len(splits) == 1 and not node_values and not smallest
     h_coeffs, _ = splits[0]
-    assert sum(c is h_coeffs for c in node_values) == 1
-    assert kr.positivity.verdict == "positive"
+    verdict = kr.positivity
+    assert sum(c is h_coeffs for c in node_values) == 1 and len(smallest) == 1
+    formed = len(node_values)
+    assert kr.positivity is verdict
+    assert (len(splits), len(node_values), len(smallest)) == (1, formed, 1)
+    assert verdict.verdict == "positive"
     h = values(spectral_H.complex, h_coeffs)
-    assert kr.positivity.margin == np.linalg.eigvalsh(h).min()
+    assert verdict.margin == np.linalg.eigvalsh(h).min()
 
 
 def test_kahler_in_class_refuses_iwasawa(iwasawa_H):
@@ -219,6 +225,36 @@ def test_family_torsion_scaling():
     assert rows[0.25]["rho_diff"] <= 0.6 * rows[0.5]["rho_diff"]
     for t in (0.25, 0.5):
         assert rows[t]["kahler_d_residual"] <= 1e-8
+
+
+def test_family_samples_share_one_assembly_per_structure(monkeypatch):
+    # the structure constants of a potential family do not move with t, so
+    # its samples share one assembly (none when a live complex already
+    # holds the structure); FAMILY_TEXT's d phi^3 moves with t, so each of
+    # its samples assembles its own
+    assembled, built = [], []
+    assemble = FormComplex._assemble
+    monkeypatch.setattr(FormComplex, "_assemble",
+                        lambda self: assembled.append(self._structure) or assemble(self))
+    monkeypatch.setattr(deform, "build_complex",
+                        lambda model: built.append(build_complex(model)) or built[-1])
+    alive = list(backends._STRUCTURES.values())  # kept alive for the count
+    for text, structures in [(TORUS_POTENTIAL_FAMILY, 1), (FAMILY_TEXT, 3)]:
+        assembled.clear()
+        built.clear()
+        family_diagnostics(parse_family(text))
+        shared = {id(cx._structure) for cx in built}
+        assert len(built) == 3 and len(shared) == structures
+        # each structure that was not alive before assembled exactly once
+        assert sorted(map(id, assembled)) == sorted(shared - set(map(id, alive)))
+    # a structure that breaks d^2 = 0 is refused, and not kept, while a
+    # valid complex on the same one-node lattice is alive
+    valid = build_complex(parse_model(IWASAWA_TEXT))
+    broken = Model(n=3, d_phi={1: {("e", 1, 2): 1.0}, 2: {("e", 2, 3): 1.0}})
+    for _ in range(2):
+        with pytest.raises(ModelError, match=r"delbar\^2 != 0 at bidegree \(0,1\)"):
+            build_complex(broken)
+    assert valid.del_matrix(0, 0).shape == (3, 1)
 
 
 def test_family_crit_sup_is_the_loop_over_directions():
