@@ -1,6 +1,5 @@
 """Command-line interface: classify metrics, compute torsion forms and
-energies, run gradient flows, build Kahler candidates, sweep families and
-self-test the built-in models.
+energies, run gradient flows, build Kahler candidates and sweep families.
 
 Exit codes: 0 success, 1 input or validation error, 2 violated numerical
 contract (an internal cross-check such as formula-vs-oracle failed, or a
@@ -13,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import math
 import sys
@@ -22,14 +22,12 @@ import numpy as np
 
 from . import __version__
 from .backends import (ModelError, ModelTemplate, _t_samples, build_complex,
-                       format_complex, parse_model)
+                       format_complex)
 from .cohomology import CohomologyMismatch, cohomology_table
 from .deform import (FamilyTable, HypothesisError, family_diagnostics,
                      kahler_in_class)
 from .energy import AeppliPoint, differential_riesz, energy, gradient_descent
-from .forms import conjugate
 from .metric import HermitianStructure
-from .models import IWASAWA_TEXT, SPECTRAL_TEXT, TORUS_TEXT
 from .torsion import (CLASSIFY_TOL, NotHermitianSymplectic, classify,
                       torsion_form)
 
@@ -45,14 +43,13 @@ def _model_hash(text: str) -> str:
 class Report:
     """Accumulates the text report and writes it with a standard header."""
 
-    def __init__(self, args, model_text=None):
+    def __init__(self, args, model_text):
         self.lines = [
             f"hstorsion {__version__}",
             f"command: {args.command}",
-            f"model: {getattr(args, 'model', None)}",
-            f"model_hash: {_model_hash(model_text) if model_text else '-'}",
+            f"model: {args.model}",
+            f"model_hash: {_model_hash(model_text)}",
             f"tol: {args.tol}",
-            f"seed: {getattr(args, 'seed', '-')}",
             "",
         ]
 
@@ -211,60 +208,6 @@ def cmd_family(args, template, rep):
 
 
 # ---------------------------------------------------------------------------
-# selftest
-# ---------------------------------------------------------------------------
-
-
-def cmd_selftest(args, template, rep):
-    checks = []
-
-    def check(name, fn):
-        try:
-            ok, info = fn()
-        except Exception as e:  # a crash is a failure, not an abort
-            ok, info = False, f"exception: {e}"
-        checks.append((name, ok, info))
-        rep.add(f"{'PASS' if ok else 'FAIL'}  {name}  {info}")
-
-    def torus_classify():
-        H = _load(ModelTemplate(TORUS_TEXT))
-        cls = classify(H)
-        ok = all([cls.kahler, cls.skt, cls.balanced, cls.strongly_gauduchon,
-                  cls.hermitian_symplectic])
-        tr = torsion_form(H)
-        ok = ok and tr.norm <= 1e-10
-        return ok, f"torsion norm {tr.norm:.1e}"
-
-    def iwasawa_flags():
-        H = _load(ModelTemplate(IWASAWA_TEXT))
-        cls = classify(H)
-        ok = (cls.balanced and not cls.skt and not cls.kahler
-              and not cls.hermitian_symplectic)
-        return ok, f"hs residual {cls.residuals['hermitian_symplectic']:.2e}"
-
-    def spectral_pipeline():
-        cx = build_complex(parse_model(SPECTRAL_TEXT))
-        rng = np.random.default_rng(args.seed)
-        u = 0.01 * cx.random_form(1, 0, rng)
-        point = AeppliPoint(cx, cx.metric_form() + cx.apply_dbar(u)
-                            + cx.apply_del(conjugate(u)))
-        tr = torsion_form(point.structure())
-        ok = tr.closedness_residual <= 1e-8 and tr.minimality_gap <= 1e-6
-        res = gradient_descent(point, max_iters=args.max_iters)
-        ok = ok and res.status == "converged"
-        return ok, (f"gap {tr.minimality_gap:.1e}, flow {res.status} "
-                    f"F={res.energy:.1e}")
-
-    check("flat torus: classify + zero torsion", torus_classify)
-    check("iwasawa: balanced, non-SKT, not H-s", iwasawa_flags)
-    check("perturbed spectral torus: torsion + flow", spectral_pipeline)
-
-    _write_csv(Path(args.out) / "selftest.csv", ["name", "passed", "info"],
-               [{"name": n, "passed": ok, "info": info} for n, ok, info in checks])
-    return EXIT_OK if all(ok for _, ok, _ in checks) else EXIT_CONTRACT
-
-
-# ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
 
@@ -295,6 +238,7 @@ def _nonnegative(convert):
     return parse
 
 
+@functools.cache  # a parse leaves no state: --bidegree's list is fresh each time
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="hstorsion",
@@ -304,16 +248,13 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
-        if name != "selftest":
-            p.add_argument("--model", required=True, help="model or family file")
+        p.add_argument("--model", required=True, help="model or family file")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--tol", type=_nonnegative(float), default=CLASSIFY_TOL)
-        if name == "selftest":
-            p.add_argument("--seed", type=int, default=0)
         if name == "classify":
             p.add_argument("--bidegree", action="append", type=_bidegree,
                            metavar="p,q")
-        if name in ("flow", "selftest"):
+        if name == "flow":
             p.add_argument("--max-iters", type=_nonnegative(int), default=500)
         if name == "family":
             p.add_argument("--t-samples", type=_t_list)
@@ -327,31 +268,27 @@ _COMMANDS = {
     "flow": cmd_flow,
     "kahler": cmd_kahler,
     "family": cmd_family,
-    "selftest": cmd_selftest,
 }
 
 
 def run(argv=None) -> int:
-    """Parse argv, run the command on the file's one ModelTemplate and write
-    its report, on every exit once the model file is read, with the reason
-    of a refusal or failure as its last line.  Refusals and bad input exit
-    1, numerical breakdowns 2; a model with n < 2 is bad input to every
-    metric command."""
-    parser = build_parser()
+    """Parse argv, read the model file, run the command on the file's one
+    ModelTemplate and write its report, on every exit once the model file is
+    read, with the reason of a refusal or failure as its last line.  Refusals
+    and bad input exit 1, numerical breakdowns 2; a model with n < 2 is bad
+    input to every command."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_INPUT if e.code not in (0, None) else 0
     try:
-        text = Path(args.model).read_text() if args.command != "selftest" else None
+        text = Path(args.model).read_text()
         rep = Report(args, text)
         try:
-            template = None
-            if text is not None:
-                template = ModelTemplate(text, args.command == "family")
-                if template.n < 2:
-                    raise ModelError("the metric commands read (2,0)- and (0,2)-forms, "
-                                     "which need n >= 2", template.lines["n"])
+            template = ModelTemplate(text, args.command == "family")
+            if template.n < 2:
+                raise ModelError("the metric commands read (2,0)- and (0,2)-forms, "
+                                 "which need n >= 2", template.lines["n"])
             code = _COMMANDS[args.command](args, template, rep)
         except NotHermitianSymplectic as e:
             rep.add(f"not Hermitian-symplectic: {e}")

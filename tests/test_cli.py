@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from hstorsion.cli import EXIT_CONTRACT, EXIT_INPUT, EXIT_OK, run
 from hstorsion.cohomology import CohomologyMismatch, cohomology_table
 from hstorsion.deform import kahler_in_class
 from hstorsion.energy import gradient_descent
-from hstorsion.torsion import torsion_form
+from hstorsion.torsion import CLASSIFY_TOL, torsion_form
 
 from conftest import IWASAWA_TEXT, SPECTRAL_TEXT, TORUS_TEXT
 from test_acceptance import POTENTIAL_FAMILY
@@ -143,6 +144,25 @@ def test_flag_on_wrong_subcommand(argv, torus_file, tmp_path):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize("argv", [["selftest"]])
+def test_unknown_command_writes_nothing(argv, tmp_path, capsys):
+    # the built-in models are checked by Tier-1 tests, not by a command
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == EXIT_INPUT
+    assert f"invalid choice: '{argv[0]}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_runs_in_one_process_share_no_state(torus_file, tmp_path):
+    # the parser is built once; --bidegree's list must not outlive its parse
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run(["classify", "--model", torus_file, "--out", str(first),
+                "--bidegree", "1,1"]) == EXIT_OK
+    assert run(["classify", "--model", torus_file, "--out", str(second)]) == EXIT_OK
+    assert len(_read_csv(first / "cohomology.csv")) == 1
+    assert len(_read_csv(second / "cohomology.csv")) == 16
+
+
 def test_torsion_command(spectral_file, spectral_cx, tmp_path):
     out = tmp_path / "out"
     code = run(["torsion", "--model", spectral_file, "--out", str(out)])
@@ -216,8 +236,7 @@ def test_family_t_samples_override(tmp_path):
 def test_tol_must_be_finite_and_nonnegative(command, tol, torus_file, tmp_path, capsys):
     # a NaN or negative tolerance turned every classify flag False with
     # exit 0, and inf made Iwasawa Hermitian-symplectic; each is bad input
-    model = ["--model", torus_file] if command != "selftest" else []
-    code = run([command, *model, "--out", str(tmp_path), f"--tol={tol}"])
+    code = run([command, "--model", torus_file, "--out", str(tmp_path), f"--tol={tol}"])
     assert code == EXIT_INPUT
     assert f"argument --tol: expected a finite value >= 0, got '{tol}'" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.txt")) and not list(tmp_path.glob("*.csv"))
@@ -250,11 +269,11 @@ def test_t_samples_checked_as_a_family_file_line(samples, error, tmp_path, capsy
     assert not (tmp_path / "family.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["flow", "selftest"])
+@pytest.mark.parametrize("command", ["flow"])
 def test_max_iters_must_be_nonnegative(command, spectral_file, tmp_path, capsys):
     # -3 ran as 0 iterations and exited 0
-    model = ["--model", spectral_file] if command == "flow" else []
-    code = run([command, *model, "--out", str(tmp_path), "--max-iters", "-3"])
+    code = run([command, "--model", spectral_file, "--out", str(tmp_path),
+                "--max-iters", "-3"])
     assert code == EXIT_INPUT
     assert "argument --max-iters: expected a finite value >= 0, got '-3'" in (
         capsys.readouterr().err)
@@ -322,8 +341,8 @@ def test_refusal_exits_1_with_its_report(command, refusal, iwasawa_file, tmp_pat
     out = tmp_path / "out"
     assert run([command, "--model", iwasawa_file, "--out", str(out)]) == EXIT_INPUT
     lines = (out / f"{command}_report.txt").read_text().splitlines()
-    assert lines[1] == f"command: {command}" and lines[6] == ""
-    assert len(lines) == 8 and lines[7].startswith(refusal)
+    assert lines[1] == f"command: {command}" and lines[5] == ""
+    assert len(lines) == 7 and lines[6].startswith(refusal)
     assert sorted(p.name for p in out.iterdir()) == [f"{command}_report.txt"]
 
 
@@ -415,10 +434,14 @@ def test_report_header(torus_file, tmp_path):
     out = tmp_path / "out"
     run(["classify", "--model", torus_file, "--out", str(out)])
     head = (out / "classify_report.txt").read_text().splitlines()[:6]
-    assert head[0].startswith("hstorsion ")
-    assert head[1] == "command: classify"
-    assert head[3].startswith("model_hash: ")
-    assert len(head[3].split()[-1]) == 12
+    assert head == [
+        f"hstorsion {hstorsion.__version__}",
+        "command: classify",
+        f"model: {torus_file}",
+        f"model_hash: {hashlib.sha256(TORUS_TEXT.encode()).hexdigest()[:12]}",
+        f"tol: {CLASSIFY_TOL}",
+        "",
+    ]
 
 
 def test_python_m_hstorsion(torus_file, tmp_path):
