@@ -19,7 +19,6 @@ from .metric import (
     HermitianStructure,
     MetricError,
     PositivityReport,
-    check_strong_positivity_11,
     check_weak_positivity,
 )
 
@@ -40,7 +39,6 @@ __all__ = [
     "HermitianStructure",
     "MetricError",
     "PositivityReport",
-    "check_strong_positivity_11",
     "check_weak_positivity",
     "__version__",
 ]

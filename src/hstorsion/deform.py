@@ -1,12 +1,14 @@
 """Minimal-norm solution operators, the Kahler construction inside an
 Aeppli potential class, and deformation-family diagnostics.
 
-The two solution operators are Green-operator formulas for the minimal
-L^2-norm solutions of del dbar u = v and dbar phi = rho; both are checked
-against their preconditions (membership of the right-hand side in the
-operator image) before being applied.  A family is a model template whose
-coefficients may be polynomials in a real parameter t; each sample is
-instantiated, validated and measured independently.
+The two solution operators give the minimal L^2-norm solutions of
+del dbar u = v and dbar phi = rho by the one whitened least-squares solve
+(HermitianStructure.lstsq), whose residual first checks their precondition:
+the right-hand side lies in the operator image.  The Neumann solution is
+checked against the Green-operator formula, with the adjoint by a solve.  A
+family is a model template whose coefficients may be polynomials in a real
+parameter t; each sample is instantiated, validated and measured
+independently.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ import numpy as np
 
 from .backends import ModelError, ModelTemplate, build_complex
 from .cohomology import green_operator
-from .energy import AeppliPoint, differential_riesz, gradient_descent
+from .energy import AeppliPoint, differential_riesz
 from .forms import Bidegree, Form, conjugate
 from .metric import (HermitianStructure, MetricError, PositivityReport,
-                     check_strong_positivity_11)
+                     check_weak_positivity)
 from .torsion import CLASSIFY_TOL, hs_feasible, torsion_form
 
 __all__ = [
@@ -63,39 +65,37 @@ class MinSolution:
     norm: float
 
 
-def _green_solve(H: HermitianStructure, v: Form, src, which: str, tol: float):
-    """The minimal-norm solution x of D x = v for D = del dbar (which "bc")
-    or dbar (which "dbar") on Lambda^src, by x = D* Green v, after checking
-    that v lies in the image of D (relative distance <= tol): the distance
-    is the residual of H.lstsq on the whitened D.
+def _min_norm_solve(H: HermitianStructure, v: Form, src, kind: str, tol: float):
+    """The minimal-norm solution x of D x = v for D = kind ("ddbar" or
+    "dbar") on Lambda^src, by H.lstsq on the whitened D, after checking that
+    v lies in the image of D (relative distance <= tol): the distance is
+    the residual of that lstsq.  The equation residual is recomputed from
+    the unwhitened D.
 
     Returns (x, residual, image_distance, scale) with residual and distance
     relative to scale = 1 + ||v||."""
     cx = H.complex
-    kind = "ddbar" if which == "bc" else "dbar"
-    _, dist = H.lstsq(src, [(kind, v.coeffs)])
+    x, dist = H.lstsq(src, [(kind, v.coeffs)])
     scale = 1.0 + H.norm(v)
     if dist > tol * scale:
         raise HypothesisError(
-            f"right-hand side is not {'del-dbar' if which == 'bc' else 'dbar'}-exact: "
+            f"right-hand side is not {'del-dbar' if kind == 'ddbar' else 'dbar'}-exact: "
             f"relative distance {dist / scale:.3e}"
         )
-    x = H.apply_adjoint(kind, Form(cx.catalog, v.bidegree,
-                                   green_operator(H, v.p, v.q, which).pinv @ v.coeffs))
     A = getattr(cx, f"{kind}_matrix")(*src)
-    res = H.norm(Form(cx.catalog, v.bidegree, A @ x.coeffs) - v) / scale
-    return x, res, dist / scale, scale
+    res = H.norm(Form(cx.catalog, v.bidegree, A @ x) - v) / scale
+    return Form(cx.catalog, Bidegree(*src), x), res, dist / scale, scale
 
 
 def min_ddbar_solution(H: HermitianStructure, v: Form,
                        tol: float = CLASSIFY_TOL) -> MinSolution:
-    """Minimal L^2-norm solution of del dbar u = v via the Green-operator
-    formula u = (del dbar)* Delta_BC^{-1} v.
+    """Minimal L^2-norm solution of del dbar u = v, the one the
+    Green-operator formula u = (del dbar)* Delta_BC^{-1} v gives.
 
     Requires v in the image of del dbar (relative distance <= tol)."""
     if v.p < 1 or v.q < 1:
         raise HypothesisError("right-hand side must have bidegree >= (1,1)")
-    u, res, dist, _ = _green_solve(H, v, (v.p - 1, v.q - 1), "bc", tol)
+    u, res, dist, _ = _min_norm_solve(H, v, (v.p - 1, v.q - 1), "ddbar", tol)
     return MinSolution(u=u, residual=res, image_distance=dist, norm=H.norm(u))
 
 
@@ -103,8 +103,11 @@ def min_ddbar_solution(H: HermitianStructure, v: Form,
 class NeumannSolution:
     """Minimal-norm dbar-potential with its certification numbers.
 
-    commutation_gap measures || dbar* Green rho - Green dbar* rho ||, the
-    operator-identity used to pass the formula through limits."""
+    commutation_gap measures || phi - Green' dbar* rho ||, relative to
+    1 + ||rho||: the distance of the least-squares phi from the Neumann
+    formula passed through the identity dbar* Green = Green' dbar* (used to
+    pass it through limits), with Green' the Green operator of the source
+    bidegree and dbar* by a solve with the Grams."""
 
     phi: Form
     residual: float
@@ -115,16 +118,16 @@ class NeumannSolution:
 
 def neumann_dbar_solution(H: HermitianStructure, rho: Form,
                           tol: float = CLASSIFY_TOL) -> NeumannSolution:
-    """Minimal L^2-norm solution of dbar phi = rho via the Neumann formula
-    phi = dbar* Delta_dbar^{-1} rho.
+    """Minimal L^2-norm solution of dbar phi = rho, the one the Neumann
+    formula phi = dbar* Delta_dbar^{-1} rho gives.
 
     Requires rho dbar-exact (relative distance <= tol)."""
     p, q = rho.p, rho.q
     if q < 1:
         raise HypothesisError("right-hand side must have dbar-degree >= 1")
-    phi, res, dist, scale = _green_solve(H, rho, (p, q - 1), "dbar", tol)
-    # commutation: dbar* Green = Green' dbar* on the lower bidegree, the
-    # right side with dbar* by a solve, independent of the Cholesky factors
+    phi, res, dist, scale = _min_norm_solve(H, rho, (p, q - 1), "dbar", tol)
+    # the formula's other side, Green' dbar* rho on the lower bidegree, with
+    # dbar* by a solve, independent of the Cholesky factors
     dbar_star = H.adjoint_matrix(H.complex.dbar_matrix(p, q - 1), (p, q - 1), (p, q))
     other = green_operator(H, p, q - 1, "dbar").pinv @ (dbar_star @ rho.coeffs)
     gap = H.norm(phi - Form(H.complex.catalog, phi.bidegree, other)) / scale
@@ -156,9 +159,8 @@ class KahlerReport:
 
     @functools.cached_property
     def positivity(self) -> PositivityReport:
-        """check_strong_positivity_11 of the candidate, formed on first
-        read."""
-        return check_strong_positivity_11(self.structure, self.omega_tilde)
+        """check_weak_positivity of the candidate, formed on first read."""
+        return check_weak_positivity(self.structure, self.omega_tilde)
 
 
 def kahler_in_class(H: HermitianStructure, tol: float = CLASSIFY_TOL) -> KahlerReport:
@@ -237,8 +239,7 @@ def _dims_row(H):
     return row, reliable
 
 
-def family_diagnostics(template: ModelTemplate, tol: float = CLASSIFY_TOL,
-                       flow_first: bool = False) -> FamilyTable:
+def family_diagnostics(template: ModelTemplate, tol: float = CLASSIFY_TOL) -> FamilyTable:
     """Measure the family of a template at every sample of its t_samples,
     which must include 0: cohomology dimensions, torsion
     norms and drift from t=0, the criticality sup over the coordinate
@@ -250,9 +251,7 @@ def family_diagnostics(template: ModelTemplate, tol: float = CLASSIFY_TOL,
     constant-dimension hypothesis of the deformation propositions fails
     there); rows with an unreliable kernel split and infeasible metrics are
     flagged as well, the latter with their torsion columns left empty.
-    With flow_first, each sample's metric is first driven to a critical
-    point of the energy before being measured.  Every sample's model is
-    validated before any is measured."""
+    Every sample's model is validated before any is measured."""
     if 0.0 not in template.t_samples:
         raise ModelError("t_samples must include 0")
     models = {t: template.model(t) for t in template.t_samples}
@@ -262,11 +261,8 @@ def family_diagnostics(template: ModelTemplate, tol: float = CLASSIFY_TOL,
     H0 = None
     for t in sorted(models, key=lambda t: (t != 0.0, abs(t), t)):
         cx = build_complex(models[t])
-        point = AeppliPoint(cx, cx.metric_form())
         try:
-            if flow_first:
-                point = gradient_descent(point).point
-            H = point.structure()
+            H = AeppliPoint(cx, cx.metric_form()).structure()
         except MetricError as e:
             raise MetricError(f"{e} (sample t = {t!r})") from None
         row = {"t": t}

@@ -316,11 +316,16 @@ def gradient_descent(
                 "margin": H.positivity_margin, "d_residual": d_residual,
                 "potential": point.u.coeffs.copy()}
 
-    for it in range(max_iters):
+    def gradient():
+        """(g, slope, |g|) at H: the Riesz representative g of dF in the
+        base Gram, and slope = dF(g) = |g|^2 in that Gram."""
         c = differential_riesz(H, rep.rho20)
         g = np.linalg.solve(G0, c)
-        slope = float(np.real(np.conj(c) @ g))  # = |g|^2 in base Gram
-        gnorm = math.sqrt(max(slope, 0.0))
+        slope = float(np.real(np.conj(c) @ g))
+        return g, slope, math.sqrt(max(slope, 0.0))
+
+    for it in range(max_iters):
+        g, slope, gnorm = gradient()
         history.append(row(it, gnorm, _d_residual(H)))
         if f <= F_TOL and history[-1]["d_residual"] <= D_TOL:
             status = "converged"
@@ -352,9 +357,13 @@ def gradient_descent(
         if not accepted:
             status = "positivity_blocked" if blocked_only else "stalled"
             break
+    else:
+        # max_iters ran out: the last accepted point's gradient is not known
+        # yet (every break leaves gnorm at the point it stops at)
+        gnorm = gradient()[2]
     d_res = _d_residual(H)
     if f <= F_TOL and d_res <= D_TOL:
         status = "converged"
-    history.append(row(len(history), history[-1]["grad_norm"] if history else 0.0, d_res))
+    history.append(row(len(history), gnorm, d_res))
     return FlowResult(status=status, point=point, energy=f, d_residual=d_res,
                       history=history, elapsed=time.monotonic() - t0)

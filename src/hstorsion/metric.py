@@ -44,7 +44,6 @@ __all__ = [
     "PositivityReport",
     "MetricError",
     "check_weak_positivity",
-    "check_strong_positivity_11",
 ]
 
 PRIMITIVE_TOL = 1e-10
@@ -178,20 +177,12 @@ def _smallest_eigenvalue(M):
         size *= 8
 
 
-def _hermitian_part(cat, c):
-    """The coefficients (c_m + c_{-m}^H) / 2, shape (modes, k, k), of the
-    Hermitian part (c(x) + c(x)^H) / 2 of c(x) = sum_m c_m e_m(x)."""
+def _hermitian_split(cat, c):
+    """(h, a), each shape (modes, k, k), for the coefficient matrices c_m of
+    c(x) = sum_m c_m e_m(x): h_m = (c_m + c_{-m}^H) / 2, the coefficients of
+    the Hermitian part (c(x) + c(x)^H) / 2, and a_m = c_m - h_m."""
     h = c + np.conj(c[cat.mode_neg_index()]).transpose(0, 2, 1)
     h *= 0.5
-    return h
-
-
-def _hermitian_split(cx: FormComplex, u: Form):
-    """(h, a), each shape (modes, n, n), for a (1,1)-form u = i sum_m c_m
-    e_m dz ^ dzbar: h_m = (c_m + c_{-m}^H) / 2, the coefficients of the
-    Hermitian part of c(x), and a_m = c_m - h_m."""
-    c = -1j * u.coeffs.reshape(-1, cx.n, cx.n)
-    h = _hermitian_part(cx.catalog, c)
     return h, c - h
 
 
@@ -292,7 +283,8 @@ class HermitianStructure(_Memo):
             raise MetricError("metric form must have bidegree (1,1)")
         # omega's Hermitian coefficients h_m and anti-Hermitian a_m; omega is
         # real when a_m vanishes, as |conj(omega) - omega| = 2 |a_m|
-        self._herm, self._anti = _hermitian_split(complex_, omega)
+        self._herm, self._anti = _hermitian_split(
+            complex_.catalog, -1j * omega.coeffs.reshape(-1, self.n, self.n))
         if 2 * np.abs(self._anti).max() > 1e-12 * max(1.0, np.abs(omega.coeffs).max()):
             raise MetricError("metric form is not real")
         floor = max(floor, 0.0)
@@ -662,29 +654,6 @@ class PositivityReport:
         return f"{self.verdict} ({grade}margin={self.margin:.3e})"
 
 
-def check_strong_positivity_11(H: HermitianStructure, u: Form) -> PositivityReport:
-    """Exact eigenvalue test for (1,1)-forms, where strong and weak positivity
-    coincide.  For u = H.omega itself it reads H's Hermitian split, node
-    matrices, smallest eigenvalue and Weyl bound instead of forming them
-    again."""
-    if (u.p, u.q) != (1, 1):
-        raise DegreeError("strong-positivity test requires bidegree (1,1)")
-    if u is H.omega:
-        a, herm, smallest = H._anti, H.h_nodes, H._smallest_eigenvalue()
-        bound = H._weyl_bound()[0]
-    else:
-        h, a = _hermitian_split(H.complex, u)
-        herm, smallest = _node_values(H.complex, h), None
-        bound = _weyl_bound(H.complex.catalog, h)[0]
-    # how far the coefficient matrices c(x) are from Hermitian at the nodes
-    dev = float(np.abs(_node_values(H.complex, a)).max())
-    scale = max(np.abs(herm).max(), 1e-300)
-    if dev > 1e-9 * scale:
-        return PositivityReport("refuted", witness="non-Hermitian coefficients",
-                                margin=-dev, certified=True)
-    return _eigenvalue_verdict(herm, bound, smallest)
-
-
 def _eigenvalue_verdict(M, bound, smallest=None):
     """Verdict on Hermitian matrices M, shape (X, n, n), from the smallest
     eigenvalue over every node (_smallest_eigenvalue(M) unless given as
@@ -705,32 +674,50 @@ def _eigenvalue_verdict(M, bound, smallest=None):
 
 def check_weak_positivity(H: HermitianStructure, u: Form) -> PositivityReport:
     """Weak positivity of a (p,p)-form by pairing against decomposable
-    positive (n-p,n-p)-forms, decided at the nodes in the bidegrees (0,0),
-    (1,1), (n-1,n-1) and (n,n), and certified on the whole torus by the
-    Weyl bound of the pairing's mode coefficients; any other bidegree
-    raises DegreeError.
-    """
-    n = H.n
-    p = u.p
-    cat = H.complex.catalog
+    positive (n-p,n-p)-forms, in the bidegrees (0,0), (1,1), (n-1,n-1) and
+    (n,n); any other bidegree raises DegreeError.  In (1,1) strong and weak
+    positivity coincide.
+
+    Each bidegree reads the mode coefficients c_m of a matrix-valued c(x)
+    whose Hermitian forms are the pairings.  A weakly positive form is
+    real, so a form whose c(x) deviates from Hermitian at some node by
+    more than 1e-9 max|Hermitian part| is refuted; otherwise the verdict
+    is that of the Hermitian part's eigenvalues at the nodes, certified on
+    the whole torus by its Weyl bound (_eigenvalue_verdict).  For u =
+    H.omega it reads H's split, node matrices, smallest eigenvalue and Weyl
+    bound instead of forming them again."""
+    n, p = H.n, u.p
+    cx = H.complex
     if u.p != u.q:
         raise DegreeError("weak-positivity test requires a (p,p)-form")
     k = n - p
-    if p == 1:
-        return check_strong_positivity_11(H, u)
-    if p == 0 or k == 0:
-        # a function, or one times e_vol = i^{-n^2} tau, as 1 x 1 matrices
-        c = u.coeffs.reshape(-1, 1, 1) * (H._vol_unit if p else 1.0)
-    elif k == 1:
-        # pairing is the Hermitian form M[j,k] = value of u ^ i dz^j ^ dzbar^k:
-        # wedge u against every (1,1) struct basis covector at once; it is
-        # linear in u, so u's mode coefficients give M's
-        basis = np.eye(cat.struct_dim(1, 1))
-        top = wedge_values(cat, u.bidegree, Bidegree(1, 1),
-                           u.coeffs.reshape(cat.n_modes, 1, -1), basis)
-        c = (1j * top[..., 0] * H._vol_unit).reshape(-1, n, n)
+    if u is H.omega:
+        a, herm, smallest = H._anti, H.h_nodes, H._smallest_eigenvalue()
+        bound = H._weyl_bound()[0]
     else:
-        raise DegreeError(f"no weak-positivity certificate in bidegree ({p},{p}) for n={n}")
-    # the values' Hermitian part, (M(x) + M(x)^H) / 2
-    h = _hermitian_part(cat, c)
-    return _eigenvalue_verdict(_node_values(H.complex, h), _weyl_bound(cat, h)[0])
+        if p == 1:
+            # u = i sum_m c_m e_m dz ^ dzbar
+            c = -1j * u.coeffs.reshape(-1, n, n)
+        elif p == 0 or k == 0:
+            # a function, or one times e_vol = i^{-n^2} tau, as 1 x 1 matrices
+            c = u.coeffs.reshape(-1, 1, 1) * (H._vol_unit if p else 1.0)
+        elif k == 1:
+            # pairing is the form M[j,k] = value of u ^ i dz^j ^ dzbar^k: wedge
+            # u against every (1,1) struct basis covector at once; it is
+            # linear in u, so u's mode coefficients give M's
+            cat = cx.catalog
+            basis = np.eye(cat.struct_dim(1, 1))
+            top = wedge_values(cat, u.bidegree, Bidegree(1, 1),
+                               u.coeffs.reshape(cat.n_modes, 1, -1), basis)
+            c = (1j * top[..., 0] * H._vol_unit).reshape(-1, n, n)
+        else:
+            raise DegreeError(f"no weak-positivity certificate in bidegree ({p},{p}) for n={n}")
+        h, a = _hermitian_split(cx.catalog, c)
+        herm, smallest = _node_values(cx, h), None
+        bound = _weyl_bound(cx.catalog, h)[0]
+    # how far the coefficient matrices c(x) are from Hermitian at the nodes
+    dev = float(np.abs(_node_values(cx, a)).max())
+    if dev > 1e-9 * max(np.abs(herm).max(), 1e-300):
+        return PositivityReport("refuted", witness="non-Hermitian coefficients",
+                                margin=-dev, certified=True)
+    return _eigenvalue_verdict(herm, bound, smallest)

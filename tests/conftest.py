@@ -10,6 +10,36 @@ from hstorsion.backends import build_complex, parse_model
 from hstorsion.metric import HermitianStructure
 from hstorsion.models import IWASAWA_TEXT, SPECTRAL_TEXT, TORUS_TEXT  # noqa: F401
 
+# family texts shared by several test modules
+
+# an invariant family whose structure changes at t != 0: d phi^3 = -t phi^1
+# ^ phi^2, the flat torus at t = 0
+FAMILY_TEXT = """kind invariant
+n 3
+d 3 := poly(0, -1) * e(1,2)
+t_samples := 0 0.5 1
+"""
+
+# acceptance criterion 10's potential family on the spectral n = 3, K = 1
+# torus
+POTENTIAL_FAMILY = """kind spectral
+n 3
+modes axis K 1
+potential 1 0 0 0 0 0 u 2 := poly(0, 0.08)
+potential 0 1 0 0 0 0 u 3 := poly(0, 0.06+0.04i)
+t_samples := 0 0.0625 0.125 0.25 0.5
+"""
+
+# a potential family of the same shape on the spectral n = 2, K = 2 torus
+# (9^4 nodes)
+N2K2_FAMILY = """kind spectral
+n 2
+modes axis K 2
+potential 2 0 0 0 u 2 := poly(0, 0.04)
+potential 0 2 0 0 u 1 := poly(0, 0.03+0.02i)
+t_samples := 0 0.0625 0.125 0.25 0.5
+"""
+
 # property tests draw the same examples on every run and store none, so the
 # suite stays deterministic and writes no .hypothesis/ directory
 settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)

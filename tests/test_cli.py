@@ -18,24 +18,8 @@ from hstorsion.deform import kahler_in_class
 from hstorsion.energy import gradient_descent
 from hstorsion.torsion import CLASSIFY_TOL, torsion_form
 
-from conftest import IWASAWA_TEXT, SPECTRAL_TEXT, TORUS_TEXT
-from test_acceptance import POTENTIAL_FAMILY
-
-FAMILY_TEXT = """kind invariant
-n 3
-d 3 := poly(0, -1) * e(1,2)
-t_samples := 0 0.5 1
-"""
-
-# the shape of acceptance criterion 10's POTENTIAL_FAMILY on the spectral
-# n = 2, K = 2 torus (9^4 nodes)
-FAMILY_N2K2 = """kind spectral
-n 2
-modes axis K 2
-potential 2 0 0 0 u 2 := poly(0, 0.04)
-potential 0 2 0 0 u 1 := poly(0, 0.03+0.02i)
-t_samples := 0 0.0625 0.125 0.25 0.5
-"""
+from conftest import (FAMILY_TEXT, IWASAWA_TEXT, N2K2_FAMILY, POTENTIAL_FAMILY,
+                      SPECTRAL_TEXT, TORUS_TEXT)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -504,7 +488,7 @@ def test_family_forms_no_node_values_on_a_potential_family(tmp_path, monkeypatch
     monkeypatch.setattr(FormComplex, "eval_matrix",
                         lambda self: tables.append(1) or eval_matrix(self))
     path = tmp_path / "family.model"
-    path.write_text(FAMILY_N2K2)
+    path.write_text(N2K2_FAMILY)
     assert run(["family", "--model", str(path), "--out", str(tmp_path)]) == EXIT_OK
     assert len(_read_csv(tmp_path / "family.csv")) == 5
     assert node_values == [] and tables == []
@@ -520,7 +504,7 @@ CERTIFICATE_COLUMNS = {"beta_residual", "kahler_distance", "kahler_d_residual"}
 
 @pytest.mark.parametrize("command, text, golden", [
     ("family", POTENTIAL_FAMILY, {"family.csv": "potential_family.csv"}),
-    ("family", FAMILY_N2K2, {"family.csv": "family_n2k2.csv"}),
+    ("family", N2K2_FAMILY, {"family.csv": "family_n2k2.csv"}),
     ("kahler", SPECTRAL_TEXT, {"kahler_potential.csv": "spectral_kahler_potential.csv",
                                "kahler_metric.csv": "spectral_kahler_metric.csv"}),
 ], ids=["potential_family", "family_n2k2", "spectral_kahler"])

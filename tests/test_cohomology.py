@@ -13,7 +13,7 @@ from hstorsion.deform import parse_family
 from hstorsion.forms import conjugate
 from hstorsion.metric import HermitianStructure
 
-from conftest import (IWASAWA_TEXT, SPECTRAL_TEXT, TORUS_TEXT,
+from conftest import (IWASAWA_TEXT, N2K2_FAMILY, SPECTRAL_TEXT, TORUS_TEXT,
                       coefficient_laplacian, random_hermitian_structure)
 
 # a metric that varies over the spectral n = 2, K = 1 torus
@@ -23,15 +23,6 @@ modes axis K 1
 potential 1 0 0 0 u 2 := 0.05
 potential 0 1 0 0 u 1 := 0.03+0.01i
 potential 0 0 -1 0 u 2 := 0.02i
-"""
-
-# a potential family on the spectral n = 2, K = 2 torus
-N2K2_FAMILY = """kind spectral
-n 2
-modes axis K 2
-potential 2 0 0 0 u 2 := poly(0, 0.04)
-potential 0 2 0 0 u 1 := poly(0, 0.03+0.02i)
-t_samples := 0 0.5
 """
 
 

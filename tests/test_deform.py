@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hstorsion import backends, cli, deform, metric
+from hstorsion import backends, cli, cohomology, deform, metric
 from hstorsion.backends import (FormComplex, Model, ModelError, build_complex,
                                 parse_model)
 from hstorsion.cohomology import green_operator
@@ -16,14 +16,8 @@ from hstorsion.forms import Bidegree, Form, conjugate
 from hstorsion.metric import HermitianStructure
 from hstorsion.torsion import torsion_form
 
-from conftest import (IWASAWA_TEXT, SPECTRAL_TEXT, TORUS_TEXT,
-                      random_hermitian_structure)
-
-FAMILY_TEXT = """kind invariant
-n 3
-d 3 := poly(0, -1) * e(1,2)
-t_samples := 0 0.5 1
-"""
+from conftest import (FAMILY_TEXT, IWASAWA_TEXT, N2K2_FAMILY, SPECTRAL_TEXT,
+                      TORUS_TEXT, random_hermitian_structure)
 
 TORUS_POTENTIAL_FAMILY = """kind spectral
 n 3
@@ -64,15 +58,6 @@ def test_neumann_solution(iwasawa_cx, rng):
     assert H.norm(sol.phi) <= H.norm(psi) + 1e-10
 
 
-N2K2_FAMILY = """kind spectral
-n 2
-modes axis K 2
-potential 2 0 0 0 u 2 := poly(0, 0.04)
-potential 0 2 0 0 u 1 := poly(0, 0.03+0.02i)
-t_samples := 0 0.5
-"""
-
-
 def _solution_operator_metric(name):
     """SPECTRAL_TEXT, SPECTRAL_TEXT moved by a random potential, the n = 2,
     K = 2 family at t = 0.5, or a random invariant torus or Iwasawa
@@ -90,6 +75,31 @@ def _solution_operator_metric(name):
         u = 0.01 * cx.random_form(1, 0, rng)
         w = w + cx.apply_dbar(u) + cx.apply_del(conjugate(u))
     return HermitianStructure(cx, omega=w)
+
+
+def test_neumann_gap_sees_a_wrong_green_operator(spectral_cx, monkeypatch):
+    # the gap compares the least-squares phi with Green' dbar* rho: with
+    # every Green operator scaled by 1 + 1e-3 the formula's side moves by
+    # 1e-3 ||phi|| (4.6e-5 of 1 + ||rho|| for SPECTRAL_TEXT's rho^{0,2}),
+    # and phi does not
+    pinv = cohomology.GramEig.pinv
+    gaps = []
+    for scale in (1.0, 1 + 1e-3):
+        monkeypatch.setattr(cohomology.GramEig, "pinv",
+                            property(lambda ge, s=scale: s * pinv.func(ge)))
+        H = HermitianStructure(spectral_cx, omega=spectral_cx.metric_form())
+        gaps.append(neumann_dbar_solution(H, torsion_form(H).rho02).commutation_gap)
+    assert gaps[0] <= 1e-14 and gaps[1] > 1e-6
+
+
+def test_kahler_in_class_builds_no_green_operator(torus_cx, rng, monkeypatch):
+    # the candidate's potential is the lstsq's solution, whose residual is
+    # also the hypothesis distance: no Laplacian is diagonalized
+    calls = []
+    gram_eig = cohomology.gram_eig
+    monkeypatch.setattr(cohomology, "gram_eig", lambda *a: calls.append(1) or gram_eig(*a))
+    kr = kahler_in_class(random_hermitian_structure(torus_cx, rng))
+    assert kr.d_residual <= 1e-12 and not calls
 
 
 def _solve_based(H, kind, v, which):
@@ -110,9 +120,9 @@ def _agree(x, ref):
 @pytest.mark.parametrize("name", ["spectral", "spectral-random", "n2k2-t0.5",
                                   "torus-random", "iwasawa-random0", "iwasawa-random1"])
 def test_solution_operators_match_the_solve_based_adjoint(name):
-    # min_ddbar_solution, neumann_dbar_solution and kahler_in_class apply
-    # D* through the Cholesky factors; the same formulas with D* by a solve
-    # give the same forms
+    # min_ddbar_solution, neumann_dbar_solution and kahler_in_class solve by
+    # the whitened lstsq; the Green-operator formulas D* Green v with D* by a
+    # solve give the same forms
     H = _solution_operator_metric(name)
     cx = H.complex
     rng = np.random.default_rng(3)

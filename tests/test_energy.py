@@ -140,6 +140,20 @@ def test_gradient_descent_monotone_and_converges(spectral_flow):
     assert all(row["margin"] > 0 for row in res.history)
 
 
+@pytest.mark.parametrize("max_iters", [0, 1, 2])
+def test_last_row_of_a_cut_flow_has_its_own_gradient_norm(spectral_cx, spectral_H,
+                                                          spectral_flow, max_iters):
+    # a flow cut at max_iters ends on the point its last step accepted; the
+    # last row reads that point's gradient norm, which the uncut flow reads
+    # at the start of its next iteration (1.075, 0.281, 0.073)
+    res = gradient_descent(AeppliPoint(spectral_cx, spectral_H.omega), max_iters=max_iters)
+    assert res.status == "max_iters" and len(res.history) == max_iters + 1
+    last, ref = res.history[-1], spectral_flow.history[max_iters]
+    assert last["energy"] == ref["energy"]
+    assert last["grad_norm"] == ref["grad_norm"]
+    assert abs(last["grad_norm"] - [1.0747, 0.2808, 0.0735][max_iters]) <= 1e-4
+
+
 def test_gradient_descent_stays_at_kahler(torus_cx, torus_H):
     pt = AeppliPoint(torus_cx, torus_H.omega)
     res = gradient_descent(pt, max_iters=5)

@@ -10,18 +10,14 @@ from hypothesis import strategies as st
 from hstorsion.backends import MAX_NODES, Model, ModelError, ModelTemplate, parse_model
 from hstorsion.deform import family_diagnostics, parse_family
 
-from conftest import IWASAWA_TEXT, SPECTRAL_TEXT, TORUS_TEXT
+from conftest import (FAMILY_TEXT, IWASAWA_TEXT, POTENTIAL_FAMILY, SPECTRAL_TEXT,
+                      TORUS_TEXT)
 
 N2K2_TEXT = ("kind spectral\nn 2\nmodes axis K 2\npotential 2 0 0 0 u 2 := 0.02\n"
              "potential 0 2 0 0 u 1 := 0.015+0.01i\n")
 MODES_TEXT = ("kind spectral\nn 1\nmode 0 0\nmode 1 0\nmode -1 0\ngrid 7\n"
               "metric h 1 1 := 2\nmetric_mode 1 0 h 1 1 := 0.1i\n"
               "metric_mode -1 0 h 1 1 := -0.1i\n")
-FAMILY_TEXT = "kind invariant\nn 3\nd 3 := poly(0, -1) * e(1,2)\nt_samples := 0 0.5 1\n"
-POTENTIAL_FAMILY = ("kind spectral\nn 3\nmodes axis K 1\n"
-                    "potential 1 0 0 0 0 0 u 2 := poly(0, 0.08)\n"
-                    "potential 0 1 0 0 0 0 u 3 := poly(0, 0.06+0.04i)\n"
-                    "t_samples := 0 0.0625 0.125 0.25 0.5\n")
 METRIC_FAMILY = ("kind invariant\nn 2\nmetric h 1 1 := poly(1, 0.5)\nmetric h 2 2 := 1\n"
                  "metric h 1 2 := poly(0, 0.1i)\nmetric h 2 1 := poly(0, -0.1i)\n"
                  "t_samples := 0, 0.5, 1\n")

@@ -11,7 +11,6 @@ from hstorsion import metric
 from hstorsion.backends import build_complex, parse_model
 from hstorsion.forms import DegreeError, conjugate, wedge, zero_form
 from hstorsion.metric import (HermitianStructure, MetricError,
-                              check_strong_positivity_11,
                               check_weak_positivity)
 
 from conftest import random_hermitian_structure, weyl_certifies
@@ -413,7 +412,7 @@ def test_metric_negative_between_the_nodes_is_refused():
     # of the cell centres, half a step off every axis, refuses the metric
     # with a point where x_1 = 1/2
     cx = build_complex(parse_model(NEGATIVE_BETWEEN_NODES_TEXT))
-    h, _ = metric._hermitian_split(cx, cx.metric_form())
+    h, _ = metric._hermitian_split(cx.catalog, -1j * cx.metric_form().coeffs.reshape(-1, 2, 2))
     nodes = np.linalg.eigvalsh(metric._node_values(cx, h)).min()
     assert abs(nodes - (1 + 1.2 * math.cos(0.8 * math.pi))) <= 1e-14 and nodes > 0
     assert abs(metric._weyl_bound(cx.catalog, h)[0] + 0.2) <= 1e-14
@@ -487,7 +486,7 @@ def test_weyl_bound_near_the_positivity_boundary():
             m = rng.choice([m for m in range(cat.n_modes) if m != zero])
             c[m] += np.exp(2j * np.pi * rng.uniform()) * (v @ v.conj().T)
         c[zero] = 0
-        h = metric._hermitian_part(cat, c)
+        h = metric._hermitian_split(cat, c)[0]
         h *= (1 + rng.uniform(-0.05, 0.05)) / sum(
             np.linalg.svd(hm, compute_uv=False)[0] for hm in h)
         h[zero] = h0 / np.linalg.eigvalsh(h0)[0]
@@ -718,10 +717,11 @@ def test_refutation_names_the_node_and_eigenvector_of_eigvalsh(late_argmin_H):
     # h(x) - 0.85 I is indefinite wherever f > 1/2, and least at x = 0
     H = late_argmin_H
     u = H.omega - H.complex.hermitian_form(0.85 * np.eye(3))
-    h = metric._node_values(H.complex, metric._hermitian_split(H.complex, u)[0])
+    h = metric._node_values(H.complex, metric._hermitian_split(
+        H.complex.catalog, -1j * u.coeffs.reshape(-1, 3, 3))[0])
     eigs = np.linalg.eigvalsh(h)
     node = int(np.argmin(eigs.min(axis=1)))
-    rep = check_strong_positivity_11(H, u)
+    rep = check_weak_positivity(H, u)
     assert rep.verdict == "refuted" and rep.margin == eigs.min()
     assert rep.witness[0] == node == 0
     assert np.array_equal(rep.witness[1], np.linalg.eigh(h[node])[1][:, 0])
@@ -730,7 +730,7 @@ def test_refutation_names_the_node_and_eigenvector_of_eigvalsh(late_argmin_H):
 def test_smallest_eigenvalue_at_one_node(iwasawa_cx, rng):
     H = random_hermitian_structure(iwasawa_cx, rng)
     assert H.positivity_margin == np.linalg.eigvalsh(H.h_nodes).min()
-    rep = check_strong_positivity_11(H, -1.0 * H.omega)
+    rep = check_weak_positivity(H, -1.0 * H.omega)
     assert rep.verdict == "refuted" and rep.witness[0] == 0
     assert rep.margin == np.linalg.eigvalsh(-H.h_nodes).min()
     assert np.array_equal(rep.witness[1], np.linalg.eigh(-H.h_nodes[0])[1][:, 0])
@@ -764,7 +764,7 @@ def test_node_deviation_refutes_a_metric_that_builds(torus_cx):
     h[0, 1] += 4e-13
     H = HermitianStructure(torus_cx, h=h)
     for u in (H.omega, 1.0 * H.omega):
-        rep = check_strong_positivity_11(H, u)
+        rep = check_weak_positivity(H, u)
         assert rep.verdict == "refuted" and rep.certified
         assert rep.witness == "non-Hermitian coefficients" and rep.margin == -2.0e-13
 
@@ -796,18 +796,18 @@ def test_lstsq_reads_the_whitened_operators(iwasawa_cx, rng):
 
 
 def test_strong_positivity_11(torus_H, torus_cx, rng):
-    pos = check_strong_positivity_11(torus_H, torus_H.omega)
+    pos = check_weak_positivity(torus_H, torus_H.omega)
     assert pos.verdict == "positive" and pos.certified
     u = torus_cx.random_form(1, 1, rng)
     u = 0.5 * (u + conjugate(u))  # real but indefinite
-    rep = check_strong_positivity_11(torus_H, u)
+    rep = check_weak_positivity(torus_H, u)
     assert rep.verdict in ("refuted", "semi-positive", "positive")
 
 
 def test_positivity_report_line(torus_H):
     # the report names the verdict, whether an exact test backs it, and the
     # margin
-    pos = check_strong_positivity_11(torus_H, torus_H.omega)
+    pos = check_weak_positivity(torus_H, torus_H.omega)
     assert str(pos) == "positive (certified, margin=1.000e+00)"
     assert str(metric.PositivityReport("refuted", margin=-0.5)) == "refuted (margin=-5.000e-01)"
 
@@ -863,6 +863,33 @@ def test_weak_positivity_certified_by_the_weyl_bound(spectral_cx, amp, certified
         assert abs(rep.margin - least) <= 1e-14
         assert str(rep).startswith("positive (certified, " if certified
                                    else "positive (nodes only, ")
+
+
+@pytest.mark.parametrize("name", ["torus_H", "spectral_H", "n2k2_H"])
+def test_weak_positivity_refutes_a_form_that_is_not_real(name, request):
+    # a weakly positive form is real: i u and (1 + 0.1 i) u, for u = omega_p
+    # in the bidegrees (0,0), (n-1,n-1) and (n,n), are refuted by their
+    # non-Hermitian coefficients, though their Hermitian parts are 0 and
+    # positive.  Real forms are decided by their eigenvalues: u, -u, and
+    # r = s + conj(s) for a random s, whose anti-Hermitian part is exactly 0
+    H = request.getfixturevalue(name)
+    cx, n = H.complex, H.n
+    rng = np.random.default_rng(n)
+    for p in (0, n - 1, n):
+        u = H.omega_power(p)
+        for v in (1j * u, (1 + 0.1j) * u):
+            rep = check_weak_positivity(H, v)
+            assert rep.verdict == "refuted" and rep.certified, p
+            assert rep.witness == "non-Hermitian coefficients" and rep.margin < 0
+        assert check_weak_positivity(H, u).verdict == "positive", p
+        rep = check_weak_positivity(H, -u)
+        assert rep.verdict == "refuted" and isinstance(rep.witness, tuple), p
+        s = cx.random_form(p, p, rng)
+        rep = check_weak_positivity(H, s + conjugate(s))
+        assert isinstance(rep.witness, tuple) or rep.witness is None, p
+        if p == 0:
+            least = cx.evaluate(s + conjugate(s))[:, 0].real.min()
+            assert abs(rep.margin - least) <= 1e-12 * np.abs(s.coeffs).sum()
 
 
 def test_weak_positivity_is_certified_or_refused():
