@@ -127,15 +127,23 @@ def cmd_classify(args, template, rep):
     return EXIT_OK
 
 
-def cmd_torsion(args, template, rep):
-    tr = torsion_form(_load(template), tol=args.tol)
+def _add_certificate(rep, tr) -> bool:
+    """Add a TorsionReport's closedness residual and minimality gap to the
+    report; True when the certificate is violated, with the residual above
+    1e-8 or the gap above 1e-6."""
     rep.add(
-        f"torsion norm: {tr.norm:.12e}",
         f"closedness residual: {tr.closedness_residual:.3e}",
         f"minimality gap vs oracle: {tr.minimality_gap:.3e}",
     )
+    return tr.closedness_residual > 1e-8 or tr.minimality_gap > 1e-6
+
+
+def cmd_torsion(args, template, rep):
+    tr = torsion_form(_load(template), tol=args.tol)
+    rep.add(f"torsion norm: {tr.norm:.12e}")
+    violated = _add_certificate(rep, tr)
     _write_form(Path(args.out) / "torsion.csv", tr.rho20)
-    if tr.closedness_residual > 1e-8 or tr.minimality_gap > 1e-6:
+    if violated:
         return rep.fail("contract violation: torsion certification exceeded tolerance")
     return EXIT_OK
 
@@ -168,6 +176,7 @@ def cmd_flow(args, template, rep):
         f"iterations: {len(res.history) - 1}",
         f"elapsed: {res.elapsed:.1f}s",
     )
+    violated = _add_certificate(rep, res.certificate)
     out = Path(args.out)
     _write_csv(out / "flow.csv",
                ["iter", "energy", "grad_norm", "step", "margin", "d_residual"],
@@ -176,6 +185,9 @@ def cmd_flow(args, template, rep):
     es = [row["energy"] for row in res.history]
     if any(b > a + 1e-12 for a, b in zip(es, es[1:])):
         return rep.fail("contract violation: energy increased along accepted steps")
+    if violated:
+        return rep.fail("contract violation: torsion certification of the final point "
+                        "exceeded tolerance")
     return EXIT_OK
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .forms import Bidegree, Form, conjugate, zero_form
 from .metric import HermitianStructure, MetricError, check_weak_positivity
-from .torsion import CLASSIFY_TOL, min_norm_torsion, torsion_form
+from .torsion import CLASSIFY_TOL, TorsionReport, min_norm_torsion, torsion_form
 
 __all__ = [
     "AeppliPoint",
@@ -254,15 +254,20 @@ class FlowResult:
     """Trace of the energy descent.
 
     status: converged | stalled | positivity_blocked | max_iters,
+    energy: F at the final point, from the minimal-norm oracle,
+    certificate: torsion_form of the final point (the Green-formula torsion
+        form with its closedness residuals and gap to the oracle),
     history: one dict per accepted iterate with keys
         iter, energy, grad_norm, step, margin, d_residual, potential
-    (potential is a copy of the (1,0) potential coefficients).
+    (energy from the oracle; potential is a copy of the (1,0) potential
+    coefficients).
     """
 
     status: str
     point: AeppliPoint
     energy: float
     d_residual: float
+    certificate: TorsionReport
     history: list = field(default_factory=list)
     elapsed: float = 0.0
 
@@ -295,10 +300,12 @@ def gradient_descent(
     decrease holds and the realized metric keeps a positivity margin above
     POSITIVITY_FRAC times the initial margin.
 
-    A trial is judged by the energy of the minimal-norm solution of the
-    closedness system alone; the start point and every accepted trial get
-    the full torsion_form certificate, and their energy, torsion form and
-    history row come from it.
+    Every point, the start point and each trial, is judged by the
+    minimal-norm solution rho of its closedness system (min_norm_torsion,
+    which raises NotHermitianSymplectic on an infeasible one): F = ||rho||^2
+    is the Armijo energy, and an accepted trial keeps it, with its rho for
+    the differential, as its history row.  torsion_form runs once, on the
+    final point, and is the result's certificate.
     """
     t0 = time.monotonic()
     cx = point0.complex
@@ -306,7 +313,8 @@ def gradient_descent(
     H = point.structure()
     G0 = H.gram(1, 0)
     floor = POSITIVITY_FRAC * H.positivity_margin
-    f, rep = energy(H, tol=tol)
+    rho = min_norm_torsion(H, tol=tol)
+    f = H.norm(rho) ** 2
     history = []
     status = "max_iters"
     step = STEP0
@@ -319,7 +327,7 @@ def gradient_descent(
     def gradient():
         """(g, slope, |g|) at H: the Riesz representative g of dF in the
         base Gram, and slope = dF(g) = |g|^2 in that Gram."""
-        c = differential_riesz(H, rep.rho20)
+        c = differential_riesz(H, rho)
         g = np.linalg.solve(G0, c)
         slope = float(np.real(np.conj(c) @ g))
         return g, slope, math.sqrt(max(slope, 0.0))
@@ -347,10 +355,10 @@ def gradient_descent(
                 step *= 0.5
                 continue
             blocked_only = False
-            ft = Ht.norm(min_norm_torsion(Ht, tol=tol)) ** 2
+            rt = min_norm_torsion(Ht, tol=tol)
+            ft = Ht.norm(rt) ** 2
             if ft <= f - ARMIJO * step * slope:
-                point, H = trial, Ht
-                f, rep = energy(H, tol=tol)
+                point, H, f, rho = trial, Ht, ft, rt
                 accepted = True
                 break
             step *= 0.5
@@ -366,4 +374,5 @@ def gradient_descent(
         status = "converged"
     history.append(row(len(history), gnorm, d_res))
     return FlowResult(status=status, point=point, energy=f, d_residual=d_res,
-                      history=history, elapsed=time.monotonic() - t0)
+                      certificate=torsion_form(H, tol=tol), history=history,
+                      elapsed=time.monotonic() - t0)

@@ -665,9 +665,9 @@ def _eigenvalue_verdict(M, bound, smallest=None):
     lo, node = smallest or _smallest_eigenvalue(M)
     tol = 1e-12 * max(np.abs(M).max(), 1e-300)
     if lo > tol:
-        return PositivityReport("positive", margin=lo, certified=bound > tol)
+        return PositivityReport("positive", margin=lo, certified=bool(bound > tol))
     if lo >= -tol:
-        return PositivityReport("semi-positive", margin=lo, certified=bound >= -tol)
+        return PositivityReport("semi-positive", margin=lo, certified=bool(bound >= -tol))
     _, v = np.linalg.eigh(M[node])
     return PositivityReport("refuted", witness=(node, v[:, 0]), margin=lo, certified=True)
 

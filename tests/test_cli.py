@@ -182,6 +182,11 @@ def test_flow_command(spectral_file, tmp_path):
     assert (out / "flow_potential.csv").exists()
     report = (out / "flow_report.txt").read_text()
     assert "converged" in report
+    # the final point's torsion certificate, as the torsion report prints it
+    lines = report.splitlines()
+    cert = {k: float(v) for k, _, v in (line.partition(": ") for line in lines[-2:])}
+    assert list(cert) == ["closedness residual", "minimality gap vs oracle"]
+    assert cert["closedness residual"] <= 1e-8 and cert["minimality gap vs oracle"] <= 1e-6
 
 
 def test_kahler_command(spectral_file, iwasawa_file, tmp_path):
@@ -393,6 +398,12 @@ def _violating_flow(point, **kwargs):
     return res
 
 
+def _violating_flow_certificate(point, **kwargs):
+    res = gradient_descent(point, **kwargs)
+    res.certificate = dataclasses.replace(res.certificate, residual_closed=1.0)
+    return res
+
+
 def _violating_kahler(H, **kwargs):
     return dataclasses.replace(kahler_in_class(H, **kwargs), d_residual=1.0)
 
@@ -400,11 +411,13 @@ def _violating_kahler(H, **kwargs):
 @pytest.mark.parametrize("command, target, violate", [
     ("torsion", "torsion_form", _violating_torsion),
     ("flow", "gradient_descent", _violating_flow),
+    ("flow", "gradient_descent", _violating_flow_certificate),
     ("kahler", "kahler_in_class", _violating_kahler),
 ])
 def test_contract_violation_exits_2_with_its_report(command, target, violate,
                                                     torus_file, tmp_path,
                                                     monkeypatch):
+    # the report ends with the one violation, and the CSVs are still written
     monkeypatch.setattr(cli, target, violate)
     out = tmp_path / "out"
     assert run([command, "--model", torus_file, "--out", str(out)]) == EXIT_CONTRACT
@@ -412,6 +425,9 @@ def test_contract_violation_exits_2_with_its_report(command, target, violate,
     assert lines[1] == f"command: {command}"
     assert lines[-1].startswith("contract violation: ")
     assert sum(line.startswith("contract violation") for line in lines) == 1
+    csv_name = {"torsion": "torsion.csv", "flow": "flow.csv",
+                "kahler": "kahler_potential.csv"}[command]
+    assert (out / csv_name).exists()
 
 
 def test_report_header(torus_file, tmp_path):

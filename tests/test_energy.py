@@ -174,17 +174,33 @@ def test_flow_from_zero_builds_its_start_metric_once(torus_cx, monkeypatch):
 
 
 def test_gradient_descent_history_is_certified(spectral_cx, spectral_flow):
-    # trials are judged by the min-norm oracle alone, the history by the
-    # certified formula: both energies agree at every accepted iterate, and
-    # the line search takes the steps it took when every trial ran the full
-    # torsion_form
+    # the history's energies come from the min-norm oracle; the Green
+    # formula, derived independently, gives the same energy at every row's
+    # point, and the line search takes the steps it took when every
+    # accepted point ran the full torsion_form
     res = spectral_flow
     assert [row["step"] for row in res.history] == [1.0] + [0.0625] * 8
     for row in res.history:
         u = Form(spectral_cx.catalog, Bidegree(1, 0), row["potential"])
-        H = AeppliPoint(spectral_cx, res.point.omega0, u).structure()
-        f = H.norm(min_norm_torsion(H)) ** 2
-        assert abs(f - row["energy"]) <= 1e-12 * row["energy"]
+        rep = torsion_form(AeppliPoint(spectral_cx, res.point.omega0, u).structure())
+        assert abs(rep.norm**2 - row["energy"]) <= 1e-12 * row["energy"]
+    cert = res.certificate
+    assert abs(cert.norm**2 - res.energy) <= 1e-12 * res.energy
+    assert cert.closedness_residual <= 1e-8 and cert.minimality_gap <= 1e-6
+
+
+@pytest.mark.parametrize("name, rows", [("spectral", 9), ("torus", 2)])
+def test_flow_runs_torsion_form_once(name, rows, request, monkeypatch):
+    # one certificate per flow, on its final point: after the spectral
+    # flow's seven accepted steps, and on the flat torus, converged at
+    # iteration 0
+    cx = request.getfixturevalue(f"{name}_cx")
+    calls = []
+    monkeypatch.setattr(energy_module, "torsion_form",
+                        lambda H, **kw: calls.append(H) or torsion_form(H, **kw))
+    res = gradient_descent(AeppliPoint(cx, cx.metric_form()))
+    assert res.status == "converged" and len(res.history) == rows
+    assert len(calls) == 1 and calls[0] is res.point.structure()
 
 
 def test_gradient_descent_positivity_floor_blocks(spectral_cx, spectral_H, monkeypatch):

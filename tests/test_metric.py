@@ -804,6 +804,17 @@ def test_strong_positivity_11(torus_H, torus_cx, rng):
     assert rep.verdict in ("refuted", "semi-positive", "positive")
 
 
+def test_positivity_certified_is_a_bool(torus_H, torus_cx):
+    # every branch stores a Python bool, not a numpy one: the positive and
+    # semi-positive verdicts compare the Weyl bound, a refutation is True;
+    # test_weak_positivity_certified_by_the_weyl_bound reads the False
+    zero = zero_form(torus_cx.catalog, 0, 0)
+    for u, verdict in ((torus_H.omega, "positive"), (zero, "semi-positive"),
+                       (-1.0 * torus_H.omega, "refuted")):
+        rep = check_weak_positivity(torus_H, u)
+        assert rep.verdict == verdict and rep.certified is True
+
+
 def test_positivity_report_line(torus_H):
     # the report names the verdict, whether an exact test backs it, and the
     # margin
@@ -859,7 +870,7 @@ def test_weak_positivity_certified_by_the_weyl_bound(spectral_cx, amp, certified
     least = 1 + 2 * amp * math.cos(0.8 * math.pi)
     for k in range(4):
         rep = check_weak_positivity(H, wedge(f, H.omega_power(k)) if k else f)
-        assert rep.verdict == "positive" and rep.certified == certified, k
+        assert rep.verdict == "positive" and rep.certified is certified, k
         assert abs(rep.margin - least) <= 1e-14
         assert str(rep).startswith("positive (certified, " if certified
                                    else "positive (nodes only, ")
