@@ -666,7 +666,7 @@ def _value(coef, t, line):
     return complex(z.real + 0.0, z.imag + 0.0)
 
 
-def _t_samples(values, line=None):
+def _t_samples(values, line):
     """The reals of a t_samples list, separated by commas or blanks; each
     finite, none repeated (0 and -0 are one value), 0 among them, or
     ModelError."""

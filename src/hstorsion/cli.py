@@ -14,22 +14,19 @@ import argparse
 import csv
 import functools
 import hashlib
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .backends import (ModelError, ModelTemplate, _t_samples, build_complex,
-                       format_complex)
+from .backends import ModelError, ModelTemplate, build_complex, format_complex
 from .cohomology import CohomologyMismatch, cohomology_table
 from .deform import (FamilyTable, HypothesisError, family_diagnostics,
                      kahler_in_class)
 from .energy import AeppliPoint, differential_riesz, energy, gradient_descent
 from .metric import HermitianStructure
-from .torsion import (CLASSIFY_TOL, NotHermitianSymplectic, classify,
-                      torsion_form)
+from .torsion import NotHermitianSymplectic, classify, torsion_form
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -49,7 +46,6 @@ class Report:
             f"command: {args.command}",
             f"model: {args.model}",
             f"model_hash: {_model_hash(model_text)}",
-            f"tol: {args.tol}",
             "",
         ]
 
@@ -101,22 +97,16 @@ def _write_form(path: Path, u):
 
 def cmd_classify(args, template, rep):
     H = _load(template)
-    cls = classify(H, tol=args.tol)
+    cls = classify(H)
     rep.add(str(cls))
     if cls.truncated_power:
         rep.add("note: balanced / strongly-Gauduchon tests use a mode-"
                 "truncated omega power")
     table = cohomology_table(H)
-    if args.bidegree:
-        for p, q in args.bidegree:
-            if (p, q) not in table.entries:
-                raise ValueError(f"bidegree {p},{q} out of range for n={H.n}")
-        table.entries = {pq: table.entries[pq] for pq in args.bidegree}
     rep.add("", str(table))
     for which, p, q in table.unreliable:
-        if (p, q) in table.entries:
-            rep.add(f"unreliable kernel split: {which} Laplacian at ({p},{q}) "
-                    "has an eigenvalue within 100x of the cutoff")
+        rep.add(f"unreliable kernel split: {which} Laplacian at ({p},{q}) "
+                "has an eigenvalue within 100x of the cutoff")
     out = Path(args.out)
     _write_csv(out / "classify.csv",
                ["flag", "value", "residual"],
@@ -139,7 +129,7 @@ def _add_certificate(rep, tr) -> bool:
 
 
 def cmd_torsion(args, template, rep):
-    tr = torsion_form(_load(template), tol=args.tol)
+    tr = torsion_form(_load(template))
     rep.add(f"torsion norm: {tr.norm:.12e}")
     violated = _add_certificate(rep, tr)
     _write_form(Path(args.out) / "torsion.csv", tr.rho20)
@@ -150,7 +140,7 @@ def cmd_torsion(args, template, rep):
 
 def cmd_energy(args, template, rep):
     H = _load(template)
-    f, tr = energy(H, tol=args.tol)
+    f, tr = energy(H)
     c = differential_riesz(H, tr.rho20)
     G = H.gram(1, 0)
     gnorm = float(np.sqrt(max(np.real(np.conj(c) @ np.linalg.solve(G, c)), 0.0)))
@@ -159,16 +149,18 @@ def cmd_energy(args, template, rep):
         f"torsion norm: {tr.norm:.12e}",
         f"differential norm: {gnorm:.6e}",
     )
+    violated = _add_certificate(rep, tr)
     _write_csv(Path(args.out) / "energy.csv",
                ["energy", "torsion_norm", "differential_norm"],
                [{"energy": f, "torsion_norm": tr.norm, "differential_norm": gnorm}])
+    if violated:
+        return rep.fail("contract violation: torsion certification exceeded tolerance")
     return EXIT_OK
 
 
 def cmd_flow(args, template, rep):
     cx = build_complex(template.model())
-    res = gradient_descent(AeppliPoint(cx, cx.metric_form()),
-                           max_iters=args.max_iters, tol=args.tol)
+    res = gradient_descent(AeppliPoint(cx, cx.metric_form()), max_iters=args.max_iters)
     rep.add(
         f"status: {res.status}",
         f"final energy: {res.energy:.6e}",
@@ -192,7 +184,7 @@ def cmd_flow(args, template, rep):
 
 
 def cmd_kahler(args, template, rep):
-    kr = kahler_in_class(_load(template), tol=args.tol)
+    kr = kahler_in_class(_load(template))
     rep.add(
         f"|u_min|: {kr.u_norm:.6e}",
         f"d residual of candidate: {kr.d_residual:.3e}",
@@ -208,9 +200,7 @@ def cmd_kahler(args, template, rep):
 
 
 def cmd_family(args, template, rep):
-    if args.t_samples is not None:
-        template.t_samples = args.t_samples
-    table = family_diagnostics(template, tol=args.tol)
+    table = family_diagnostics(template)
     rep.add(str(table))
     if table.flagged:
         rep.add("flagged samples (dimension jump, unreliable kernel split or "
@@ -224,33 +214,18 @@ def cmd_family(args, template, rep):
 # ---------------------------------------------------------------------------
 
 
-def _bidegree(text):
-    try:
-        p, q = text.split(",")
-        return int(p), int(q)
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected p,q")
+def _nonnegative(text):
+    """An argparse type: an int, refused when negative."""
+    value = int(text)
+    if value >= 0:
+        return value
+    raise argparse.ArgumentTypeError(f"expected a finite value >= 0, got {text!r}")
 
 
-def _t_list(text):
-    try:
-        return _t_samples(text)  # as a family file's t_samples line
-    except ModelError as e:
-        raise argparse.ArgumentTypeError(str(e))
+_nonnegative.__name__ = "int"  # argparse's "invalid int value"
 
 
-def _nonnegative(convert):
-    """An argparse type: convert, then refuse what is negative or not finite."""
-    def parse(text):
-        value = convert(text)
-        if math.isfinite(value) and value >= 0:
-            return value
-        raise argparse.ArgumentTypeError(f"expected a finite value >= 0, got {text!r}")
-    parse.__name__ = convert.__name__  # argparse's "invalid float value"
-    return parse
-
-
-@functools.cache  # a parse leaves no state: --bidegree's list is fresh each time
+@functools.cache  # a parse leaves no state in the parser
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="hstorsion",
@@ -262,14 +237,8 @@ def build_parser():
         p = sub.add_parser(name)
         p.add_argument("--model", required=True, help="model or family file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--tol", type=_nonnegative(float), default=CLASSIFY_TOL)
-        if name == "classify":
-            p.add_argument("--bidegree", action="append", type=_bidegree,
-                           metavar="p,q")
         if name == "flow":
-            p.add_argument("--max-iters", type=_nonnegative(int), default=500)
-        if name == "family":
-            p.add_argument("--t-samples", type=_t_list)
+            p.add_argument("--max-iters", type=_nonnegative, default=500)
     return parser
 
 

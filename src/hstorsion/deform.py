@@ -20,7 +20,7 @@ import numpy as np
 
 from .backends import ModelError, ModelTemplate, build_complex
 from .cohomology import green_operator
-from .energy import AeppliPoint, differential_riesz
+from .energy import differential_riesz
 from .forms import Bidegree, Form, conjugate
 from .metric import (HermitianStructure, MetricError, PositivityReport,
                      check_weak_positivity)
@@ -65,19 +65,19 @@ class MinSolution:
     norm: float
 
 
-def _min_norm_solve(H: HermitianStructure, v: Form, src, kind: str, tol: float):
+def _min_norm_solve(H: HermitianStructure, v: Form, src, kind: str):
     """The minimal-norm solution x of D x = v for D = kind ("ddbar" or
     "dbar") on Lambda^src, by H.lstsq on the whitened D, after checking that
-    v lies in the image of D (relative distance <= tol): the distance is
-    the residual of that lstsq.  The equation residual is recomputed from
-    the unwhitened D.
+    v lies in the image of D (relative distance <= CLASSIFY_TOL): the
+    distance is the residual of that lstsq.  The equation residual is
+    recomputed from the unwhitened D.
 
     Returns (x, residual, image_distance, scale) with residual and distance
     relative to scale = 1 + ||v||."""
     cx = H.complex
     x, dist = H.lstsq(src, [(kind, v.coeffs)])
     scale = 1.0 + H.norm(v)
-    if dist > tol * scale:
+    if dist > CLASSIFY_TOL * scale:
         raise HypothesisError(
             f"right-hand side is not {'del-dbar' if kind == 'ddbar' else 'dbar'}-exact: "
             f"relative distance {dist / scale:.3e}"
@@ -87,15 +87,14 @@ def _min_norm_solve(H: HermitianStructure, v: Form, src, kind: str, tol: float):
     return Form(cx.catalog, Bidegree(*src), x), res, dist / scale, scale
 
 
-def min_ddbar_solution(H: HermitianStructure, v: Form,
-                       tol: float = CLASSIFY_TOL) -> MinSolution:
+def min_ddbar_solution(H: HermitianStructure, v: Form) -> MinSolution:
     """Minimal L^2-norm solution of del dbar u = v, the one the
     Green-operator formula u = (del dbar)* Delta_BC^{-1} v gives.
 
-    Requires v in the image of del dbar (relative distance <= tol)."""
+    Requires v in the image of del dbar (relative distance <= CLASSIFY_TOL)."""
     if v.p < 1 or v.q < 1:
         raise HypothesisError("right-hand side must have bidegree >= (1,1)")
-    u, res, dist, _ = _min_norm_solve(H, v, (v.p - 1, v.q - 1), "ddbar", tol)
+    u, res, dist, _ = _min_norm_solve(H, v, (v.p - 1, v.q - 1), "ddbar")
     return MinSolution(u=u, residual=res, image_distance=dist, norm=H.norm(u))
 
 
@@ -116,16 +115,15 @@ class NeumannSolution:
     norm: float
 
 
-def neumann_dbar_solution(H: HermitianStructure, rho: Form,
-                          tol: float = CLASSIFY_TOL) -> NeumannSolution:
+def neumann_dbar_solution(H: HermitianStructure, rho: Form) -> NeumannSolution:
     """Minimal L^2-norm solution of dbar phi = rho, the one the Neumann
     formula phi = dbar* Delta_dbar^{-1} rho gives.
 
-    Requires rho dbar-exact (relative distance <= tol)."""
+    Requires rho dbar-exact (relative distance <= CLASSIFY_TOL)."""
     p, q = rho.p, rho.q
     if q < 1:
         raise HypothesisError("right-hand side must have dbar-degree >= 1")
-    phi, res, dist, scale = _min_norm_solve(H, rho, (p, q - 1), "dbar", tol)
+    phi, res, dist, scale = _min_norm_solve(H, rho, (p, q - 1), "dbar")
     # the formula's other side, Green' dbar* rho on the lower bidegree, with
     # dbar* by a solve, independent of the Cholesky factors
     dbar_star = H.adjoint_matrix(H.complex.dbar_matrix(p, q - 1), (p, q - 1), (p, q))
@@ -163,7 +161,7 @@ class KahlerReport:
         return check_weak_positivity(self.structure, self.omega_tilde)
 
 
-def kahler_in_class(H: HermitianStructure, tol: float = CLASSIFY_TOL) -> KahlerReport:
+def kahler_in_class(H: HermitianStructure) -> KahlerReport:
     """Candidate closed metric omega + del conj(u_min) + dbar u_min with
     u_min = -(del dbar)* Delta_BC^{-1}(del omega), the negative of the
     minimal-norm solution of del dbar u = del omega.
@@ -173,7 +171,7 @@ def kahler_in_class(H: HermitianStructure, tol: float = CLASSIFY_TOL) -> KahlerR
     report forms the verdict only when it is read: building the candidate's
     structure takes no node values when the Weyl bound certifies it."""
     cx = H.complex
-    sol = min_ddbar_solution(H, cx.apply_del(H.omega), tol)
+    sol = min_ddbar_solution(H, cx.apply_del(H.omega))
     u = -sol.u
     wt = H.omega + cx.apply_del(conjugate(u)) + cx.apply_dbar(u)
     dp, dq = cx.d_full(wt)
@@ -239,7 +237,7 @@ def _dims_row(H):
     return row, reliable
 
 
-def family_diagnostics(template: ModelTemplate, tol: float = CLASSIFY_TOL) -> FamilyTable:
+def family_diagnostics(template: ModelTemplate) -> FamilyTable:
     """Measure the family of a template at every sample of its t_samples,
     which must include 0: cohomology dimensions, torsion
     norms and drift from t=0, the criticality sup over the coordinate
@@ -262,13 +260,13 @@ def family_diagnostics(template: ModelTemplate, tol: float = CLASSIFY_TOL) -> Fa
     for t in sorted(models, key=lambda t: (t != 0.0, abs(t), t)):
         cx = build_complex(models[t])
         try:
-            H = AeppliPoint(cx, cx.metric_form()).structure()
+            H = HermitianStructure(cx, omega=cx.metric_form())
         except MetricError as e:
             raise MetricError(f"{e} (sample t = {t!r})") from None
         row = {"t": t}
         dims, reliable = _dims_row(H)
         row.update(dims)
-        feas = hs_feasible(H, tol=tol)
+        feas = hs_feasible(H)
         row["feasible"] = feas.feasible
         flagged = not reliable
         if base_dims is None:
@@ -277,7 +275,7 @@ def family_diagnostics(template: ModelTemplate, tol: float = CLASSIFY_TOL) -> Fa
         elif any(row[k] != base_dims[k] for k in base_dims):
             flagged = True
         if feas.feasible:
-            rep = torsion_form(H, tol=tol)
+            rep = torsion_form(H)
             row["rho_norm"] = rep.norm
             if t == 0.0:
                 rho0, H0 = rep.rho20, H
@@ -292,12 +290,12 @@ def family_diagnostics(template: ModelTemplate, tol: float = CLASSIFY_TOL) -> Fa
             nrm = np.sqrt(np.maximum(H.gram(1, 0).diagonal().real, 1e-300))
             row["crit_sup"] = float(np.max(np.maximum(np.abs(c.real), np.abs(c.imag)) / nrm))
             try:
-                nb = neumann_dbar_solution(H, rep.rho02, tol=tol)
+                nb = neumann_dbar_solution(H, rep.rho02)
                 row["beta_residual"] = nb.residual
             except HypothesisError:
                 row["beta_residual"] = ""
             try:
-                kr = kahler_in_class(H, tol=tol)
+                kr = kahler_in_class(H)
                 row["kahler_distance"] = kr.hypothesis_distance
                 row["kahler_d_residual"] = kr.d_residual
             except HypothesisError as e:

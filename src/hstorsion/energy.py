@@ -98,9 +98,9 @@ def _structure(target) -> HermitianStructure:
     return target
 
 
-def energy(target, tol: float = CLASSIFY_TOL):
+def energy(target):
     """(F, TorsionReport) for an AeppliPoint or HermitianStructure."""
-    rep = torsion_form(_structure(target), tol=tol)
+    rep = torsion_form(_structure(target))
     return rep.norm**2, rep
 
 
@@ -148,7 +148,7 @@ def differential(target, v: Form, rho: Form | None = None) -> float:
     return float(np.real(np.conj(c) @ v.coeffs))
 
 
-def differential_special(target, xi: Form, tol: float = CLASSIFY_TOL):
+def differential_special(target, xi: Form):
     """dF along gamma = dbar xi + del conj(xi) for the special case where
     the torsion form is rho = del xi:
 
@@ -156,16 +156,16 @@ def differential_special(target, xi: Form, tol: float = CLASSIFY_TOL):
                                             ^ omega_{n-3}.
 
     Returns (value, precondition_residual); the residual measures
-    ||rho - del xi|| relative to 1 + ||rho||, and a residual above tol
-    raises instead."""
+    ||rho - del xi|| relative to 1 + ||rho||, and a residual above
+    CLASSIFY_TOL raises instead."""
     H = _structure(target)
     cx = H.complex
     n = H.n
-    _, rep = energy(H, tol=tol)
+    _, rep = energy(H)
     rho = rep.rho20
     dxi = cx.apply_del(xi)
     pre = H.norm(rho - dxi) / (1.0 + H.norm(rho))
-    if pre > tol:
+    if pre > CLASSIFY_TOL:
         raise ValueError(
             f"torsion form is not del(xi): relative residual {pre:.3e}"
         )
@@ -192,14 +192,14 @@ class CorollaryReport:
     conclusion: str  # "kahler" | "inconclusive"
 
 
-def corollary_check(target, xi: Form, tol: float = CLASSIFY_TOL) -> CorollaryReport:
+def corollary_check(target, xi: Form) -> CorollaryReport:
     """Check the hypotheses and conclusion of the criticality corollary at
     a point whose torsion form is rho = del xi; the differential vanishes
     when it is at most 1e-8 times 1 + ||rho||^2, and the conclusion is
     "kahler" only on a certified semi-positivity verdict for dbar(xi)."""
     H = _structure(target)
-    value, _ = differential_special(H, xi, tol=tol)
-    _, rep = energy(H, tol=tol)
+    value, _ = differential_special(H, xi)
+    _, rep = energy(H)
     rho = rep.rho20
     wedge_term = value - 2.0 * rep.norm**2
     pos = check_weak_positivity(H, H.complex.apply_dbar(xi))
@@ -221,17 +221,15 @@ def corollary_check(target, xi: Form, tol: float = CLASSIFY_TOL) -> CorollaryRep
     )
 
 
-def fd_differential(point: AeppliPoint, v: Form, h: float = 1e-4,
-                    tol: float = CLASSIFY_TOL):
+def fd_differential(point: AeppliPoint, v: Form, h: float = 1e-4):
     """Central finite difference of F along the potential direction v."""
-    fp, _ = energy(point.moved(h * v).structure(), tol=tol)
-    fm, _ = energy(point.moved((-h) * v).structure(), tol=tol)
+    fp, _ = energy(point.moved(h * v).structure())
+    fm, _ = energy(point.moved((-h) * v).structure())
     return (fp - fm) / (2.0 * h)
 
 
 def fd_step_sweep(point: AeppliPoint, v: Form,
-                  steps=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
-                  tol: float = CLASSIFY_TOL):
+                  steps=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6)):
     """Compare the analytic differential with central finite differences over
     a log sweep of step sizes.
 
@@ -240,7 +238,7 @@ def fd_step_sweep(point: AeppliPoint, v: Form,
     exact = differential(point, v)
     errors = {}
     for h in steps:
-        errors[h] = abs(fd_differential(point, v, h=h, tol=tol) - exact)
+        errors[h] = abs(fd_differential(point, v, h=h) - exact)
     return errors, min(errors.values())
 
 
@@ -286,11 +284,7 @@ F_TOL, D_TOL, GRAD_TOL, ARMIJO, STEP0, MIN_STEP = 1e-6, 1e-4, 1e-9, 1e-4, 1.0, 1
 POSITIVITY_FRAC = 1e-6
 
 
-def gradient_descent(
-    point0: AeppliPoint,
-    max_iters: int = 500,
-    tol: float = CLASSIFY_TOL,
-) -> FlowResult:
+def gradient_descent(point0: AeppliPoint, max_iters: int = 500) -> FlowResult:
     """Projected gradient descent of F over the potential class.
 
     The gradient is the Riesz representative of dF in the fixed Gram
@@ -313,7 +307,7 @@ def gradient_descent(
     H = point.structure()
     G0 = H.gram(1, 0)
     floor = POSITIVITY_FRAC * H.positivity_margin
-    rho = min_norm_torsion(H, tol=tol)
+    rho = min_norm_torsion(H)
     f = H.norm(rho) ** 2
     history = []
     status = "max_iters"
@@ -355,7 +349,7 @@ def gradient_descent(
                 step *= 0.5
                 continue
             blocked_only = False
-            rt = min_norm_torsion(Ht, tol=tol)
+            rt = min_norm_torsion(Ht)
             ft = Ht.norm(rt) ** 2
             if ft <= f - ARMIJO * step * slope:
                 point, H, f, rho = trial, Ht, ft, rt
@@ -366,13 +360,13 @@ def gradient_descent(
             status = "positivity_blocked" if blocked_only else "stalled"
             break
     else:
-        # max_iters ran out: the last accepted point's gradient is not known
-        # yet (every break leaves gnorm at the point it stops at)
-        gnorm = gradient()[2]
-    d_res = _d_residual(H)
-    if f <= F_TOL and d_res <= D_TOL:
-        status = "converged"
-    history.append(row(len(history), gnorm, d_res))
-    return FlowResult(status=status, point=point, energy=f, d_residual=d_res,
-                      certificate=torsion_form(H, tol=tol), history=history,
+        # max_iters ran out: the last accepted point has no row yet (every
+        # break stops at the point of the loop's last row)
+        d_res = _d_residual(H)
+        if f <= F_TOL and d_res <= D_TOL:
+            status = "converged"
+        history.append(row(max_iters, gradient()[2], d_res))
+    return FlowResult(status=status, point=point, energy=f,
+                      d_residual=history[-1]["d_residual"],
+                      certificate=torsion_form(H), history=history,
                       elapsed=time.monotonic() - t0)

@@ -53,12 +53,12 @@ class MetricClassification:
     """Structure flags for a Hermitian metric with their residuals.
 
     Residuals are relative (scaled by 1 + the norm of the quantity tested);
-    a flag is True when its residual is at most tol.  The balanced and
-    strongly-Gauduchon tests use omega^{n-1}; on a complex with more than one
-    mode that power is mode-truncated, which the `truncated_power` flag records.
+    a flag is True when its residual is at most CLASSIFY_TOL.  The balanced
+    and strongly-Gauduchon tests use omega^{n-1}; on a complex with more than
+    one mode that power is mode-truncated, which the `truncated_power` flag
+    records.
     """
 
-    tol: float
     kahler: bool
     skt: bool
     balanced: bool
@@ -82,7 +82,7 @@ def _rel(value, scale):
     return value / (1.0 + scale)
 
 
-def classify(H: HermitianStructure, tol: float = CLASSIFY_TOL) -> MetricClassification:
+def classify(H: HermitianStructure) -> MetricClassification:
     """Decide the standard metric classes for H.omega with residuals."""
     cx = H.complex
     n = H.n
@@ -103,21 +103,20 @@ def classify(H: HermitianStructure, tol: float = CLASSIFY_TOL) -> MetricClassifi
     # by the residual of H.lstsq on the whitened dbar of the (n, n-2)-forms
     v = dwk_p
     nv = H.norm(v)
-    if nv <= tol * (1.0 + H.norm(wk)):
+    if nv <= CLASSIFY_TOL * (1.0 + H.norm(wk)):
         res_sg = 0.0
     else:
         _, dist = H.lstsq((n, n - 2), [("dbar", v.coeffs)])
         res_sg = _rel(dist, H.norm(wk))
 
-    feas = hs_feasible(H, tol=tol)
+    feas = hs_feasible(H)
     res_hs = feas.residual
 
     return MetricClassification(
-        tol=tol,
-        kahler=res_kahler <= tol,
-        skt=res_skt <= tol,
-        balanced=res_balanced <= tol,
-        strongly_gauduchon=res_sg <= tol,
+        kahler=res_kahler <= CLASSIFY_TOL,
+        skt=res_skt <= CLASSIFY_TOL,
+        balanced=res_balanced <= CLASSIFY_TOL,
+        strongly_gauduchon=res_sg <= CLASSIFY_TOL,
         hermitian_symplectic=feas.feasible,
         residuals={
             "kahler": res_kahler,
@@ -142,17 +141,16 @@ class HSFeasibility:
     feasible: bool
     residual: float  # relative joint residual of (del rho, dbar rho + del omega)
     rho_min: Form | None  # minimal-norm least-squares solution
-    tol: float
 
 
-def hs_feasible(H: HermitianStructure, tol: float = CLASSIFY_TOL) -> HSFeasibility:
+def hs_feasible(H: HermitianStructure) -> HSFeasibility:
     """Solve del rho = 0, dbar rho = -del omega in the least-squares sense,
     picking the minimal L^2_omega-norm solution (H.lstsq on the whitened
     del and dbar of the (2,0)-forms).
 
     Feasibility holds when the joint residual (Gram norms on the target
-    spaces) is at most tol relative to 1 + ||del omega||.  Solved once per
-    metric and tol."""
+    spaces) is at most CLASSIFY_TOL relative to 1 + ||del omega||.  Solved
+    once per metric."""
 
     def build():
         cx = H.complex
@@ -163,22 +161,21 @@ def hs_feasible(H: HermitianStructure, tol: float = CLASSIFY_TOL) -> HSFeasibili
         x, resid = H.lstsq((2, 0), blocks)
         rel = resid / (1.0 + H.norm(dw))
         return HSFeasibility(
-            feasible=rel <= tol,
+            feasible=rel <= CLASSIFY_TOL,
             residual=rel,
             rho_min=Form(cx.catalog, Bidegree(2, 0), x),
-            tol=tol,
         )
 
-    return H._cached(("hs_feasible", tol), build)
+    return H._cached("hs_feasible", build)
 
 
-def min_norm_torsion(H: HermitianStructure, tol: float = CLASSIFY_TOL) -> Form:
+def min_norm_torsion(H: HermitianStructure) -> Form:
     """The minimal-norm solution of the closedness system (the oracle of
     torsion_form, without its certificate).
 
     Raises NotHermitianSymplectic when the system is infeasible at
-    tolerance tol."""
-    feas = hs_feasible(H, tol=tol)
+    CLASSIFY_TOL."""
+    feas = hs_feasible(H)
     if not feas.feasible:
         raise NotHermitianSymplectic(
             f"closedness system infeasible: relative residual {feas.residual:.3e}"
@@ -216,12 +213,12 @@ class TorsionReport:
         return self.residual_constraint + self.residual_closed
 
 
-def torsion_form(H: HermitianStructure, tol: float = CLASSIFY_TOL) -> TorsionReport:
+def torsion_form(H: HermitianStructure) -> TorsionReport:
     """The (2,0) torsion form of a Hermitian-symplectic metric.
 
     Raises NotHermitianSymplectic when the closedness system is infeasible
-    at tolerance tol."""
-    rho_min = min_norm_torsion(H, tol=tol)
+    at CLASSIFY_TOL."""
+    rho_min = min_norm_torsion(H)
     cx = H.complex
     w = H.omega
     dw = cx.apply_del(w)  # (2,1)

@@ -15,8 +15,8 @@ from hstorsion.backends import FormComplex, format_complex, parse_complex
 from hstorsion.cli import EXIT_CONTRACT, EXIT_INPUT, EXIT_OK, run
 from hstorsion.cohomology import CohomologyMismatch, cohomology_table
 from hstorsion.deform import kahler_in_class
-from hstorsion.energy import gradient_descent
-from hstorsion.torsion import CLASSIFY_TOL, torsion_form
+from hstorsion.energy import energy, gradient_descent
+from hstorsion.torsion import torsion_form
 
 from conftest import (FAMILY_TEXT, IWASAWA_TEXT, N2K2_FAMILY, POTENTIAL_FAMILY,
                       SPECTRAL_TEXT, TORUS_TEXT)
@@ -71,25 +71,10 @@ def test_classify_command(torus_file, tmp_path, capsys):
     assert (out / "classify_report.txt").exists()
 
 
-def test_classify_bidegree_filter(iwasawa_file, tmp_path):
-    out = tmp_path / "out"
-    code = run(["classify", "--model", iwasawa_file, "--out", str(out),
-                "--bidegree", "0,1", "--bidegree", "1,1"])
-    assert code == EXIT_OK
-    report = (out / "classify_report.txt").read_text()
-    assert "0 1" in report and "1 1" in report
-    coh = _read_csv(out / "cohomology.csv")
-    assert [(r["p"], r["q"]) for r in coh] == [("0", "1"), ("1", "1")]
-    code = run(["classify", "--model", iwasawa_file, "--out", str(out),
-                "--bidegree", "4,0"])
-    assert code == EXIT_INPUT
-
-
 def test_classify_reports_unreliable_kernel_split(iwasawa_file, tmp_path,
                                                    monkeypatch):
     # a kernel cutoff of 0.1 puts the Iwasawa Laplacians' eigenvalue 1
-    # within 100x of it; classify writes one line per unreliable split it
-    # shows
+    # within 100x of it; classify writes one line per unreliable split
     out = tmp_path / "out"
     assert run(["classify", "--model", iwasawa_file, "--out", str(out)]) == EXIT_OK
     assert "unreliable" not in (out / "classify_report.txt").read_text()
@@ -101,31 +86,40 @@ def test_classify_reports_unreliable_kernel_split(iwasawa_file, tmp_path,
 
     monkeypatch.setattr(cohomology, "KERNEL_RCOND", 0.1)
     monkeypatch.setattr(cli, "cohomology_table", table)
-    code = run(["classify", "--model", iwasawa_file, "--out", str(out),
-                "--bidegree", "0,1", "--bidegree", "0,0"])
+    code = run(["classify", "--model", iwasawa_file, "--out", str(out)])
     assert code == EXIT_OK
     lines = [line for line in (out / "classify_report.txt").read_text().splitlines()
              if line.startswith("unreliable kernel split")]
-    assert lines == [
-        "unreliable kernel split: dbar Laplacian at (0,1) has an eigenvalue "
-        "within 100x of the cutoff",
-        "unreliable kernel split: bc Laplacian at (0,1) has an eigenvalue "
-        "within 100x of the cutoff"]
-    assert len(tables[0].unreliable) > len(lines)
+    assert lines == [f"unreliable kernel split: {which} Laplacian at ({p},{q}) has an "
+                     "eigenvalue within 100x of the cutoff"
+                     for which, p, q in tables[0].unreliable]
+    assert ("unreliable kernel split: dbar Laplacian at (0,1) has an eigenvalue "
+            "within 100x of the cutoff") in lines
 
 
-@pytest.mark.parametrize("argv", [
+_WRONG_FLAGS = [
     ["torsion", "--bidegree", "1,1"],
     ["classify", "--max-iters", "5"],
     ["energy", "--t-samples", "0 1"],
     ["family", "--bidegree", "0,1"],
     ["kahler", "--max-iters", "5"],
     ["flow", "--seed", "1"],
-])
+]
+
+
+# no command takes a tolerance, a filter of the classify table or a family's
+# sample list: tolerances are constants, and the samples are the family
+# file's t_samples line
+@pytest.mark.parametrize("argv", _WRONG_FLAGS + [
+    argv for argv in ([command, *flag] for command in cli._COMMANDS
+                      for flag in (["--tol", "1e-6"], ["--bidegree", "1,1"],
+                                   ["--t-samples", "0 1"]))
+    if argv not in _WRONG_FLAGS])
 def test_flag_on_wrong_subcommand(argv, torus_file, tmp_path):
-    code = run(argv[:1] + ["--model", torus_file, "--out", str(tmp_path)]
-               + argv[1:])
+    out = tmp_path / "out"
+    code = run(argv[:1] + ["--model", torus_file, "--out", str(out)] + argv[1:])
     assert code == EXIT_INPUT
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [["selftest"]])
@@ -137,14 +131,14 @@ def test_unknown_command_writes_nothing(argv, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_runs_in_one_process_share_no_state(torus_file, tmp_path):
-    # the parser is built once; --bidegree's list must not outlive its parse
+def test_runs_in_one_process_share_no_state(spectral_file, tmp_path):
+    # the parser is built once; a flag's value must not outlive its parse
     first, second = tmp_path / "first", tmp_path / "second"
-    assert run(["classify", "--model", torus_file, "--out", str(first),
-                "--bidegree", "1,1"]) == EXIT_OK
-    assert run(["classify", "--model", torus_file, "--out", str(second)]) == EXIT_OK
-    assert len(_read_csv(first / "cohomology.csv")) == 1
-    assert len(_read_csv(second / "cohomology.csv")) == 16
+    assert run(["flow", "--model", spectral_file, "--out", str(first),
+                "--max-iters", "0"]) == EXIT_OK
+    assert run(["flow", "--model", spectral_file, "--out", str(second)]) == EXIT_OK
+    assert len(_read_csv(first / "flow.csv")) == 1
+    assert len(_read_csv(second / "flow.csv")) == 8
 
 
 def test_torsion_command(spectral_file, spectral_cx, tmp_path):
@@ -209,32 +203,16 @@ def test_family_command(tmp_path):
     assert rows[2]["flagged"] == "True"
 
 
-def test_family_t_samples_override(tmp_path):
-    fam = tmp_path / "family.model"
-    fam.write_text(FAMILY_TEXT)
-    out = tmp_path / "out"
-    code = run(["family", "--model", str(fam), "--out", str(out),
-                "--t-samples", "0 0.25"])
-    assert code == EXIT_OK
-    rows = _read_csv(out / "family.csv")
-    assert [r["t"] for r in rows] == ["0.0", "0.25"]
-
-
 @pytest.mark.parametrize("command", list(cli._COMMANDS))
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
 def test_tol_must_be_finite_and_nonnegative(command, tol, torus_file, tmp_path, capsys):
     # a NaN or negative tolerance turned every classify flag False with
-    # exit 0, and inf made Iwasawa Hermitian-symplectic; each is bad input
+    # exit 0, and inf made Iwasawa Hermitian-symplectic; every verdict now
+    # reads the constant CLASSIFY_TOL, and no command takes a tolerance
     code = run([command, "--model", torus_file, "--out", str(tmp_path), f"--tol={tol}"])
     assert code == EXIT_INPUT
-    assert f"argument --tol: expected a finite value >= 0, got '{tol}'" in capsys.readouterr().err
+    assert f"unrecognized arguments: --tol={tol}" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.txt")) and not list(tmp_path.glob("*.csv"))
-
-
-def test_tol_zero_is_accepted(torus_file, tmp_path):
-    assert run(["classify", "--model", torus_file, "--out", str(tmp_path),
-                "--tol", "0"]) == EXIT_OK
-    assert "tol: 0.0" in (tmp_path / "classify_report.txt").read_text()
 
 
 @pytest.mark.parametrize("samples, error", [
@@ -246,15 +224,13 @@ def test_tol_zero_is_accepted(torus_file, tmp_path):
     ("0 -0 1", "t_samples repeats 0.0"),
 ])
 def test_t_samples_checked_as_a_family_file_line(samples, error, tmp_path, capsys):
-    # the --t-samples override passes the checks of the grammar's t_samples
-    # line: "0 nan" wrote a nan row, "" was ignored and "0 -0 1" wrote two
-    # rows for t = 0
+    # the samples of a family are its file's t_samples line: "0 nan" would
+    # write a nan row, "" none and "0 -0 1" two rows for t = 0
     fam = tmp_path / "family.model"
-    fam.write_text(FAMILY_TEXT)
-    code = run(["family", "--model", str(fam), "--out", str(tmp_path),
-                "--t-samples", samples])
+    fam.write_text(FAMILY_TEXT.replace("t_samples := 0 0.5 1", f"t_samples := {samples}"))
+    code = run(["family", "--model", str(fam), "--out", str(tmp_path)])
     assert code == EXIT_INPUT
-    assert f"argument --t-samples: {error}" in capsys.readouterr().err
+    assert f"error: line 4: {error}" in capsys.readouterr().err
     assert not (tmp_path / "family.csv").exists()
 
 
@@ -330,8 +306,8 @@ def test_refusal_exits_1_with_its_report(command, refusal, iwasawa_file, tmp_pat
     out = tmp_path / "out"
     assert run([command, "--model", iwasawa_file, "--out", str(out)]) == EXIT_INPUT
     lines = (out / f"{command}_report.txt").read_text().splitlines()
-    assert lines[1] == f"command: {command}" and lines[5] == ""
-    assert len(lines) == 7 and lines[6].startswith(refusal)
+    assert lines[1] == f"command: {command}" and lines[4] == ""
+    assert len(lines) == 6 and lines[5].startswith(refusal)
     assert sorted(p.name for p in out.iterdir()) == [f"{command}_report.txt"]
 
 
@@ -388,13 +364,18 @@ def test_metric_command_parses_its_file_once(command, torus_file, tmp_path, monk
     assert len(made) == 1
 
 
-def _violating_torsion(H, **kwargs):
-    return dataclasses.replace(torsion_form(H, **kwargs), residual_closed=1.0)
+def _violating_torsion(H):
+    return dataclasses.replace(torsion_form(H), residual_closed=1.0)
+
+
+def _violating_energy(H):
+    f, tr = energy(H)
+    return f, dataclasses.replace(tr, residual_closed=1.0)
 
 
 def _violating_flow(point, **kwargs):
     res = gradient_descent(point, **kwargs)
-    res.history[-1]["energy"] += 1.0
+    res.history.append(dict(res.history[-1], energy=res.history[-1]["energy"] + 1.0))
     return res
 
 
@@ -404,12 +385,13 @@ def _violating_flow_certificate(point, **kwargs):
     return res
 
 
-def _violating_kahler(H, **kwargs):
-    return dataclasses.replace(kahler_in_class(H, **kwargs), d_residual=1.0)
+def _violating_kahler(H):
+    return dataclasses.replace(kahler_in_class(H), d_residual=1.0)
 
 
 @pytest.mark.parametrize("command, target, violate", [
     ("torsion", "torsion_form", _violating_torsion),
+    ("energy", "energy", _violating_energy),
     ("flow", "gradient_descent", _violating_flow),
     ("flow", "gradient_descent", _violating_flow_certificate),
     ("kahler", "kahler_in_class", _violating_kahler),
@@ -425,21 +407,48 @@ def test_contract_violation_exits_2_with_its_report(command, target, violate,
     assert lines[1] == f"command: {command}"
     assert lines[-1].startswith("contract violation: ")
     assert sum(line.startswith("contract violation") for line in lines) == 1
-    csv_name = {"torsion": "torsion.csv", "flow": "flow.csv",
+    csv_name = {"torsion": "torsion.csv", "energy": "energy.csv", "flow": "flow.csv",
                 "kahler": "kahler_potential.csv"}[command]
+    assert (out / csv_name).exists()
+
+
+# SPECTRAL_TEXT's shape with h_33 = 1e-8: the Green formula's torsion form
+# collapses (norm 4e-53, where the oracle's is about 1e-5), and its
+# certificate says so
+ILL_CONDITIONED_TEXT = """kind spectral
+n 3
+modes axis K 1
+metric h 1 1 := 1
+metric h 2 2 := 1
+metric h 3 3 := 1e-8
+potential 1 0 0 0 0 0 u 2 := 0.04
+"""
+
+
+@pytest.mark.parametrize("command, csv_name", [("torsion", "torsion.csv"),
+                                               ("energy", "energy.csv")])
+def test_ill_conditioned_torsion_fails_its_certificate(command, csv_name, tmp_path):
+    # energy printed F = 1.9e-105 and exited 0 where torsion exited 2
+    path = tmp_path / "ill.model"
+    path.write_text(ILL_CONDITIONED_TEXT)
+    out = tmp_path / "out"
+    assert run([command, "--model", str(path), "--out", str(out)]) == EXIT_CONTRACT
+    lines = (out / f"{command}_report.txt").read_text().splitlines()
+    assert lines[-1] == "contract violation: torsion certification exceeded tolerance"
+    closed = next(line for line in lines if line.startswith("closedness residual: "))
+    assert float(closed.partition(": ")[2]) > 1e-8
     assert (out / csv_name).exists()
 
 
 def test_report_header(torus_file, tmp_path):
     out = tmp_path / "out"
     run(["classify", "--model", torus_file, "--out", str(out)])
-    head = (out / "classify_report.txt").read_text().splitlines()[:6]
+    head = (out / "classify_report.txt").read_text().splitlines()[:5]
     assert head == [
         f"hstorsion {hstorsion.__version__}",
         "command: classify",
         f"model: {torus_file}",
         f"model_hash: {hashlib.sha256(TORUS_TEXT.encode()).hexdigest()[:12]}",
-        f"tol: {CLASSIFY_TOL}",
         "",
     ]
 

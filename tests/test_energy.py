@@ -169,7 +169,7 @@ def test_flow_from_zero_builds_its_start_metric_once(torus_cx, monkeypatch):
     monkeypatch.setattr(metric.HermitianStructure, "__init__",
                         lambda self, *a, **k: built.append(1) or init(self, *a, **k))
     res = gradient_descent(AeppliPoint(torus_cx, torus_cx.metric_form()))
-    assert res.status == "converged" and len(res.history) == 2
+    assert res.status == "converged" and len(res.history) == 1
     assert len(built) == 1
 
 
@@ -177,9 +177,12 @@ def test_gradient_descent_history_is_certified(spectral_cx, spectral_flow):
     # the history's energies come from the min-norm oracle; the Green
     # formula, derived independently, gives the same energy at every row's
     # point, and the line search takes the steps it took when every
-    # accepted point ran the full torsion_form
+    # accepted point ran the full torsion_form: one row for the start point
+    # and one per accepted step, each point once
     res = spectral_flow
-    assert [row["step"] for row in res.history] == [1.0] + [0.0625] * 8
+    assert [row["step"] for row in res.history] == [1.0] + [0.0625] * 7
+    assert [row["iter"] for row in res.history] == list(range(8))
+    assert len({row["energy"] for row in res.history}) == 8
     for row in res.history:
         u = Form(spectral_cx.catalog, Bidegree(1, 0), row["potential"])
         rep = torsion_form(AeppliPoint(spectral_cx, res.point.omega0, u).structure())
@@ -189,7 +192,7 @@ def test_gradient_descent_history_is_certified(spectral_cx, spectral_flow):
     assert cert.closedness_residual <= 1e-8 and cert.minimality_gap <= 1e-6
 
 
-@pytest.mark.parametrize("name, rows", [("spectral", 9), ("torus", 2)])
+@pytest.mark.parametrize("name, rows", [("spectral", 8), ("torus", 1)])
 def test_flow_runs_torsion_form_once(name, rows, request, monkeypatch):
     # one certificate per flow, on its final point: after the spectral
     # flow's seven accepted steps, and on the flat torus, converged at
@@ -197,7 +200,7 @@ def test_flow_runs_torsion_form_once(name, rows, request, monkeypatch):
     cx = request.getfixturevalue(f"{name}_cx")
     calls = []
     monkeypatch.setattr(energy_module, "torsion_form",
-                        lambda H, **kw: calls.append(H) or torsion_form(H, **kw))
+                        lambda H: calls.append(H) or torsion_form(H))
     res = gradient_descent(AeppliPoint(cx, cx.metric_form()))
     assert res.status == "converged" and len(res.history) == rows
     assert len(calls) == 1 and calls[0] is res.point.structure()
@@ -209,7 +212,7 @@ def test_gradient_descent_positivity_floor_blocks(spectral_cx, spectral_H, monke
     pt = AeppliPoint(spectral_cx, spectral_H.omega)
     res = gradient_descent(pt, max_iters=5)
     assert res.status == "positivity_blocked"
-    assert len(res.history) == 2 and np.abs(res.point.u.coeffs).max() == 0.0
+    assert len(res.history) == 1 and np.abs(res.point.u.coeffs).max() == 0.0
 
 
 def test_cached_structure_still_tests_the_floor(spectral_cx, spectral_H):
@@ -355,7 +358,7 @@ def test_flow_margins_need_one_round(n2k2_flow_sweeps):
     # principal submatrices, every margin's first 64 candidates hold the
     # minimum, and the one proof sweep accepts it
     res, log, margins = n2k2_flow_sweeps
-    assert len(res.history) == 14
+    assert len(res.history) == 13
     assert _sweeps_between(log, "margin", "done") == [1] * len(margins)
     for lo, eig, scale in margins:
         assert abs(lo - eig) <= 1e-13 * scale

@@ -109,5 +109,4 @@ def test_closedness_system_solved_once_per_metric_and_tol(spectral_cx):
     feas = hs_feasible(H)
     assert hs_feasible(H) is feas
     assert min_norm_torsion(H) is feas.rho_min
-    assert hs_feasible(H, tol=1e-6) is not feas
     assert hs_feasible(HermitianStructure(spectral_cx, h=np.eye(3))) is not feas
