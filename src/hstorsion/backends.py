@@ -52,18 +52,12 @@ _STRUCTURES = weakref.WeakValueDictionary()
 
 
 class ModelError(ValueError):
-    """Model file syntax or validation error; carries line/column info."""
+    """Model file syntax or validation error; carries the line it was on,
+    where known."""
 
-    def __init__(self, message, line=None, column=None):
-        loc = ""
-        if line is not None:
-            loc = f"line {line}"
-            if column is not None:
-                loc += f", col {column}"
-            loc += ": "
-        super().__init__(loc + message)
+    def __init__(self, message, line=None):
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
-        self.column = column
 
 
 @dataclass
@@ -455,12 +449,6 @@ class FormComplex:
         return self.eval_matrix() @ u.coeffs.reshape(M, S)
 
     # -- helpers -----------------------------------------------------------
-
-    def zero(self, p, q):
-        return zero_form(self.catalog, p, q)
-
-    def basis_form(self, mode, I, J):
-        return basis_form(self.catalog, mode, I, J)
 
     def hermitian_form(self, h, mode=None) -> Form:
         """The (1,1)-form i sum_jk h_jk e_mode dz^j ^ dzbar^k for an n x n

@@ -117,23 +117,21 @@ def cmd_classify(args, template, rep):
     return EXIT_OK
 
 
-def _add_certificate(rep, tr) -> bool:
+def _add_certificate(rep, tr):
     """Add a TorsionReport's closedness residual and minimality gap to the
-    report; True when the certificate is violated, with the residual above
-    1e-8 or the gap above 1e-6."""
+    report."""
     rep.add(
         f"closedness residual: {tr.closedness_residual:.3e}",
         f"minimality gap vs oracle: {tr.minimality_gap:.3e}",
     )
-    return tr.closedness_residual > 1e-8 or tr.minimality_gap > 1e-6
 
 
 def cmd_torsion(args, template, rep):
     tr = torsion_form(_load(template))
     rep.add(f"torsion norm: {tr.norm:.12e}")
-    violated = _add_certificate(rep, tr)
+    _add_certificate(rep, tr)
     _write_form(Path(args.out) / "torsion.csv", tr.rho20)
-    if violated:
+    if tr.violated:
         return rep.fail("contract violation: torsion certification exceeded tolerance")
     return EXIT_OK
 
@@ -149,11 +147,11 @@ def cmd_energy(args, template, rep):
         f"torsion norm: {tr.norm:.12e}",
         f"differential norm: {gnorm:.6e}",
     )
-    violated = _add_certificate(rep, tr)
+    _add_certificate(rep, tr)
     _write_csv(Path(args.out) / "energy.csv",
                ["energy", "torsion_norm", "differential_norm"],
                [{"energy": f, "torsion_norm": tr.norm, "differential_norm": gnorm}])
-    if violated:
+    if tr.violated:
         return rep.fail("contract violation: torsion certification exceeded tolerance")
     return EXIT_OK
 
@@ -168,7 +166,7 @@ def cmd_flow(args, template, rep):
         f"iterations: {len(res.history) - 1}",
         f"elapsed: {res.elapsed:.1f}s",
     )
-    violated = _add_certificate(rep, res.certificate)
+    _add_certificate(rep, res.certificate)
     out = Path(args.out)
     _write_csv(out / "flow.csv",
                ["iter", "energy", "grad_norm", "step", "margin", "d_residual"],
@@ -177,7 +175,7 @@ def cmd_flow(args, template, rep):
     es = [row["energy"] for row in res.history]
     if any(b > a + 1e-12 for a, b in zip(es, es[1:])):
         return rep.fail("contract violation: energy increased along accepted steps")
-    if violated:
+    if res.certificate.violated:
         return rep.fail("contract violation: torsion certification of the final point "
                         "exceeded tolerance")
     return EXIT_OK
@@ -206,6 +204,9 @@ def cmd_family(args, template, rep):
         rep.add("flagged samples (dimension jump, unreliable kernel split or "
                 f"infeasible): {table.flagged}")
     _write_csv(Path(args.out) / "family.csv", FamilyTable.FIELDS, table.rows)
+    if table.uncertified:
+        return rep.fail("contract violation: torsion certification exceeded tolerance "
+                        f"at t = {table.uncertified}")
     return EXIT_OK
 
 

@@ -29,6 +29,7 @@ __all__ = [
     "harmonic_projection",
     "CohomologyTable",
     "cohomology_table",
+    "quotient_dims",
     "CohomologyMismatch",
 ]
 
@@ -244,7 +245,7 @@ def _kernel_counts(H: HermitianStructure):
     return counts
 
 
-def _quotient_dims(cx, p, q):
+def quotient_dims(cx, p, q):
     """(h_dbar, h_bc, h_aeppli) at (p,q) as quotient ranks of the complex's
     operators, counted once per structure: dim ker dbar - rank dbar,
     dim ker[del; dbar] - rank del dbar, and dim ker(del dbar) -
@@ -281,7 +282,7 @@ def cohomology_table(H: HermitianStructure) -> CohomologyTable:
     counts = _kernel_counts(H)
     for p in range(n + 1):
         for q in range(n + 1):
-            h_dbar_rank, h_bc_rank, h_aeppli = _quotient_dims(H.complex, p, q)
+            h_dbar_rank, h_bc_rank, h_aeppli = quotient_dims(H.complex, p, q)
             for which, rank in (("dbar", h_dbar_rank), ("bc", h_bc_rank)):
                 kernel, separated = counts[(which, p, q)]
                 if not separated:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backends import ModelError, ModelTemplate, build_complex
-from .cohomology import green_operator
+from .cohomology import CohomologyMismatch, green_operator, quotient_dims
 from .energy import differential_riesz
 from .forms import Bidegree, Form, conjugate
 from .metric import (HermitianStructure, MetricError, PositivityReport,
@@ -209,6 +209,7 @@ class FamilyTable:
 
     rows: list = field(default_factory=list)
     flagged: list = field(default_factory=list)  # t values of flagged rows
+    uncertified: list = field(default_factory=list)  # t of violated certificates
 
     FIELDS = [
         "t", "feasible", "h_bc_02", "h_bc_21", "h_dbar_01", "h_dbar_02",
@@ -223,15 +224,20 @@ class FamilyTable:
         return "\n".join(lines)
 
 
-def _dims_row(H):
-    """The four dimension columns, and whether every kernel split behind
-    them is reliable (GramEig.separation_ok)."""
+def _dims_row(H, t):
+    """The four dimension columns of the sample t, each a kernel count that
+    must equal the complex's quotient rank (else CohomologyMismatch), and
+    whether every kernel split behind them is reliable (separation_ok)."""
     row, reliable = {}, True
     for label, (p, q), which in [("h_bc_02", (0, 2), "bc"),
                                  ("h_bc_21", (2, 1), "bc"),
                                  ("h_dbar_01", (0, 1), "dbar"),
                                  ("h_dbar_02", (0, 2), "dbar")]:
         ge = green_operator(H, p, q, which)
+        rank = quotient_dims(H.complex, p, q)[("dbar", "bc").index(which)]
+        if ge.kernel_dim != rank:
+            raise CohomologyMismatch(f"h_{which}({p},{q}): kernel {ge.kernel_dim} vs "
+                                     f"rank {rank} (sample t = {t!r})")
         row[label] = ge.kernel_dim
         reliable = reliable and ge.separation_ok
     return row, reliable
@@ -248,8 +254,9 @@ def family_diagnostics(template: ModelTemplate) -> FamilyTable:
     Rows whose dimension counts differ from the t=0 row are flagged (the
     constant-dimension hypothesis of the deformation propositions fails
     there); rows with an unreliable kernel split and infeasible metrics are
-    flagged as well, the latter with their torsion columns left empty.
-    Every sample's model is validated before any is measured."""
+    flagged as well, the latter with their torsion columns left empty.  A
+    feasible sample whose torsion certificate is violated is listed in
+    uncertified.  Every sample's model is validated before any is measured."""
     if 0.0 not in template.t_samples:
         raise ModelError("t_samples must include 0")
     models = {t: template.model(t) for t in template.t_samples}
@@ -264,7 +271,7 @@ def family_diagnostics(template: ModelTemplate) -> FamilyTable:
         except MetricError as e:
             raise MetricError(f"{e} (sample t = {t!r})") from None
         row = {"t": t}
-        dims, reliable = _dims_row(H)
+        dims, reliable = _dims_row(H, t)
         row.update(dims)
         feas = hs_feasible(H)
         row["feasible"] = feas.feasible
@@ -276,6 +283,8 @@ def family_diagnostics(template: ModelTemplate) -> FamilyTable:
             flagged = True
         if feas.feasible:
             rep = torsion_form(H)
+            if rep.violated:
+                table.uncertified.append(t)
             row["rho_norm"] = rep.norm
             if t == 0.0:
                 rho0, H0 = rep.rho20, H

@@ -73,14 +73,13 @@ class AeppliPoint:
     def structure(self, floor: float = 0.0) -> HermitianStructure:
         """The metric's structure, built on the first call.  Raises
         MetricError unless h(x) - floor I is positive definite at every
-        node: the constructor decides it on the first call, by the Weyl
-        bound or a Cholesky sweep, and positive_above on a later call with
-        floor > 0."""
+        node, which the HermitianStructure constructor decides, also for a
+        later call with floor > 0."""
         if self._structure is None:
             self._structure = HermitianStructure(self.complex, omega=self.realized(),
                                                  floor=floor)
-        elif floor > 0 and not self._structure.positive_above(floor):
-            raise MetricError(f"metric not positive definite above {floor:.3e}")
+        elif floor > 0:
+            HermitianStructure(self.complex, omega=self._structure.omega, floor=floor)
         return self._structure
 
     def moved(self, v: Form) -> "AeppliPoint":
@@ -326,18 +325,19 @@ def gradient_descent(point0: AeppliPoint, max_iters: int = 500) -> FlowResult:
         slope = float(np.real(np.conj(c) @ g))
         return g, slope, math.sqrt(max(slope, 0.0))
 
-    for it in range(max_iters):
+    for it in range(max_iters + 1):
         g, slope, gnorm = gradient()
         history.append(row(it, gnorm, _d_residual(H)))
         if f <= F_TOL and history[-1]["d_residual"] <= D_TOL:
             status = "converged"
+            break
+        if it == max_iters:  # status max_iters, on the last accepted point
             break
         if gnorm <= GRAD_TOL:
             status = "stalled"
             break
         direction = Form(cx.catalog, Bidegree(1, 0), -g)
         step = min(STEP0, 2.0 * step)
-        accepted = False
         blocked_only = True
         while step >= MIN_STEP:
             trial = point.moved(step * direction)
@@ -353,19 +353,11 @@ def gradient_descent(point0: AeppliPoint, max_iters: int = 500) -> FlowResult:
             ft = Ht.norm(rt) ** 2
             if ft <= f - ARMIJO * step * slope:
                 point, H, f, rho = trial, Ht, ft, rt
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
+        else:
             status = "positivity_blocked" if blocked_only else "stalled"
             break
-    else:
-        # max_iters ran out: the last accepted point has no row yet (every
-        # break stops at the point of the loop's last row)
-        d_res = _d_residual(H)
-        if f <= F_TOL and d_res <= D_TOL:
-            status = "converged"
-        history.append(row(max_iters, gradient()[2], d_res))
     return FlowResult(status=status, point=point, energy=f,
                       d_residual=history[-1]["d_residual"],
                       certificate=torsion_form(H), history=history,

@@ -256,14 +256,14 @@ class HermitianStructure(_Memo):
     metric form living on the complex, and refused with MetricError unless
     h(x) - max(floor, 0) I is positive definite at every node.  The Weyl
     bound of omega's coefficients (_weyl_bound) decides that with no node
-    values when it clears the floor by its rounding allowance, and then
-    h(x) is positive definite on the whole torus.  Otherwise one Cholesky
-    sweep of the node matrices decides, and a metric that passes it is
-    swept once more at the cell centres, where a negative eigenvalue is
-    refused with the point it lies at.  The node matrices h_nodes are
-    formed only when read.  Immutable after construction; Gram, star,
-    adjoint and the other derived matrices are cached per bidegree in one
-    memo.
+    values when it clears the floor by its rounding allowance 1e-12 max(1,
+    sum_m ||h_m||_2), and then h(x) is positive definite on the whole
+    torus.  Otherwise one Cholesky sweep of the node matrices decides, and
+    a metric that passes it is swept once more at the cell centres, where
+    a negative eigenvalue is refused with the point it lies at.  The node
+    matrices h_nodes are formed only when read.  Immutable after
+    construction; Gram, star, adjoint and the other derived matrices are
+    cached per bidegree in one memo.
     """
 
     def __init__(self, complex_: FormComplex, h=None, omega: Form | None = None,
@@ -288,7 +288,8 @@ class HermitianStructure(_Memo):
         if 2 * np.abs(self._anti).max() > 1e-12 * max(1.0, np.abs(omega.coeffs).max()):
             raise MetricError("metric form is not real")
         floor = max(floor, 0.0)
-        if self._certified_above(floor):
+        bound, scale = self._weyl_bound()
+        if bound > floor + 1e-12 * max(1.0, scale):
             return
         if not _positive_above(self.h_nodes, floor):
             raise MetricError(
@@ -312,20 +313,6 @@ class HermitianStructure(_Memo):
     def _weyl_bound(self):
         """(bound, scale) of _weyl_bound(h_m), computed when first read."""
         return self._cached("weyl bound", lambda: _weyl_bound(self.complex.catalog, self._herm))
-
-    def _certified_above(self, c) -> bool:
-        """True when the Weyl bound clears c by its rounding allowance,
-        1e-12 max(1, sum_m ||h_m||_2): then h(x) - c I is positive
-        definite at every point of the torus."""
-        bound, scale = self._weyl_bound()
-        return bound > c + 1e-12 * max(1.0, scale)
-
-    def positive_above(self, c) -> bool:
-        """True when h(x) - c I is positive definite at every node: by the
-        Weyl bound when it clears c, with no node values, and otherwise by
-        one Cholesky factorization swept across the nodes, each step one
-        operation on whole rows of node values (see _positive_above)."""
-        return self._certified_above(c) or _positive_above(self.h_nodes, c)
 
     def _smallest_eigenvalue(self):
         """(margin, node) of _smallest_eigenvalue(h), computed when first

@@ -212,6 +212,11 @@ class TorsionReport:
     def closedness_residual(self) -> float:
         return self.residual_constraint + self.residual_closed
 
+    @property
+    def violated(self) -> bool:
+        """The closedness residual is above 1e-8 or the gap above 1e-6."""
+        return self.closedness_residual > 1e-8 or self.minimality_gap > 1e-6
+
 
 def torsion_form(H: HermitianStructure) -> TorsionReport:
     """The (2,0) torsion form of a Hermitian-symplectic metric.
@@ -229,7 +234,7 @@ def torsion_form(H: HermitianStructure) -> TorsionReport:
 
     scale = 1.0 + H.norm(dw)
     res_constraint = H.norm(cx.apply_dbar(rho) + dw) / scale
-    res_closed = H.norm(cx.apply_del(rho)) / scale if H.n >= 3 else 0.0
+    res_closed = H.norm(cx.apply_del(rho)) / scale
 
     gap = H.norm(rho - rho_min) / (1.0 + H.norm(rho_min))
     return TorsionReport(

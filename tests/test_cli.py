@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import hstorsion
-from hstorsion import backends, cli, cohomology, metric
+from hstorsion import backends, cli, cohomology, deform, metric
 from hstorsion.backends import FormComplex, format_complex, parse_complex
 from hstorsion.cli import EXIT_CONTRACT, EXIT_INPUT, EXIT_OK, run
 from hstorsion.cohomology import CohomologyMismatch, cohomology_table
@@ -438,6 +438,33 @@ def test_ill_conditioned_torsion_fails_its_certificate(command, csv_name, tmp_pa
     closed = next(line for line in lines if line.startswith("closedness residual: "))
     assert float(closed.partition(": ")[2]) > 1e-8
     assert (out / csv_name).exists()
+
+
+def test_ill_conditioned_family_fails_its_dimension_check(tmp_path):
+    # the family's dimension columns read the harmonic kernels, which the
+    # ill-conditioned metric inflates; h_bc_02 read 27 with exit 0
+    path = tmp_path / "ill.family"
+    path.write_text(ILL_CONDITIONED_TEXT + "t_samples := 0 0.5\n")
+    out = tmp_path / "out"
+    assert run(["family", "--model", str(path), "--out", str(out)]) == EXIT_CONTRACT
+    lines = (out / "family_report.txt").read_text().splitlines()
+    assert lines[-1] == "numerical failure: h_bc(0,2): kernel 27 vs rank 3 (sample t = 0.0)"
+
+
+def test_family_exits_2_on_a_violated_sample_certificate(tmp_path, monkeypatch):
+    # every sample is feasible; a raised minimality gap violates each
+    # sample's certificate, and family.csv is still written
+    monkeypatch.setattr(deform, "torsion_form", lambda H: dataclasses.replace(
+        torsion_form(H), minimality_gap=1.0))
+    path = tmp_path / "family.model"
+    path.write_text("kind invariant\nn 2\nmetric h 1 1 := poly(1, 0.5)\n"
+                    "metric h 2 2 := 1\nt_samples := 0 0.5 1\n")
+    out = tmp_path / "out"
+    assert run(["family", "--model", str(path), "--out", str(out)]) == EXIT_CONTRACT
+    assert len(_read_csv(out / "family.csv")) == 3
+    lines = (out / "family_report.txt").read_text().splitlines()
+    assert lines[-1] == ("contract violation: torsion certification exceeded tolerance "
+                         "at t = [0.0, 0.5, 1.0]")
 
 
 def test_report_header(torus_file, tmp_path):

@@ -325,7 +325,7 @@ def test_apply_adjoint_refuses_below_degree_zero(iwasawa_H):
     for kind, (p, q) in [("del", (0, 2)), ("dbar", (2, 0)), ("ddbar", (1, 0)),
                          ("ddbar", (0, 1))]:
         with pytest.raises(DegreeError, match="negative bidegree"):
-            iwasawa_H.apply_adjoint(kind, cx.zero(p, q))
+            iwasawa_H.apply_adjoint(kind, zero_form(cx.catalog, p, q))
 
 
 def test_codifferential_identity_on_omega(spectral_H):
@@ -393,7 +393,10 @@ def test_positivity_margin_and_positive_above(spectral_H):
     H = spectral_H
     margin = H.positivity_margin
     assert margin == np.linalg.eigvalsh(H.h_nodes).min()
-    assert H.positive_above(0.99 * margin) and not H.positive_above(1.01 * margin)
+    # the floor is decided by the constructor
+    HermitianStructure(H.complex, omega=H.omega, floor=0.99 * margin)
+    with pytest.raises(MetricError, match="above"):
+        HermitianStructure(H.complex, omega=H.omega, floor=1.01 * margin)
 
 
 # h_11 = 1 + 1.2 cos(2 pi x_1) on n = 2: least, -0.2, at x_1 = 1/2, which is
@@ -433,10 +436,13 @@ def test_weyl_bound_of_one_cosine(spectral_cx):
     H = HermitianStructure(cx, omega=omega)
     bound, scale = H._weyl_bound()
     assert abs(bound - 0.7) <= 1e-15 and abs(scale - 3.3) <= 1e-15
-    assert "h nodes" not in H._memo and H.positive_above(0.69) and "h nodes" not in H._memo
+    assert "h nodes" not in H._memo
+    assert "h nodes" not in HermitianStructure(cx, omega=omega, floor=0.69)._memo
     margin = 1 + 0.3 * math.cos(0.8 * math.pi)
     assert abs(H.positivity_margin - margin) <= 1e-15
-    assert H.positive_above(0.71) and not H.positive_above(margin + 1e-9)
+    assert "h nodes" in HermitianStructure(cx, omega=omega, floor=0.71)._memo
+    with pytest.raises(MetricError, match="above"):
+        HermitianStructure(cx, omega=omega, floor=margin + 1e-9)
 
 
 def test_weyl_allowance_leaves_the_floor_to_the_nodes(torus_cx):
@@ -445,7 +451,7 @@ def test_weyl_allowance_leaves_the_floor_to_the_nodes(torus_cx):
     # positive definite
     H = HermitianStructure(torus_cx, h=np.eye(3))
     assert H._weyl_bound() == (1.0, 1.0) and "h nodes" not in H._memo
-    assert H.positive_above(1.0 - 1e-13) and not H.positive_above(1.0)
+    assert "h nodes" in HermitianStructure(torus_cx, h=np.eye(3), floor=1.0 - 1e-13)._memo
     with pytest.raises(MetricError, match="above 1.000e"):
         HermitianStructure(torus_cx, h=np.eye(3), floor=1.0)
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,23 @@ def test_torsion_solves_the_system(spectral_H):
 def test_torsion_matches_minimal_norm_oracle(spectral_H):
     rep = torsion_form(spectral_H)
     assert rep.minimality_gap <= 1e-8
+
+
+def test_certificate_violated_only_above_its_thresholds(spectral_H):
+    # the closedness residual may reach 1e-8 and the minimality gap 1e-6
+    rep = dataclasses.replace(torsion_form(spectral_H), residual_closed=0.0)
+    assert not rep.violated
+    for name, bound in (("residual_constraint", 1e-8), ("minimality_gap", 1e-6)):
+        assert not dataclasses.replace(rep, **{name: bound}).violated
+        assert dataclasses.replace(rep, **{name: 1.01 * bound}).violated
+
+
+def test_closed_residual_vanishes_at_n2():
+    # del of a (2,0)-form is the zero (2,0)-form at n = 2, of norm 0.0
+    cx = build_complex(parse_model("kind spectral\nn 2\nmodes axis K 1\n"
+                                   "potential 1 0 0 0 u 2 := 0.04\n"))
+    rep = torsion_form(HermitianStructure(cx, omega=cx.metric_form()))
+    assert rep.norm > 0 and rep.residual_closed == 0.0
 
 
 def test_torsion_orthogonal_to_homogeneous_kernel(spectral_H):
