@@ -292,7 +292,3 @@ def run(argv=None) -> int:
 
 def main():
     sys.exit(run())
-
-
-if __name__ == "__main__":
-    main()

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forms import Bidegree, Form, conjugate, zero_form
+from .forms import Bidegree, Form, conjugate, wedge_values, zero_form
 from .metric import HermitianStructure, MetricError, check_weak_positivity
 from .torsion import CLASSIFY_TOL, TorsionReport, min_norm_torsion, torsion_form
 
@@ -105,22 +105,18 @@ def energy(target):
 
 def _torsion_wedge_functional(H: HermitianStructure, rho: Form):
     """Coefficients b with int e_j ^ rho ^ conj(rho) ^ dbar(omega_{n-3})
-    = b_j over the (1,0) basis; identically zero when n = 3."""
-    cx = H.complex
-    n = H.n
-    N = cx.dims(1, 0)
-    b = np.zeros(N, dtype=complex)
+    = b_j over the (1,0) basis e_j = e_m dz^k, in its flat order (m, k);
+    zero below n = 4.  The tail is wedged once at the nodes, then dz^k ^
+    tail for every k at once, paired with the plane waves E[x, m]."""
+    cx, n = H.complex, H.n
     if n < 4:
-        return b
-    dbar_w = cx.apply_dbar(H.omega)  # (1,2)
-    # dbar(omega_{n-3}) = dbar(omega) ^ omega^{n-4} / (n-4)!
-    tail = [rho, conjugate(rho), dbar_w] + [H.omega] * (n - 4)
-    scale = 1.0 / math.factorial(n - 4)
-    for j in range(N):
-        e = zero_form(cx.catalog, 1, 0)
-        e.coeffs[j] = 1.0
-        b[j] = H.integrate_product([e] + tail, scale)
-    return b
+        return np.zeros(cx.dims(1, 0), dtype=complex)
+    # dbar(omega_{n-3}) = dbar(omega) ^ omega^{n-4} / (n-4)!; 2-forms commute
+    values, bd = H._node_product([rho, cx.apply_dbar(H.omega), conjugate(rho)]
+                                 + [H.omega] * (n - 4))
+    top = wedge_values(cx.catalog, Bidegree(1, 0), bd, np.eye(n), values[:, None, :])
+    scale = H._vol_unit / (math.factorial(n - 4) * len(values))
+    return (cx.eval_matrix().T @ top[..., 0]).reshape(-1) * scale
 
 
 def differential_riesz(H: HermitianStructure, rho: Form | None = None):

@@ -76,10 +76,7 @@ def merge_sign(a: tuple, b: tuple):
         if j < len(b) and b[j] == x:
             return 0, None
         inversions += j
-    merged = tuple(sorted(a + b))
-    if len(merged) != len(a) + len(b):
-        return 0, None
-    return (-1 if inversions % 2 else 1), merged
+    return (-1 if inversions % 2 else 1), tuple(sorted(a + b))
 
 
 class _Memo:

@@ -220,6 +220,19 @@ def _cell_centre_values(cx: FormComplex, coeffs):
     return _node_values(cx, coeffs * phase[:, None, None])
 
 
+def _centre_refutation(cx: FormComplex, coeffs, c):
+    """None when M(x) - c I is positive definite at every cell centre x
+    (_cell_centre_values of the mode coefficients coeffs of M); otherwise
+    (lo, x, v): the smallest eigenvalue over the centres, the first centre
+    x where it lies and its eigenvector v."""
+    centres = _cell_centre_values(cx, coeffs)
+    if _positive_above(centres, c):
+        return None
+    lo, node = _smallest_eigenvalue(centres)
+    x = cx.nodes()[node] + 0.5 / np.array(cx.grid)
+    return lo, x, np.linalg.eigh(centres[node])[1][:, 0]
+
+
 def _whiten_plan(cx: FormComplex):
     """Per structure, the batches of HermitianStructure.whiten_all: the
     bidegrees grouped by dimension N, {N: [(p, q), ...]}, and the structure
@@ -295,10 +308,9 @@ class HermitianStructure(_Memo):
             raise MetricError(
                 f"metric not positive definite above {floor:.3e}" if floor else
                 f"metric not positive definite: min eigenvalue {self.positivity_margin:.3e}")
-        centres = _cell_centre_values(complex_, self._herm)
-        if not _positive_above(centres, 0.0):
-            lo, node = _smallest_eigenvalue(centres)
-            x = complex_.nodes()[node] + 0.5 / np.array(complex_.grid)
+        refuted = _centre_refutation(complex_, self._herm, 0.0)
+        if refuted:
+            lo, x, _ = refuted
             raise MetricError(f"metric not positive definite between the nodes: min "
                               f"eigenvalue {lo:.3e} at x = ({', '.join(f'{v:g}' for v in x)})")
 
@@ -496,24 +508,25 @@ class HermitianStructure(_Memo):
         # unit-volume model: tau = i^{n^2} e_vol integrates to 1
         return (1j) ** (-(self.n**2))
 
+    def _node_product(self, forms):
+        """(values, bidegree) of the pointwise wedge f_1 ^ ... ^ f_k at the
+        nodes, values of shape (X, struct_dim), each form evaluated once."""
+        cx = self.complex
+        vals, bd = cx.evaluate(forms[0]), forms[0].bidegree
+        for f in forms[1:]:
+            vals = wedge_values(cx.catalog, bd, f.bidegree, vals, cx.evaluate(f))
+            bd = bd + f.bidegree
+        return vals, bd
+
     def integrate_product(self, forms, scale=1.0) -> complex:
         """Exact integral of scale * f_1 ^ ... ^ f_k without intermediate
         Galerkin truncation: pointwise wedge on the quadrature grid.
 
         The product must have total bidegree (n,n); the grid is exact for up
         to four truncated-mode factors (more when degrees permit)."""
-        cx = self.complex
-        cat = cx.catalog
-        bd = Bidegree(0, 0)
-        for f in forms:
-            bd = bd + f.bidegree
+        vals, bd = self._node_product(forms)
         if (bd.p, bd.q) != (self.n, self.n):
             raise DegreeError(f"product bidegree {tuple(bd)} is not (n,n)")
-        vals = cx.evaluate(forms[0])
-        cur_bd = forms[0].bidegree
-        for f in forms[1:]:
-            vals = wedge_values(cat, cur_bd, f.bidegree, vals, cx.evaluate(f))
-            cur_bd = cur_bd + f.bidegree
         return complex(vals[:, 0].mean() * self._vol_unit * scale)
 
     def volume(self) -> float:
@@ -641,16 +654,14 @@ class PositivityReport:
         return f"{self.verdict} ({grade}margin={self.margin:.3e})"
 
 
-def _eigenvalue_verdict(M, bound, smallest=None):
+def _eigenvalue_verdict(M, bound, tol, smallest=None):
     """Verdict on Hermitian matrices M, shape (X, n, n), from the smallest
     eigenvalue over every node (_smallest_eigenvalue(M) unless given as
-    smallest), with tolerance 1e-12 times the largest entry.  A refutation
-    carries (node, eigenvector of that eigenvalue) and is certified; a
-    positive or semi-positive verdict is certified when bound, a lower
-    bound of the smallest eigenvalue over the whole torus, passes the same
-    test."""
+    smallest), with tolerance tol.  A refutation carries (node,
+    eigenvector of that eigenvalue) and is certified; a positive or
+    semi-positive verdict is certified when bound, a lower bound of the
+    smallest eigenvalue over the whole torus, passes the same test."""
     lo, node = smallest or _smallest_eigenvalue(M)
-    tol = 1e-12 * max(np.abs(M).max(), 1e-300)
     if lo > tol:
         return PositivityReport("positive", margin=lo, certified=bool(bound > tol))
     if lo >= -tol:
@@ -670,16 +681,19 @@ def check_weak_positivity(H: HermitianStructure, u: Form) -> PositivityReport:
     real, so a form whose c(x) deviates from Hermitian at some node by
     more than 1e-9 max|Hermitian part| is refuted; otherwise the verdict
     is that of the Hermitian part's eigenvalues at the nodes, certified on
-    the whole torus by its Weyl bound (_eigenvalue_verdict).  For u =
-    H.omega it reads H's split, node matrices, smallest eigenvalue and Weyl
-    bound instead of forming them again."""
+    the whole torus by its Weyl bound (_eigenvalue_verdict), with tolerance
+    1e-12 max|Hermitian part|; a verdict the bound does not certify is
+    refuted, naming the point, by an eigenvalue below -tolerance at a cell
+    centre (_centre_refutation).  For u = H.omega it reads H's split, node
+    matrices, smallest eigenvalue and Weyl bound instead of forming them
+    again, and sweeps no cell centre: the constructor swept them."""
     n, p = H.n, u.p
     cx = H.complex
     if u.p != u.q:
         raise DegreeError("weak-positivity test requires a (p,p)-form")
     k = n - p
     if u is H.omega:
-        a, herm, smallest = H._anti, H.h_nodes, H._smallest_eigenvalue()
+        a, herm, smallest, h = H._anti, H.h_nodes, H._smallest_eigenvalue(), None
         bound = H._weyl_bound()[0]
     else:
         if p == 1:
@@ -702,9 +716,17 @@ def check_weak_positivity(H: HermitianStructure, u: Form) -> PositivityReport:
         h, a = _hermitian_split(cx.catalog, c)
         herm, smallest = _node_values(cx, h), None
         bound = _weyl_bound(cx.catalog, h)[0]
+    scale = max(np.abs(herm).max(), 1e-300)
     # how far the coefficient matrices c(x) are from Hermitian at the nodes
     dev = float(np.abs(_node_values(cx, a)).max())
-    if dev > 1e-9 * max(np.abs(herm).max(), 1e-300):
+    if dev > 1e-9 * scale:
         return PositivityReport("refuted", witness="non-Hermitian coefficients",
                                 margin=-dev, certified=True)
-    return _eigenvalue_verdict(herm, bound, smallest)
+    rep = _eigenvalue_verdict(herm, bound, 1e-12 * scale, smallest)
+    # a verdict at the nodes only is swept at the cell centres, which the
+    # constructor of H swept for omega
+    refuted = None if rep.certified or h is None else _centre_refutation(cx, h, -1e-12 * scale)
+    if refuted:
+        return PositivityReport("refuted", witness=refuted[1:], margin=refuted[0],
+                                certified=True)
+    return rep

@@ -219,29 +219,33 @@ class TorsionReport:
 
 
 def torsion_form(H: HermitianStructure) -> TorsionReport:
-    """The (2,0) torsion form of a Hermitian-symplectic metric.
+    """The (2,0) torsion form of a Hermitian-symplectic metric, computed
+    once per metric.
 
     Raises NotHermitianSymplectic when the closedness system is infeasible
     at CLASSIFY_TOL."""
-    rho_min = min_norm_torsion(H)
-    cx = H.complex
-    w = H.omega
-    dw = cx.apply_del(w)  # (2,1)
-    # dbar* dw + dbar* del del* dw, a (2,0)-form
-    src = H.apply_adjoint("dbar", dw + cx.apply_del(H.apply_adjoint("del", dw)))
-    ge = green_operator(H, 2, 0, "bc")
-    rho = Form(cx.catalog, Bidegree(2, 0), -(ge.pinv @ src.coeffs))
 
-    scale = 1.0 + H.norm(dw)
-    res_constraint = H.norm(cx.apply_dbar(rho) + dw) / scale
-    res_closed = H.norm(cx.apply_del(rho)) / scale
+    def build():
+        rho_min = min_norm_torsion(H)
+        cx = H.complex
+        dw = cx.apply_del(H.omega)  # (2,1)
+        # dbar* dw + dbar* del del* dw, a (2,0)-form
+        src = H.apply_adjoint("dbar", dw + cx.apply_del(H.apply_adjoint("del", dw)))
+        ge = green_operator(H, 2, 0, "bc")
+        rho = Form(cx.catalog, Bidegree(2, 0), -(ge.pinv @ src.coeffs))
 
-    gap = H.norm(rho - rho_min) / (1.0 + H.norm(rho_min))
-    return TorsionReport(
-        rho20=rho,
-        rho02=conjugate(rho),
-        residual_constraint=res_constraint,
-        residual_closed=res_closed,
-        minimality_gap=gap,
-        norm=H.norm(rho),
-    )
+        scale = 1.0 + H.norm(dw)
+        res_constraint = H.norm(cx.apply_dbar(rho) + dw) / scale
+        res_closed = H.norm(cx.apply_del(rho)) / scale
+
+        gap = H.norm(rho - rho_min) / (1.0 + H.norm(rho_min))
+        return TorsionReport(
+            rho20=rho,
+            rho02=conjugate(rho),
+            residual_constraint=res_constraint,
+            residual_closed=res_closed,
+            minimality_gap=gap,
+            norm=H.norm(rho),
+        )
+
+    return H._cached("torsion_form", build)

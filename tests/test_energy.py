@@ -1,19 +1,21 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
 
 from hstorsion import energy as energy_module
 from hstorsion import metric
-from hstorsion.backends import build_complex, format_complex, parse_model
+from hstorsion import torsion as torsion_module
+from hstorsion.backends import FormComplex, build_complex, format_complex, parse_model
 from hstorsion.cohomology import cohomology_table
 from hstorsion.energy import (AeppliPoint, corollary_check, differential,
                               differential_riesz, differential_special,
                               energy, fd_differential, fd_step_sweep,
                               gradient_descent)
-from hstorsion.forms import Bidegree, Form, zero_form
+from hstorsion.forms import Bidegree, Form, conjugate, zero_form
 from hstorsion.metric import HermitianStructure, MetricError
-from hstorsion.torsion import min_norm_torsion, torsion_form
+from hstorsion.torsion import TorsionReport, min_norm_torsion, torsion_form
 
 from conftest import weyl_certifies
 
@@ -122,6 +124,21 @@ def test_corollary_needs_a_certified_verdict(torus_H, torus_cx, monkeypatch):
     rep = corollary_check(torus_H, xi)
     assert rep.differential_vanishes and rep.conclusion == "inconclusive"
     assert str(rep.positivity) == "semi-positive (nodes only, margin=0.000e+00)"
+
+
+def test_corollary_check_computes_the_torsion_form_once(torus_cx, monkeypatch):
+    # differential_special and corollary_check both read the torsion form of
+    # one metric, which torsion_form computes once per metric and keeps
+    built = []
+
+    def counted(**fields):
+        built.append(fields)
+        return TorsionReport(**fields)
+
+    monkeypatch.setattr(torsion_module, "TorsionReport", counted)
+    H = HermitianStructure(torus_cx, h=np.eye(3))
+    rep = corollary_check(H, zero_form(torus_cx.catalog, 1, 0))
+    assert rep.conclusion == "kahler" and len(built) == 1
 
 
 @pytest.fixture(scope="module")
@@ -459,6 +476,54 @@ potential -1 0 0 0 0 0 0 0 u 4 := 0.1i
 """
 
 
+# the same shape at n = 5, the first n where omega^{n-4} enters the term
+N5_TEXT = """kind spectral
+n 5
+mode 0 0 0 0 0 0 0 0 0 0
+mode 1 0 0 0 0 0 0 0 0 0
+mode -1 0 0 0 0 0 0 0 0 0
+mode 0 1 0 0 0 0 0 0 0 0
+mode 0 -1 0 0 0 0 0 0 0 0
+potential 1 0 0 0 0 0 0 0 0 0 u 2 := 0.2
+potential 0 1 0 0 0 0 0 0 0 0 u 3 := 0.15+0.1i
+potential -1 0 0 0 0 0 0 0 0 0 u 5 := 0.1i
+"""
+
+
+def _per_basis_wedge_functional(H, rho):
+    """The reference of _torsion_wedge_functional: one integrate_product of
+    e_j ^ rho ^ conj(rho) ^ dbar(omega) ^ omega^{n-4} / (n-4)! per (1,0)
+    basis form e_j."""
+    cx, n = H.complex, H.n
+    tail = [rho, conjugate(rho), cx.apply_dbar(H.omega)] + [H.omega] * (n - 4)
+    b = np.zeros(cx.dims(1, 0), dtype=complex)
+    for j in range(len(b)):
+        e = zero_form(cx.catalog, 1, 0)
+        e.coeffs[j] = 1.0
+        b[j] = H.integrate_product([e] + tail, 1.0 / math.factorial(n - 4))
+    return b
+
+
+@pytest.mark.parametrize("text", [N4_TEXT, N5_TEXT], ids=["n4", "n5"])
+def test_wedge_functional_matches_the_per_basis_integrals(text, monkeypatch):
+    # one pass over the nodes gives every coefficient of the per-basis
+    # integrals, evaluating each tail form once: rho, dbar(omega),
+    # conj(rho), and omega n - 4 times
+    cx = build_complex(parse_model(text))
+    H = HermitianStructure(cx, omega=cx.metric_form())
+    rho = energy(H)[1].rho20
+    evaluated = []
+    evaluate = FormComplex.evaluate
+    monkeypatch.setattr(FormComplex, "evaluate",
+                        lambda self, u: evaluated.append(u.bidegree) or evaluate(self, u))
+    b = energy_module._torsion_wedge_functional(H, rho)
+    assert len(evaluated) == 3 + (cx.n - 4)
+    monkeypatch.undo()
+    ref = _per_basis_wedge_functional(H, rho)
+    assert np.abs(ref).max() > 0.1
+    assert np.abs(b - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_differential_has_the_higher_dimensional_term(rng):
     # for n >= 4, dF gains 2 Re int u ^ rho ^ conj(rho) ^ dbar(omega_{n-3});
     # here it is non-zero, and the differential with it matches central
@@ -471,6 +536,20 @@ def test_differential_has_the_higher_dimensional_term(rng):
     assert np.abs(energy_module._torsion_wedge_functional(H, rep.rho20)).max() > 0.1
     pt = AeppliPoint(cx, H.omega)
     for _ in range(3):
+        v = cx.random_form(1, 0, rng)
+        v = (1 / np.linalg.norm(v.coeffs)) * v
+        ex = differential(pt, v)
+        fd = fd_differential(pt, v, h=1e-5)
+        assert abs(ex - fd) <= 1e-8 * abs(ex)
+
+
+def test_differential_matches_finite_differences_at_n5(rng):
+    # the n = 5 term, with its omega factor, against central finite
+    # differences of F, as at n = 4
+    cx = build_complex(parse_model(N5_TEXT))
+    assert (cx.n, cx.catalog.n_modes, cx.n_nodes) == (5, 5, 25)
+    pt = AeppliPoint(cx, cx.metric_form())
+    for _ in range(2):
         v = cx.random_form(1, 0, rng)
         v = (1 / np.linalg.norm(v.coeffs)) * v
         ex = differential(pt, v)

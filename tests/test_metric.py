@@ -424,6 +424,23 @@ def test_metric_negative_between_the_nodes_is_refused():
         HermitianStructure(cx, omega=cx.metric_form())
 
 
+def test_positivity_verdict_refutes_between_the_nodes_as_the_constructor_does():
+    # the verdict on the metric the constructor refuses, read against the
+    # flat metric, is the same refutation: the bound does not certify the
+    # nodes, and the cell-centre sweep names the point and eigenvalue that
+    # the constructor's error names
+    cx = build_complex(parse_model(NEGATIVE_BETWEEN_NODES_TEXT))
+    with pytest.raises(MetricError) as refused:
+        HermitianStructure(cx, omega=cx.metric_form())
+    rep = check_weak_positivity(HermitianStructure(cx, h=np.eye(2)), cx.metric_form())
+    assert rep.verdict == "refuted" and rep.certified
+    assert abs(rep.margin + 0.2) <= 1e-14 and str(rep) == "refuted (certified, margin=-2.000e-01)"
+    x, v = rep.witness
+    point = ", ".join(f"{c:g}" for c in x)
+    assert str(refused.value).endswith(f"at x = ({point})") and x[0] == 0.5
+    assert np.allclose(np.abs(v), [1.0, 0.0])
+
+
 def test_weyl_bound_of_one_cosine(spectral_cx):
     # h(x) = diag(1 + 0.3 cos 2 pi x_1, 2, 3): h_0 = diag(1, 2, 3) and
     # h_{+-e_1} = diag(0.15, 0, 0), so the bound is 1 - 2 * 0.15 = 0.7, the
@@ -859,13 +876,16 @@ def test_weak_positivity_has_one_rule_in_every_bidegree(shift, verdict):
                 assert cx.nodes()[rep.witness[0], 0] == 0.0
 
 
-@pytest.mark.parametrize("amp, certified", [(0.6, False), (0.45, True)])
-def test_weak_positivity_certified_by_the_weyl_bound(spectral_cx, amp, certified):
-    # f = 1 + 2 amp cos(2 pi x_1) on n = 3: with amp = 0.6 it is positive at
-    # the nodes, least 1 + 1.2 cos(4 pi / 5) = 0.029, but -0.2 at x_1 = 1/2,
-    # where its Weyl bound lies, so as a function and times omega_k, k = 1,
-    # 2, 3 (every bidegree with a certificate), it is positive at the nodes
-    # only; with amp = 0.45 the bound 0.1 certifies it
+@pytest.mark.parametrize("amp, by_bound", [(0.6, False), (0.5, False), (0.45, True)])
+def test_weak_positivity_certified_by_the_weyl_bound(spectral_cx, amp, by_bound):
+    # f = 1 + 2 amp cos(2 pi x_1) on n = 3 is positive at the nodes, least
+    # 1 + 2 amp cos(4 pi / 5), and least on the torus at x_1 = 1/2, a cell
+    # centre, where its Weyl bound 1 - 2 amp lies.  With amp = 0.45 the
+    # bound 0.1 certifies it, as a function and times omega_k, k = 1, 2, 3
+    # (every bidegree with a certificate).  With amp = 0.6 and 0.5 the bound
+    # does not, and the cell centres decide: f = -0.2 there is a certified
+    # refutation naming x_1 = 1/2, and f = 0 leaves it positive at the
+    # nodes only
     cx = spectral_cx
     cat = cx.catalog
     H = HermitianStructure(cx, h=np.eye(3))
@@ -876,9 +896,13 @@ def test_weak_positivity_certified_by_the_weyl_bound(spectral_cx, amp, certified
     least = 1 + 2 * amp * math.cos(0.8 * math.pi)
     for k in range(4):
         rep = check_weak_positivity(H, wedge(f, H.omega_power(k)) if k else f)
-        assert rep.verdict == "positive" and rep.certified is certified, k
+        if amp > 0.5:
+            assert rep.verdict == "refuted" and rep.certified, k
+            assert abs(rep.margin - (1 - 2 * amp)) <= 1e-14 and rep.witness[0][0] == 0.5
+            continue
+        assert rep.verdict == "positive" and rep.certified is by_bound, k
         assert abs(rep.margin - least) <= 1e-14
-        assert str(rep).startswith("positive (certified, " if certified
+        assert str(rep).startswith("positive (certified, " if by_bound
                                    else "positive (nodes only, ")
 
 
