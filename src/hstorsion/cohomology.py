@@ -2,12 +2,12 @@
 
 Laplacians are returned whitened, R L R^{-1} for the Cholesky factors R of
 the Grams: Hermitian sums of squares of the whitened structure operators.
-Kernels, Green operators and harmonic projectors come from one eigh of
-them.  Dimension counts are always computed two independent ways (harmonic
-kernel vs quotient ranks) and must agree.  The quotient ranks depend only on
-the complex and are counted once per structure; the kernel counts of a metric
-come from eigenvalues alone, and a Green operator is built once per metric
-and key, when asked for.
+Every harmonic dimension is counted two independent ways, in one function
+(checked_counts): as the kernel of its Laplacian, from eigenvalues alone
+with one eigvalsh per dimension, and as a quotient rank of the complex,
+counted once per structure; the two must agree.  Green operators and
+harmonic projectors come from one eigh of a Laplacian, built once per
+metric and key, and only by the solvers that apply one.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ __all__ = [
     "CohomologyTable",
     "cohomology_table",
     "quotient_dims",
+    "checked_counts",
     "CohomologyMismatch",
 ]
 
@@ -224,27 +225,6 @@ class CohomologyMismatch(RuntimeError):
     """Kernel-count and quotient-rank dimension computations disagree."""
 
 
-def _spectra(H: HermitianStructure):
-    """Yield (keys, eigenvalues) for the keys (which, p, q) of the
-    Laplacians of one kind on the bidegrees of one dimension and their
-    ascending eigenvalues, one row per key: one eigvalsh per kind and
-    dimension, of what green_operator reads, after one whiten_all."""
-    for bidegrees in H.whiten_all().values():
-        for which in ("dbar", "bc"):
-            yield ([(which, *bd) for bd in bidegrees], np.linalg.eigvalsh(
-                np.stack([_LAPLACIANS[which](H, *bd) for bd in bidegrees])))
-
-
-def _kernel_counts(H: HermitianStructure):
-    """{(which, p, q): (kernel_dim, separation_ok)} of both Laplacians on
-    every bidegree, from eigenvalues alone."""
-    counts = {}
-    for keys, w in _spectra(H):
-        kdim, _, separated = _kernel_split(w)
-        counts.update(zip(keys, zip(kdim.tolist(), separated.tolist())))
-    return counts
-
-
 def quotient_dims(cx, p, q):
     """(h_dbar, h_bc, h_aeppli) at (p,q) as quotient ranks of the complex's
     operators, counted once per structure: dim ker dbar - rank dbar,
@@ -269,31 +249,49 @@ def quotient_dims(cx, p, q):
     return cx._cached(("quotient_dims", p, q), build)
 
 
+def checked_counts(H: HermitianStructure, keys):
+    """[(kernel_dim, separation_ok, rank)] of the Laplacians (which, p, q) of
+    keys, in their order: the kernel count of the Laplacian from its
+    eigenvalues alone, with one eigvalsh per dimension of every key of that
+    dimension, and the quotient rank of the complex it must equal.  The
+    first key whose two counts differ raises CohomologyMismatch."""
+    by_dim = {}
+    for key in keys:
+        by_dim.setdefault(H.complex.dims(*key[1:]), []).append(key)
+    split = {}
+    for group in by_dim.values():
+        kdim, _, separated = _kernel_split(np.linalg.eigvalsh(
+            np.stack([_LAPLACIANS[which](H, p, q) for which, p, q in group])))
+        split.update(zip(group, zip(kdim.tolist(), separated.tolist())))
+    out = []
+    for which, p, q in keys:
+        kernel, separated = split[(which, p, q)]
+        rank = quotient_dims(H.complex, p, q)[("dbar", "bc").index(which)]
+        if kernel != rank:
+            raise CohomologyMismatch(f"h_{which}({p},{q}): kernel {kernel} vs rank {rank}")
+        out.append((kernel, separated, rank))
+    return out
+
+
 def cohomology_table(H: HermitianStructure) -> CohomologyTable:
     """Dolbeault, Bott-Chern and Aeppli dimensions at every bidegree.
 
     h_dbar and h_bc are computed both as harmonic-kernel counts of this
-    metric and as quotient ranks of the complex; a disagreement raises
-    CohomologyMismatch.  h_aeppli uses the quotient formula
-    dim ker(del dbar) - rank[del | dbar].  The table reads eigenvalues only
-    and builds no Green operator."""
+    metric and as quotient ranks of the complex (checked_counts, after one
+    whiten_all); a disagreement raises CohomologyMismatch.  h_aeppli uses
+    the quotient formula dim ker(del dbar) - rank[del | dbar].  The table
+    reads eigenvalues only and builds no Green operator."""
     n = H.n
     table = CohomologyTable(n=n)
-    counts = _kernel_counts(H)
+    H.whiten_all()
+    keys = [(which, p, q) for p in range(n + 1) for q in range(n + 1)
+            for which in ("dbar", "bc")]
+    for (which, p, q), (kernel, separated, rank) in zip(keys, checked_counts(H, keys)):
+        if not separated:
+            table.unreliable.append((which, p, q))
+        table.cross_checks.append((which, p, q, kernel, rank))
     for p in range(n + 1):
         for q in range(n + 1):
-            h_dbar_rank, h_bc_rank, h_aeppli = quotient_dims(H.complex, p, q)
-            for which, rank in (("dbar", h_dbar_rank), ("bc", h_bc_rank)):
-                kernel, separated = counts[(which, p, q)]
-                if not separated:
-                    table.unreliable.append((which, p, q))
-                table.cross_checks.append((which, p, q, kernel, rank))
-                if kernel != rank:
-                    raise CohomologyMismatch(
-                        f"h_{which}({p},{q}): kernel {kernel} vs rank {rank}")
-            table.entries[(p, q)] = {
-                "dbar": h_dbar_rank,
-                "bc": h_bc_rank,
-                "aeppli": h_aeppli,
-            }
+            h_dbar, h_bc, h_aeppli = quotient_dims(H.complex, p, q)
+            table.entries[(p, q)] = {"dbar": h_dbar, "bc": h_bc, "aeppli": h_aeppli}
     return table

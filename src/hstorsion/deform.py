@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backends import ModelError, ModelTemplate, build_complex
-from .cohomology import CohomologyMismatch, green_operator, quotient_dims
+from .cohomology import CohomologyMismatch, checked_counts, green_operator
 from .energy import differential_riesz
 from .forms import Bidegree, Form, conjugate
 from .metric import (HermitianStructure, MetricError, PositivityReport,
@@ -224,23 +224,21 @@ class FamilyTable:
         return "\n".join(lines)
 
 
+# the dimension columns of a family row and the Laplacians they count
+_DIMS = {"h_bc_02": ("bc", 0, 2), "h_bc_21": ("bc", 2, 1),
+         "h_dbar_01": ("dbar", 0, 1), "h_dbar_02": ("dbar", 0, 2)}
+
+
 def _dims_row(H, t):
     """The four dimension columns of the sample t, each a kernel count that
     must equal the complex's quotient rank (else CohomologyMismatch), and
     whether every kernel split behind them is reliable (separation_ok)."""
-    row, reliable = {}, True
-    for label, (p, q), which in [("h_bc_02", (0, 2), "bc"),
-                                 ("h_bc_21", (2, 1), "bc"),
-                                 ("h_dbar_01", (0, 1), "dbar"),
-                                 ("h_dbar_02", (0, 2), "dbar")]:
-        ge = green_operator(H, p, q, which)
-        rank = quotient_dims(H.complex, p, q)[("dbar", "bc").index(which)]
-        if ge.kernel_dim != rank:
-            raise CohomologyMismatch(f"h_{which}({p},{q}): kernel {ge.kernel_dim} vs "
-                                     f"rank {rank} (sample t = {t!r})")
-        row[label] = ge.kernel_dim
-        reliable = reliable and ge.separation_ok
-    return row, reliable
+    try:
+        counts = checked_counts(H, list(_DIMS.values()))
+    except CohomologyMismatch as e:
+        raise CohomologyMismatch(f"{e} (sample t = {t!r})") from None
+    return ({label: kernel for label, (kernel, _, _) in zip(_DIMS, counts)},
+            all(separated for _, separated, _ in counts))
 
 
 def family_diagnostics(template: ModelTemplate) -> FamilyTable:
@@ -257,6 +255,8 @@ def family_diagnostics(template: ModelTemplate) -> FamilyTable:
     flagged as well, the latter with their torsion columns left empty.  A
     feasible sample whose torsion certificate is violated is listed in
     uncertified.  Every sample's model is validated before any is measured."""
+    if template.t_samples is None:
+        raise ModelError("missing 't_samples' line", template.lines["end"])
     if 0.0 not in template.t_samples:
         raise ModelError("t_samples must include 0")
     models = {t: template.model(t) for t in template.t_samples}
@@ -277,9 +277,8 @@ def family_diagnostics(template: ModelTemplate) -> FamilyTable:
         row["feasible"] = feas.feasible
         flagged = not reliable
         if base_dims is None:
-            base_dims = {k: row[k] for k in
-                         ("h_bc_02", "h_bc_21", "h_dbar_01", "h_dbar_02")}
-        elif any(row[k] != base_dims[k] for k in base_dims):
+            base_dims = dims
+        elif dims != base_dims:
             flagged = True
         if feas.feasible:
             rep = torsion_form(H)

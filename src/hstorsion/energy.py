@@ -164,9 +164,10 @@ def differential_special(target, xi: Form):
         raise ValueError(
             f"torsion form is not del(xi): relative residual {pre:.3e}"
         )
-    tail = [rho, conjugate(rho)] + [H.omega] * (n - 3)
-    scale = 1.0 / math.factorial(n - 3)
-    corr = H.integrate_product([cx.apply_dbar(xi)] + tail, scale)
+    corr = 0.0  # below n = 3 the wedge's bidegree exceeds (n, n)
+    if n >= 3:
+        tail = [rho, conjugate(rho)] + [H.omega] * (n - 3)
+        corr = H.integrate_product([cx.apply_dbar(xi)] + tail, 1.0 / math.factorial(n - 3))
     value = 2.0 * rep.norm**2 + 2.0 * corr.real
     return value, pre
 

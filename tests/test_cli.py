@@ -505,16 +505,26 @@ def test_import_does_no_numeric_work():
     assert proc.stdout.split("\n")[0] == "False [0, 0]"
 
 
-def test_family_runs_five_laplacians_per_sample(tmp_path, monkeypatch):
-    # the dimension columns take the Bott-Chern Laplacians at (0,2), (2,1)
-    # and the Dolbeault ones at (0,1), (0,2); the torsion form adds the
-    # Bott-Chern (2,0); the Neumann and Kahler solves reuse (0,2), (0,1)
-    # and (2,1) from the metric's memo
-    calls = []
+def test_family_runs_six_laplacians_and_two_green_operators_per_sample(tmp_path,
+                                                                      monkeypatch):
+    # the dimension columns count the Bott-Chern Laplacians at (0,2), (2,1)
+    # and the Dolbeault ones at (0,1), (0,2) from eigenvalues alone; Green
+    # operators are built only by the torsion form, of the Bott-Chern (2,0),
+    # and by the Neumann gap, of the Dolbeault (0,1), formed a second time;
+    # the Neumann and Kahler solves read no other Laplacian
+    calls, greens = [], []
+
+    def recorded(lap):
+        def laplacian(H, p, q):
+            calls.append((H, p, q, lap, lap(H, p, q)))
+            return calls[-1][-1]
+        return laplacian
+
     for which, lap in list(cohomology._LAPLACIANS.items()):
-        monkeypatch.setitem(cohomology._LAPLACIANS, which,
-                            lambda H, p, q, which=which, lap=lap:
-                            calls.append((H, p, q, which)) or lap(H, p, q))
+        monkeypatch.setitem(cohomology._LAPLACIANS, which, recorded(lap))
+    gram_eig = cohomology.gram_eig
+    monkeypatch.setattr(cohomology, "gram_eig", lambda Lt, R, Rinv: greens.append(
+        next(c[:4] for c in calls if c[-1] is Lt)) or gram_eig(Lt, R, Rinv))
     path = tmp_path / "family.model"
     path.write_text("kind invariant\nn 2\nmetric h 1 1 := poly(1, 0.5)\n"
                     "metric h 2 2 := 1\nt_samples := 0 0.5 1\n")
@@ -524,8 +534,13 @@ def test_family_runs_five_laplacians_per_sample(tmp_path, monkeypatch):
     assert len(rows) == 3
     assert all(r["flagged"] == "False" and r["beta_residual"] != ""
                and r["kahler_d_residual"] != "" for r in rows)
-    assert len(calls) == 5 * 3
-    assert len({(id(H), p, q, w) for H, p, q, w in calls}) == len(calls)
+    assert len(calls) == 6 * 3
+    keys = [(id(c[0]), *c[1:4]) for c in calls]
+    assert len(set(keys)) == 5 * 3
+    dbar = cohomology.laplacian_dbar
+    assert [k[1:] for k in keys if keys.count(k) > 1] == [(0, 1, dbar)] * 6
+    assert len(greens) == 2 * 3
+    assert {g[1:] for g in greens} == {(2, 0, cohomology.laplacian_bc), (0, 1, dbar)}
 
 
 def test_family_forms_no_node_values_on_a_potential_family(tmp_path, monkeypatch):

@@ -113,14 +113,24 @@ def test_laplacians_match_the_adjoint_reference(name):
 
 @pytest.mark.parametrize("name", LADDER)
 def test_table_eigenvalues_match_green_operator(name):
-    # the table counts from the eigenvalues of the batched whitened
-    # Laplacians; they are green_operator's eigenvalues, to rounding
+    # the table counts from the eigenvalues of the whitened Laplacians of
+    # one dimension, both kinds in one stack: each has the bits of its own
+    # eigvalsh, whatever else is in the stack, and equals green_operator's
+    # eigenvalues to rounding, with the same kernel count
     H = ladder_structure(name)
+    counts = {(which, p, q): kernel
+              for which, p, q, kernel, _ in cohomology_table(H).cross_checks}
     seen = set()
-    for keys, spectra in cohomology._spectra(H):
-        for (which, p, q), w in zip(keys, spectra):
-            ev = green_operator(H, p, q, which).eigenvalues
+    for bidegrees in H.whiten_all().values():
+        keys = [(which, *bd) for bd in bidegrees for which in ("dbar", "bc")]
+        laplacians = [cohomology._LAPLACIANS[which](H, p, q) for which, p, q in keys]
+        for (which, p, q), L, w in zip(keys, laplacians,
+                                       np.linalg.eigvalsh(np.stack(laplacians))):
+            assert np.array_equal(w, np.linalg.eigvalsh(L)), (which, p, q)
+            ge = green_operator(H, p, q, which)
+            ev = ge.eigenvalues
             assert np.abs(w - ev).max() <= 1e-12 * max(ev.max(), 1.0), (which, p, q)
+            assert ge.kernel_dim == counts[(which, p, q)], (which, p, q)
             seen.add((which, p, q))
     assert len(seen) == 2 * (H.n + 1) ** 2
 
@@ -383,18 +393,19 @@ def test_quotient_ranks_counted_once_per_structure(monkeypatch, rng):
 
 
 def test_kernel_count_off_by_one_still_raises(monkeypatch, rng):
+    # one side of the (1,1) Bott-Chern comparison, the quotient rank, off
+    # by one: the kernel count of the metric no longer equals it
     cx = build_complex(parse_model(IWASAWA_TEXT))
-    cohomology_table(random_hermitian_structure(cx, rng))  # ranks now cached
-    kernel_counts = cohomology._kernel_counts
+    h_bc = cohomology_table(random_hermitian_structure(cx, rng)).entries[(1, 1)]["bc"]
+    quotient_dims = cohomology.quotient_dims
 
-    def off_by_one(H):
-        counts = kernel_counts(H)
-        kernel, separated = counts[("bc", 1, 1)]
-        counts[("bc", 1, 1)] = (kernel + 1, separated)
-        return counts
+    def off_by_one(cx, p, q):
+        h_dbar, h_bc, h_aeppli = quotient_dims(cx, p, q)
+        return h_dbar, h_bc + ((p, q) == (1, 1)), h_aeppli
 
-    monkeypatch.setattr(cohomology, "_kernel_counts", off_by_one)
-    with pytest.raises(CohomologyMismatch, match=r"h_bc\(1,1\)"):
+    monkeypatch.setattr(cohomology, "quotient_dims", off_by_one)
+    with pytest.raises(CohomologyMismatch,
+                       match=rf"^h_bc\(1,1\): kernel {h_bc} vs rank {h_bc + 1}$"):
         cohomology_table(random_hermitian_structure(cx, rng))
 
 

@@ -1,13 +1,12 @@
 import csv
-import dataclasses
 
 import numpy as np
 import pytest
 
 from hstorsion import backends, cli, cohomology, deform, metric
-from hstorsion.backends import (FormComplex, Model, ModelError, build_complex,
-                                parse_model)
-from hstorsion.cohomology import green_operator
+from hstorsion.backends import (FormComplex, Model, ModelError, ModelTemplate,
+                                build_complex, parse_model)
+from hstorsion.cohomology import checked_counts, cohomology_table, green_operator
 from hstorsion.deform import (FamilyTable, HypothesisError, family_diagnostics,
                               kahler_in_class, min_ddbar_solution,
                               neumann_dbar_solution, parse_family)
@@ -16,8 +15,8 @@ from hstorsion.forms import Bidegree, Form, conjugate
 from hstorsion.metric import HermitianStructure
 from hstorsion.torsion import torsion_form
 
-from conftest import (FAMILY_TEXT, IWASAWA_TEXT, N2K2_FAMILY, SPECTRAL_TEXT,
-                      TORUS_TEXT, random_hermitian_structure)
+from conftest import (FAMILY_TEXT, IWASAWA_TEXT, N2K2_FAMILY, POTENTIAL_FAMILY,
+                      SPECTRAL_TEXT, TORUS_TEXT, random_hermitian_structure)
 
 TORUS_POTENTIAL_FAMILY = """kind spectral
 n 3
@@ -309,12 +308,89 @@ def test_family_flags_unreliable_kernel_split(monkeypatch):
     spec.t_samples = [0.0]
     assert not family_diagnostics(spec).flagged
 
-    def unreliable(H, p, q, which="bc"):
-        ge = green_operator(H, p, q, which)
-        if (p, q, which) == (0, 1, "dbar"):
-            ge = dataclasses.replace(ge, separation_ok=False)
-        return ge
+    def unreliable(H, keys):
+        return [(kernel, separated and key != ("dbar", 0, 1), rank)
+                for key, (kernel, separated, rank) in zip(keys, checked_counts(H, keys))]
 
-    monkeypatch.setattr(deform, "green_operator", unreliable)
+    monkeypatch.setattr(deform, "checked_counts", unreliable)
     table = family_diagnostics(spec)
     assert table.flagged == [0.0] and table.rows[0]["flagged"]
+
+
+def test_family_diagnostics_needs_t_samples():
+    # a model template read without the family flag has no t_samples
+    with pytest.raises(ModelError, match="missing 't_samples' line") as err:
+        family_diagnostics(ModelTemplate("kind invariant\nn 2\n"))
+    assert err.value.line == 2
+
+
+def test_kahler_candidate_that_is_not_a_metric_is_measured_in_the_input_geometry(
+        spectral_H, monkeypatch):
+    # a candidate refused as a metric keeps the input's structure: its
+    # d-residual and positivity verdict are taken in the input's geometry
+    kept = kahler_in_class(spectral_H)
+
+    def refuse(cx, omega):
+        raise metric.MetricError("not positive")
+
+    monkeypatch.setattr(deform, "HermitianStructure", refuse)
+    kr = kahler_in_class(spectral_H)
+    assert kr.structure is spectral_H and kept.structure is not spectral_H
+    assert np.array_equal(kr.omega_tilde.coeffs, kept.omega_tilde.coeffs)
+    dp, dq = spectral_H.complex.d_full(kr.omega_tilde)
+    assert kr.d_residual == ((spectral_H.norm(dp) + spectral_H.norm(dq))
+                             / (1.0 + spectral_H.norm(kr.omega_tilde)))
+    assert kr.positivity == metric.check_weak_positivity(spectral_H, kr.omega_tilde)
+
+
+# three feasible, unflagged samples of an invariant n = 2 family
+INVARIANT_N2_FAMILY = ("kind invariant\nn 2\nmetric h 1 1 := poly(1, 0.5)\n"
+                       "metric h 2 2 := 1\nt_samples := 0 0.5 1\n")
+
+
+def _family_csv(tmp_path):
+    path = tmp_path / "family.model"
+    path.write_text(INVARIANT_N2_FAMILY)
+    assert cli.run(["family", "--model", str(path), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "family.csv", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_family_leaves_beta_residual_empty_when_neumann_refuses(tmp_path, monkeypatch):
+    def refuse(H, rho):
+        raise HypothesisError("right-hand side is not dbar-exact")
+
+    monkeypatch.setattr(deform, "neumann_dbar_solution", refuse)
+    rows = _family_csv(tmp_path)
+    assert len(rows) == 3
+    assert all(r["feasible"] == "True" and r["beta_residual"] == ""
+               and float(r["kahler_d_residual"]) <= 1e-10 for r in rows)
+
+
+def test_family_writes_the_kahler_refusal(tmp_path, monkeypatch):
+    message = "right-hand side is not del-dbar-exact: relative distance 1.000e+00"
+
+    def refuse(H):
+        raise HypothesisError(message)
+
+    monkeypatch.setattr(deform, "kahler_in_class", refuse)
+    rows = _family_csv(tmp_path)
+    assert len(rows) == 3
+    assert all(r["kahler_distance"] == message and r["kahler_d_residual"] == ""
+               and float(r["beta_residual"]) <= 1e-10 for r in rows)
+
+
+@pytest.mark.parametrize("text", [FAMILY_TEXT, POTENTIAL_FAMILY, N2K2_FAMILY],
+                         ids=["invariant", "potential", "n2k2"])
+def test_family_columns_equal_the_cohomology_table(text):
+    # family and cohomology_table count each harmonic dimension one way:
+    # every sample's columns are the table's entries at the sample metric
+    template = parse_family(text)
+    rows = family_diagnostics(template).rows
+    assert [row["t"] for row in rows] == sorted(template.t_samples)
+    for row in rows:
+        cx = build_complex(template.model(row["t"]))
+        entries = cohomology_table(HermitianStructure(cx, omega=cx.metric_form())).entries
+        assert [row["h_bc_02"], row["h_bc_21"], row["h_dbar_01"], row["h_dbar_02"]] == [
+            entries[(0, 2)]["bc"], entries[(2, 1)]["bc"], entries[(0, 1)]["dbar"],
+            entries[(0, 2)]["dbar"]], row["t"]

@@ -88,6 +88,24 @@ def test_special_formula_matches_general(spectral_H):
     assert abs(val - general) <= 1e-8 * (1 + abs(general))
 
 
+def test_special_formula_at_n2():
+    # below n = 3 the wedge term's bidegree exceeds (n, n), so the special
+    # differential is 2 ||rho||^2: the general formula and a central finite
+    # difference agree, and the corollary runs
+    cx = build_complex(parse_model("kind spectral\nn 2\nmodes axis K 1\n"
+                                   "potential 1 0 0 0 u 2 := 0.04\n"))
+    H = HermitianStructure(cx, omega=cx.metric_form())
+    xi, rep = _xi_with_rho(H)
+    value, pre = differential_special(H, xi)
+    assert pre <= 1e-15 and value == 2.0 * rep.norm**2 > 0
+    fd = fd_differential(AeppliPoint(cx, H.omega), xi)
+    for other in (differential(H, xi, rep.rho20), fd):
+        assert abs(value - other) <= 1e-10 * value
+    cor = corollary_check(H, xi)
+    assert cor.wedge_term == 0.0 and cor.differential_value == value
+    assert not cor.differential_vanishes and cor.conclusion == "inconclusive"
+
+
 def test_special_formula_precondition_enforced(spectral_H, rng):
     xi = spectral_H.complex.random_form(1, 0, rng)
     with pytest.raises(ValueError):
@@ -169,6 +187,18 @@ def test_last_row_of_a_cut_flow_has_its_own_gradient_norm(spectral_cx, spectral_
     assert last["energy"] == ref["energy"]
     assert last["grad_norm"] == ref["grad_norm"]
     assert abs(last["grad_norm"] - [1.0747, 0.2808, 0.0735][max_iters]) <= 1e-4
+
+
+def test_flow_stalls_at_a_small_gradient_norm(spectral_cx, spectral_H, spectral_flow,
+                                             monkeypatch):
+    # the uncut flow reads gradient norms 1.075, then 0.281: with GRAD_TOL
+    # between them it takes one step and stalls on its second point
+    monkeypatch.setattr(energy_module, "GRAD_TOL", 0.5)
+    res = gradient_descent(AeppliPoint(spectral_cx, spectral_H.omega))
+    assert res.status == "stalled" and len(res.history) == 2
+    assert [row["grad_norm"] for row in res.history] == [
+        row["grad_norm"] for row in spectral_flow.history[:2]]
+    assert res.energy == spectral_flow.history[1]["energy"]
 
 
 def test_gradient_descent_stays_at_kahler(torus_cx, torus_H):
