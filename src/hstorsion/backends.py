@@ -138,13 +138,13 @@ class FormComplex:
     """A finite bigraded complex with del and delbar matrices per bidegree.
 
     Immutable after construction.  It also carries the quadrature grid,
-    the node plane-wave matrix and the grid transform and its adjoint
-    used by every metric-dependent computation downstream; a model with no
-    axes has one node.  A complex keeps only its catalog and its model:
-    what it derives from them (del and dbar, assembled and checked for
-    d^2 = 0 once, del dbar, the quadrature tables and what other modules
-    cache through _cached) is one memo per structure (n, mode set, grid,
-    structure constants), shared with every live complex on it.
+    the plane waves of its node passes and the grid transform and its
+    adjoint used by every metric-dependent computation downstream; a model
+    with no axes has one node.  A complex keeps only its catalog and its
+    model: what it derives from them (del and dbar, assembled and checked
+    for d^2 = 0 once, del dbar, the quadrature tables and what other
+    modules cache through _cached) is one memo per structure (n, mode set,
+    grid, structure constants), shared with every live complex on it.
     """
 
     def __init__(self, model: Model):
@@ -301,18 +301,49 @@ class FormComplex:
         j = np.indices(self.grid).reshape(len(self.grid), self.n_nodes)
         return np.ascontiguousarray(j.T / np.array(self.grid))
 
-    def eval_matrix(self):
-        """Plane-wave matrix E with E[x, m] = exp(2 pi i m . x_node), the
-        transposed grid_values of each mode's unit spectrum on S_1; [[1]]
-        when there are no axes."""
+    def slab_waves(self):
+        """(waves, phases): the plane waves of the node passes, which run
+        one slab at a time over the outermost axis with more than one node
+        (the whole grid is one slab when there is none).  At the node y of
+        slab s, exp(2 pi i m . x) is waves[m, y] * phases[s, m]: waves[m, y]
+        is the product over the other axes of the per-axis phases
+        (_unit_phases) at y, phases[s, m] the phase of the slab's axis at
+        its node s.  [[1]] and [[1]] with no axes."""
 
         def build():
-            # S_1 is the modes, distinct on a grid of at least 4 max|m| + 1
-            k = self.frequencies(1)
-            at = self._positions(1, self._modes(), k[0][:1])[:, 0]
-            return self.grid_values(np.eye(len(at), dtype=complex)[at], k).T
+            modes = self._modes()
+            outer = next((a for a, g in enumerate(self.grid) if g > 1), None)
+            table = phases = np.ones((1, len(modes)), dtype=complex)
+            for a, g in enumerate(self.grid):
+                axis = _unit_phases(np.outer(np.arange(g), modes[:, a]), g).conj()
+                if a == outer:
+                    phases = axis
+                else:
+                    table = (table[:, None] * axis).reshape(-1, len(modes))
+            return np.ascontiguousarray(table.T), phases
 
-        return self._cached("eval", build)
+        return self._cached("slab waves", build)
+
+    def node_slabs(self, coeffs):
+        """sum_m coeffs[m, f] exp(2 pi i m . x) at the nodes x of each slab
+        of slab_waves, in node order, as arrays of shape (F, Y), for coeffs
+        of shape (modes, F): one product with the slab's plane waves.
+
+        A slab but the last is padded with zero waves to a multiple of 16
+        nodes.  BLAS then rounds each of its nodes in a full register tile,
+        as one product over the whole grid does, where only the grid's last
+        nodes fall in a narrower one; so each node value has the bits of
+        that product."""
+        waves, phases = self.slab_waves()
+        Y = waves.shape[1]
+        # the modes whose phase varies from slab to slab; the others' waves
+        # are the same on every slab
+        moving = np.flatnonzero((phases != 1).any(axis=0))
+        slab = np.zeros((len(waves), Y - Y % -16), dtype=complex)
+        slab[:, :Y] = waves
+        for s, phase in enumerate(phases):
+            slab[moving, :Y] = waves[moving] * phase[moving, None]
+            yield (coeffs.T @ slab[:, : Y if s == len(phases) - 1 else None])[:, :Y]
 
     def _modes(self):
         """The modes as integer rows, shape (modes, axes)."""
@@ -443,10 +474,10 @@ class FormComplex:
         return int(np.prod(self.grid))
 
     def evaluate(self, u: Form):
-        """Pointwise covector coefficients, shape (X, struct_dim)."""
-        M = self.catalog.n_modes
+        """Pointwise covector coefficients of u, per slab (node_slabs) in
+        node order, each of shape (Y, struct_dim)."""
         S = self.catalog.struct_dim(u.p, u.q)
-        return self.eval_matrix() @ u.coeffs.reshape(M, S)
+        return (values.T for values in self.node_slabs(u.coeffs.reshape(-1, S)))
 
     # -- helpers -----------------------------------------------------------
 

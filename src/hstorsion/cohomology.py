@@ -5,9 +5,10 @@ the Grams: Hermitian sums of squares of the whitened structure operators.
 Every harmonic dimension is counted two independent ways, in one function
 (checked_counts): as the kernel of its Laplacian, from eigenvalues alone
 with one eigvalsh per dimension, and as a quotient rank of the complex,
-counted once per structure; the two must agree.  Green operators and
-harmonic projectors come from one eigh of a Laplacian, built once per
-metric and key, and only by the solvers that apply one.
+counted once per structure; the two must agree.  Each Laplacian is summed
+once per metric, and Green operators and harmonic projectors come from one
+eigh of it, built once per metric and key, and only by the solvers that
+apply one.
 """
 
 from __future__ import annotations
@@ -155,12 +156,19 @@ def laplacian_dbar(H: HermitianStructure, p, q):
 _LAPLACIANS = {"bc": laplacian_bc, "dbar": laplacian_dbar}
 
 
+def _laplacian(H: HermitianStructure, which, p, q):
+    """The whitened Laplacian which ("bc" or "dbar") on Lambda^{p,q},
+    summed once per metric and kept in its memo, where the eigenvalue
+    counts and the Green operators read it."""
+    return H._cached(("laplacian", which, p, q), lambda: _LAPLACIANS[which](H, p, q))
+
+
 def green_operator(H: HermitianStructure, p, q, which="bc"):
     """GramEig bundle for the chosen Laplacian on Lambda^{p,q}; its pinv is
     the Green operator (inverse off the harmonic space, zero on it).
     Computed once per metric and key."""
     return H._cached(("green", p, q, which), lambda: gram_eig(
-        _LAPLACIANS[which](H, p, q), H.chol(p, q), H.chol_inv(p, q)))
+        _laplacian(H, which, p, q), H.chol(p, q), H.chol_inv(p, q)))
 
 
 def harmonic_projection(H: HermitianStructure, u: Form, which="bc"):
@@ -261,7 +269,7 @@ def checked_counts(H: HermitianStructure, keys):
     split = {}
     for group in by_dim.values():
         kdim, _, separated = _kernel_split(np.linalg.eigvalsh(
-            np.stack([_LAPLACIANS[which](H, p, q) for which, p, q in group])))
+            np.stack([_laplacian(H, which, p, q) for which, p, q in group])))
         split.update(zip(group, zip(kdim.tolist(), separated.tolist())))
     out = []
     for which, p, q in keys:

@@ -107,16 +107,21 @@ def _torsion_wedge_functional(H: HermitianStructure, rho: Form):
     """Coefficients b with int e_j ^ rho ^ conj(rho) ^ dbar(omega_{n-3})
     = b_j over the (1,0) basis e_j = e_m dz^k, in its flat order (m, k);
     zero below n = 4.  The tail is wedged once at the nodes, then dz^k ^
-    tail for every k at once, paired with the plane waves E[x, m]."""
+    tail for every k at once, paired with the plane waves of each slab,
+    waves * phases[s] (FormComplex.slab_waves)."""
     cx, n = H.complex, H.n
     if n < 4:
         return np.zeros(cx.dims(1, 0), dtype=complex)
     # dbar(omega_{n-3}) = dbar(omega) ^ omega^{n-4} / (n-4)!; 2-forms commute
-    values, bd = H._node_product([rho, cx.apply_dbar(H.omega), conjugate(rho)]
-                                 + [H.omega] * (n - 4))
-    top = wedge_values(cx.catalog, Bidegree(1, 0), bd, np.eye(n), values[:, None, :])
-    scale = H._vol_unit / (math.factorial(n - 4) * len(values))
-    return (cx.eval_matrix().T @ top[..., 0]).reshape(-1) * scale
+    slabs, bd = H._node_product([rho, cx.apply_dbar(H.omega), conjugate(rho)]
+                                + [H.omega] * (n - 4))
+    waves, phases = cx.slab_waves()
+    b = 0.0
+    for values, phase in zip(slabs, phases):
+        top = wedge_values(cx.catalog, Bidegree(1, 0), bd, np.eye(n), values[:, None, :])
+        b = b + phase[:, None] * (waves @ top[..., 0])
+    scale = H._vol_unit / (math.factorial(n - 4) * cx.n_nodes)
+    return b.reshape(-1) * scale
 
 
 def differential_riesz(H: HermitianStructure, rho: Form | None = None):

@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 
 import numpy as np
 
@@ -110,6 +110,14 @@ def _minor_spectra(h, folds):
     return minors
 
 
+def _sweep(slabs, c) -> bool:
+    """True when M(x) - c I is positive definite at every node of every
+    slab of slabs, Hermitian node matrices of shape (Y, n, n) each: one
+    Cholesky sweep (_positive_above) per slab, stopping at the first slab
+    that fails."""
+    return all(_positive_above(M, c) for M in slabs)
+
+
 def _positive_above(M, c) -> bool:
     """True when M(x) - c I is positive definite for every Hermitian M(x)
     of M, shape (X, n, n), decided by one Cholesky factorization swept
@@ -139,23 +147,13 @@ def _positive_above(M, c) -> bool:
     return True
 
 
-def _smallest_eigenvalue(M):
-    """(lo, node): the smallest eigenvalue of the Hermitian matrices M(x),
-    shape (X, n, n), and the first node among those searched where it is
-    attained.
-
-    eigvalsh runs only on a candidate set of nodes, the 64 whose estimate
-    is least: the least smallest eigenvalue of the 2 x 2 principal
-    submatrices of M(x) (the diagonal when n = 1), an upper bound of the
-    smallest eigenvalue by Cauchy interlacing, exact when n = 2.  It gives
-    lo.  One Cholesky factorization of M(x) - (lo - delta) I swept across
-    the nodes (_positive_above), with delta = 1e-13 max|M|, then proves
-    that no node lies below lo - delta.  Until it does, the candidate set
-    grows eightfold; once it covers every node, lo is the minimum over all
-    of them."""
+def _pair_estimate(M):
+    """(estimate, max|M|) of the Hermitian matrices M(x), shape (Y, n, n):
+    at each node the least smallest eigenvalue of the 2 x 2 principal
+    submatrices (the diagonal when n = 1), formed one pair (i, j) at a time,
+    and max|M| read from the real diagonal and the upper triangle."""
     diagonal = np.real(np.diagonal(M, axis1=1, axis2=2))
     estimate = diagonal.min(axis=1)
-    # max|M|, read from the real diagonal and the upper triangle
     scale = np.abs(diagonal).max()
     for i, j in combinations(range(M.shape[-1]), 2):
         # the smaller eigenvalue of the submatrix on rows i, j, one node row
@@ -164,16 +162,35 @@ def _smallest_eigenvalue(M):
         scale = max(scale, off.max())
         gap = np.hypot(0.5 * (diagonal[:, i] - diagonal[:, j]), off, out=off)
         np.minimum(estimate, 0.5 * (diagonal[:, i] + diagonal[:, j]) - gap, out=estimate)
-    delta = 1e-13 * scale
-    size = 64
+    return estimate, scale
+
+
+def _smallest_eigenvalue(slabs):
+    """(lo, node, M(node)): the smallest eigenvalue of the Hermitian
+    matrices M(x), given as the list of their slabs in node order, each of
+    shape (Y, n, n), the first node among those searched where it is
+    attained and a copy of the matrix there.
+
+    eigvalsh runs only on a candidate set of nodes, the 64 whose estimate
+    (_pair_estimate, slab by slab) is least, an upper bound of the
+    smallest eigenvalue by Cauchy interlacing, exact when n = 2.  It gives
+    lo.  One Cholesky factorization of M(x) - (lo - delta) I swept across
+    the nodes slab by slab (_sweep), with delta = 1e-13 max|M|, then
+    proves that no node lies below lo - delta.  Until it does, the
+    candidate set grows eightfold; once it covers every node, lo is the
+    minimum over all of them."""
+    estimates, scales = zip(*map(_pair_estimate, slabs))
+    estimate, delta = np.concatenate(estimates), 1e-13 * max(scales)
+    size, Y = 64, len(slabs[0])
     while True:
-        size = min(size, len(M))
+        size = min(size, len(estimate))
         nodes = np.sort(np.argpartition(estimate, size - 1)[:size])
-        eigs = np.linalg.eigvalsh(M[nodes]).min(axis=1)
+        M = np.concatenate([S[nodes[nodes // Y == s] - s * Y] for s, S in enumerate(slabs)])
+        eigs = np.linalg.eigvalsh(M).min(axis=1)
         best = int(np.argmin(eigs))
         lo, node = float(eigs[best]), int(nodes[best])
-        if size == len(M) or _positive_above(M, lo - delta):
-            return lo, node
+        if size == len(estimate) or _sweep(slabs, lo - delta):
+            return lo, node, M[best].copy()
         size *= 8
 
 
@@ -202,35 +219,42 @@ def _weyl_bound(cat, h):
     return float(eigs[0] - norms), float(scale + norms)
 
 
-def _node_values(cx: FormComplex, coeffs):
-    """sum_m coeffs_m exp(2 pi i m . x) at every node x, shape (X, k, k),
-    for coeffs of shape (modes, k, k): one product with the plane-wave
-    matrix, stored node-contiguous (a view of a (k, k, X) array, so each
-    entry's node values form one row)."""
+def _node_slabs(cx: FormComplex, coeffs):
+    """sum_m coeffs_m exp(2 pi i m . x) at the nodes x of each slab
+    (FormComplex.node_slabs), shape (Y, k, k), for coeffs of shape
+    (modes, k, k): node-contiguous, a view of a (k, k, Y) array, so each
+    entry's node values form one row."""
     k = coeffs.shape[-1]
-    values = coeffs.reshape(-1, k * k).T @ cx.eval_matrix().T
-    return values.reshape(k, k, -1).transpose(2, 0, 1)
+    for values in cx.node_slabs(coeffs.reshape(-1, k * k)):
+        yield values.reshape(k, k, -1).transpose(2, 0, 1)
 
 
-def _cell_centre_values(cx: FormComplex, coeffs):
-    """The values of _node_values(cx, coeffs) at the cell centres x + delta,
-    delta half a grid step on every axis: the node values of the
-    phase-shifted coefficients coeffs_m exp(2 pi i m . delta)."""
+def _extremes(cx: FormComplex, h):
+    """(_smallest_eigenvalue, max|M|) of the node values M of the Hermitian
+    mode coefficients h, formed once for both."""
+    slabs = list(_node_slabs(cx, h))
+    return _smallest_eigenvalue(slabs), max(float(np.abs(M).max()) for M in slabs)
+
+
+def _centre_coefficients(cx: FormComplex, coeffs):
+    """The mode coefficients whose node values are those of coeffs at the
+    cell centres x + delta, delta half a grid step on every axis: coeffs_m
+    exp(2 pi i m . delta)."""
     phase = np.exp(1j * np.pi * (cx._modes() / np.array(cx.grid)).sum(axis=1))
-    return _node_values(cx, coeffs * phase[:, None, None])
+    return coeffs * phase[:, None, None]
 
 
 def _centre_refutation(cx: FormComplex, coeffs, c):
     """None when M(x) - c I is positive definite at every cell centre x
-    (_cell_centre_values of the mode coefficients coeffs of M); otherwise
-    (lo, x, v): the smallest eigenvalue over the centres, the first centre
-    x where it lies and its eigenvector v."""
-    centres = _cell_centre_values(cx, coeffs)
-    if _positive_above(centres, c):
+    (_centre_coefficients of the mode coefficients coeffs of M), swept slab
+    by slab; otherwise (lo, x, v): the smallest eigenvalue over the
+    centres, the first centre x where it lies and its eigenvector v."""
+    shifted = _centre_coefficients(cx, coeffs)
+    if _sweep(_node_slabs(cx, shifted), c):
         return None
-    lo, node = _smallest_eigenvalue(centres)
+    lo, node, at = _smallest_eigenvalue(list(_node_slabs(cx, shifted)))
     x = cx.nodes()[node] + 0.5 / np.array(cx.grid)
-    return lo, x, np.linalg.eigh(centres[node])[1][:, 0]
+    return lo, x, np.linalg.eigh(at)[1][:, 0]
 
 
 def _whiten_plan(cx: FormComplex):
@@ -273,10 +297,11 @@ class HermitianStructure(_Memo):
     sum_m ||h_m||_2), and then h(x) is positive definite on the whole
     torus.  Otherwise one Cholesky sweep of the node matrices decides, and
     a metric that passes it is swept once more at the cell centres, where
-    a negative eigenvalue is refused with the point it lies at.  The node
-    matrices h_nodes are formed only when read.  Immutable after
-    construction; Gram, star, adjoint and the other derived matrices are
-    cached per bidegree in one memo.
+    a negative eigenvalue is refused with the point it lies at.  Each
+    sweep forms h(x) one slab at a time, and no node values are kept: only
+    what is read from them (the margin and its node, max|h|).  Immutable
+    after construction; Gram, star, adjoint and the other derived matrices
+    are cached per bidegree in one memo.
     """
 
     def __init__(self, complex_: FormComplex, h=None, omega: Form | None = None,
@@ -304,7 +329,7 @@ class HermitianStructure(_Memo):
         bound, scale = self._weyl_bound()
         if bound > floor + 1e-12 * max(1.0, scale):
             return
-        if not _positive_above(self.h_nodes, floor):
+        if not _sweep(_node_slabs(complex_, self._herm), floor):
             raise MetricError(
                 f"metric not positive definite above {floor:.3e}" if floor else
                 f"metric not positive definite: min eigenvalue {self.positivity_margin:.3e}")
@@ -316,21 +341,26 @@ class HermitianStructure(_Memo):
 
     # -- pointwise data ----------------------------------------------------
 
-    @property
-    def h_nodes(self):
-        """h(x) at every quadrature node, shape (X, n, n), node-contiguous,
-        formed from the h_m when first read."""
-        return self._cached("h nodes", lambda: _node_values(self.complex, self._herm))
-
     def _weyl_bound(self):
         """(bound, scale) of _weyl_bound(h_m), computed when first read."""
         return self._cached("weyl bound", lambda: _weyl_bound(self.complex.catalog, self._herm))
 
     def _smallest_eigenvalue(self):
-        """(margin, node) of _smallest_eigenvalue(h), computed when first
-        read."""
-        return self._cached("smallest_eigenvalue",
-                            lambda: _smallest_eigenvalue(self.h_nodes))
+        """_smallest_eigenvalue of h(x), computed when first read from node
+        values formed for it alone."""
+        return self._cached("smallest_eigenvalue", lambda: _smallest_eigenvalue(
+            list(_node_slabs(self.complex, self._herm))))
+
+    def _node_scale(self):
+        """max|h(x)| over the nodes, computed when first read, in one pass
+        with the smallest eigenvalue, which it stores when not yet known."""
+
+        def build():
+            smallest, scale = _extremes(self.complex, self._herm)
+            self._memo.setdefault("smallest_eigenvalue", smallest)
+            return scale
+
+        return self._cached("max|h|", build)
 
     @property
     def positivity_margin(self) -> float:
@@ -509,14 +539,20 @@ class HermitianStructure(_Memo):
         return (1j) ** (-(self.n**2))
 
     def _node_product(self, forms):
-        """(values, bidegree) of the pointwise wedge f_1 ^ ... ^ f_k at the
-        nodes, values of shape (X, struct_dim), each form evaluated once."""
+        """(slabs, bidegree) of the pointwise wedge f_1 ^ ... ^ f_k: per
+        slab in node order, its values at the slab's nodes, shape (Y,
+        struct_dim); each form is evaluated once (FormComplex.evaluate)."""
         cx = self.complex
-        vals, bd = cx.evaluate(forms[0]), forms[0].bidegree
-        for f in forms[1:]:
-            vals = wedge_values(cx.catalog, bd, f.bidegree, vals, cx.evaluate(f))
-            bd = bd + f.bidegree
-        return vals, bd
+        bds = list(accumulate(f.bidegree for f in forms))
+
+        def slabs():
+            for values in zip(*map(cx.evaluate, forms)):
+                product = values[0]
+                for bd, f, v in zip(bds, forms[1:], values[1:]):
+                    product = wedge_values(cx.catalog, bd, f.bidegree, product, v)
+                yield product
+
+        return slabs(), bds[-1]
 
     def integrate_product(self, forms, scale=1.0) -> complex:
         """Exact integral of scale * f_1 ^ ... ^ f_k without intermediate
@@ -524,10 +560,11 @@ class HermitianStructure(_Memo):
 
         The product must have total bidegree (n,n); the grid is exact for up
         to four truncated-mode factors (more when degrees permit)."""
-        vals, bd = self._node_product(forms)
+        slabs, bd = self._node_product(forms)
         if (bd.p, bd.q) != (self.n, self.n):
             raise DegreeError(f"product bidegree {tuple(bd)} is not (n,n)")
-        return complex(vals[:, 0].mean() * self._vol_unit * scale)
+        total = sum(values[:, 0].sum() for values in slabs)
+        return complex(total / self.complex.n_nodes * self._vol_unit * scale)
 
     def volume(self) -> float:
         return self.integrate_product([self.omega] * self.n, 1.0 / math.factorial(self.n)).real
@@ -654,19 +691,19 @@ class PositivityReport:
         return f"{self.verdict} ({grade}margin={self.margin:.3e})"
 
 
-def _eigenvalue_verdict(M, bound, tol, smallest=None):
-    """Verdict on Hermitian matrices M, shape (X, n, n), from the smallest
-    eigenvalue over every node (_smallest_eigenvalue(M) unless given as
-    smallest), with tolerance tol.  A refutation carries (node,
-    eigenvector of that eigenvalue) and is certified; a positive or
-    semi-positive verdict is certified when bound, a lower bound of the
-    smallest eigenvalue over the whole torus, passes the same test."""
-    lo, node = smallest or _smallest_eigenvalue(M)
+def _eigenvalue_verdict(smallest, bound, tol):
+    """Verdict on Hermitian matrices M(x) from smallest, the (lo, node,
+    M(node)) of _smallest_eigenvalue over every node, with tolerance tol.
+    A refutation carries (node, eigenvector of lo) and is certified; a
+    positive or semi-positive verdict is certified when bound, a lower
+    bound of the smallest eigenvalue over the whole torus, passes the same
+    test."""
+    lo, node, at = smallest
     if lo > tol:
         return PositivityReport("positive", margin=lo, certified=bool(bound > tol))
     if lo >= -tol:
         return PositivityReport("semi-positive", margin=lo, certified=bool(bound >= -tol))
-    _, v = np.linalg.eigh(M[node])
+    _, v = np.linalg.eigh(at)
     return PositivityReport("refuted", witness=(node, v[:, 0]), margin=lo, certified=True)
 
 
@@ -679,13 +716,15 @@ def check_weak_positivity(H: HermitianStructure, u: Form) -> PositivityReport:
     Each bidegree reads the mode coefficients c_m of a matrix-valued c(x)
     whose Hermitian forms are the pairings.  A weakly positive form is
     real, so a form whose c(x) deviates from Hermitian at some node by
-    more than 1e-9 max|Hermitian part| is refuted; otherwise the verdict
+    more than 1e-9 max|Hermitian part| is refuted; the anti-Hermitian part
+    a(x) is formed at the nodes, slab by slab, only when its coefficient
+    bound sum_m max|a_m| does not clear that test.  Otherwise the verdict
     is that of the Hermitian part's eigenvalues at the nodes, certified on
     the whole torus by its Weyl bound (_eigenvalue_verdict), with tolerance
     1e-12 max|Hermitian part|; a verdict the bound does not certify is
     refuted, naming the point, by an eigenvalue below -tolerance at a cell
-    centre (_centre_refutation).  For u = H.omega it reads H's split, node
-    matrices, smallest eigenvalue and Weyl bound instead of forming them
+    centre (_centre_refutation).  For u = H.omega it reads H's split,
+    smallest eigenvalue, max|h| and Weyl bound instead of forming them
     again, and sweeps no cell centre: the constructor swept them."""
     n, p = H.n, u.p
     cx = H.complex
@@ -693,8 +732,10 @@ def check_weak_positivity(H: HermitianStructure, u: Form) -> PositivityReport:
         raise DegreeError("weak-positivity test requires a (p,p)-form")
     k = n - p
     if u is H.omega:
-        a, herm, smallest, h = H._anti, H.h_nodes, H._smallest_eigenvalue(), None
-        bound = H._weyl_bound()[0]
+        h, a, bound = None, H._anti, H._weyl_bound()[0]
+        # max|h| first: with the margin not yet known, one pass forms both
+        scale = H._node_scale()
+        smallest = H._smallest_eigenvalue()
     else:
         if p == 1:
             # u = i sum_m c_m e_m dz ^ dzbar
@@ -714,15 +755,19 @@ def check_weak_positivity(H: HermitianStructure, u: Form) -> PositivityReport:
         else:
             raise DegreeError(f"no weak-positivity certificate in bidegree ({p},{p}) for n={n}")
         h, a = _hermitian_split(cx.catalog, c)
-        herm, smallest = _node_values(cx, h), None
+        smallest, scale = _extremes(cx, h)
         bound = _weyl_bound(cx.catalog, h)[0]
-    scale = max(np.abs(herm).max(), 1e-300)
-    # how far the coefficient matrices c(x) are from Hermitian at the nodes
-    dev = float(np.abs(_node_values(cx, a)).max())
+    scale = max(scale, 1e-300)
+    # how far the coefficient matrices c(x) are from Hermitian at the nodes;
+    # sum_m max|a_m| bounds every entry of a(x), up to the rounding of the
+    # node sums, which 1 + 1e-12 covers
+    dev = 0.0
+    if (1 + 1e-12) * np.abs(a).max(axis=(1, 2)).sum() > 1e-9 * scale:
+        dev = max(float(np.abs(M).max()) for M in _node_slabs(cx, a))
     if dev > 1e-9 * scale:
         return PositivityReport("refuted", witness="non-Hermitian coefficients",
                                 margin=-dev, certified=True)
-    rep = _eigenvalue_verdict(herm, bound, 1e-12 * scale, smallest)
+    rep = _eigenvalue_verdict(smallest, bound, 1e-12 * scale)
     # a verdict at the nodes only is swept at the cell centres, which the
     # constructor of H swept for omega
     refuted = None if rep.certified or h is None else _centre_refutation(cx, h, -1e-12 * scale)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from hstorsion import cohomology
+from hstorsion import cohomology, metric
 from hstorsion.backends import build_complex, parse_model
 from hstorsion.metric import HermitianStructure
 from hstorsion.models import IWASAWA_TEXT, SPECTRAL_TEXT, TORUS_TEXT  # noqa: F401
@@ -100,6 +100,27 @@ def coefficient_laplacian(H, which, p, q):
     coefficient frame, R^{-1} L~ R, from the whitened L~ that cohomology
     returns and the Cholesky factor R of the Gram."""
     return H.chol_inv(p, q) @ cohomology._LAPLACIANS[which](H, p, q) @ H.chol(p, q)
+
+
+@pytest.fixture
+def node_passes(monkeypatch):
+    """The mode coefficients of every pass that forms node values
+    (metric._node_slabs) while the test runs, in order."""
+    passes, slabs = [], metric._node_slabs
+    monkeypatch.setattr(metric, "_node_slabs", lambda cx, c: passes.append(c) or slabs(cx, c))
+    return passes
+
+
+def node_values(cx, coeffs):
+    """sum_m coeffs_m exp(2 pi i m . x) at every node x, shape (X, k, k),
+    in node order, for coeffs of shape (modes, k, k): the slabs of
+    metric._node_slabs, joined."""
+    return np.concatenate(list(metric._node_slabs(cx, coeffs)))
+
+
+def h_nodes(H):
+    """h(x) at every node of H's grid, shape (X, n, n), in node order."""
+    return node_values(H.complex, H._herm)
 
 
 def weyl_certifies(H, floor):

@@ -505,13 +505,14 @@ def test_import_does_no_numeric_work():
     assert proc.stdout.split("\n")[0] == "False [0, 0]"
 
 
-def test_family_runs_six_laplacians_and_two_green_operators_per_sample(tmp_path,
-                                                                      monkeypatch):
+def test_family_runs_five_laplacians_and_two_green_operators_per_sample(tmp_path,
+                                                                       monkeypatch):
     # the dimension columns count the Bott-Chern Laplacians at (0,2), (2,1)
     # and the Dolbeault ones at (0,1), (0,2) from eigenvalues alone; Green
     # operators are built only by the torsion form, of the Bott-Chern (2,0),
-    # and by the Neumann gap, of the Dolbeault (0,1), formed a second time;
-    # the Neumann and Kahler solves read no other Laplacian
+    # and by the Neumann gap, of the Dolbeault (0,1), which reads the one
+    # the count summed; the Neumann and Kahler solves read no other
+    # Laplacian, and none is summed twice on one metric
     calls, greens = [], []
 
     def recorded(lap):
@@ -534,11 +535,10 @@ def test_family_runs_six_laplacians_and_two_green_operators_per_sample(tmp_path,
     assert len(rows) == 3
     assert all(r["flagged"] == "False" and r["beta_residual"] != ""
                and r["kahler_d_residual"] != "" for r in rows)
-    assert len(calls) == 6 * 3
+    assert len(calls) == 5 * 3
     keys = [(id(c[0]), *c[1:4]) for c in calls]
     assert len(set(keys)) == 5 * 3
     dbar = cohomology.laplacian_dbar
-    assert [k[1:] for k in keys if keys.count(k) > 1] == [(0, 1, dbar)] * 6
     assert len(greens) == 2 * 3
     assert {g[1:] for g in greens} == {(2, 0, cohomology.laplacian_bc), (0, 1, dbar)}
 
@@ -549,11 +549,11 @@ def test_family_forms_no_node_values_on_a_potential_family(tmp_path, monkeypatch
     # positivity verdict: no h(x) or other node values, and no plane-wave
     # table, is formed
     node_values, tables = [], []
-    values, eval_matrix = metric._node_values, FormComplex.eval_matrix
-    monkeypatch.setattr(metric, "_node_values",
+    values, slab_waves = metric._node_slabs, FormComplex.slab_waves
+    monkeypatch.setattr(metric, "_node_slabs",
                         lambda cx, c: node_values.append(1) or values(cx, c))
-    monkeypatch.setattr(FormComplex, "eval_matrix",
-                        lambda self: tables.append(1) or eval_matrix(self))
+    monkeypatch.setattr(FormComplex, "slab_waves",
+                        lambda self: tables.append(1) or slab_waves(self))
     path = tmp_path / "family.model"
     path.write_text(N2K2_FAMILY)
     assert run(["family", "--model", str(path), "--out", str(tmp_path)]) == EXIT_OK

@@ -16,7 +16,7 @@ from hstorsion.metric import HermitianStructure
 from hstorsion.torsion import torsion_form
 
 from conftest import (FAMILY_TEXT, IWASAWA_TEXT, N2K2_FAMILY, POTENTIAL_FAMILY,
-                      SPECTRAL_TEXT, TORUS_TEXT, random_hermitian_structure)
+                      SPECTRAL_TEXT, TORUS_TEXT, node_values, random_hermitian_structure)
 
 TORUS_POTENTIAL_FAMILY = """kind spectral
 n 3
@@ -166,25 +166,25 @@ def test_kahler_in_class_evaluates_the_candidate_once(spectral_H, monkeypatch):
     # values; the positivity verdict is formed when first read: h(x) once
     # and one smallest eigenvalue, read from that structure, and a second
     # read forms nothing
-    splits, node_values, smallest = [], [], []
-    split, values = metric._hermitian_split, metric._node_values
+    splits, passes, smallest = [], [], []
+    split, slabs = metric._hermitian_split, metric._node_slabs
     eig = metric._smallest_eigenvalue
     monkeypatch.setattr(metric, "_hermitian_split",
                         lambda *a: splits.append(split(*a)) or splits[-1])
-    monkeypatch.setattr(metric, "_node_values",
-                        lambda cx, c: node_values.append(c) or values(cx, c))
+    monkeypatch.setattr(metric, "_node_slabs",
+                        lambda cx, c: passes.append(c) or slabs(cx, c))
     monkeypatch.setattr(metric, "_smallest_eigenvalue",
                         lambda *a: smallest.append(1) or eig(*a))
     kr = kahler_in_class(spectral_H)
-    assert len(splits) == 1 and not node_values and not smallest
+    assert len(splits) == 1 and not passes and not smallest
     h_coeffs, _ = splits[0]
     verdict = kr.positivity
-    assert sum(c is h_coeffs for c in node_values) == 1 and len(smallest) == 1
-    formed = len(node_values)
+    assert sum(c is h_coeffs for c in passes) == 1 and len(smallest) == 1
+    formed = len(passes)
     assert kr.positivity is verdict
-    assert (len(splits), len(node_values), len(smallest)) == (1, formed, 1)
+    assert (len(splits), len(passes), len(smallest)) == (1, formed, 1)
     assert verdict.verdict == "positive"
-    h = values(spectral_H.complex, h_coeffs)
+    h = node_values(spectral_H.complex, h_coeffs)
     assert verdict.margin == np.linalg.eigvalsh(h).min()
 
 

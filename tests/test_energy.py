@@ -15,9 +15,10 @@ from hstorsion.energy import (AeppliPoint, corollary_check, differential,
                               gradient_descent)
 from hstorsion.forms import Bidegree, Form, conjugate, zero_form
 from hstorsion.metric import HermitianStructure, MetricError
+from hstorsion.models import STRETCH_TEXT
 from hstorsion.torsion import TorsionReport, min_norm_torsion, torsion_form
 
-from conftest import weyl_certifies
+from conftest import node_values, weyl_certifies
 
 # (mode, j, c): the potential terms c e_mode dz^j of a spectral n = 2 model
 # with modes axis K 2, on the axes x_1, x_2, y_1, y_2 (z_j = x_j + i y_j)
@@ -283,16 +284,17 @@ def _n2_text(K, potential, grid=""):
 @pytest.fixture(scope="module")
 def n2k2_flow_sweeps():
     """The flow on the spectral n = 2, K = 2 model, and the positivity
-    sweeps (_positive_above) it runs, as a log of the events "build" and
-    ("built", certified, refused) around each HermitianStructure built,
-    with certified whether its Weyl bound clears its floor
-    (weyl_certifies) and refused whether it raised, "margin" and "done"
-    around each smallest eigenvalue, "values" for each product with the
-    plane-wave matrix (_node_values), and "sweep"; with the margin, the
-    all-node eigvalsh minimum and max|h| of each smallest eigenvalue."""
+    sweeps it runs, as a log of the events "build" and ("built",
+    certified, refused) around each HermitianStructure built, with
+    certified whether its Weyl bound clears its floor (weyl_certifies) and
+    refused whether it raised, "margin" and "done" around each smallest
+    eigenvalue, "values" for each pass that forms node values slab by slab
+    (_node_slabs), and "sweep" for each Cholesky sweep over the slabs
+    (_sweep); with the margin, the all-node eigvalsh minimum and max|h| of
+    each smallest eigenvalue."""
     log, margins = [], []
-    sweep, init = metric._positive_above, metric.HermitianStructure.__init__
-    smallest, values = metric._smallest_eigenvalue, metric._node_values
+    sweep, init = metric._sweep, metric.HermitianStructure.__init__
+    smallest, values = metric._smallest_eigenvalue, metric._node_slabs
 
     def build(self, *args, floor=0.0, **kwargs):
         log.append("build")
@@ -311,8 +313,8 @@ def n2k2_flow_sweeps():
         return lo
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(metric, "_positive_above", lambda *a: log.append("sweep") or sweep(*a))
-        mp.setattr(metric, "_node_values", lambda *a: log.append("values") or values(*a))
+        mp.setattr(metric, "_sweep", lambda *a: log.append("sweep") or sweep(*a))
+        mp.setattr(metric, "_node_slabs", lambda *a: log.append("values") or values(*a))
         mp.setattr(metric.HermitianStructure, "__init__", build)
         mp.setattr(metric, "_smallest_eigenvalue", margin)
         cx = build_complex(parse_model(_n2_text(2, N2K2_POTENTIAL)))
@@ -391,7 +393,7 @@ def test_weyl_certificate_agrees_with_the_nodes_along_a_flow(spectral_cx, spectr
     gradient_descent(AeppliPoint(spectral_cx, spectral_H.omega), max_iters=100)
     certified = 0
     for H, floor in built:
-        nodes = metric._node_values(H.complex, H._herm)
+        nodes = node_values(H.complex, H._herm)
         assert H._weyl_bound()[0] <= np.linalg.eigvalsh(nodes).min()
         if weyl_certifies(H, floor):
             certified += 1
@@ -465,17 +467,6 @@ def test_energy_invariant_under_the_doubling_cover():
     grams = _n2_invariants(1, base, grid="grid 9\n")[3]
     for pq, G in grams.items():
         assert np.abs(grams2[pq] - G).max() <= 1e-12 * np.abs(G).max(), pq
-
-
-# SPECTRAL_TEXT's potentials moved to 2 e_a, with halved coefficients, on
-# modes axis K 2 and its 9^6 nodes
-STRETCH_TEXT = """kind spectral
-n 3
-modes axis K 2
-potential 2 0 0 0 0 0 u 2 := 0.02
-potential 0 2 0 0 0 0 u 3 := 0.015+0.01i
-potential 0 0 0 2 0 0 u 1 := 0.01i
-"""
 
 
 def test_n3_energy_invariant_under_the_doubling_cover(spectral_H):

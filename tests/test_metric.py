@@ -12,8 +12,9 @@ from hstorsion.backends import build_complex, parse_model
 from hstorsion.forms import DegreeError, conjugate, wedge, zero_form
 from hstorsion.metric import (HermitianStructure, MetricError,
                               check_weak_positivity)
+from hstorsion.models import SPECTRAL_TEXT, STRETCH_TEXT
 
-from conftest import random_hermitian_structure, weyl_certifies
+from conftest import h_nodes, node_values, random_hermitian_structure, weyl_certifies
 
 N2K2_TEXT = """kind spectral
 n 2
@@ -80,8 +81,8 @@ def _reference_gram(H, p, q):
     """Spectral Gram matrix the direct way: minors of h^{-T} by determinants,
     the full-grid FFT of the pointwise pairing, one mode block at a time."""
     cx, cat = H.complex, H.complex.catalog
-    A = np.swapaxes(np.linalg.inv(H.h_nodes), 1, 2)
-    deth = np.real(np.linalg.det(H.h_nodes))
+    A = np.swapaxes(np.linalg.inv(h_nodes(H)), 1, 2)
+    deth = np.real(np.linalg.det(h_nodes(H)))
     S, M, grid = cat.struct_dim(p, q), cat.n_modes, cx.grid
     Q = np.einsum("xab,xcd,x->xacbd", np.conj(_minors(A, p)), _minors(A, q), deth)
     axes = tuple(range(len(grid)))
@@ -158,7 +159,7 @@ def test_compound_inverse_identity(spectral_H, rng):
         cx = H.complex
         nodes = rng.choice(cx.n_nodes, size=min(200, cx.n_nodes), replace=False)
         x = cx.nodes()[nodes]
-        h = H.h_nodes[nodes]
+        h = h_nodes(H)[nodes]
         det = np.real(np.linalg.det(h))
         for k in range(H.n + 1):
             s = cx.frequencies(H.n - k)[0]
@@ -177,7 +178,7 @@ def test_compound_spectra_match_fft_of_the_inverse(name, request, rng):
     metrics = _invariant_metrics(rng) if name == "invariant" else [request.getfixturevalue(name)]
     for H in metrics:
         cx = H.complex
-        A = np.swapaxes(np.linalg.inv(H.h_nodes), 1, 2)
+        A = np.swapaxes(np.linalg.inv(h_nodes(H)), 1, 2)
         for k in range(H.n + 1):
             C = math.comb(H.n, k)
             values = np.conj(_minors(A, k)).reshape(*cx.grid, C * C)
@@ -207,6 +208,67 @@ def test_compound_spectra_hold_no_node_tables(spectral_H, spectral_cx):
     assert peak <= 3e6
 
 
+def test_margin_and_centre_sweep_hold_no_whole_grid_table(spectral_H, spectral_cx):
+    # the margin of a metric on the 5^6 grid holds its own h(x), 9 * X * 16
+    # B = 2.25 MB, through its estimate, candidates and proof; the proof and
+    # the cell-centre sweep form one slab of X / 5 nodes at a time, and
+    # nothing stays.  Measured: 3.17 MB
+    spectral_H.positivity_margin  # the lattice's tables
+    H = HermitianStructure(spectral_cx, omega=spectral_cx.metric_form())
+    tracemalloc.start()
+    try:
+        H.positivity_margin
+        assert metric._centre_refutation(spectral_cx, H._herm, 0.0) is None
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6 and held <= 1e4
+
+
+def _plane_waves(cx):
+    """The whole grid's plane-wave matrix E[x, m] = exp(2 pi i m . x), the
+    grid_values of each mode's unit spectrum."""
+    k = cx.frequencies(1)
+    at = cx._positions(1, cx._modes(), k[0][:1])[:, 0]
+    return cx.grid_values(np.eye(len(at), dtype=complex)[at], k).T
+
+
+def _table_product(E, coeffs):
+    """The node values of the mode coefficients coeffs, shape (X, k, k), as
+    one product with the plane-wave matrix E."""
+    kk = coeffs.shape[-1]
+    return (coeffs.reshape(-1, kk * kk).T @ E.T).reshape(kk, kk, -1).transpose(2, 0, 1)
+
+
+@pytest.mark.parametrize("text", [SPECTRAL_TEXT, N2K2_TEXT, STRETCH_TEXT],
+                         ids=["spectral", "n2k2", "stretch"])
+def test_slab_node_values_have_the_bits_of_the_table_product(text, rng):
+    # h(x), its cell-centre values and those of random coefficients, formed
+    # slab by slab, equal one product with the whole grid's plane-wave
+    # matrix bit for bit: with modes on one axis each, a plane wave is one
+    # axis's phase, which the slab waves or the slab's phase hold exactly,
+    # and BLAS rounds the nodes of a padded slab as in the whole-grid product
+    cx = build_complex(parse_model(text))
+    H = HermitianStructure(cx, omega=cx.metric_form())
+    E = _plane_waves(cx)
+    shape = (cx.catalog.n_modes, cx.n, cx.n)
+    for coeffs in (H._herm, metric._centre_coefficients(cx, H._herm),
+                   rng.standard_normal(shape) + 1j * rng.standard_normal(shape)):
+        assert np.array_equal(node_values(cx, coeffs), _table_product(E, coeffs))
+
+
+def test_slab_node_values_of_modes_on_several_axes(alias_H, rng):
+    # modes such as (1, 1, 0, 0, 0, 0) take the phase of the slab's axis
+    # and the slab waves of the others: 1e-15 of the table product
+    cx = alias_H.complex
+    E = _plane_waves(cx)
+    shape = (cx.catalog.n_modes, cx.n, cx.n)
+    for coeffs in (alias_H._herm, metric._centre_coefficients(cx, alias_H._herm),
+                   rng.standard_normal(shape) + 1j * rng.standard_normal(shape)):
+        ref = _table_product(E, coeffs)
+        assert np.abs(node_values(cx, coeffs) - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
 def test_difference_weights_belong_to_their_complex():
     # the quadrature tables of a lattice live as long as its complexes, and
     # the flat metric's Gram(1,1) is the identity on both grids
@@ -216,9 +278,9 @@ def test_difference_weights_belong_to_their_complex():
         G = HermitianStructure(cx, h=np.eye(2)).gram(1, 1)
         assert np.abs(G - np.eye(len(G))).max() <= 1e-14
     tables = [cxs[0].mode_differences(), cxs[0].frequencies(2), cxs[0].frequencies(4),
-              cxs[0].shifts(4, 1)]
+              cxs[0].shifts(4, 1), cxs[0].slab_waves()]
     refs = [weakref.ref(tables[0][0]), weakref.ref(tables[1][0]),
-            weakref.ref(tables[2][1][0][0]), weakref.ref(tables[3])]
+            weakref.ref(tables[2][1][0][0]), weakref.ref(tables[3]), weakref.ref(tables[4][0])]
     del cxs, tables, cx, G
     gc.collect()
     assert all(ref() is None for ref in refs)
@@ -382,7 +444,7 @@ def test_metric_indefinite_at_one_node_rejected(spectral_cx):
                 omega.coeffs[cat.flat_index(m, (j,), (j,))] = -0.5 * s * (
                     omega.coeffs[cat.flat_index(cat.zero_mode, (j,), (j,))])
     # omega's coefficient matrices are Hermitian, so h(x) is c(x)
-    h = -1j * cx.evaluate(omega).reshape(-1, cx.n, cx.n)
+    h = -1j * np.concatenate(list(cx.evaluate(omega))).reshape(-1, cx.n, cx.n)
     bad = np.linalg.eigvalsh(h).min(axis=1) <= 0
     assert bad.sum() == 1 and len(bad) == 5**6
     with pytest.raises(MetricError, match="min eigenvalue"):
@@ -392,7 +454,7 @@ def test_metric_indefinite_at_one_node_rejected(spectral_cx):
 def test_positivity_margin_and_positive_above(spectral_H):
     H = spectral_H
     margin = H.positivity_margin
-    assert margin == np.linalg.eigvalsh(H.h_nodes).min()
+    assert margin == np.linalg.eigvalsh(h_nodes(H)).min()
     # the floor is decided by the constructor
     HermitianStructure(H.complex, omega=H.omega, floor=0.99 * margin)
     with pytest.raises(MetricError, match="above"):
@@ -416,7 +478,7 @@ def test_metric_negative_between_the_nodes_is_refused():
     # with a point where x_1 = 1/2
     cx = build_complex(parse_model(NEGATIVE_BETWEEN_NODES_TEXT))
     h, _ = metric._hermitian_split(cx.catalog, -1j * cx.metric_form().coeffs.reshape(-1, 2, 2))
-    nodes = np.linalg.eigvalsh(metric._node_values(cx, h)).min()
+    nodes = np.linalg.eigvalsh(node_values(cx, h)).min()
     assert abs(nodes - (1 + 1.2 * math.cos(0.8 * math.pi))) <= 1e-14 and nodes > 0
     assert abs(metric._weyl_bound(cx.catalog, h)[0] + 0.2) <= 1e-14
     with pytest.raises(MetricError, match=r"between the nodes: min eigenvalue -2\.000e-01 "
@@ -441,7 +503,7 @@ def test_positivity_verdict_refutes_between_the_nodes_as_the_constructor_does():
     assert np.allclose(np.abs(v), [1.0, 0.0])
 
 
-def test_weyl_bound_of_one_cosine(spectral_cx):
+def test_weyl_bound_of_one_cosine(spectral_cx, node_passes):
     # h(x) = diag(1 + 0.3 cos 2 pi x_1, 2, 3): h_0 = diag(1, 2, 3) and
     # h_{+-e_1} = diag(0.15, 0, 0), so the bound is 1 - 2 * 0.15 = 0.7, the
     # least value of h(x), at x_1 = 1/2, and sum_m ||h_m||_2 = 3.3.  It
@@ -453,22 +515,24 @@ def test_weyl_bound_of_one_cosine(spectral_cx):
     H = HermitianStructure(cx, omega=omega)
     bound, scale = H._weyl_bound()
     assert abs(bound - 0.7) <= 1e-15 and abs(scale - 3.3) <= 1e-15
-    assert "h nodes" not in H._memo
-    assert "h nodes" not in HermitianStructure(cx, omega=omega, floor=0.69)._memo
+    HermitianStructure(cx, omega=omega, floor=0.69)
+    assert node_passes == []
     margin = 1 + 0.3 * math.cos(0.8 * math.pi)
-    assert abs(H.positivity_margin - margin) <= 1e-15
-    assert "h nodes" in HermitianStructure(cx, omega=omega, floor=0.71)._memo
+    assert abs(H.positivity_margin - margin) <= 1e-15 and len(node_passes) == 1
+    HermitianStructure(cx, omega=omega, floor=0.71)
+    assert len(node_passes) == 3  # the nodes, then the cell centres
     with pytest.raises(MetricError, match="above"):
         HermitianStructure(cx, omega=omega, floor=margin + 1e-9)
 
 
-def test_weyl_allowance_leaves_the_floor_to_the_nodes(torus_cx):
+def test_weyl_allowance_leaves_the_floor_to_the_nodes(torus_cx, node_passes):
     # h = I: the bound is exactly 1, which does not clear the floor 1 by its
     # rounding allowance 1e-12, so the node sweep decides, and h - I is not
     # positive definite
     H = HermitianStructure(torus_cx, h=np.eye(3))
-    assert H._weyl_bound() == (1.0, 1.0) and "h nodes" not in H._memo
-    assert "h nodes" in HermitianStructure(torus_cx, h=np.eye(3), floor=1.0 - 1e-13)._memo
+    assert H._weyl_bound() == (1.0, 1.0) and node_passes == []
+    HermitianStructure(torus_cx, h=np.eye(3), floor=1.0 - 1e-13)
+    assert len(node_passes) == 2
     with pytest.raises(MetricError, match="above 1.000e"):
         HermitianStructure(torus_cx, h=np.eye(3), floor=1.0)
 
@@ -479,13 +543,13 @@ def test_weyl_certificate_agrees_with_the_nodes(name, request):
     # the Weyl bound is at most the smallest eigenvalue at every node, and
     # where it certifies a metric, the node sweep agrees
     H = request.getfixturevalue(name)
-    nodes = metric._node_values(H.complex, H._herm)
+    nodes = node_values(H.complex, H._herm)
     assert H._weyl_bound()[0] <= np.linalg.eigvalsh(nodes).min()
     if weyl_certifies(H, 0.0):
         assert metric._positive_above(nodes, 0.0)
 
 
-def test_weyl_bound_near_the_positivity_boundary():
+def test_weyl_bound_near_the_positivity_boundary(node_passes):
     # 100 random spectral n = 2, K = 1 metrics whose Weyl bound lies within
     # 0.05 of 0; in every second one the oscillation is mostly one cosine
     # along the least eigenvector of h_0, so the bound is nearly tight and
@@ -514,7 +578,9 @@ def test_weyl_bound_near_the_positivity_boundary():
             np.linalg.svd(hm, compute_uv=False)[0] for hm in h)
         h[zero] = h0 / np.linalg.eigvalsh(h0)[0]
         omega = metric.Form(cat, metric.Bidegree(1, 1), 1j * h.reshape(-1))
-        values = [metric._node_values(cx, h), metric._cell_centre_values(cx, h)]
+        values = [node_values(cx, h),
+                  node_values(cx, metric._centre_coefficients(cx, h))]
+        passes = len(node_passes)
         least = min(np.linalg.eigvalsh(v).min() for v in values)
         assert metric._weyl_bound(cat, h)[0] <= least + 1e-14
         try:
@@ -526,7 +592,7 @@ def test_weyl_bound_near_the_positivity_boundary():
         assert least > 0
         if weyl_certifies(H, 0.0):
             counts["certified"] += 1
-            assert "h nodes" not in H._memo and metric._positive_above(values[0], 0.0)
+            assert len(node_passes) == passes and metric._positive_above(values[0], 0.0)
         else:
             counts["built"] += 1
     assert min(counts.values()) >= 10, counts
@@ -541,7 +607,7 @@ def _lapack_positive_above(M, c):
 
 
 def _node_contiguous(M):
-    """The matrices M(x) stored as h_nodes stores them: a view of (n, n, X)."""
+    """The matrices M(x) stored as _node_slabs forms them: a view of (n, n, X)."""
     return np.ascontiguousarray(M.transpose(1, 2, 0)).transpose(2, 0, 1)
 
 
@@ -649,14 +715,14 @@ def test_minors_are_determinants_of_submatrices(n, rng):
     # every node against np.linalg.det of h(x); for n >= 3 the n-fold sums
     # of the modes, +-3 e_1 and beyond, alias on the 5 nodes of the axis
     H = _random_mode_metric(n, rng)
-    ref = np.real(np.linalg.det(H.h_nodes))
+    ref = np.real(np.linalg.det(h_nodes(H)))
     det = _det_from_spectrum(H)
     assert det.shape == (5,) and np.ptp(ref) > 0.1 * np.abs(ref).max()
     assert np.abs(det - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_minors_of_the_spectral_metric(spectral_H):
-    ref = np.real(np.linalg.det(spectral_H.h_nodes))
+    ref = np.real(np.linalg.det(h_nodes(spectral_H)))
     det = _det_from_spectrum(spectral_H)
     assert np.abs(det - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -688,7 +754,7 @@ def test_minor_spectra_match_fft_of_determinants(name, request):
     # of every minor taken by np.linalg.det at the nodes: equal on S_k, and
     # the reference vanishes off S_k
     H = request.getfixturevalue(name)
-    cx, h = H.complex, H.h_nodes
+    cx, h = H.complex, h_nodes(H)
     for k, spectrum in enumerate(H._minor_spectra()):
         C = math.comb(H.n, k)
         values = _minors(h, k).reshape(*cx.grid, C * C)
@@ -722,7 +788,7 @@ def late_argmin_H(spectral_cx):
 
 
 def test_smallest_eigenvalue_grows_past_a_late_argmin(late_argmin_H, monkeypatch):
-    H, h = late_argmin_H, late_argmin_H.h_nodes
+    H, h = late_argmin_H, h_nodes(late_argmin_H)
     eigs = np.linalg.eigvalsh(h)
     assert np.argmin(eigs.min(axis=1)) == 0
     assert np.argmax(np.linalg.eigvalsh(h[:, :2, :2]).min(axis=1)) == 0
@@ -740,7 +806,7 @@ def test_refutation_names_the_node_and_eigenvector_of_eigvalsh(late_argmin_H):
     # h(x) - 0.85 I is indefinite wherever f > 1/2, and least at x = 0
     H = late_argmin_H
     u = H.omega - H.complex.hermitian_form(0.85 * np.eye(3))
-    h = metric._node_values(H.complex, metric._hermitian_split(
+    h = node_values(H.complex, metric._hermitian_split(
         H.complex.catalog, -1j * u.coeffs.reshape(-1, 3, 3))[0])
     eigs = np.linalg.eigvalsh(h)
     node = int(np.argmin(eigs.min(axis=1)))
@@ -752,11 +818,11 @@ def test_refutation_names_the_node_and_eigenvector_of_eigvalsh(late_argmin_H):
 
 def test_smallest_eigenvalue_at_one_node(iwasawa_cx, rng):
     H = random_hermitian_structure(iwasawa_cx, rng)
-    assert H.positivity_margin == np.linalg.eigvalsh(H.h_nodes).min()
+    assert H.positivity_margin == np.linalg.eigvalsh(h_nodes(H)).min()
     rep = check_weak_positivity(H, -1.0 * H.omega)
     assert rep.verdict == "refuted" and rep.witness[0] == 0
-    assert rep.margin == np.linalg.eigvalsh(-H.h_nodes).min()
-    assert np.array_equal(rep.witness[1], np.linalg.eigh(-H.h_nodes[0])[1][:, 0])
+    assert rep.margin == np.linalg.eigvalsh(-h_nodes(H)).min()
+    assert np.array_equal(rep.witness[1], np.linalg.eigh(-h_nodes(H)[0])[1][:, 0])
 
 
 def test_non_hermitian_metric_rejected(torus_cx):
@@ -929,7 +995,7 @@ def test_weak_positivity_refutes_a_form_that_is_not_real(name, request):
         rep = check_weak_positivity(H, s + conjugate(s))
         assert isinstance(rep.witness, tuple) or rep.witness is None, p
         if p == 0:
-            least = cx.evaluate(s + conjugate(s))[:, 0].real.min()
+            least = min(v[:, 0].real.min() for v in cx.evaluate(s + conjugate(s)))
             assert abs(rep.margin - least) <= 1e-12 * np.abs(s.coeffs).sum()
 
 
