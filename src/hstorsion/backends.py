@@ -250,8 +250,8 @@ class FormComplex:
             if p + 1 <= n and q + 1 <= n:
                 d1, db1 = blocks[D, p, q], blocks[B, p, q]
                 r = _max_abs(blocks[B, p + 1, q] @ d1 + blocks[D, p, q + 1] @ db1)
-                scale = max(1.0, _max_abs(d1), _max_abs(db1)) ** 2
-                if r > STRUCTURE_TOL * scale * 100:
+                scale = max(1.0, _max_abs(d1), _max_abs(db1))
+                if r > STRUCTURE_TOL * scale * scale * 100:
                     raise ModelError(
                         f"del delbar + delbar del != 0 at ({p},{q}): {r:.2e}"
                     )
@@ -821,6 +821,11 @@ class ModelTemplate:
         for k, terms in self.d_terms.items():
             for key, c in terms:
                 d_phi[k][key] = d_phi[k].get(key, 0) + _value(c, t, lines[k])
+            # d^2 = 0 is checked on products of two coefficients
+            for c in d_phi[k].values():
+                if not math.isfinite(abs(c) * abs(c)):
+                    raise ModelError(f"d coefficient of size {abs(c):.1e} overflows "
+                                     "the float range when squared", lines[k])
         if self.kind == "invariant":
             model = Model(n=n, d_phi=d_phi, metric=const_h)
         else:

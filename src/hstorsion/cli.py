@@ -24,7 +24,8 @@ from .backends import ModelError, ModelTemplate, build_complex, format_complex
 from .cohomology import CohomologyMismatch, cohomology_table
 from .deform import (FamilyTable, HypothesisError, family_diagnostics,
                      kahler_in_class)
-from .energy import AeppliPoint, differential_riesz, energy, gradient_descent
+from .energy import (AeppliPoint, _riesz_gradient, differential_riesz, energy,
+                     gradient_descent)
 from .metric import HermitianStructure
 from .torsion import NotHermitianSymplectic, classify, torsion_form
 
@@ -139,9 +140,7 @@ def cmd_torsion(args, template, rep):
 def cmd_energy(args, template, rep):
     H = _load(template)
     f, tr = energy(H)
-    c = differential_riesz(H, tr.rho20)
-    G = H.gram(1, 0)
-    gnorm = float(np.sqrt(max(np.real(np.conj(c) @ np.linalg.solve(G, c)), 0.0)))
+    _, _, gnorm = _riesz_gradient(H.gram(1, 0), differential_riesz(H, tr.rho20))
     rep.add(
         f"energy F: {f:.12e}",
         f"torsion norm: {tr.norm:.12e}",

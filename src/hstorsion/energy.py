@@ -140,6 +140,15 @@ def differential_riesz(H: HermitianStructure, rho: Form | None = None):
     return c
 
 
+def _riesz_gradient(G, c):
+    """(g, slope, |g|) of the functional v -> Re(c^H v) in the Gram G: its
+    Riesz representative g = G^{-1} c, slope = Re(c^H g) = |g|^2 in that
+    Gram, and |g| = sqrt(max(slope, 0))."""
+    g = np.linalg.solve(G, c)
+    slope = float(np.real(np.conj(c) @ g))
+    return g, slope, math.sqrt(max(slope, 0.0))
+
+
 def differential(target, v: Form, rho: Form | None = None) -> float:
     """dF along the potential direction v (variation gamma = dbar v
     + del conj(v)) at an AeppliPoint or HermitianStructure."""
@@ -319,16 +328,8 @@ def gradient_descent(point0: AeppliPoint, max_iters: int = 500) -> FlowResult:
                 "margin": H.positivity_margin, "d_residual": d_residual,
                 "potential": point.u.coeffs.copy()}
 
-    def gradient():
-        """(g, slope, |g|) at H: the Riesz representative g of dF in the
-        base Gram, and slope = dF(g) = |g|^2 in that Gram."""
-        c = differential_riesz(H, rho)
-        g = np.linalg.solve(G0, c)
-        slope = float(np.real(np.conj(c) @ g))
-        return g, slope, math.sqrt(max(slope, 0.0))
-
     for it in range(max_iters + 1):
-        g, slope, gnorm = gradient()
+        g, slope, gnorm = _riesz_gradient(G0, differential_riesz(H, rho))
         history.append(row(it, gnorm, _d_residual(H)))
         if f <= F_TOL and history[-1]["d_residual"] <= D_TOL:
             status = "converged"

@@ -166,10 +166,11 @@ def _pair_estimate(M):
 
 
 def _smallest_eigenvalue(slabs):
-    """(lo, node, M(node)): the smallest eigenvalue of the Hermitian
-    matrices M(x), given as the list of their slabs in node order, each of
-    shape (Y, n, n), the first node among those searched where it is
-    attained and a copy of the matrix there.
+    """(lo, node, M(node), max|M|): the smallest eigenvalue of the
+    Hermitian matrices M(x), given as the list of their slabs in node
+    order, each of shape (Y, n, n), the first node among those searched
+    where it is attained, a copy of the matrix there, and max|M| over the
+    nodes (_pair_estimate).
 
     eigvalsh runs only on a candidate set of nodes, the 64 whose estimate
     (_pair_estimate, slab by slab) is least, an upper bound of the
@@ -180,7 +181,7 @@ def _smallest_eigenvalue(slabs):
     candidate set grows eightfold; once it covers every node, lo is the
     minimum over all of them."""
     estimates, scales = zip(*map(_pair_estimate, slabs))
-    estimate, delta = np.concatenate(estimates), 1e-13 * max(scales)
+    estimate, scale = np.concatenate(estimates), float(max(scales))
     size, Y = 64, len(slabs[0])
     while True:
         size = min(size, len(estimate))
@@ -189,8 +190,8 @@ def _smallest_eigenvalue(slabs):
         eigs = np.linalg.eigvalsh(M).min(axis=1)
         best = int(np.argmin(eigs))
         lo, node = float(eigs[best]), int(nodes[best])
-        if size == len(estimate) or _sweep(slabs, lo - delta):
-            return lo, node, M[best].copy()
+        if size == len(estimate) or _sweep(slabs, lo - 1e-13 * scale):
+            return lo, node, M[best].copy(), scale
         size *= 8
 
 
@@ -229,13 +230,6 @@ def _node_slabs(cx: FormComplex, coeffs):
         yield values.reshape(k, k, -1).transpose(2, 0, 1)
 
 
-def _extremes(cx: FormComplex, h):
-    """(_smallest_eigenvalue, max|M|) of the node values M of the Hermitian
-    mode coefficients h, formed once for both."""
-    slabs = list(_node_slabs(cx, h))
-    return _smallest_eigenvalue(slabs), max(float(np.abs(M).max()) for M in slabs)
-
-
 def _centre_coefficients(cx: FormComplex, coeffs):
     """The mode coefficients whose node values are those of coeffs at the
     cell centres x + delta, delta half a grid step on every axis: coeffs_m
@@ -252,7 +246,7 @@ def _centre_refutation(cx: FormComplex, coeffs, c):
     shifted = _centre_coefficients(cx, coeffs)
     if _sweep(_node_slabs(cx, shifted), c):
         return None
-    lo, node, at = _smallest_eigenvalue(list(_node_slabs(cx, shifted)))
+    lo, node, at, _ = _smallest_eigenvalue(list(_node_slabs(cx, shifted)))
     x = cx.nodes()[node] + 0.5 / np.array(cx.grid)
     return lo, x, np.linalg.eigh(at)[1][:, 0]
 
@@ -299,7 +293,7 @@ class HermitianStructure(_Memo):
     a metric that passes it is swept once more at the cell centres, where
     a negative eigenvalue is refused with the point it lies at.  Each
     sweep forms h(x) one slab at a time, and no node values are kept: only
-    what is read from them (the margin and its node, max|h|).  Immutable
+    what is read from them (the margin, its node and max|h|).  Immutable
     after construction; Gram, star, adjoint and the other derived matrices
     are cached per bidegree in one memo.
     """
@@ -321,12 +315,12 @@ class HermitianStructure(_Memo):
             raise MetricError("metric form must have bidegree (1,1)")
         # omega's Hermitian coefficients h_m and anti-Hermitian a_m; omega is
         # real when a_m vanishes, as |conj(omega) - omega| = 2 |a_m|
-        self._herm, self._anti = _hermitian_split(
+        self._herm, anti = _hermitian_split(
             complex_.catalog, -1j * omega.coeffs.reshape(-1, self.n, self.n))
-        if 2 * np.abs(self._anti).max() > 1e-12 * max(1.0, np.abs(omega.coeffs).max()):
+        if 2 * np.abs(anti).max() > 1e-12 * max(1.0, np.abs(omega.coeffs).max()):
             raise MetricError("metric form is not real")
         floor = max(floor, 0.0)
-        bound, scale = self._weyl_bound()
+        bound, scale = _weyl_bound(complex_.catalog, self._herm)
         if bound > floor + 1e-12 * max(1.0, scale):
             return
         if not _sweep(_node_slabs(complex_, self._herm), floor):
@@ -341,26 +335,11 @@ class HermitianStructure(_Memo):
 
     # -- pointwise data ----------------------------------------------------
 
-    def _weyl_bound(self):
-        """(bound, scale) of _weyl_bound(h_m), computed when first read."""
-        return self._cached("weyl bound", lambda: _weyl_bound(self.complex.catalog, self._herm))
-
     def _smallest_eigenvalue(self):
         """_smallest_eigenvalue of h(x), computed when first read from node
         values formed for it alone."""
         return self._cached("smallest_eigenvalue", lambda: _smallest_eigenvalue(
             list(_node_slabs(self.complex, self._herm))))
-
-    def _node_scale(self):
-        """max|h(x)| over the nodes, computed when first read, in one pass
-        with the smallest eigenvalue, which it stores when not yet known."""
-
-        def build():
-            smallest, scale = _extremes(self.complex, self._herm)
-            self._memo.setdefault("smallest_eigenvalue", smallest)
-            return scale
-
-        return self._cached("max|h|", build)
 
     @property
     def positivity_margin(self) -> float:
@@ -693,12 +672,13 @@ class PositivityReport:
 
 def _eigenvalue_verdict(smallest, bound, tol):
     """Verdict on Hermitian matrices M(x) from smallest, the (lo, node,
-    M(node)) of _smallest_eigenvalue over every node, with tolerance tol.
+    M(node), max|M|) of _smallest_eigenvalue over every node, with
+    tolerance tol.
     A refutation carries (node, eigenvector of lo) and is certified; a
     positive or semi-positive verdict is certified when bound, a lower
     bound of the smallest eigenvalue over the whole torus, passes the same
     test."""
-    lo, node, at = smallest
+    lo, node, at, _ = smallest
     if lo > tol:
         return PositivityReport("positive", margin=lo, certified=bool(bound > tol))
     if lo >= -tol:
@@ -723,41 +703,32 @@ def check_weak_positivity(H: HermitianStructure, u: Form) -> PositivityReport:
     the whole torus by its Weyl bound (_eigenvalue_verdict), with tolerance
     1e-12 max|Hermitian part|; a verdict the bound does not certify is
     refuted, naming the point, by an eigenvalue below -tolerance at a cell
-    centre (_centre_refutation).  For u = H.omega it reads H's split,
-    smallest eigenvalue, max|h| and Weyl bound instead of forming them
-    again, and sweeps no cell centre: the constructor swept them."""
+    centre (_centre_refutation)."""
     n, p = H.n, u.p
     cx = H.complex
     if u.p != u.q:
         raise DegreeError("weak-positivity test requires a (p,p)-form")
     k = n - p
-    if u is H.omega:
-        h, a, bound = None, H._anti, H._weyl_bound()[0]
-        # max|h| first: with the margin not yet known, one pass forms both
-        scale = H._node_scale()
-        smallest = H._smallest_eigenvalue()
+    if p == 1:
+        # u = i sum_m c_m e_m dz ^ dzbar
+        c = -1j * u.coeffs.reshape(-1, n, n)
+    elif p == 0 or k == 0:
+        # a function, or one times e_vol = i^{-n^2} tau, as 1 x 1 matrices
+        c = u.coeffs.reshape(-1, 1, 1) * (H._vol_unit if p else 1.0)
+    elif k == 1:
+        # pairing is the form M[j,k] = value of u ^ i dz^j ^ dzbar^k: wedge
+        # u against every (1,1) struct basis covector at once; it is
+        # linear in u, so u's mode coefficients give M's
+        cat = cx.catalog
+        basis = np.eye(cat.struct_dim(1, 1))
+        top = wedge_values(cat, u.bidegree, Bidegree(1, 1),
+                           u.coeffs.reshape(cat.n_modes, 1, -1), basis)
+        c = (1j * top[..., 0] * H._vol_unit).reshape(-1, n, n)
     else:
-        if p == 1:
-            # u = i sum_m c_m e_m dz ^ dzbar
-            c = -1j * u.coeffs.reshape(-1, n, n)
-        elif p == 0 or k == 0:
-            # a function, or one times e_vol = i^{-n^2} tau, as 1 x 1 matrices
-            c = u.coeffs.reshape(-1, 1, 1) * (H._vol_unit if p else 1.0)
-        elif k == 1:
-            # pairing is the form M[j,k] = value of u ^ i dz^j ^ dzbar^k: wedge
-            # u against every (1,1) struct basis covector at once; it is
-            # linear in u, so u's mode coefficients give M's
-            cat = cx.catalog
-            basis = np.eye(cat.struct_dim(1, 1))
-            top = wedge_values(cat, u.bidegree, Bidegree(1, 1),
-                               u.coeffs.reshape(cat.n_modes, 1, -1), basis)
-            c = (1j * top[..., 0] * H._vol_unit).reshape(-1, n, n)
-        else:
-            raise DegreeError(f"no weak-positivity certificate in bidegree ({p},{p}) for n={n}")
-        h, a = _hermitian_split(cx.catalog, c)
-        smallest, scale = _extremes(cx, h)
-        bound = _weyl_bound(cx.catalog, h)[0]
-    scale = max(scale, 1e-300)
+        raise DegreeError(f"no weak-positivity certificate in bidegree ({p},{p}) for n={n}")
+    h, a = _hermitian_split(cx.catalog, c)
+    smallest = _smallest_eigenvalue(list(_node_slabs(cx, h)))
+    scale = max(smallest[3], 1e-300)
     # how far the coefficient matrices c(x) are from Hermitian at the nodes;
     # sum_m max|a_m| bounds every entry of a(x), up to the rounding of the
     # node sums, which 1 + 1e-12 covers
@@ -767,10 +738,9 @@ def check_weak_positivity(H: HermitianStructure, u: Form) -> PositivityReport:
     if dev > 1e-9 * scale:
         return PositivityReport("refuted", witness="non-Hermitian coefficients",
                                 margin=-dev, certified=True)
-    rep = _eigenvalue_verdict(smallest, bound, 1e-12 * scale)
-    # a verdict at the nodes only is swept at the cell centres, which the
-    # constructor of H swept for omega
-    refuted = None if rep.certified or h is None else _centre_refutation(cx, h, -1e-12 * scale)
+    rep = _eigenvalue_verdict(smallest, _weyl_bound(cx.catalog, h)[0], 1e-12 * scale)
+    # a verdict at the nodes only is swept at the cell centres
+    refuted = None if rep.certified else _centre_refutation(cx, h, -1e-12 * scale)
     if refuted:
         return PositivityReport("refuted", witness=refuted[1:], margin=refuted[0],
                                 certified=True)

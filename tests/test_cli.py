@@ -264,6 +264,11 @@ def test_bad_model_text(tmp_path, capsys):
         # a literal past the float range, not an infinity that breaks the SVD
         ("classify", "kind invariant\nn 3\nd 3 := 1e400 * e(1,2)\n",
          "error: line 3: complex literal '1e400' is not finite"),
+        # a finite coefficient whose square overflows is refused before any
+        # product of del and dbar is formed
+        *((command, "kind invariant\nn 3\nd 3 := 1e160 * e(1,2)\n",
+           "error: line 3: d coefficient of size 1.0e+160 overflows the float range when "
+           "squared") for command in ("classify", "torsion")),
         # a family names the sample whose metric is refused
         ("family", "kind spectral\nn 2\nmodes axis K 1\n"
          "potential 1 0 0 0 u 2 := poly(0, 0.5)\nt_samples := 0 0.25 1\n",
@@ -489,6 +494,23 @@ def test_python_m_hstorsion(torus_file, tmp_path):
         timeout=120)
     assert proc.returncode == EXIT_OK, proc.stderr
     assert (tmp_path / "out" / "classify_report.txt").exists()
+
+
+def test_operator_entries_whose_products_overflow_end_with_a_report(tmp_path):
+    # each coefficient squares within the float range, but del on phi^1 ^
+    # phi^2 has the entry -(a + b) = -2e154, whose square does not: the
+    # command ends with its report and a reason, exit 1 or 2.  numpy warns
+    # on the overflowing arrays, so the command runs in its own process
+    model = tmp_path / "sum.model"
+    model.write_text("kind invariant\nn 3\nd 1 := 1e154 * e(1,3)\nd 2 := 1e154 * e(2,3)\n")
+    src = str(Path(hstorsion.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "hstorsion", "classify", "--model", str(model),
+         "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+    assert proc.returncode in (EXIT_INPUT, EXIT_CONTRACT), proc.stderr
+    last = (tmp_path / "out" / "classify_report.txt").read_text().splitlines()[-1]
+    assert last.startswith(("error: ", "numerical failure: "))
 
 
 def test_import_does_no_numeric_work():

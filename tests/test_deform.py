@@ -163,9 +163,10 @@ def test_kahler_in_class_spectral(spectral_H):
 def test_kahler_in_class_evaluates_the_candidate_once(spectral_H, monkeypatch):
     # kahler_in_class builds the candidate's structure, which splits its
     # coefficients once and, certified by the Weyl bound, forms no node
-    # values; the positivity verdict is formed when first read: h(x) once
-    # and one smallest eigenvalue, read from that structure, and a second
-    # read forms nothing
+    # values; the positivity verdict is formed when first read, as for any
+    # form: a second split, h(x) once, one smallest eigenvalue and, as the
+    # Weyl bound certifies it, no cell-centre values; a second read forms
+    # nothing
     splits, passes, smallest = [], [], []
     split, slabs = metric._hermitian_split, metric._node_slabs
     eig = metric._smallest_eigenvalue
@@ -177,13 +178,13 @@ def test_kahler_in_class_evaluates_the_candidate_once(spectral_H, monkeypatch):
                         lambda *a: smallest.append(1) or eig(*a))
     kr = kahler_in_class(spectral_H)
     assert len(splits) == 1 and not passes and not smallest
-    h_coeffs, _ = splits[0]
     verdict = kr.positivity
-    assert sum(c is h_coeffs for c in passes) == 1 and len(smallest) == 1
-    formed = len(passes)
+    assert len(splits) == 2 and len(smallest) == 1
+    h_coeffs, _ = splits[1]
+    assert len(passes) == 1 and passes[0] is h_coeffs
     assert kr.positivity is verdict
-    assert (len(splits), len(passes), len(smallest)) == (1, formed, 1)
-    assert verdict.verdict == "positive"
+    assert (len(splits), len(passes), len(smallest)) == (2, 1, 1)
+    assert verdict.verdict == "positive" and verdict.certified
     h = node_values(spectral_H.complex, h_coeffs)
     assert verdict.margin == np.linalg.eigvalsh(h).min()
 

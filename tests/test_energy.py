@@ -394,7 +394,8 @@ def test_weyl_certificate_agrees_with_the_nodes_along_a_flow(spectral_cx, spectr
     certified = 0
     for H, floor in built:
         nodes = node_values(H.complex, H._herm)
-        assert H._weyl_bound()[0] <= np.linalg.eigvalsh(nodes).min()
+        assert metric._weyl_bound(H.complex.catalog, H._herm)[0] <= (
+            np.linalg.eigvalsh(nodes).min())
         if weyl_certifies(H, floor):
             certified += 1
             assert metric._positive_above(nodes, floor)

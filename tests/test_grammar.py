@@ -92,6 +92,10 @@ DEFECTS = {
                               4, "not finite"),
     "overflowing d coefficient": (parse_model, "kind invariant\nn 3\nd 3 := 1e400 * e(1,2)\n",
                                   3, "not finite"),
+    # finite, but d^2 = 0 is checked on its square
+    "d coefficient whose square overflows": (parse_model,
+                                             "kind invariant\nn 3\nd 3 := 1e160 * e(1,2)\n",
+                                             3, "when squared"),
     "overflowing poly coefficient": (parse_family, "kind invariant\nn 2\n"
                                      "metric h 1 1 := poly(1, -1e400)\nt_samples := 0 1\n", 3,
                                      "not finite"),

@@ -513,7 +513,7 @@ def test_weyl_bound_of_one_cosine(spectral_cx, node_passes):
     for m in ((1, 0, 0, 0, 0, 0), (-1, 0, 0, 0, 0, 0)):
         omega = omega + cx.hermitian_form(np.diag([0.15, 0.0, 0.0]), m)
     H = HermitianStructure(cx, omega=omega)
-    bound, scale = H._weyl_bound()
+    bound, scale = metric._weyl_bound(cx.catalog, H._herm)
     assert abs(bound - 0.7) <= 1e-15 and abs(scale - 3.3) <= 1e-15
     HermitianStructure(cx, omega=omega, floor=0.69)
     assert node_passes == []
@@ -530,7 +530,7 @@ def test_weyl_allowance_leaves_the_floor_to_the_nodes(torus_cx, node_passes):
     # rounding allowance 1e-12, so the node sweep decides, and h - I is not
     # positive definite
     H = HermitianStructure(torus_cx, h=np.eye(3))
-    assert H._weyl_bound() == (1.0, 1.0) and node_passes == []
+    assert metric._weyl_bound(torus_cx.catalog, H._herm) == (1.0, 1.0) and node_passes == []
     HermitianStructure(torus_cx, h=np.eye(3), floor=1.0 - 1e-13)
     assert len(node_passes) == 2
     with pytest.raises(MetricError, match="above 1.000e"):
@@ -544,7 +544,7 @@ def test_weyl_certificate_agrees_with_the_nodes(name, request):
     # where it certifies a metric, the node sweep agrees
     H = request.getfixturevalue(name)
     nodes = node_values(H.complex, H._herm)
-    assert H._weyl_bound()[0] <= np.linalg.eigvalsh(nodes).min()
+    assert metric._weyl_bound(H.complex.catalog, H._herm)[0] <= np.linalg.eigvalsh(nodes).min()
     if weyl_certifies(H, 0.0):
         assert metric._positive_above(nodes, 0.0)
 
@@ -843,6 +843,44 @@ def test_reality_boundary(torus_cx, asymmetry, real):
     else:
         with pytest.raises(MetricError, match="not real"):
             HermitianStructure(torus_cx, h=h)
+
+
+# h(x) = diag(1 + 0.6 cos 2 pi x_1, 1 + 0.6 cos 2 pi x_2): least at the
+# nodes 1 + 0.6 cos(4 pi / 5) = 0.515, and 0.4 at the cell centre x = 1/2;
+# its Weyl bound 1 - 4 * 0.3 = -0.2 certifies nothing
+NODES_ONLY_TEXT = """kind spectral
+n 2
+modes axis K 1
+metric_mode 1 0 0 0 h 1 1 := 0.3
+metric_mode -1 0 0 0 h 1 1 := 0.3
+metric_mode 0 1 0 0 h 2 2 := 0.3
+metric_mode 0 -1 0 0 h 2 2 := 0.3
+"""
+
+
+@pytest.fixture(scope="module")
+def nodes_only_H():
+    cx = build_complex(parse_model(NODES_ONLY_TEXT))
+    return HermitianStructure(cx, omega=cx.metric_form())
+
+
+@pytest.mark.parametrize("name", ["torus_H", "iwasawa_H", "spectral_H", "n2k2_H",
+                                  "nodes_only_H"])
+def test_verdict_on_omega_is_the_verdict_on_a_copy(name, request, node_passes):
+    # H.omega is judged as any form is: its verdict equals that on the copy
+    # 1.0 * omega.  Each forms h(x) once, and a verdict the Weyl bound does
+    # not certify also forms the cell-centre values, which pass, as they
+    # passed when H was built
+    H = request.getfixturevalue(name)
+    reports = []
+    for u in (H.omega, 1.0 * H.omega):
+        before = len(node_passes)
+        reports.append(check_weak_positivity(H, u))
+        assert len(node_passes) - before == (1 if reports[-1].certified else 2)
+    assert reports[0] == reports[1] and reports[0].verdict == "positive"
+    assert reports[0].margin == H.positivity_margin
+    if name == "nodes_only_H":
+        assert str(reports[0]) == "positive (nodes only, margin=5.146e-01)"
 
 
 def test_node_deviation_refutes_a_metric_that_builds(torus_cx):
